@@ -15,9 +15,10 @@ simulator can safely deliver the same object it was handed without copying.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "Message",
@@ -83,6 +84,12 @@ def congest_budget_bits(n: int, factor: int = 8) -> int:
     return factor * max(1, math.ceil(math.log2(max(2, n))))
 
 
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of ``cls``, computed once per class."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
 @dataclass(frozen=True)
 class Message:
     """Base class for protocol messages.
@@ -104,8 +111,8 @@ class Message:
         fields relative to ``n``; the default implementation ignores it.
         """
         total = self.TYPE_TAG_BITS
-        for field in dataclasses.fields(self):
-            total += bits_for_value(getattr(self, field.name))
+        for name in _field_names(type(self)):
+            total += bits_for_value(getattr(self, name))
         return total
 
     def congest_units(self) -> int:

@@ -17,26 +17,36 @@ the port-numbered message exchange.
 Backends
 --------
 
-Two interchangeable execution cores drive the same contract:
+One run loop drives both cores; they differ only in which nodes are *due*
+in a round:
 
-* ``"round"`` — the original loop: every non-halted node is stepped every
-  round.
-* ``"event"`` — the fast core: nodes that declare themselves *quiescent*
-  (:meth:`~repro.core.node.ProtocolNode.quiescent_until`) and have an
-  empty inbox are skipped, and rounds in which **no** node is active, no
-  adversary is attached, no ``stop_when`` is set and no delayed message is
-  in flight are fast-forwarded in O(1).
+* ``"round"`` — the reference semantics: every live (non-halted) node is
+  due every round and no round is skipped.
+* ``"event"`` — the fast core: a node is due when its inbox is non-empty
+  or its declared quiescence horizon
+  (:meth:`~repro.core.node.ProtocolNode.quiescent_until`) has been
+  reached.  Horizons beyond the next round sit in a ``(wake, index)``
+  heap whose stale entries are dropped lazily, delivery records the set
+  of receivers, and a counter tracks the live nodes, so a round costs
+  O(due nodes) rather than O(n).
+  Rounds in which **no** node is due, no adversary is attached, no
+  ``stop_when`` is set and no delayed message is in flight are
+  fast-forwarded to the earliest wakeup in O(1).
 
+Due nodes are stepped in ascending index order under both cores, so inbox
+insertion order and every adversary RNG draw follow the same sequence.
 Because quiescence is opt-in and declared only for provably no-op steps,
 the two backends produce bit-identical metrics, traces and results; the
-event backend is simply faster on workloads with long quiet stretches.
-``backend="auto"`` (the default) resolves through the ambient backend
-scope (:func:`backend_scope` / :func:`set_default_backend`) and falls back
-to the event core.
+event backend is simply faster on workloads with long quiet stretches, and
+the round backend stays the equivalence oracle.  ``backend="auto"`` (the
+default) resolves through the ambient backend scope
+(:func:`backend_scope` / :func:`set_default_backend`) and falls back to
+the event core.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -212,16 +222,17 @@ class SynchronousSimulator:
         # endpoint_table[u][p - 1] == (neighbour, neighbour_port); resolved
         # once here so the per-message delivery loop is pure indexing.
         self._endpoints = topology.endpoint_table()
-        # Inboxes are double-buffered: the spare buffer is cleared and
-        # refilled each round instead of allocating n fresh dicts per round.
-        # Consequently an inbox dict handed to ``node.step`` is only valid
-        # for the duration of that call; nodes must copy anything they keep.
+        # Inboxes are reused: after a round's steps the receivers' inboxes
+        # are cleared and refilled with that round's traffic instead of
+        # allocating n fresh dicts per round.  Consequently an inbox dict
+        # handed to ``node.step`` is only valid for the duration of that
+        # call; nodes must copy anything they keep.
         self._inboxes: List[Dict[int, Message]] = [
             {} for _ in range(topology.num_nodes)
         ]
-        self._spare_inboxes: List[Dict[int, Message]] = [
-            {} for _ in range(topology.num_nodes)
-        ]
+        #: Indices of the nodes whose inbox is non-empty (each listed once),
+        #: recorded by delivery; only these inboxes are ever cleared.
+        self._receivers: List[int] = []
         # Fault injection (repro.dynamics): an explicit adversary wins;
         # otherwise the ambient fault scope supplies one, so experiment
         # drivers can perturb protocol entry points that construct their
@@ -234,10 +245,6 @@ class SynchronousSimulator:
         self._adversary = adversary
         #: arrival round -> [(receiver, receiver_port, message), ...]
         self._delayed: Dict[int, List[Tuple[int, int, Message]]] = {}
-        #: Event backend: per-node wakeup rounds (flat array, refreshed at
-        #: every ``run`` entry and after each executed step).  A node is
-        #: skipped while its inbox is empty and ``wake > current round``.
-        self._wake: List[int] = [0] * topology.num_nodes
         if adversary is not None:
             adversary.attach(self.topology, self.metrics, self.trace)
 
@@ -278,51 +285,32 @@ class SynchronousSimulator:
     # execution
     # ------------------------------------------------------------------ #
     def run_round(self) -> None:
-        """Execute exactly one synchronous round (round-backend semantics)."""
-        round_index = self._round
-        adversary = self._adversary
-        if adversary is not None:
-            adversary.begin_round(round_index)
-        inboxes = self._inboxes
-        outboxes: List[Outbox] = []
-        empty: Outbox = {}
-        for index, node in enumerate(self.nodes):
-            if node.halted or (
-                adversary is not None
-                and not adversary.node_active(round_index, index)
-            ):
-                outboxes.append(empty)
-                continue
-            outbox = node.step(round_index, inboxes[index]) or {}
-            self._validate_outbox(index, node, outbox)
-            outboxes.append(outbox)
-        self._deliver_and_finish(round_index, enumerate(outboxes))
+        """Execute one synchronous round (none once every node has halted)."""
+        self._run(1, None)
 
     def _deliver_and_finish(
         self,
         round_index: int,
-        senders: Iterable[Tuple[int, Outbox]],
+        senders: List[Tuple[int, Outbox]],
     ) -> None:
-        """Deliver this round's outboxes, swap buffers, close the round.
+        """Deliver this round's outboxes and close the round.
 
-        Round state is committed *before* any CONGEST enforcement error is
-        raised: the violating message is withheld (never placed in an
-        inbox), everything else delivers, the buffers swap and the round
-        counter advances — so a caller that catches
+        The inboxes consumed this round are cleared first, then refilled
+        with this round's traffic.  Round state is committed *before* any
+        CONGEST enforcement error is raised: the violating message is
+        withheld (never placed in an inbox), everything else delivers and
+        the round counter advances — so a caller that catches
         :class:`CongestViolationError` observes a consistent simulator.
         """
         inboxes = self._inboxes
-        next_inboxes = self._spare_inboxes
-        for inbox in next_inboxes:
-            inbox.clear()
+        for index in self._receivers:
+            inboxes[index].clear()
+        receivers: List[int] = []
         if self._adversary is not None:
-            violation = self._deliver_with_adversary(
-                round_index, senders, next_inboxes
-            )
+            violation = self._deliver_with_adversary(round_index, senders, receivers)
         else:
-            violation = self._deliver_plain(round_index, senders, next_inboxes)
-        self._spare_inboxes = inboxes
-        self._inboxes = next_inboxes
+            violation = self._deliver_plain(round_index, senders, receivers)
+        self._receivers = receivers
         self.metrics.record_round()
         self._round += 1
         if violation is not None:
@@ -335,16 +323,18 @@ class SynchronousSimulator:
     def _deliver_plain(
         self,
         round_index: int,
-        senders: Iterable[Tuple[int, Outbox]],
-        next_inboxes: List[Dict[int, Message]],
+        senders: List[Tuple[int, Outbox]],
+        receivers: List[int],
     ) -> Optional[Tuple[int, int, int]]:
         """Unperturbed delivery hot path: kept free of per-message branches.
 
         Returns the first enforced CONGEST violation as ``(sender, port,
         bits)``, or ``None``.  Violating messages are always counted (the
         sender paid for them); under enforcement they are withheld from the
-        receiver and counted as dropped.
+        receiver and counted as dropped.  Every node whose inbox goes from
+        empty to non-empty is appended to ``receivers``.
         """
+        inboxes = self._inboxes
         endpoints = self._endpoints
         congest_budget = self._congest_bits
         enforce = self.enforce_congest
@@ -372,7 +362,10 @@ class SynchronousSimulator:
                             violation = (index, port, bits)
                         continue
                 neighbor, neighbor_port = node_endpoints[port - 1]
-                next_inboxes[neighbor][neighbor_port] = message
+                inbox = inboxes[neighbor]
+                if not inbox:
+                    receivers.append(neighbor)
+                inbox[neighbor_port] = message
         if physical:
             self.metrics.record_message(bits=total_bits, count=total_count)
             self.metrics.record_sent(physical)
@@ -384,8 +377,8 @@ class SynchronousSimulator:
     def _deliver_with_adversary(
         self,
         round_index: int,
-        senders: Iterable[Tuple[int, Outbox]],
-        next_inboxes: List[Dict[int, Message]],
+        senders: List[Tuple[int, Outbox]],
+        receivers: List[int],
     ) -> Optional[Tuple[int, int, int]]:
         """Adversary-mediated delivery of this round's outboxes.
 
@@ -397,8 +390,10 @@ class SynchronousSimulator:
         CONGEST holds on the receiving side too) and counted as such.
         Returns the first enforced CONGEST violation (see
         :meth:`_deliver_plain`); an enforced violating message is withheld
-        before the adversary rules on it.
+        before the adversary rules on it.  Receivers are recorded as in
+        :meth:`_deliver_plain`, delayed arrivals included.
         """
+        inboxes = self._inboxes
         adversary = self._adversary
         endpoints = self._endpoints
         congest_budget = self._congest_bits
@@ -434,7 +429,10 @@ class SynchronousSimulator:
                     round_index, index, port, neighbor, neighbor_port, message
                 )
                 if verdict == DELIVER:
-                    next_inboxes[neighbor][neighbor_port] = message
+                    inbox = inboxes[neighbor]
+                    if not inbox:
+                        receivers.append(neighbor)
+                    inbox[neighbor_port] = message
                     delivered += 1
                 elif verdict < 0:
                     dropped += 1
@@ -462,7 +460,8 @@ class SynchronousSimulator:
         # Delayed messages due now (scheduled for the start of round
         # ``round_index + 1``, like the fresh traffic above).
         for neighbor, neighbor_port, message in self._delayed.pop(round_index + 1, ()):
-            if neighbor_port in next_inboxes[neighbor]:
+            inbox = inboxes[neighbor]
+            if neighbor_port in inbox:
                 dropped += 1
                 trace.record(
                     round_index,
@@ -472,7 +471,9 @@ class SynchronousSimulator:
                     reason="delay-collision",
                 )
             else:
-                next_inboxes[neighbor][neighbor_port] = message
+                if not inbox:
+                    receivers.append(neighbor)
+                inbox[neighbor_port] = message
                 delivered += 1
 
         if physical:
@@ -506,10 +507,7 @@ class SynchronousSimulator:
         """
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be non-negative, got {max_rounds}")
-        if self.backend == "event":
-            executed = self._run_event(max_rounds, stop_when)
-        else:
-            executed = self._run_round_loop(max_rounds, stop_when)
+        executed = self._run(max_rounds, stop_when)
         all_halted = self.all_halted()
         if require_halt and not all_halted:
             raise SimulationError(
@@ -529,88 +527,108 @@ class SynchronousSimulator:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _run_round_loop(
+    def _run(
         self,
         max_rounds: int,
         stop_when: Optional[Callable[["SynchronousSimulator"], bool]],
     ) -> int:
-        """The original backend: step every non-halted node every round."""
-        executed = 0
-        while executed < max_rounds:
-            if self.all_halted():
-                break
-            self.run_round()
-            executed += 1
-            if stop_when is not None and stop_when(self):
-                break
-            if self._terminated_by_crashes():
-                break
-        return executed
+        """The run loop of both backends; returns the rounds executed.
 
-    def _run_event(
-        self,
-        max_rounds: int,
-        stop_when: Optional[Callable[["SynchronousSimulator"], bool]],
-    ) -> int:
-        """The event-driven backend: skip quiescent nodes and empty rounds.
-
-        Per round, only *active* nodes are stepped: a node is active when
-        it has not halted and either its inbox is non-empty or its declared
-        quiescence horizon (:meth:`ProtocolNode.quiescent_until`) has been
-        reached.  When no node is active — and no adversary, ``stop_when``
-        or in-flight delayed message can make a round observable — the
-        simulator fast-forwards to the earliest wakeup in O(1), recording
-        the skipped rounds in one batch.
+        Per round, the *due* nodes are stepped in ascending index order.
+        Under ``"round"`` that is every live node.  Under ``"event"`` it is
+        the receivers of the previous round's delivery plus the nodes whose
+        wake round has come.  A node whose horizon is the very next round
+        goes on the ``ready`` list; later horizons go into a ``(wake,
+        index)`` heap.  ``wake`` holds the round of each node's live heap
+        entry (``-1`` while it has none), so an entry is stale — and
+        dropped when it surfaces — whenever a later step moved the node's
+        horizon.  Every live node is ready, due, or has a live heap entry.
+        Once the heap holds more than ``4n`` entries it is rebuilt from the
+        live ones, so its size is bounded by the node count rather than the
+        run length.  When no node is due and
+        nothing else can make a round observable (no adversary,
+        ``stop_when`` or delayed message), the loop fast-forwards to the
+        earliest wakeup in O(1), recording the skipped rounds in one batch.
+        A live-node counter ends the run once every node has halted.
         """
         nodes = self.nodes
-        wake = self._wake
+        inboxes = self._inboxes
+        adversary = self._adversary
+        event = self.backend == "event"
+        wake = [-1] * len(nodes)
+        heap: List[Tuple[int, int]] = []
+        ready: List[int] = []  # due next round, kept out of the heap
+        live = 0
         for index, node in enumerate(nodes):
-            if not node.halted:
+            if node.halted:
+                continue
+            live += 1
+            if event:
                 wake[index] = node.quiescent_until(self._round)
+                heap.append((wake[index], index))
+        heapq.heapify(heap)
         executed = 0
-        while executed < max_rounds:
-            if self.all_halted():
-                break
+        while executed < max_rounds and live:
             round_index = self._round
-            adversary = self._adversary
-            inboxes = self._inboxes
-            if adversary is None and stop_when is None and not self._delayed:
-                next_wake: Optional[int] = None
-                runnable = False
-                for index, node in enumerate(nodes):
-                    if node.halted:
-                        continue
-                    if inboxes[index] or wake[index] <= round_index:
-                        runnable = True
+            due: Iterable[int]
+            if event:
+                due_set = set(self._receivers)
+                due_set.update(ready)
+                ready = []
+                while heap and heap[0][0] <= round_index:
+                    at, index = heapq.heappop(heap)
+                    if wake[index] == at:
+                        wake[index] = -1
+                        due_set.add(index)
+                if (
+                    not due_set
+                    and adversary is None
+                    and stop_when is None
+                    and not self._delayed
+                ):
+                    while heap and wake[heap[0][1]] != heap[0][0]:
+                        heapq.heappop(heap)
+                    if not heap:  # pragma: no cover - live nodes keep an entry
                         break
-                    if next_wake is None or wake[index] < next_wake:
-                        next_wake = wake[index]
-                if not runnable:
-                    if next_wake is None:  # pragma: no cover - all_halted above
-                        break
-                    jump = min(next_wake - round_index, max_rounds - executed)
+                    jump = min(heap[0][0] - round_index, max_rounds - executed)
                     self.metrics.record_round(jump)
                     self._round += jump
                     executed += jump
                     continue
+                due = sorted(due_set)
+            else:
+                due = range(len(nodes))
             if adversary is not None:
                 adversary.begin_round(round_index)
             senders: List[Tuple[int, Outbox]] = []
-            for index, node in enumerate(nodes):
+            for index in due:
+                node = nodes[index]
                 if node.halted:
-                    continue
-                inbox = inboxes[index]
-                if not inbox and wake[index] > round_index:
                     continue
                 if adversary is not None and not adversary.node_active(
                     round_index, index
                 ):
+                    if event and wake[index] < 0:
+                        ready.append(index)  # its horizon has passed
                     continue
-                outbox = node.step(round_index, inbox) or {}
-                wake[index] = node.quiescent_until(round_index + 1)
+                outbox = node.step(round_index, inboxes[index]) or {}
+                if node.halted:
+                    live -= 1
+                elif event:
+                    at = node.quiescent_until(round_index + 1)
+                    if at <= round_index + 1:
+                        wake[index] = -1
+                        ready.append(index)
+                    elif at != wake[index]:
+                        wake[index] = at
+                        heapq.heappush(heap, (at, index))
                 if outbox:
                     self._validate_outbox(index, node, outbox)
                     senders.append((index, outbox))
+            if len(heap) > 4 * len(nodes):
+                # Mostly stale entries: rebuild from the live ones.
+                heap = [(at, index) for index, at in enumerate(wake) if at >= 0]
+                heapq.heapify(heap)
             self._deliver_and_finish(round_index, senders)
             executed += 1
             if stop_when is not None and stop_when(self):

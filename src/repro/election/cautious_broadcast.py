@@ -177,12 +177,14 @@ class CautiousBroadcastState:
         self.rounds_executed = 0
         self.stop_notified = False
         self._size_reported = 0  # last size value sent to the parent
+        self._quiescent: Optional[bool] = None  # cached quiescent() result
 
     # -------------------------------------------------------------- #
     # receptions (Algorithm 3)
     # -------------------------------------------------------------- #
     def handle_message(self, port: int, message: Message) -> None:
         """Process one received message belonging to this instance."""
+        self._quiescent = None
         # A port we heard from is no longer available for fresh offers.
         self.avail.discard(port)
 
@@ -232,6 +234,7 @@ class CautiousBroadcastState:
 
     def prepare_transmissions(self, rng: random.Random) -> Outbox:
         """One protocol round of Algorithm 4 for this instance."""
+        self._quiescent = None
         if not self.joined or self.exhausted:
             return {}
         self.rounds_executed += 1
@@ -290,12 +293,25 @@ class CautiousBroadcastState:
 
         True only when every future call — until a message is received —
         would return an empty outbox, draw nothing from the RNG and leave
-        the instance's observable behaviour unchanged (``rounds_executed``
-        may drift, but it only feeds ``exhausted``, which within a
-        super-round schedule can flip no earlier than the instance's final
-        in-phase step).  The event-driven simulator backend uses this to
-        skip nodes whose instances have all gone quiet.
+        the instance's observable behaviour unchanged.  ``rounds_executed``
+        may drift: the event-driven simulator backend skips the calls of
+        quiescent instances, both when the whole node sleeps and when the
+        node wakes only for the slots of its busy sibling instances.  The
+        drift is harmless because ``rounds_executed`` only feeds
+        ``exhausted``: a super-round schedule gives an instance at most
+        ``protocol_rounds`` slots per phase, so ``exhausted`` can flip no
+        earlier than the instance's final in-phase slot, after which it is
+        never served again.
+
+        The result is cached until :meth:`handle_message` or
+        :meth:`prepare_transmissions` runs again — the only entry points
+        that change the instance's state.
         """
+        if self._quiescent is None:
+            self._quiescent = self._compute_quiescent()
+        return self._quiescent
+
+    def _compute_quiescent(self) -> bool:
         if not self.joined or self.exhausted:
             return True
         if self.threshold >= self.config.territory_cap and self.status != STOPPED:
@@ -405,7 +421,9 @@ class CautiousBroadcastManager:
         self.config = config
         self.num_slots = num_slots
         self._states: Dict[int, CautiousBroadcastState] = {}
-        self._order: List[int] = []
+        #: ``_slots[s]`` is the instance served in slot ``s``: the first
+        #: ``num_slots`` instances in discovery order.
+        self._slots: List[CautiousBroadcastState] = []
         self.overflow_instances = 0
 
     # -------------------------------------------------------------- #
@@ -424,13 +442,13 @@ class CautiousBroadcastManager:
         if source_id in self._states:
             raise ProtocolError(f"instance {source_id} registered twice")
         self._states[source_id] = state
-        if len(self._order) < self.num_slots:
-            self._order.append(source_id)
+        if len(self._slots) < self.num_slots:
+            self._slots.append(state)
         else:
             # More parallel executions than slots: the paper shows this does
             # not happen w.h.p.; we keep counting so experiments can verify.
+            # An overflow instance is never served.
             self.overflow_instances += 1
-            self._order.append(source_id)
 
     def _state_for(self, source_id: int) -> CautiousBroadcastState:
         state = self._states.get(source_id)
@@ -460,14 +478,27 @@ class CautiousBroadcastManager:
         """Transmissions of the instance assigned to ``slot`` (may be empty)."""
         if slot < 0 or slot >= self.num_slots:
             raise ProtocolError(f"slot {slot} out of range 0..{self.num_slots - 1}")
-        if slot >= len(self._order):
+        if slot >= len(self._slots):
             return {}
-        source_id = self._order[slot]
-        return self._states[source_id].prepare_transmissions(rng)
+        return self._slots[slot].prepare_transmissions(rng)
 
-    def quiescent(self) -> bool:
-        """Whether every known instance is quiescent (slots are all no-ops)."""
-        return all(state.quiescent() for state in self._states.values())
+    def next_busy_round(self, round_index: int) -> Optional[int]:
+        """First round ``>= round_index`` whose slot serves a busy instance.
+
+        A round's slot is ``round % num_slots``; an instance is busy while
+        it is not :meth:`~CautiousBroadcastState.quiescent`.  Returns
+        ``None`` when every served instance is quiescent, i.e. every slot
+        is a no-op until a message arrives.
+        """
+        num_slots = self.num_slots
+        slot = round_index % num_slots
+        delay: Optional[int] = None
+        for position, state in enumerate(self._slots):
+            if not state.quiescent():
+                wait = (position - slot) % num_slots
+                if delay is None or wait < delay:
+                    delay = wait
+        return None if delay is None else round_index + delay
 
     # -------------------------------------------------------------- #
     # inspection used by the later election phases and by analysis

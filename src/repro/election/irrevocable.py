@@ -252,7 +252,7 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
     # ------------------------------------------------------------------ #
     def _broadcast_step(self, round_index: int, inbox: Inbox) -> Outbox:
         self._broadcast.handle_inbox(inbox)
-        slot = round_index % self.config.num_slots
+        slot = round_index % self._broadcast.num_slots
         return self._broadcast.transmissions_for_slot(slot, self.rng)
 
     def _walk_step(self, round_index: int, inbox: Inbox) -> Outbox:
@@ -305,14 +305,18 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         walk and convergecast states); while that holds, the node may
         sleep until the next phase boundary — any reception wakes it, and
         the first round of a phase always wakes it to build that phase's
-        state.  The declaration makes the event backend bit-identical to
-        the round backend on this protocol: skipped steps would have sent
-        nothing, drawn nothing and decided nothing.
+        state.  In the broadcast phase a round only serves the instance
+        owning its slot, so the node sleeps until the first slot of a
+        non-quiescent instance (:meth:`CautiousBroadcastManager.next_busy_round`).
+        The declaration makes the event backend bit-identical to the round
+        backend on this protocol: skipped steps would have sent nothing,
+        drawn nothing and decided nothing.
         """
         if round_index < self._broadcast_end:
-            if self._broadcast.quiescent():
+            busy = self._broadcast.next_busy_round(round_index)
+            if busy is None:
                 return self._broadcast_end
-            return round_index
+            return min(busy, self._broadcast_end)
         if round_index < self._walk_end:
             if self._walk is not None and self._walk.quiescent():
                 return self._walk_end

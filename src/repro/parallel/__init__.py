@@ -44,6 +44,7 @@ from .checkpoint import (
     result_from_record,
     result_to_record,
     shard_checkpoint_path,
+    writer_token,
 )
 from .runner import (
     CHECKPOINT_FORMATS,

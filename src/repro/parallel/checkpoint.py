@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,10 +61,21 @@ __all__ = [
     "result_to_record",
     "result_from_record",
     "shard_checkpoint_path",
+    "writer_token",
 ]
 
 FORMAT_VERSION = 1
 MANIFEST_KIND = "shard-manifest"
+
+
+def writer_token() -> str:
+    """A fresh name part unique to one writer: pid, thread id, random suffix.
+
+    Temp files, partial sidecars and lease owners are named with it so that
+    no two writers ever share one — not two processes, and not two threads
+    of one process either (``repro-le serve`` answers on threads).
+    """
+    return f"{os.getpid()}-{threading.get_ident()}-{os.urandom(4).hex()}"
 
 
 def result_to_record(
@@ -457,7 +469,7 @@ class ShardManifest:
         # Writer-unique temp name: concurrent shard jobs on a shared
         # filesystem race to publish the (identical) manifest, and a
         # shared temp path would let one job replace a half-written file.
-        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        temp = path.with_name(f"{path.name}.{writer_token()}.tmp")
         temp.write_text(
             json.dumps(self.as_payload(), indent=1, sort_keys=True),
             encoding="utf-8",

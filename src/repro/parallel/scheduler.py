@@ -66,6 +66,7 @@ from ..core.errors import ConfigurationError, ReproError
 from ..core.simulator import default_backend
 from ..election.base import LeaderElectionResult
 from ..obs import TaskProfiler, TaskTelemetry, collect_spans
+from .checkpoint import writer_token
 from .sharding import RunTask, split_blocks
 
 __all__ = [
@@ -551,7 +552,7 @@ class LeaseDirectory:
         self.directory = base.with_name(f"{base.stem}.leases")
         self.block_count = block_count
         self.lease_timeout = lease_timeout
-        self.owner = owner if owner is not None else f"pid-{os.getpid()}"
+        self.owner = owner if owner is not None else f"pid-{writer_token()}"
         self.claimed = 0
         self.stolen = 0
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -601,7 +602,7 @@ class LeaseDirectory:
             # Stale lease and no done marker: the owner died mid-block.
             # Steal by atomic replacement — of two racing thieves, both
             # "win" and execute identical deterministic work.
-            temp = path.with_name(f"{path.name}.{os.getpid()}.steal")
+            temp = path.with_name(f"{path.name}.{writer_token()}.steal")
             temp.write_text(content, encoding="utf-8")
             os.replace(temp, path)
             self.claimed += 1
@@ -626,7 +627,7 @@ class LeaseDirectory:
         """Publish the done marker (atomically) after the block's
         checkpoint is on disk."""
         done = self.done_path(index)
-        temp = done.with_name(f"{done.name}.{os.getpid()}.tmp")
+        temp = done.with_name(f"{done.name}.{writer_token()}.tmp")
         temp.write_text(
             json.dumps({"owner": self.owner}, sort_keys=True), encoding="utf-8"
         )

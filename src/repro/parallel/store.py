@@ -29,8 +29,9 @@ is byte-deterministic.
 
 **Staged mode** exists for the work-stealing shard path, where a stolen
 block can briefly have *two* jobs writing it.  A staged store appends to
-a writer-unique ``<path>.<pid>.partial`` sidecar (incremental durability
-without interleaving two writers' lines in one file) and
+a writer-unique ``<path>.<token>.partial`` sidecar, named by
+:func:`~repro.parallel.checkpoint.writer_token` (incremental durability
+without interleaving two writers' lines in one file), and
 :meth:`~JsonlCheckpointStore.publish` atomically replaces the real path
 with the full contents once the block completes; ``load`` folds in any
 leftover partials from a dead job, so a thief resumes the victim's
@@ -47,7 +48,7 @@ from typing import Dict, List, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..obs import span
-from .checkpoint import CheckpointStore, compact_record
+from .checkpoint import CheckpointStore, compact_record, writer_token
 
 __all__ = ["JSONL_FORMAT", "JsonlCheckpointStore"]
 
@@ -108,6 +109,8 @@ class JsonlCheckpointStore(CheckpointStore):
             path, flush_interval_seconds=flush_interval_seconds, compact=compact
         )
         self._staged = staged
+        #: names this store's partial sidecar for its whole lifetime
+        self._writer = writer_token()
         #: (key, record) completions not yet appended to disk
         self._pending: List[Tuple[str, Dict[str, object]]] = []
         #: superseded lines sitting in the file (duplicate keys, compacted
@@ -295,7 +298,7 @@ class JsonlCheckpointStore(CheckpointStore):
         self._last_flush = time.monotonic()
 
     def _partial_path(self) -> Path:
-        return self.path.with_name(f"{self.path.name}.{os.getpid()}.partial")
+        return self.path.with_name(f"{self.path.name}.{self._writer}.partial")
 
     def _append(self, target: Path) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -311,7 +314,7 @@ class JsonlCheckpointStore(CheckpointStore):
     def _rewrite(self, target: Path) -> None:
         """One atomic whole-file write: header + live records sorted by key."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        temp = target.with_name(f"{target.name}.{writer_token()}.tmp")
         with open(temp, "w", encoding="utf-8") as handle:
             handle.write(_header_line() + "\n")
             for key in sorted(self._runs):

@@ -8,6 +8,8 @@ core.  This file pins that contract across
 
 * the raw simulator (plain and under every adversary family),
 * the irrevocable election pipeline (quiescence predicates engaged),
+  including slot-aware broadcast horizons: overflowing super-rounds,
+  nodes in several territories, and nodes frozen by an adversary,
 * the experiment engine in all execution modes: serial, pooled, pooled
   with the spawn start method, and sharded-with-checkpoint,
 * robustness curves over a dynamic scenario,
@@ -18,6 +20,7 @@ core.  This file pins that contract across
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -35,8 +38,13 @@ from repro.core import (
     set_default_backend,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.faults import FaultAdversary, fault_scope
 from repro.dynamics import AdversarySpec, make_adversary, robustness_specs
-from repro.election import run_irrevocable_election
+from repro.election import (
+    IrrevocableConfig,
+    IrrevocableLeaderElectionNode,
+    run_irrevocable_election,
+)
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import expand_run_tasks, run_experiments
 from repro.workloads import dynamic_scenario
@@ -76,6 +84,37 @@ class ChatterNode(ProtocolNode):
         return {"received": self.received}
 
 
+class PeriodicNode(ProtocolNode):
+    """Sends every third round after its last send; sleeps in between."""
+
+    def __init__(self, num_ports: int, rng: random.Random) -> None:
+        super().__init__(num_ports, rng)
+        self.next_send = 0
+        self.sends = []
+        self.received = 0
+
+    def step(self, round_index, inbox):
+        self.received += len(inbox)
+        if round_index < self.next_send:
+            return {}
+        self.next_send = round_index + 3
+        self.sends.append(round_index)
+        return {port: Ping() for port in self.ports()}
+
+    def quiescent_until(self, round_index):
+        return max(round_index, self.next_send)
+
+    def result(self):
+        return {"sends": list(self.sends), "received": self.received}
+
+
+class FreezeNodeZero(FaultAdversary):
+    """Node 0 sits out rounds 3 and 4, then comes back."""
+
+    def node_active(self, round_index, node):
+        return node != 0 or round_index not in (3, 4)
+
+
 def _chatter_fingerprint(backend, adversary_spec):
     adversary = (
         make_adversary(adversary_spec, 7) if adversary_spec is not None else None
@@ -98,6 +137,19 @@ def _election_fingerprint(backend, topology, seed):
     with backend_scope(backend):
         result = run_irrevocable_election(topology, seed=seed)
     return result.as_dict()
+
+
+def _irrevocable_fingerprint(backend, topology, seed, adversary_spec=None, **config):
+    """Outcome, cost and every node's result of one irrevocable election."""
+    config = IrrevocableConfig.from_topology(topology, **config)
+    faults = (
+        fault_scope(lambda: make_adversary(adversary_spec, seed))
+        if adversary_spec is not None
+        else nullcontext()
+    )
+    with backend_scope(backend), faults:
+        result = run_irrevocable_election(topology, seed=seed, config=config)
+    return result.as_dict(), result.node_results
 
 
 def _comparable(cells):
@@ -131,6 +183,22 @@ class TestSimulatorCoreEquivalence:
             "event", adversary_spec
         )
 
+    def test_frozen_node_is_due_again_once_it_returns(self):
+        # Node 0's horizon passes while it is frozen: both cores must step
+        # it in round 5, its first active round, not at its next reception.
+        def fingerprint(backend):
+            topology = cycle(6)
+            nodes = build_nodes(topology, lambda i, p, rng: PeriodicNode(p, rng), seed=0)
+            simulator = SynchronousSimulator(
+                topology, nodes, adversary=FreezeNodeZero(), backend=backend
+            )
+            result = simulator.run(12)
+            return result.metrics.as_dict(), result.results()
+
+        reference = fingerprint("round")
+        assert reference[1][0]["sends"][:2] == [0, 5]
+        assert fingerprint("event") == reference
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
         "topology_factory",
@@ -151,6 +219,73 @@ class TestSimulatorCoreEquivalence:
             reference = irrevocable_runner(cycle(8), 1).as_dict()
         with backend_scope("event"):
             assert irrevocable_runner(cycle(8), 1).as_dict() == reference
+
+
+class TestSlotAwareHorizons:
+    """The event core wakes a broadcasting node only for its busy slots."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "topology_factory",
+        [lambda: random_regular(16, 4, seed=7), lambda: grid_2d(5, 5)],
+        ids=["rr16d4", "grid5x5"],
+    )
+    def test_overflowing_super_rounds_bit_identical(self, topology_factory, seed):
+        topology = topology_factory()
+        reference = _irrevocable_fingerprint(
+            "round", topology, seed, super_round_slots=2
+        )
+        nodes = reference[1]
+        assert sum(node["broadcast_overflow"] for node in nodes) > 0
+        assert any(len(node["joined_territories"]) > 2 for node in nodes)
+        assert (
+            _irrevocable_fingerprint("event", topology, seed, super_round_slots=2)
+            == reference
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nodes_in_several_territories_bit_identical(self, seed):
+        topology = random_regular(64, 6, seed=1)
+        reference = _irrevocable_fingerprint("round", topology, seed)
+        assert any(len(node["joined_territories"]) > 1 for node in reference[1])
+        assert _irrevocable_fingerprint("event", topology, seed) == reference
+
+    @pytest.mark.parametrize(
+        "adversary_spec",
+        [
+            AdversarySpec.create("loss", p=0.1),
+            AdversarySpec.create("churn", p_down=0.05, p_up=0.5),
+            AdversarySpec.create("crash", p=0.2, horizon=60),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_adversaries_bit_identical(self, adversary_spec):
+        topology = random_regular(16, 4, seed=7)
+        assert _irrevocable_fingerprint(
+            "event", topology, 0, adversary_spec
+        ) == _irrevocable_fingerprint("round", topology, 0, adversary_spec)
+
+    def test_event_core_steps_a_small_fraction_of_the_round_core(self, monkeypatch):
+        # The broadcast phase dominates this election (39 slots x 156
+        # rounds); with slot-aware horizons a node steps only in the slots
+        # of its busy territories and when it receives.
+        steps = {"count": 0}
+        step = IrrevocableLeaderElectionNode.step
+
+        def counted_step(node, round_index, inbox):
+            steps["count"] += 1
+            return step(node, round_index, inbox)
+
+        monkeypatch.setattr(IrrevocableLeaderElectionNode, "step", counted_step)
+        topology = random_regular(128, 8, seed=7)
+        config = IrrevocableConfig.from_topology(topology)
+        counts = {}
+        for backend in ("round", "event"):
+            steps["count"] = 0
+            with backend_scope(backend):
+                run_irrevocable_election(topology, seed=0, config=config)
+            counts[backend] = steps["count"]
+        assert counts["event"] <= 0.06 * counts["round"], counts
 
 
 class TestExperimentEngineEquivalence:

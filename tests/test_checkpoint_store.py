@@ -296,8 +296,8 @@ class TestStagedMode:
         staged.flush()
         # Flushes land in the writer-unique partial; the real path does
         # not exist until publish.
-        partial = Path(f"{path}.{os.getpid()}.partial")
-        assert partial.exists() and not path.exists()
+        (partial,) = tmp_path.glob(f"block.json.{os.getpid()}-*.partial")
+        assert partial == staged._partial_path() and not path.exists()
         staged.publish()
         assert path.exists() and not partial.exists()
         assert JsonlCheckpointStore(path).load() == records

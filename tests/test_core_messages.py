@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import pkgutil
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import pytest
 
+import repro
 from repro.core import Message, bits_for_int, bits_for_value, congest_budget_bits, id_space_bits
 
 
@@ -86,6 +90,47 @@ class TestMessageSize:
         message = _Sample(value=1, flag=False)
         with pytest.raises(Exception):
             message.value = 2  # type: ignore[misc]
+
+
+#: A sample value per field annotation used by the built-in message classes.
+_FIELD_SAMPLES = {
+    "int": 1234567,
+    "bool": True,
+    "float": 0.25,
+    "Optional[int]": 42,
+}
+
+
+def _builtin_message_classes():
+    """Every Message subclass in the package that keeps the default sizing."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    pending, found = list(Message.__subclasses__()), []
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.") and cls.size_bits is Message.size_bits:
+            found.append(cls)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+class TestDefaultSizeOfBuiltinMessages:
+    def test_discovery_finds_the_protocol_messages(self):
+        names = {cls.__name__ for cls in _builtin_message_classes()}
+        assert {"OfferMessage", "WalkMessage", "DiffusionMessage"} <= names
+
+    @pytest.mark.parametrize(
+        "cls", _builtin_message_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_size_bits_is_the_sum_over_dataclass_fields(self, cls):
+        fields = dataclasses.fields(cls)
+        message = cls(**{field.name: _FIELD_SAMPLES[field.type] for field in fields})
+        expected = Message.TYPE_TAG_BITS + sum(
+            bits_for_value(getattr(message, field.name)) for field in fields
+        )
+        # Twice: the first call fills the per-class field-name cache.
+        assert message.size_bits() == expected
+        assert message.size_bits() == expected
 
 
 class TestBudgets:

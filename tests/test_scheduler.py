@@ -42,6 +42,7 @@ from repro.parallel import (
     run_experiments,
     shard_checkpoint_path,
     split_blocks,
+    writer_token,
 )
 
 SEEDS = (0, 1, 2)
@@ -551,6 +552,73 @@ class TestLeaseDirectory:
 # --------------------------------------------------------------------------- #
 # block splitting and shard-spec parsing
 # --------------------------------------------------------------------------- #
+
+
+class TestWriterIdentity:
+    def test_writer_tokens_are_unique_per_call(self):
+        tokens = {writer_token() for _ in range(64)}
+        assert len(tokens) == 64
+        assert all(token.startswith(f"{os.getpid()}-") for token in tokens)
+
+    def test_concurrent_threads_never_share_temp_files_or_owners(
+        self, tmp_path, monkeypatch
+    ):
+        # Two jobs in one process (as under the threaded ``serve``) write
+        # the same manifest, race for the same stale lease, mark blocks
+        # done and stage the same block checkpoint at the same moment.
+        base = tmp_path / "sweep.json"
+        keys = [f"key-{index}" for index in range(4)]
+        dead = LeaseDirectory(base, 2, owner="dead-job")
+        assert dead.claim_next() == (0, False)
+        stale = time.time() - 3600
+        os.utime(dead.lease_path(0), (stale, stale))
+
+        real_replace = os.replace
+        temps = {}
+
+        def recording_replace(source, target):
+            temps.setdefault(threading.get_ident(), []).append(Path(source).name)
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        barrier = threading.Barrier(2, timeout=30)
+        owners, partials, errors = [], [], []
+
+        def job():
+            try:
+                barrier.wait()
+                ShardManifest.plan_auto(base, keys, 2).write(manifest_path(base))
+                leases = LeaseDirectory(base, 2, lease_timeout=60.0)
+                owners.append(leases.owner)
+                index, _ = leases.claim_next()
+                store = JsonlCheckpointStore(
+                    tmp_path / "block.json", flush_interval_seconds=0.0, staged=True
+                )
+                store.add("key-0", {"leader": 1})
+                store.flush()
+                partials.append(store._partial_path().name)
+                barrier.wait()
+                store.publish()
+                leases.mark_done(index)
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                barrier.abort()
+                errors.append(error)
+
+        threads = [threading.Thread(target=job) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(set(owners)) == 2
+        assert len(set(partials)) == 2
+        first, second = temps.values()
+        assert len(first) >= 2 and len(second) >= 2  # publish, done
+        assert not set(first) & set(second)
+        assert JsonlCheckpointStore(tmp_path / "block.json").load() == {
+            "key-0": {"leader": 1}
+        }
 
 
 class TestBlockPlanning:
