@@ -204,15 +204,12 @@ def test_parallel_sweep(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# elastic engine: adaptive dispatch + append-only checkpoint store
+# elastic engine: adaptive dispatch
 # --------------------------------------------------------------------------- #
 
 ELASTIC_EXPERIMENT_ID = "bench-elastic-sweep" + ("-smoke" if SMOKE else "")
 #: Cheap-task fan-out of the heterogeneous grid (per topology).
 CHEAP_SEEDS = 8 if SMOKE else 150
-#: Run count of the checkpoint-I/O grid (one record per run; the rewrite
-#: store's flush cost grows with every one of them).
-CHECKPOINT_RUNS = 12 if SMOKE else 150
 #: Pool size of the dispatch legs, matched to the hardware: a pool wider
 #: than the usable cores measures process thrash, not dispatch.
 DISPATCH_WORKERS = (
@@ -251,30 +248,6 @@ def _hetero_specs():
     ]
 
 
-def _checkpoint_leg(fmt: str, tmp: Path):
-    """One checkpointed sweep with per-add flushes; returns the telemetry
-    summary whose ``checkpoint_io_share`` is the figure of merit."""
-    sink = TelemetrySink(tmp / f"telemetry-{fmt}.jsonl")
-    specs = [
-        ExperimentSpec(
-            name="checkpointed",
-            runner=flooding_runner,
-            topologies=[cycle(24)],
-            seeds=tuple(range(CHECKPOINT_RUNS)),
-            collect_profile=False,
-        )
-    ]
-    results = run_experiments(
-        specs,
-        workers=1,
-        checkpoint=tmp / f"checkpoint-{fmt}.json",
-        checkpoint_format=fmt,
-        checkpoint_flush_interval=0.0,
-        telemetry=sink,
-    )
-    return results, summarize_telemetry(read_telemetry(sink.path))
-
-
 def _dispatch_leg(dispatch: str):
     results = None
     best = float("inf")
@@ -291,53 +264,32 @@ def _dispatch_leg(dispatch: str):
 def _run_elastic():
     static, static_seconds = _dispatch_leg("static")
     adaptive, adaptive_seconds = _dispatch_leg("adaptive")
-    with tempfile.TemporaryDirectory() as tmp:
-        json_results, json_summary = _checkpoint_leg("json", Path(tmp))
-        jsonl_results, jsonl_summary = _checkpoint_leg("jsonl", Path(tmp))
-    return (
-        static,
-        static_seconds,
-        adaptive,
-        adaptive_seconds,
-        json_results,
-        json_summary,
-        jsonl_results,
-        jsonl_summary,
-    )
+    return static, static_seconds, adaptive, adaptive_seconds
 
 
 @pytest.mark.benchmark(group=ELASTIC_EXPERIMENT_ID)
 def test_elastic_sweep(benchmark):
-    """Adaptive dispatch vs chunksize=1, and JSONL vs rewrite checkpointing.
+    """Adaptive dispatch vs chunksize=1.
 
-    Two figures of merit, both recorded in the BENCH JSON:
+    The figure of merit, recorded in the BENCH JSON, is
+    ``dispatch_speedup``: wall-clock of the static engine over the
+    adaptive scheduler on the heterogeneous grid, best of
+    ``DISPATCH_ROUNDS`` per leg at a pool size matched to the hardware
+    (>= 1.3x enforced).
 
-    * ``dispatch_speedup`` — wall-clock of the static engine over the
-      adaptive scheduler on the heterogeneous grid, best of
-      ``DISPATCH_ROUNDS`` per leg at a pool size matched to the
-      hardware (>= 1.3x enforced);
-    * ``checkpoint_io_share_reduction`` — the telemetry-measured share of
-      wall-clock spent in checkpoint writes, rewrite store over JSONL
-      store, at flush-every-run (>= 5x enforced; the rewrite store's
-      flush is O(records so far), the JSONL store's is O(1)).
+    This benchmark also used to time the append-only JSONL checkpoint
+    against the whole-file-rewrite JSON store it replaced: at
+    flush-every-run over 150 runs, the JSONL store cut the telemetry
+    checkpoint-I/O share 6.7x.  The rewrite store is gone, so that leg
+    is gone too; the number stays here as history.
     """
-    (
-        static,
-        static_seconds,
-        adaptive,
-        adaptive_seconds,
-        json_results,
-        json_summary,
-        jsonl_results,
-        jsonl_summary,
-    ) = benchmark.pedantic(_run_elastic, rounds=1, iterations=1)
+    static, static_seconds, adaptive, adaptive_seconds = benchmark.pedantic(
+        _run_elastic, rounds=1, iterations=1
+    )
 
     dispatch_speedup = (
         static_seconds / adaptive_seconds if adaptive_seconds else 0.0
     )
-    json_share = json_summary["checkpoint_io_share"]
-    jsonl_share = jsonl_summary["checkpoint_io_share"]
-    io_reduction = json_share / jsonl_share if jsonl_share else float("inf")
     cpu_count = len(os.sched_getaffinity(0))
     hetero_runs = 3 * CHEAP_SEEDS + 4
 
@@ -353,12 +305,9 @@ def test_elastic_sweep(benchmark):
                     "leg": "dispatch-adaptive",
                     "wall_clock_seconds": adaptive_seconds,
                 },
-                {"leg": "checkpoint-json", "io_share": json_share},
-                {"leg": "checkpoint-jsonl", "io_share": jsonl_share},
             ],
             f"elastic engine: heterogeneous grid ({hetero_runs} runs, "
-            f"{DISPATCH_WORKERS} workers, cpu_count={cpu_count}) and per-run "
-            f"checkpointing ({CHECKPOINT_RUNS} runs)",
+            f"{DISPATCH_WORKERS} workers, cpu_count={cpu_count})",
         ),
     )
     record_bench_json(
@@ -370,37 +319,25 @@ def test_elastic_sweep(benchmark):
             "static_seconds": static_seconds,
             "adaptive_seconds": adaptive_seconds,
             "dispatch_speedup": dispatch_speedup,
-            "checkpoint_runs": CHECKPOINT_RUNS,
-            "checkpoint_io_share_json": json_share,
-            "checkpoint_io_share_jsonl": jsonl_share,
-            "checkpoint_io_share_reduction": io_reduction,
             "smoke": SMOKE,
         },
     )
 
-    # Determinism before speed: all four legs agree cell for cell.
+    # Determinism before speed: both legs agree cell for cell.
     for static_result, adaptive_result in zip(static, adaptive):
         assert _comparable(adaptive_result.cells) == _comparable(
             static_result.cells
         )
-    for json_result, jsonl_result in zip(json_results, jsonl_results):
-        assert _comparable(jsonl_result.cells) == _comparable(json_result.cells)
 
     if SMOKE:
         print(
-            f"smoke mode: thresholds not enforced (dispatch {dispatch_speedup:.2f}x, "
-            f"checkpoint I/O share {json_share:.4f} -> {jsonl_share:.4f})"
+            f"smoke mode: thresholds not enforced (dispatch {dispatch_speedup:.2f}x)"
         )
         return
     assert dispatch_speedup >= 1.3, (
         f"expected >=1.3x from adaptive dispatch on the heterogeneous "
         f"grid, measured {dispatch_speedup:.2f}x "
         f"({static_seconds:.1f}s -> {adaptive_seconds:.1f}s)"
-    )
-    assert io_reduction >= 5.0, (
-        f"expected the JSONL store to cut the checkpoint I/O share >=5x at "
-        f"flush-every-run, measured {io_reduction:.1f}x "
-        f"({json_share:.4f} -> {jsonl_share:.4f})"
     )
 
 

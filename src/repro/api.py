@@ -77,8 +77,6 @@ class SweepConfig:
     #: checkpoint file for resume; required by ``shard``
     checkpoint: Optional[Union[str, Path]] = None
     checkpoint_compact: bool = False
-    checkpoint_format: str = "jsonl"
-    checkpoint_flush_interval: Optional[float] = None
     #: ``(i, k)`` fixed slice or ``(AUTO_SHARD, blocks)`` work stealing
     shard: Optional[Tuple[object, int]] = None
     #: derive an independent deterministic seed per cell from ``base_seed``
@@ -120,22 +118,20 @@ class SweepConfig:
     def query_kwargs(self) -> Dict[str, object]:
         """The subset of knobs a memoized query accepts.
 
-        A query stages its own checkpoint and owns its own dispatch, so
-        checkpoint/shard settings on the config are a caller error there
-        — populate the archive with :func:`sweep` runs instead.
+        A query runs with the archive as its checkpoint, so checkpoint/
+        shard settings on the config are a caller error there — populate
+        the archive with :func:`sweep` runs instead.
         """
         if self.checkpoint is not None or self.shard is not None:
             raise ConfigurationError(
-                "a query ignores checkpoint=/shard= configuration: it "
-                "stages its own checkpoint internally; run the populate "
-                "sweep with those knobs instead"
+                "a query ignores checkpoint=/shard= configuration: the "
+                "archive is its checkpoint; run the populate sweep with "
+                "those knobs instead"
             )
         kwargs = self.runner_kwargs()
         for reserved in (
             "checkpoint",
             "checkpoint_compact",
-            "checkpoint_format",
-            "checkpoint_flush_interval",
             "shard",
             "lease_timeout",
         ):

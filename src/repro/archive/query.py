@@ -8,19 +8,20 @@ the adaptive scheduler, any worker count.  Newly simulated runs are
 written back, so archives only ever grow and the second identical query
 simulates nothing.
 
-The fold is not reimplemented here.  Archive hits are staged into a
-temporary checkpoint and the grid is run *against that checkpoint*: the
-engine's restore path replays the hits and executes the misses through
-the exact same streaming accumulators as any other sweep, which is what
-pins query results bit-identical to a from-scratch ``run_experiments``
-(wall-clock column aside — a hit replays the wall-clock measured when
-the run actually executed).
+The fold is not reimplemented here.  The archive meets the run-store
+contract (:class:`repro.parallel.store.RunStore`), so the grid is run
+with the archive *as its checkpoint*: the engine's restore path replays
+the hits and executes the misses through the exact same streaming
+accumulators as any other sweep, which is what pins query results
+bit-identical to a from-scratch ``run_experiments`` (wall-clock column
+aside — a hit replays the wall-clock measured when the run actually
+executed).  The engine flushes the misses it completed into the archive
+even when a later run raises, the same keep-completed-runs rule
+:class:`~repro.archive.sink.ArchiveSink` follows.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Set, Tuple, Union
@@ -30,19 +31,16 @@ from ..analysis.streaming import ResultSink
 from ..core.errors import ConfigurationError
 from ..parallel.runner import run_experiments
 from ..parallel.sharding import expand_run_tasks
-from ..parallel.store import JsonlCheckpointStore
 from .store import ResultArchive
 
 __all__ = ["QueryReport", "QueryResult", "query_experiments"]
 
-#: ``run_experiments`` knobs a query may not override: the query layer
-#: owns the staging checkpoint, and sharding/retention belong to the
-#: populate sweeps, not the read path.
+#: ``run_experiments`` knobs a query may not override: the archive is
+#: the query's checkpoint, and sharding/retention belong to the populate
+#: sweeps, not the read path.
 _RESERVED_KWARGS = (
     "checkpoint",
     "checkpoint_compact",
-    "checkpoint_format",
-    "checkpoint_flush_interval",
     "shard",
     "keep_results",
 )
@@ -101,15 +99,15 @@ def query_experiments(
     :func:`~repro.parallel.runner.run_experiments` (``workers``,
     ``backend``, ``dispatch``, ``derive_seeds``/``base_seed``, ...) for
     the runs that do execute; checkpointing and sharding knobs are
-    reserved — the query stages its own checkpoint, and sharded populate
-    belongs to ``sweep``.
+    reserved — the archive is the query's checkpoint, and sharded
+    populate belongs to ``sweep``.
     """
     for reserved in _RESERVED_KWARGS:
         if reserved in runner_kwargs:
             raise ConfigurationError(
                 f"query_experiments() does not accept {reserved!r}: the "
-                f"query layer stages its own checkpoint; populate the "
-                f"archive with sweep/archive-add instead"
+                f"archive is the query's checkpoint; populate the archive "
+                f"with sweep/archive-add instead"
             )
     derive_seeds = bool(runner_kwargs.get("derive_seeds", False))
     base_seed = runner_kwargs.get("base_seed")
@@ -130,36 +128,16 @@ def query_experiments(
         opened = ResultArchive(archive)
         store = opened
     try:
-        hits = store.fetch(sorted(wanted))
-        missing = wanted - set(hits)
-        staging_dir = Path(tempfile.mkdtemp(prefix="repro-query-"))
-        try:
-            staging = staging_dir / "query-checkpoint.jsonl"
-            seed_store = JsonlCheckpointStore(staging, flush_interval_seconds=0.0)
-            seed_store.load()
-            for key in sorted(hits):
-                seed_store.add(key, hits[key])
-            seed_store.flush()
-
-            results = run_experiments(
-                specs,
-                checkpoint=staging,
-                sinks=sinks,
-                **runner_kwargs,
-            )
-
-            executed = JsonlCheckpointStore(staging).load()
-            new_records = {
-                key: record
-                for key, record in executed.items()
-                if key in missing
-            }
-        finally:
-            shutil.rmtree(staging_dir, ignore_errors=True)
-        added = store.add_records(new_records)
+        hits = store.present(wanted)
+        added_before = store.flushed_new_runs
+        results = run_experiments(
+            specs, checkpoint=store, sinks=sinks, **runner_kwargs
+        )
+        added = store.flushed_new_runs - added_before
     finally:
         if opened is not None:
             opened.close()
+    missing = wanted - hits
 
     report = QueryReport(
         requested_runs=len(wanted),

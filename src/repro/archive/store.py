@@ -25,6 +25,11 @@ on the database lock (``timeout_seconds`` bounds the wait), and
 two shard jobs archiving the same grid — converge to last-write-wins
 per key instead of conflicting.
 
+The archive meets the same three-method run-store contract as a
+checkpoint file (:class:`repro.parallel.store.RunStore`: ``fetch``,
+``add``, ``flush``), so the sweep engine can restore from it and write
+back to it directly — that is all a memoized query is.
+
 The schema is versioned: an archive written by a future incompatible
 build is *refused* (:class:`~repro.core.errors.ConfigurationError`), not
 misread.
@@ -36,7 +41,7 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Set, Union
 
 from ..core.errors import ConfigurationError
 
@@ -56,6 +61,17 @@ SCHEMA_VERSION = 1
 #: parameters per statement (999 in older builds), and a query's wanted
 #: set can be arbitrarily large.
 _FETCH_CHUNK = 500
+
+
+def _sqlite_int64(value: int) -> int:
+    """``value`` as a signed 64-bit integer (two's complement).
+
+    SQLite integers are signed 64-bit, but a derived seed
+    (:func:`repro.core.rng.derive_seed`) ranges over [0, 2⁶⁴).
+    The wrap is lossless on that range; the task key and the record keep
+    the true seed, the ``seed`` column is informational.
+    """
+    return value - (1 << 64) if value >= 1 << 63 else value
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,10 @@ class ResultArchive:
     ``add_records`` absorbs checkpoint records (append-merge: replacing a
     key is idempotent because re-runs are deterministic), ``fetch``
     answers a wanted-key set with the archived records, and ``stats``
-    summarises what the archive holds.  Open archives are context
+    summarises what the archive holds.  ``add`` buffers single records
+    and ``flush`` commits the buffer in one ``add_records`` transaction
+    — the run-store contract the sweep engine writes through; nothing
+    added is persisted before ``flush``.  Open archives are context
     managers::
 
         with ResultArchive("results.sqlite") as archive:
@@ -130,6 +149,10 @@ class ResultArchive:
         timeout_seconds: float = 30.0,
     ) -> None:
         self.path = Path(path)
+        #: records buffered by :meth:`add`, committed by :meth:`flush`
+        self._pending: Dict[str, Mapping[str, object]] = {}
+        #: runs that :meth:`flush` newly added (not replaced) since opening
+        self.flushed_new_runs = 0
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_seconds)
@@ -240,15 +263,7 @@ class ResultArchive:
         if not records:
             return 0
         keys = list(records.keys())
-        existing = 0
-        for chunk in _chunks(keys, _FETCH_CHUNK):
-            placeholders = ",".join("?" for _ in chunk)
-            existing += int(
-                self._conn.execute(
-                    f"SELECT COUNT(*) FROM runs WHERE task_key IN ({placeholders})",
-                    chunk,
-                ).fetchone()[0]
-            )
+        existing = len(self.present(keys))
         rows = []
         for key in keys:
             coords = parse_task_key(key)
@@ -260,7 +275,7 @@ class ResultArchive:
                     coords.topology_name,
                     coords.fingerprint,
                     coords.seed_index,
-                    coords.seed,
+                    _sqlite_int64(coords.seed),
                     coords.adversary,
                     coords.protocol,
                     json.dumps(records[key], sort_keys=True),
@@ -275,6 +290,16 @@ class ResultArchive:
                 rows,
             )
         return len(keys) - existing
+
+    def add(self, key: str, record: Mapping[str, object]) -> None:
+        """Buffer one run record until :meth:`flush`."""
+        self._pending[key] = record
+
+    def flush(self) -> None:
+        """Commit the buffered records in one :meth:`add_records` transaction."""
+        if self._pending:
+            self.flushed_new_runs += self.add_records(self._pending)
+            self._pending = {}
 
     # ------------------------------------------------------------------ #
     # reads
@@ -292,6 +317,21 @@ class ResultArchive:
             ):
                 hits[key] = json.loads(payload)
         return hits
+
+    def present(self, keys: Iterable[str]) -> Set[str]:
+        """The subset of ``keys`` the archive holds (records not read)."""
+        found: Set[str] = set()
+        for chunk in _chunks(list(keys), _FETCH_CHUNK):
+            placeholders = ",".join("?" for _ in chunk)
+            found.update(
+                row[0]
+                for row in self._conn.execute(
+                    f"SELECT task_key FROM runs "
+                    f"WHERE task_key IN ({placeholders})",
+                    chunk,
+                )
+            )
+        return found
 
     def keys(self) -> List[str]:
         """Every archived task key, in sorted order."""

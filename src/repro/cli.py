@@ -386,7 +386,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint=args.checkpoint,
         checkpoint_compact=args.checkpoint_compact,
-        checkpoint_format=args.checkpoint_format,
         start_method=args.start_method,
         derive_seeds=args.derive_seeds,
         base_seed=args.base_seed,
@@ -828,9 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint",
         default=None,
-        help="file recording completed runs (append-only JSONL by "
-        "default, see --checkpoint-format); an interrupted sweep rerun "
-        "with the same checkpoint resumes instead of restarting",
+        help="file recording completed runs (append-only JSONL; legacy "
+        "JSON checkpoints are read and migrated); an interrupted sweep "
+        "rerun with the same checkpoint resumes instead of restarting",
     )
     sweep.add_argument(
         "--checkpoint-compact",
@@ -849,8 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on work stealing instead: any number of concurrent jobs claim "
         "task blocks from a shared lease directory next to the "
         "checkpoint, stale blocks are stolen, and the same manifest/"
-        "merge flow folds the results (requires the jsonl checkpoint "
-        "format)",
+        "merge flow folds the results",
     )
     sweep.add_argument(
         "--dispatch",
@@ -878,15 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="with --shard auto: steal a claimed block whose owner has "
         "not heartbeat for this many seconds (default 300)",
-    )
-    sweep.add_argument(
-        "--checkpoint-format",
-        default="jsonl",
-        choices=["jsonl", "json"],
-        help="checkpoint on-disk format: jsonl appends one record per "
-        "completed run (O(new records) per flush, periodic compaction); "
-        "json rewrites the whole file every flush (legacy baseline). "
-        "Either format reads checkpoints written by the other",
     )
     sweep.add_argument(
         "--adversary",

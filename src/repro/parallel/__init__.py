@@ -24,9 +24,11 @@ contract:
   files plus a deterministic shard manifest (``--shard i/k`` or the
   work-stealing ``--shard auto``), merged back together by
   :func:`~repro.parallel.checkpoint.merge_shard_checkpoints`;
-* :mod:`~repro.parallel.store` is the default on-disk format: an
-  append-only JSONL checkpoint store (O(new records) per flush) that
-  reads legacy whole-file JSON checkpoints transparently.
+* :mod:`~repro.parallel.store` defines the run-store contract
+  (``fetch``/``add``/``flush``) the engine restores from and writes to,
+  and the one on-disk checkpoint writer: an append-only JSONL store
+  (O(new records) per flush) that reads legacy whole-file JSON
+  checkpoints transparently.
 
 The engine is wired in as ``run_experiment(..., workers=N,
 checkpoint=...)``, as the ``repro-le sweep`` CLI command, and as the
@@ -36,7 +38,6 @@ determinism guarantees are pinned down by ``tests/test_parallel_runner.py``,
 """
 
 from .checkpoint import (
-    CheckpointStore,
     ShardManifest,
     compact_record,
     manifest_path,
@@ -47,7 +48,6 @@ from .checkpoint import (
     writer_token,
 )
 from .runner import (
-    CHECKPOINT_FORMATS,
     DISPATCH_MODES,
     TaskExecutionError,
     run_experiments,
@@ -74,13 +74,11 @@ from .sharding import (
     topology_fingerprint,
     validate_shard,
 )
-from .store import JsonlCheckpointStore
+from .store import JsonlCheckpointStore, RunStore
 
 __all__ = [
     "AUTO_SHARD",
     "AdaptiveScheduler",
-    "CHECKPOINT_FORMATS",
-    "CheckpointStore",
     "DEFAULT_AUTO_BLOCKS",
     "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_MAX_BATCH",
@@ -88,6 +86,7 @@ __all__ = [
     "DispatchStats",
     "JsonlCheckpointStore",
     "LeaseDirectory",
+    "RunStore",
     "RunTask",
     "ShardManifest",
     "TaskExecutionError",

@@ -1,10 +1,12 @@
-"""JSON checkpointing of completed experiment runs.
+"""Checkpoint records of completed experiment runs, and sharded checkpoints.
 
 Large sweeps die for mundane reasons — a laptop lid, a preempted CI node,
 an out-of-memory kill.  The checkpoint layer makes that cheap: every
-completed (topology, seed) run is recorded in a JSON file keyed by its
-:func:`~repro.parallel.sharding.task_key`, and a restarted sweep loads the
-file and only executes the missing tasks.
+completed (topology, seed) run is recorded under its
+:func:`~repro.parallel.sharding.task_key`, and a restarted sweep only
+executes the missing tasks.  This module defines the record; the one
+on-disk writer is the append-only
+:class:`~repro.parallel.store.JsonlCheckpointStore`.
 
 The stored record round-trips everything the aggregation layer needs —
 outcome, metrics (including per-phase breakdowns), rounds, seed and
@@ -13,20 +15,17 @@ ones.  Per-node protocol results are stored when they are JSON-encodable
 and dropped otherwise (they are diagnostic payload, not aggregate input).
 
 For very large grids the per-node payloads dominate the file:
-*compaction* (:func:`compact_record`, ``CheckpointStore(compact=True)``,
-:meth:`CheckpointStore.compact`) strips them and switches the file to
-compact JSON, keeping resume files proportional to the number of runs
-rather than to ``runs × nodes``.  Compacted records restore to the same
-aggregates as full ones — only per-node diagnostics are gone.
-
-Writes are atomic (write-to-temp + ``os.replace``), so a sweep killed
-mid-write leaves the previous consistent checkpoint behind.
+*compaction* (:func:`compact_record`, ``JsonlCheckpointStore(compact=True)``,
+:meth:`~repro.parallel.store.JsonlCheckpointStore.compact`) strips them,
+keeping resume files proportional to the number of runs rather than to
+``runs × nodes``.  Compacted records restore to the same aggregates as
+full ones — only per-node diagnostics are gone.
 
 Sharded checkpoints
 -------------------
 
 A sweep split across ``k`` independent jobs (``repro-le sweep --shard
-i/k``) must not contend on one JSON file, so each shard persists its runs
+i/k``) must not contend on one checkpoint file, so each shard persists its runs
 to its own checkpoint (:func:`shard_checkpoint_path`) and every job
 writes the same deterministic *shard manifest* (:class:`ShardManifest`,
 an index of the split: shard count, per-shard files and task keys).
@@ -39,21 +38,17 @@ through an ordinary unsharded sweep.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..core.metrics import Metrics, PhaseMetrics
 from ..election.base import ElectionOutcome, LeaderElectionResult
-from ..obs import span
 
 __all__ = [
-    "CheckpointStore",
     "ShardManifest",
     "compact_record",
     "manifest_path",
@@ -155,132 +150,6 @@ def result_from_record(
         node_results=list(record.get("node_results") or []),
     )
     return result, float(record["wall_clock_seconds"])
-
-
-class CheckpointStore:
-    """A JSON file of completed run records, keyed by task key.
-
-    Each flush rewrites the whole file (atomically), so flushes are
-    throttled: :meth:`add` writes immediately when the last flush is older
-    than ``flush_interval_seconds`` and otherwise only marks the store
-    dirty.  Callers flush explicitly at the end of a sweep; an interrupt
-    in between loses at most one interval's worth of completed runs
-    instead of paying O(n^2) file I/O over a large grid.
-
-    With ``compact=True`` every record is compacted on the way in (see
-    :func:`compact_record`) — including records loaded from an existing
-    full checkpoint — and the file is written as compact JSON, so very
-    large grids keep resume files small.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        flush_interval_seconds: float = 1.0,
-        compact: bool = False,
-    ) -> None:
-        self.path = Path(path)
-        # Create missing parent directories up front: an unwritable or
-        # misspelled checkpoint directory must fail at store construction,
-        # not hours into a sweep when the first flush fires.
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Fail at construction, not mid-sweep: a negative interval would
-        # flush on every add (probably a unit slip), and NaN comparisons
-        # are always False, silently disabling throttled flushing.
-        if math.isnan(flush_interval_seconds) or flush_interval_seconds < 0:
-            raise ConfigurationError(
-                f"flush_interval_seconds must be a non-negative number, "
-                f"got {flush_interval_seconds}"
-            )
-        self.flush_interval_seconds = flush_interval_seconds
-        self.compact_records = compact
-        self._runs: Dict[str, Dict[str, object]] = {}
-        self._loaded = False
-        self._dirty = False
-        self._last_flush = float("-inf")
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        """Load (once) and return the completed run records."""
-        if not self._loaded:
-            self._loaded = True
-            if self.path.exists():
-                try:
-                    # The load is the resume path's I/O cost; the span
-                    # makes it visible in telemetry (no-op when off).
-                    with span("checkpoint.load"):
-                        payload = json.loads(self.path.read_text(encoding="utf-8"))
-                except ValueError as error:
-                    raise ConfigurationError(
-                        f"checkpoint {self.path} is not valid JSON ({error}); "
-                        f"delete or move it to start the sweep from scratch"
-                    ) from error
-                version = payload.get("version")
-                if version != FORMAT_VERSION:
-                    raise ConfigurationError(
-                        f"checkpoint {self.path} has format version {version!r}; "
-                        f"this build reads version {FORMAT_VERSION}"
-                    )
-                self._runs = dict(payload.get("runs", {}))
-                if self.compact_records:
-                    self.compact()
-        return self._runs
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.load()
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        return self.load().get(key)
-
-    def add(self, key: str, record: Dict[str, object]) -> None:
-        """Record a completed run; flush unless one happened very recently."""
-        self.load()
-        if self.compact_records:
-            record = compact_record(record)
-        self._runs[key] = record
-        self._dirty = True
-        if time.monotonic() - self._last_flush >= self.flush_interval_seconds:
-            self.flush()
-
-    def compact(self) -> int:
-        """Compact every stored record in place; returns how many shrank.
-
-        Useful for shrinking the checkpoint of an interrupted large sweep
-        before archiving or resuming it; the next :meth:`flush` persists
-        the compact form.
-        """
-        compacted = 0
-        for key, record in self.load().items():
-            slim = compact_record(record)
-            if slim != record:
-                self._runs[key] = slim
-                compacted += 1
-        if compacted:
-            self._dirty = True
-        return compacted
-
-    def flush(self) -> None:
-        """Write the store to disk atomically (write-to-temp + replace)."""
-        if not self._dirty and self.path.exists():
-            return
-        # The whole-file rewrite is the checkpoint layer's dominant I/O;
-        # the span feeds telemetry's checkpoint-I/O share (no-op when off).
-        with span("checkpoint.flush"):
-            payload = {"version": FORMAT_VERSION, "runs": self._runs}
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            temp = self.path.with_name(self.path.name + ".tmp")
-            if self.compact_records:
-                text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-            else:
-                text = json.dumps(payload, indent=1, sort_keys=True)
-            temp.write_text(text, encoding="utf-8")
-            os.replace(temp, self.path)
-        self._dirty = False
-        self._last_flush = time.monotonic()
-
-    def __len__(self) -> int:
-        return len(self.load())
 
 
 # --------------------------------------------------------------------------- #

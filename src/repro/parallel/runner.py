@@ -30,11 +30,12 @@ Determinism guarantees
   completion order — including completions duplicated by fault-recovery
   re-dispatch, which are deduplicated by task key.  Only wall-clock
   readings differ from a serial run.
-* **Checkpoint-transparent results.**  Completed runs are persisted via
-  the append-only :class:`~repro.parallel.store.JsonlCheckpointStore`
-  (which reads legacy whole-file JSON checkpoints transparently; pass
-  ``checkpoint_format="json"`` for the old rewrite store); a resumed
-  sweep replays the stored runs and computes the same cells an
+* **Checkpoint-transparent results.**  Completed runs are persisted to a
+  run store (:class:`~repro.parallel.store.RunStore`): the append-only
+  :class:`~repro.parallel.store.JsonlCheckpointStore` for a checkpoint
+  path, or any store object passed as ``checkpoint`` — the memoized
+  query passes its :class:`~repro.archive.store.ResultArchive`.  A
+  resumed sweep replays the stored runs and computes the same cells an
   uninterrupted sweep would (per-node diagnostic payloads may be dropped
   if they are not JSON-encodable).
 * **Shard-transparent results.**  ``shard=(i, k)`` restricts execution to
@@ -90,7 +91,6 @@ from ..obs import (
     validate_profiler,
 )
 from .checkpoint import (
-    CheckpointStore,
     ShardManifest,
     manifest_path,
     result_from_record,
@@ -115,10 +115,9 @@ from .sharding import (
     split_blocks,
     validate_shard,
 )
-from .store import JsonlCheckpointStore
+from .store import JsonlCheckpointStore, RunStore
 
 __all__ = [
-    "CHECKPOINT_FORMATS",
     "DISPATCH_MODES",
     "TaskExecutionError",
     "run_parallel_experiment",
@@ -127,9 +126,6 @@ __all__ = [
 
 #: Dispatch strategies of the pool engine (see module docstring).
 DISPATCH_MODES = ("adaptive", "static")
-#: On-disk checkpoint formats: append-only JSONL (the default) and the
-#: legacy whole-file-rewrite JSON store.
-CHECKPOINT_FORMATS = ("jsonl", "json")
 
 
 class _TimedTask(NamedTuple):
@@ -328,7 +324,7 @@ def run_parallel_experiment(
     spec: ExperimentSpec,
     *,
     workers: int = 1,
-    checkpoint: Optional[Union[str, Path]] = None,
+    checkpoint: Optional[Union[str, Path, RunStore]] = None,
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
@@ -344,8 +340,6 @@ def run_parallel_experiment(
     task_timeout: Optional[float] = None,
     max_batch: Optional[int] = None,
     lease_timeout: Optional[float] = None,
-    checkpoint_format: str = "jsonl",
-    checkpoint_flush_interval: Optional[float] = None,
 ) -> ExperimentResult:
     """Parallel drop-in for :func:`repro.analysis.experiments.run_experiment`."""
     return run_experiments(
@@ -367,8 +361,6 @@ def run_parallel_experiment(
         task_timeout=task_timeout,
         max_batch=max_batch,
         lease_timeout=lease_timeout,
-        checkpoint_format=checkpoint_format,
-        checkpoint_flush_interval=checkpoint_flush_interval,
     )[0]
 
 
@@ -376,7 +368,7 @@ def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
     workers: int = 1,
-    checkpoint: Optional[Union[str, Path]] = None,
+    checkpoint: Optional[Union[str, Path, RunStore]] = None,
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
@@ -392,8 +384,6 @@ def run_experiments(
     task_timeout: Optional[float] = None,
     max_batch: Optional[int] = None,
     lease_timeout: Optional[float] = None,
-    checkpoint_format: str = "jsonl",
-    checkpoint_flush_interval: Optional[float] = None,
 ) -> List[ExperimentResult]:
     """Run several specs through one worker pool and stream per-cell aggregates.
 
@@ -415,16 +405,19 @@ def run_experiments(
     recovered even without a timeout.  ``max_batch`` caps the adaptive
     batch size.  Results are bit-identical across all of these knobs.
 
-    ``checkpoint_format`` picks the on-disk store: ``"jsonl"`` (the
-    default — append-only, O(new records) per flush, reads legacy JSON
-    checkpoints transparently and migrates them on first flush) or
-    ``"json"`` (the legacy whole-file rewrite).
-    ``checkpoint_flush_interval`` overrides the store's flush throttle
-    (seconds between on-disk writes; 0 flushes after every run).
+    ``checkpoint`` is a path — an append-only
+    :class:`~repro.parallel.store.JsonlCheckpointStore` that also reads
+    legacy JSON checkpoints and migrates them on first flush — or an
+    object meeting the :class:`~repro.parallel.store.RunStore` contract
+    (``fetch``/``add``/``flush``), such as a
+    :class:`~repro.archive.store.ResultArchive`.  Stored runs are
+    replayed in sorted key order; the rest execute, are added to the
+    store, and are flushed even when a run raises, so completed runs are
+    never lost.
 
     ``shard=(i, k)`` runs only shard ``i`` of a deterministic ``k``-way
     round-robin split of the pooled task list.  A sharded run requires a
-    ``checkpoint``: its completed runs persist to the shard's own file
+    ``checkpoint`` path: its completed runs persist to the shard's own file
     (``<base>.shard<i>of<k>.json``) and the job (idempotently) writes the
     sweep's shard manifest next to it, so ``k`` independent jobs — on as
     many machines — cover the grid without contending on one file and are
@@ -483,10 +476,10 @@ def run_experiments(
         raise ConfigurationError(
             f"unknown dispatch mode {dispatch!r}: expected one of {DISPATCH_MODES}"
         )
-    if checkpoint_format not in CHECKPOINT_FORMATS:
+    checkpoint_is_path = isinstance(checkpoint, (str, os.PathLike))
+    if checkpoint_compact and checkpoint is not None and not checkpoint_is_path:
         raise ConfigurationError(
-            f"unknown checkpoint format {checkpoint_format!r}: expected one "
-            f"of {CHECKPOINT_FORMATS}"
+            "checkpoint_compact= requires a checkpoint path"
         )
     if task_timeout is not None and dispatch != "adaptive":
         raise ConfigurationError(
@@ -524,16 +517,11 @@ def run_experiments(
             auto_blocks = shard[1]
         else:
             shard_index, shard_count = validate_shard(*shard)
-        if checkpoint is None:
+        if not checkpoint_is_path:
             raise ConfigurationError(
-                "a sharded sweep requires a checkpoint: shard results must "
-                "be persisted to be merged (pass checkpoint=/--checkpoint)"
-            )
-        if auto_shard and checkpoint_format != "jsonl":
-            raise ConfigurationError(
-                "shard='auto' requires the JSONL checkpoint format: block "
-                "stealing stages appends per writer, which the rewrite "
-                "store cannot do"
+                "a sharded sweep requires a checkpoint path: shard results "
+                "must be persisted to files to be merged (pass "
+                "checkpoint=/--checkpoint)"
             )
 
     per_spec_tasks: List[List[RunTask]] = [
@@ -549,12 +537,7 @@ def run_experiments(
     }
 
     def make_store(path, *, staged: bool = False):
-        kwargs: Dict[str, object] = {"compact": checkpoint_compact}
-        if checkpoint_flush_interval is not None:
-            kwargs["flush_interval_seconds"] = checkpoint_flush_interval
-        if checkpoint_format == "jsonl":
-            return JsonlCheckpointStore(path, staged=staged, **kwargs)
-        return CheckpointStore(path, **kwargs)
+        return JsonlCheckpointStore(path, compact=checkpoint_compact, staged=staged)
 
     auto: Optional[_AutoPlan] = None
     store = None
@@ -592,8 +575,10 @@ def run_experiments(
         )
     else:
         my_tasks = all_tasks
-        if checkpoint is not None:
+        if checkpoint_is_path:
             store = make_store(checkpoint)
+        elif checkpoint is not None:
+            store = checkpoint
 
     aggregates = CellAggregatingSink()
     collector = CollectingSink() if keep_results else None
@@ -728,16 +713,14 @@ def _execute_and_assemble(
     """
 
     def restore(from_store, tasks) -> set:
-        """Replay ``tasks``' completed runs out of ``from_store``."""
-        completed = set()
-        task_keys = {task.key for task in tasks}
+        """Replay ``tasks``' completed runs out of ``from_store``, in
+        sorted key order (the same order whatever the store)."""
         with span("restore"):
-            for key, record in from_store.load().items():
-                if key in task_keys:
-                    result, elapsed = result_from_record(record)
-                    consume(key, result, elapsed)
-                    completed.add(key)
-        return completed
+            hits = from_store.fetch([task.key for task in tasks])
+            for key in sorted(hits):
+                result, elapsed = result_from_record(hits[key])
+                consume(key, result, elapsed)
+        return set(hits)
 
     def make_finish(
         to_store, heartbeat: Optional[Callable[[], None]] = None

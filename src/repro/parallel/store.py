@@ -1,11 +1,15 @@
-"""Append-only JSONL checkpoint store.
+"""The run-store contract and the append-only JSONL checkpoint store.
 
-:class:`~repro.parallel.checkpoint.CheckpointStore` rewrites the whole
-JSON file on every flush — O(N) per flush, O(N²) file I/O over a sweep
-that checkpoints as it goes.  Harmless at thousands of runs, ruinous at
-millions.  :class:`JsonlCheckpointStore` keeps the same interface, the
-same deterministic task keys and the same atomic-publish discipline, but
-appends **one line per completed run**:
+A *run store* is anything that keeps completed run records under their
+deterministic task keys and meets the three-method :class:`RunStore`
+contract: ``fetch(keys)``, ``add(key, record)``, ``flush()``.  The sweep
+engine restores from and writes to a run store and knows nothing else
+about it.  Two stores meet the contract: :class:`JsonlCheckpointStore`
+(one sweep's resume file, defined here) and
+:class:`~repro.archive.store.ResultArchive` (the SQLite archive that
+memoized queries run against directly).
+
+:class:`JsonlCheckpointStore` appends **one line per completed run**:
 
 * line 1 is a header (``{"kind": "checkpoint", "format": "jsonl", ...}``)
   identifying the format;
@@ -19,9 +23,10 @@ mid-append leaves at most one truncated trailing line, which the loader
 drops (those runs simply re-execute); every earlier line is intact.
 
 **Legacy transparency.**  ``load`` sniffs the format: a whole-file JSON
-checkpoint written by the rewrite store loads transparently and is
-migrated to JSONL on the first flush, so old checkpoints resume into the
-new store with nothing re-executed.  **Compaction** bounds the file when
+checkpoint (``{"version": 1, "runs": {...}}``, written by earlier
+builds) loads transparently and is migrated to JSONL on the first flush,
+so old checkpoints resume with nothing re-executed.  Nothing writes that
+format any more.  **Compaction** bounds the file when
 records are superseded (re-added keys, ``compact=True`` stripping
 per-node payloads): once enough dead lines accumulate, the next flush
 rewrites the file atomically — sorted by key, so a fully-compacted store
@@ -41,16 +46,17 @@ partial progress instead of redoing the whole block.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..obs import span
-from .checkpoint import CheckpointStore, compact_record, writer_token
+from .checkpoint import FORMAT_VERSION, compact_record, writer_token
 
-__all__ = ["JSONL_FORMAT", "JsonlCheckpointStore"]
+__all__ = ["JSONL_FORMAT", "JsonlCheckpointStore", "RunStore"]
 
 JSONL_FORMAT = "jsonl"
 JSONL_FORMAT_VERSION = 1
@@ -88,13 +94,31 @@ def _is_jsonl_header(line: str) -> bool:
     )
 
 
-class JsonlCheckpointStore(CheckpointStore):
-    """Drop-in :class:`CheckpointStore` with append-only JSONL persistence.
+class RunStore(Protocol):
+    """What the sweep engine needs of a store of completed runs."""
 
-    Same constructor, same ``load``/``add``/``flush``/``compact``
-    surface, same throttled-flush discipline — only the file format and
-    the flush cost change.  See the module docstring for the format, the
-    legacy migration and the staged mode.
+    def fetch(self, keys: Iterable[str]) -> Dict[str, Dict[str, object]]:
+        """The stored records of ``keys``; absent keys are simply missing."""
+
+    def add(self, key: str, record: Dict[str, object]) -> None:
+        """Record one completed run (durable once :meth:`flush` returns)."""
+
+    def flush(self) -> None:
+        """Persist every record added so far."""
+
+
+class JsonlCheckpointStore:
+    """A checkpoint file of completed run records, keyed by task key.
+
+    Flushes are throttled: :meth:`add` appends to disk when the last
+    flush is older than ``flush_interval_seconds`` and otherwise only
+    queues the record.  Callers flush explicitly at the end of a sweep;
+    an interrupt in between loses at most one interval's worth of
+    completed runs.  With ``compact=True`` every record is compacted on
+    the way in (see :func:`~repro.parallel.checkpoint.compact_record`),
+    including records loaded from an existing full checkpoint.  See the
+    module docstring for the format, the legacy migration and the staged
+    mode.
     """
 
     def __init__(
@@ -105,9 +129,26 @@ class JsonlCheckpointStore(CheckpointStore):
         compact: bool = False,
         staged: bool = False,
     ) -> None:
-        super().__init__(
-            path, flush_interval_seconds=flush_interval_seconds, compact=compact
-        )
+        self.path = Path(path)
+        # Create missing parent directories up front: an unwritable or
+        # misspelled checkpoint directory must fail at store construction,
+        # not hours into a sweep when the first flush fires.
+        if self.path.parent and not self.path.parent.exists():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Fail at construction, not mid-sweep: a negative interval would
+        # flush on every add (probably a unit slip), and NaN comparisons
+        # are always False, silently disabling throttled flushing.
+        if math.isnan(flush_interval_seconds) or flush_interval_seconds < 0:
+            raise ConfigurationError(
+                f"flush_interval_seconds must be a non-negative number, "
+                f"got {flush_interval_seconds}"
+            )
+        self.flush_interval_seconds = flush_interval_seconds
+        self.compact_records = compact
+        self._runs: Dict[str, Dict[str, object]] = {}
+        self._loaded = False
+        self._dirty = False
+        self._last_flush = float("-inf")
         self._staged = staged
         #: names this store's partial sidecar for its whole lifetime
         self._writer = writer_token()
@@ -120,12 +161,26 @@ class JsonlCheckpointStore(CheckpointStore):
         #: force the next flush to be an atomic whole-file rewrite —
         #: set by legacy migration and :meth:`compact`
         self._needs_rewrite = False
-        self._appended_since_rewrite = False
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.load()
+
+    def __len__(self) -> int:
+        return len(self.load())
+
+    def get(self, key: str) -> Optional[Dict[str, object]]:
+        return self.load().get(key)
+
+    def fetch(self, keys: Iterable[str]) -> Dict[str, Dict[str, object]]:
+        """The stored records of ``keys`` (the :class:`RunStore` read)."""
+        runs = self.load()
+        return {key: runs[key] for key in keys if key in runs}
 
     # ------------------------------------------------------------------ #
     # loading (format sniff + tolerant JSONL parse)
     # ------------------------------------------------------------------ #
     def load(self) -> Dict[str, Dict[str, object]]:
+        """Load (once) and return every completed run record."""
         if self._loaded:
             return self._runs
         self._loaded = True
@@ -202,9 +257,7 @@ class JsonlCheckpointStore(CheckpointStore):
             self._needs_rewrite = True
 
     def _load_legacy(self, path: Path, text: str) -> None:
-        """Read a whole-file JSON checkpoint written by the rewrite store."""
-        from .checkpoint import FORMAT_VERSION
-
+        """Read a whole-file JSON checkpoint written by an earlier build."""
         try:
             payload = json.loads(text)
         except ValueError as error:
@@ -234,6 +287,7 @@ class JsonlCheckpointStore(CheckpointStore):
     # writing (append by default, atomic rewrite when compacting)
     # ------------------------------------------------------------------ #
     def add(self, key: str, record: Dict[str, object]) -> None:
+        """Record a completed run; flush unless one happened very recently."""
         self.load()
         if self.compact_records:
             record = compact_record(record)
@@ -249,10 +303,22 @@ class JsonlCheckpointStore(CheckpointStore):
             self.flush()
 
     def compact(self) -> int:
-        compacted = super().compact()
+        """Compact every stored record in place; returns how many shrank.
+
+        Useful for shrinking the checkpoint of an interrupted large sweep
+        before archiving or resuming it; the next :meth:`flush` rewrites
+        the file in the compact form.
+        """
+        compacted = 0
+        for key, record in self.load().items():
+            slim = compact_record(record)
+            if slim != record:
+                self._runs[key] = slim
+                compacted += 1
         if compacted:
             # Superseded full records are dead lines in the file; force
             # the next flush to rewrite rather than append-after.
+            self._dirty = True
             self._needs_rewrite = True
             self._pending = [
                 (key, self._runs[key]) for key, _ in self._pending
@@ -309,7 +375,6 @@ class JsonlCheckpointStore(CheckpointStore):
             for key, record in self._pending:
                 handle.write(_record_line(key, record) + "\n")
         self._pending = []
-        self._appended_since_rewrite = True
 
     def _rewrite(self, target: Path) -> None:
         """One atomic whole-file write: header + live records sorted by key."""
@@ -323,4 +388,3 @@ class JsonlCheckpointStore(CheckpointStore):
         self._pending = []
         self._dead_lines = 0
         self._needs_rewrite = False
-        self._appended_since_rewrite = False

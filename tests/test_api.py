@@ -77,7 +77,7 @@ class TestSweepConfig:
         config = api.SweepConfig(
             checkpoint=tmp_path / "ck.jsonl", shard=(0, 2)
         )
-        with pytest.raises(ConfigurationError, match="stages its own"):
+        with pytest.raises(ConfigurationError, match="archive is its checkpoint"):
             config.query_kwargs()
         # and without them, the reserved knobs are absent from the kwargs
         kwargs = api.SweepConfig(workers=2).query_kwargs()

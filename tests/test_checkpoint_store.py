@@ -20,7 +20,6 @@ from repro.analysis.runners import flooding_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, star
 from repro.parallel import (
-    CheckpointStore,
     JsonlCheckpointStore,
     result_to_record,
     run_experiments,
@@ -54,6 +53,14 @@ def _records(count):
         result = flooding_runner(cycle(8), seed)
         out[f"key-{seed}"] = result_to_record(result, 0.1 * (seed + 1))
     return out
+
+
+def _write_legacy(path, records):
+    """Write a whole-file JSON checkpoint, the format earlier builds wrote."""
+    path.write_text(
+        json.dumps({"version": 1, "runs": records}, indent=1, sort_keys=True),
+        encoding="utf-8",
+    )
 
 
 def _counted_runner(topology, seed):
@@ -127,21 +134,15 @@ class TestJsonlFormat:
 class TestLegacyTransparency:
     def test_reads_legacy_whole_file_json(self, tmp_path):
         path = tmp_path / "ck.json"
-        legacy = CheckpointStore(path, flush_interval_seconds=0.0)
         records = _records(3)
-        for key, record in records.items():
-            legacy.add(key, record)
-        legacy.flush()
+        _write_legacy(path, records)
         assert json.loads(path.read_text())["runs"] == records
         assert JsonlCheckpointStore(path).load() == records
 
     def test_migrates_to_jsonl_on_first_flush(self, tmp_path):
         path = tmp_path / "ck.json"
-        legacy = CheckpointStore(path, flush_interval_seconds=0.0)
         records = _records(2)
-        for key, record in records.items():
-            legacy.add(key, record)
-        legacy.flush()
+        _write_legacy(path, records)
         store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
         extra = _records(3)["key-2"]
         store.add("key-2", extra)
@@ -162,13 +163,15 @@ class TestLegacyTransparency:
         serial = run_experiment(_spec(name="counted", runner=_counted_runner))
         count_file.write_text("")
 
-        # Interrupted sweep under the legacy format: 2 of 3 seeds done.
+        # Interrupted sweep, 2 of 3 seeds done, its runs then saved in
+        # the legacy format.
+        partial = tmp_path / "partial.jsonl"
         run_experiments(
             [_spec(seeds=(0, 1), name="counted", runner=_counted_runner)],
-            checkpoint=checkpoint,
-            checkpoint_format="json",
+            checkpoint=partial,
         )
         assert len(count_file.read_text().splitlines()) == 4
+        _write_legacy(checkpoint, JsonlCheckpointStore(partial).load())
         assert "runs" in json.loads(checkpoint.read_text())
 
         # Resume with the JSONL default: only the 2 missing runs execute,
@@ -273,15 +276,11 @@ class TestCompaction:
         assert keys == sorted(keys)
 
     def test_flush_interval_validation(self, tmp_path):
-        for store_cls in (CheckpointStore, JsonlCheckpointStore):
-            for bad in (-1.0, float("nan")):
-                with pytest.raises(
-                    ConfigurationError, match="flush_interval_seconds"
-                ):
-                    store_cls(tmp_path / "ck.json", flush_interval_seconds=bad)
-            # Zero (flush on every add) stays legal.
-            store_cls(tmp_path / f"ok-{store_cls.__name__}.json",
-                      flush_interval_seconds=0.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="flush_interval_seconds"):
+                JsonlCheckpointStore(tmp_path / "ck.json", flush_interval_seconds=bad)
+        # Zero (flush on every add) stays legal.
+        JsonlCheckpointStore(tmp_path / "ok.json", flush_interval_seconds=0.0)
 
 
 class TestStagedMode:

@@ -27,7 +27,6 @@ from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import (
-    CheckpointStore,
     JsonlCheckpointStore,
     TaskExecutionError,
     compact_record,
@@ -361,20 +360,20 @@ class TestCheckpointing:
         path.write_text(json.dumps({"version": 999, "runs": {}}))
         # ConfigurationError, so the CLI reports it as a clean `error:` line.
         with pytest.raises(ConfigurationError):
-            CheckpointStore(path).load()
+            JsonlCheckpointStore(path).load()
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text('{"version": 1, "runs": {tru')
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            CheckpointStore(path).load()
+        with pytest.raises(ConfigurationError, match="nor valid JSON"):
+            JsonlCheckpointStore(path).load()
 
     def test_atomic_flush_leaves_no_temp_file(self, tmp_path):
-        store = CheckpointStore(tmp_path / "deep" / "ck.json")
+        store = JsonlCheckpointStore(tmp_path / "deep" / "ck.json")
         result = flooding_runner(cycle(8), 0)
         store.add("k", result_to_record(result, 0.1))
         assert (tmp_path / "deep" / "ck.json").exists()
-        assert not (tmp_path / "deep" / "ck.json.tmp").exists()
+        assert not list((tmp_path / "deep").glob("*.tmp"))
 
 
 class TestCheckpointCompaction:

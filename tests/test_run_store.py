@@ -1,0 +1,157 @@
+"""The run-store contract and queries that run straight against the archive.
+
+Both :class:`repro.parallel.store.JsonlCheckpointStore` and
+:class:`repro.archive.store.ResultArchive` meet the three-method contract
+the sweep engine restores from and writes to (``fetch``, ``add``,
+``flush``).  A memoized query hands the archive itself to the engine as
+its checkpoint: no staging directory, no staging file, and misses that
+completed before a failure are kept.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+import tempfile
+from contextlib import closing
+
+import pytest
+
+from repro.analysis.experiments import ExperimentSpec
+from repro.analysis.runners import flooding_runner
+from repro.archive import ResultArchive, parse_task_key, query_experiments
+from repro.graphs import cycle, path
+from repro.parallel import TaskExecutionError
+from repro.parallel.sharding import expand_run_tasks
+from repro.parallel.store import JsonlCheckpointStore
+from repro.workloads import sweep_specs
+
+KEYS = ("s|0|cycle_6|f1|0|0|", "s|0|cycle_6|f1|1|1|", "s|1|path_5|f2|0|0|")
+
+
+def small_specs():
+    return sweep_specs(
+        ["flooding"], [cycle(6), path(5)], seeds=(0, 1), collect_profile=False
+    )
+
+
+def _open(kind, directory):
+    if kind == "jsonl":
+        return JsonlCheckpointStore(directory / "ck.jsonl")
+    return ResultArchive(directory / "archive.sqlite")
+
+
+def _close(store):
+    close = getattr(store, "close", None)
+    if close is not None:
+        close()
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "archive"])
+class TestRunStoreContract:
+    def test_fetch_returns_only_present_keys(self, kind, tmp_path):
+        store = _open(kind, tmp_path)
+        store.add(KEYS[0], {"payload": 0})
+        store.add(KEYS[1], {"payload": 1})
+        store.flush()
+        assert store.fetch([KEYS[1], KEYS[2]]) == {KEYS[1]: {"payload": 1}}
+        assert store.fetch([]) == {}
+        _close(store)
+
+    def test_add_and_flush_survive_reopening(self, kind, tmp_path):
+        store = _open(kind, tmp_path)
+        for index, key in enumerate(KEYS):
+            store.add(key, {"payload": index})
+        store.flush()
+        _close(store)
+        reopened = _open(kind, tmp_path)
+        assert reopened.fetch(KEYS) == {
+            key: {"payload": index} for index, key in enumerate(KEYS)
+        }
+        _close(reopened)
+
+
+class TestArchiveBuffering:
+    def test_nothing_persisted_before_flush(self, tmp_path):
+        db = tmp_path / "archive.sqlite"
+        with ResultArchive(db) as writer, ResultArchive(db) as reader:
+            writer.add(KEYS[0], {"payload": 0})
+            writer.add(KEYS[1], {"payload": 1})
+            assert reader.fetch(KEYS) == {}
+            assert KEYS[0] not in writer
+            writer.flush()
+            assert set(reader.fetch(KEYS)) == {KEYS[0], KEYS[1]}
+            assert writer.flushed_new_runs == 2
+            # Replacing a key is not a new run; an empty flush is a no-op.
+            writer.add(KEYS[0], {"payload": 0})
+            writer.flush()
+            writer.flush()
+            assert writer.flushed_new_runs == 2
+
+    def test_present_reads_keys_only(self, tmp_path):
+        with ResultArchive(tmp_path / "archive.sqlite") as archive:
+            archive.add_records({KEYS[0]: {"payload": 0}})
+            assert archive.present([KEYS[0], KEYS[2]]) == {KEYS[0]}
+            assert archive.present([]) == set()
+
+
+class TestQueryRunsAgainstTheArchive:
+    def test_query_makes_no_temp_dir(self, tmp_path, monkeypatch):
+        def no_temp_dir(*args, **kwargs):
+            raise AssertionError("a query must not create a temp dir")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_temp_dir)
+        db = tmp_path / "archive.sqlite"
+        cold = query_experiments(small_specs(), archive=db)
+        warm = query_experiments(small_specs(), archive=db)
+        assert cold.report.simulated_runs == 4
+        assert warm.report.simulated_runs == 0
+        assert warm.report.archived_runs == 4
+        assert sorted(tmp_path.iterdir()) == [db]
+
+    def test_failed_query_keeps_completed_misses(self, tmp_path):
+        """A run that raises after k misses leaves those k in the archive."""
+        spec = ExperimentSpec(
+            name="fails-at-seed-2",
+            runner=_fail_at_seed_2,
+            topologies=[cycle(6)],
+            seeds=(0, 1, 2, 3),
+            collect_profile=False,
+        )
+        db = tmp_path / "archive.sqlite"
+        with pytest.raises(TaskExecutionError):
+            query_experiments([spec], archive=db)
+        with ResultArchive(db) as archive:
+            kept = sorted(parse_task_key(key).seed for key in archive.keys())
+        assert kept == [0, 1]
+
+    def test_derived_seeds_are_archived_and_replayed(self, tmp_path):
+        db = tmp_path / "archive.sqlite"
+        first = query_experiments(
+            small_specs(), archive=db, derive_seeds=True, base_seed=3
+        )
+        second = query_experiments(
+            small_specs(), archive=db, derive_seeds=True, base_seed=3
+        )
+        assert first.report.simulated_runs == 4
+        assert first.report.archive_added == 4
+        assert second.report.simulated_runs == 0
+        assert second.report.archived_runs == 4
+        # The informational column holds the seed's two's complement; the
+        # task key keeps the true seed.
+        tasks = [
+            task
+            for spec in small_specs()
+            for task in expand_run_tasks(spec, derive_seeds=True, base_seed=3)
+        ]
+        assert any(task.seed >= 1 << 63 for task in tasks)
+        with closing(sqlite3.connect(str(db))) as conn:
+            stored = dict(conn.execute("SELECT task_key, seed FROM runs"))
+        for task in tasks:
+            assert parse_task_key(task.key).seed == task.seed
+            assert stored[task.key] % (1 << 64) == task.seed
+
+
+def _fail_at_seed_2(topology, seed):
+    if seed == 2:
+        raise RuntimeError("injected failure")
+    return flooding_runner(topology, seed)

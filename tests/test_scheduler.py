@@ -490,16 +490,6 @@ class TestAutoShard:
         with pytest.raises(ConfigurationError, match="checkpoint"):
             run_experiments([_spec()], workers=1, shard="auto")
 
-    def test_auto_requires_jsonl_format(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="JSONL"):
-            run_experiments(
-                [_spec()],
-                workers=1,
-                checkpoint=tmp_path / "sweep.json",
-                shard="auto",
-                checkpoint_format="json",
-            )
-
 
 class TestLeaseDirectory:
     def test_claims_are_exclusive_and_ordered(self, tmp_path):

@@ -29,7 +29,6 @@ from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.parallel import (
-    CheckpointStore,
     JsonlCheckpointStore,
     ShardManifest,
     compact_record,
@@ -464,7 +463,7 @@ class TestStreamingAggregates:
         assert serial.closed and parallel.closed
 
     def test_checkpoint_parent_directories_created_at_construction(self, tmp_path):
-        store = CheckpointStore(tmp_path / "a" / "b" / "ck.json")
+        store = JsonlCheckpointStore(tmp_path / "a" / "b" / "ck.json")
         assert (tmp_path / "a" / "b").is_dir()
         result = flooding_runner(cycle(8), 0)
         store.add("k", result_to_record(result, 0.1))
