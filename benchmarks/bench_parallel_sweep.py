@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ExperimentSpec
+from repro.analysis import CollectingSink, ExperimentSpec
 from repro.analysis.runners import flooding_runner
 from repro.graphs import complete, cycle, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
@@ -215,8 +215,8 @@ CHEAP_SEEDS = 8 if SMOKE else 150
 DISPATCH_WORKERS = (
     WORKERS if len(os.sched_getaffinity(0)) >= WORKERS else 2
 )
-#: Each dispatch leg is the min of this many runs — the dispatch engines
-#: differ by tens of milliseconds, which one scheduler hiccup can bury.
+#: Each dispatch leg is the min of this many runs — the two legs differ
+#: by tens of milliseconds, which one scheduler hiccup can bury.
 DISPATCH_ROUNDS = 1 if SMOKE else 3
 
 
@@ -224,11 +224,12 @@ def _hetero_specs():
     """A deliberately skewed grid: hundreds of sub-millisecond runs plus a
     few runs three orders of magnitude heavier.
 
-    This is the shape that breaks ``imap_unordered(chunksize=1)`` — one
-    IPC round-trip per cheap task — and would equally break a large
-    static chunksize (an unlucky chunk of expensive tasks becomes the
-    straggler).  The adaptive scheduler must beat the static engine here
-    by batching the cheap cells and shipping the expensive ones alone.
+    This is the shape that breaks one-task-per-message dispatch
+    (``max_batch=1``: one IPC round-trip per cheap task) and would
+    equally break a large fixed chunk size (an unlucky chunk of expensive
+    tasks becomes the straggler).  Cost-adaptive batching must beat
+    ``max_batch=1`` here by batching the cheap cells and shipping the
+    expensive ones alone.
     """
     return [
         ExperimentSpec(
@@ -248,34 +249,36 @@ def _hetero_specs():
     ]
 
 
-def _dispatch_leg(dispatch: str):
+def _dispatch_leg(max_batch):
     results = None
     best = float("inf")
     for _ in range(DISPATCH_ROUNDS):
         # repro: disable=REP102 — dispatch comparison times real wall clock
         started = time.perf_counter()
         results = run_experiments(
-            _hetero_specs(), workers=DISPATCH_WORKERS, dispatch=dispatch
+            _hetero_specs(), workers=DISPATCH_WORKERS, max_batch=max_batch
         )
         best = min(best, time.perf_counter() - started)  # repro: disable=REP102 — measurand
     return results, best
 
 
 def _run_elastic():
-    static, static_seconds = _dispatch_leg("static")
-    adaptive, adaptive_seconds = _dispatch_leg("adaptive")
-    return static, static_seconds, adaptive, adaptive_seconds
+    single, single_seconds = _dispatch_leg(1)
+    adaptive, adaptive_seconds = _dispatch_leg(None)
+    return single, single_seconds, adaptive, adaptive_seconds
 
 
 @pytest.mark.benchmark(group=ELASTIC_EXPERIMENT_ID)
 def test_elastic_sweep(benchmark):
-    """Adaptive dispatch vs chunksize=1.
+    """Adaptive batching vs one task per message (``max_batch=1``).
 
     The figure of merit, recorded in the BENCH JSON, is
-    ``dispatch_speedup``: wall-clock of the static engine over the
-    adaptive scheduler on the heterogeneous grid, best of
-    ``DISPATCH_ROUNDS`` per leg at a pool size matched to the hardware
-    (>= 1.3x enforced).
+    ``dispatch_speedup``: wall-clock of the scheduler at ``max_batch=1``
+    over the scheduler at its default batch cap on the heterogeneous
+    grid, best of ``DISPATCH_ROUNDS`` per leg at a pool size matched to
+    the hardware (>= 1.3x enforced).  Until the one-task-per-message
+    ``imap_unordered`` engine was removed, it was the baseline leg
+    (1.40x recorded against it).
 
     This benchmark also used to time the append-only JSONL checkpoint
     against the whole-file-rewrite JSON store it replaced: at
@@ -283,12 +286,12 @@ def test_elastic_sweep(benchmark):
     checkpoint-I/O share 6.7x.  The rewrite store is gone, so that leg
     is gone too; the number stays here as history.
     """
-    static, static_seconds, adaptive, adaptive_seconds = benchmark.pedantic(
+    single, single_seconds, adaptive, adaptive_seconds = benchmark.pedantic(
         _run_elastic, rounds=1, iterations=1
     )
 
     dispatch_speedup = (
-        static_seconds / adaptive_seconds if adaptive_seconds else 0.0
+        single_seconds / adaptive_seconds if adaptive_seconds else 0.0
     )
     cpu_count = len(os.sched_getaffinity(0))
     hetero_runs = 3 * CHEAP_SEEDS + 4
@@ -298,8 +301,8 @@ def test_elastic_sweep(benchmark):
         rows_table(
             [
                 {
-                    "leg": "dispatch-static",
-                    "wall_clock_seconds": static_seconds,
+                    "leg": "dispatch-max-batch-1",
+                    "wall_clock_seconds": single_seconds,
                 },
                 {
                     "leg": "dispatch-adaptive",
@@ -316,7 +319,7 @@ def test_elastic_sweep(benchmark):
             "hetero_runs": hetero_runs,
             "workers": DISPATCH_WORKERS,
             "cpu_count": cpu_count,
-            "static_seconds": static_seconds,
+            "max_batch_1_seconds": single_seconds,
             "adaptive_seconds": adaptive_seconds,
             "dispatch_speedup": dispatch_speedup,
             "smoke": SMOKE,
@@ -324,9 +327,9 @@ def test_elastic_sweep(benchmark):
     )
 
     # Determinism before speed: both legs agree cell for cell.
-    for static_result, adaptive_result in zip(static, adaptive):
+    for single_result, adaptive_result in zip(single, adaptive):
         assert _comparable(adaptive_result.cells) == _comparable(
-            static_result.cells
+            single_result.cells
         )
 
     if SMOKE:
@@ -337,7 +340,7 @@ def test_elastic_sweep(benchmark):
     assert dispatch_speedup >= 1.3, (
         f"expected >=1.3x from adaptive dispatch on the heterogeneous "
         f"grid, measured {dispatch_speedup:.2f}x "
-        f"({static_seconds:.1f}s -> {adaptive_seconds:.1f}s)"
+        f"({single_seconds:.1f}s -> {adaptive_seconds:.1f}s)"
     )
 
 
@@ -353,7 +356,7 @@ MEMORY_RUNS_SMALL = 8 if SMOKE else 32
 MEMORY_SCALE = 4
 
 
-def _aggregate_sweep(num_seeds: int, *, keep_results: bool = False) -> int:
+def _aggregate_sweep(num_seeds: int, *, sinks=()) -> int:
     """Run a one-topology flooding grid of ``num_seeds`` runs; return the
     peak traced allocation in bytes."""
     specs = sweep_specs(
@@ -364,7 +367,7 @@ def _aggregate_sweep(num_seeds: int, *, keep_results: bool = False) -> int:
     )
     tracemalloc.start()
     try:
-        run_experiments(specs, workers=1, keep_results=keep_results)
+        run_experiments(specs, workers=1, sinks=sinks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -380,16 +383,16 @@ def test_streaming_memory(benchmark):
     the run count: with per-run streaming the 4x grid must cost well under
     2x the peak — the old engine retained every
     ``LeaderElectionResult`` (O(runs × nodes)) and scaled linearly.  The
-    opt-in ``keep_results`` sink is measured alongside as the contrast,
-    and the process-level peak RSS lands in the BENCH JSON so the memory
-    trajectory is tracked over time.
+    opt-in retention sink (``sinks=[CollectingSink()]``) is measured
+    alongside as the contrast, and the process-level peak RSS lands in
+    the BENCH JSON so the memory trajectory is tracked over time.
     """
     runs_large = MEMORY_RUNS_SMALL * MEMORY_SCALE
     peak_small, peak_large, peak_keep = benchmark.pedantic(
         lambda: (
             _aggregate_sweep(MEMORY_RUNS_SMALL),
             _aggregate_sweep(runs_large),
-            _aggregate_sweep(runs_large, keep_results=True),
+            _aggregate_sweep(runs_large, sinks=[CollectingSink()]),
         ),
         rounds=1,
         iterations=1,
@@ -405,7 +408,7 @@ def test_streaming_memory(benchmark):
             "runs_large": runs_large,
             "peak_bytes_small": peak_small,
             "peak_bytes_large": peak_large,
-            "peak_bytes_keep_results": peak_keep,
+            "peak_bytes_collecting_sink": peak_keep,
             "aggregate_peak_growth": growth,
             "peak_rss_kb": peak_rss_kb,
             "smoke": SMOKE,
@@ -423,6 +426,6 @@ def test_streaming_memory(benchmark):
     # The opt-in retention sink is the contrast: keeping every result of
     # the large grid must cost visibly more than streaming it.
     assert peak_keep > peak_large, (
-        f"keep_results peak ({peak_keep}) not above streaming peak "
+        f"CollectingSink peak ({peak_keep}) not above streaming peak "
         f"({peak_large}); the retention sink is not retaining"
     )

@@ -12,8 +12,8 @@ The result path is *streaming* (see :mod:`repro.analysis.streaming`):
 each run is folded into its cell's exact accumulators the moment it
 completes and then released, so neither the serial driver here nor the
 parallel engine (:mod:`repro.parallel`) retains the full run list.
-``keep_results=True`` opts back into retention via a composing
-:class:`~repro.analysis.streaming.CollectingSink`.
+A caller that needs the runs passes a
+:class:`~repro.analysis.streaming.CollectingSink` in ``sinks``.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from ..election.base import LeaderElectionResult, SafetyTally
 from ..obs import Stopwatch, TelemetrySink, span
 from ..graphs.properties import ExpansionProfile, expansion_profile
 from ..graphs.topology import Topology
-from .streaming import (
-    CellAggregate,
-    CellAggregatingSink,
-    CollectingSink,
-    ResultSink,
-    abort_sinks,
-)
+from .streaming import CellAggregate, CellAggregatingSink, ResultSink, abort_sinks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps layering acyclic
     from ..dynamics.spec import AdversarySpec
@@ -56,7 +50,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentCell",
     "ExperimentResult",
-    "aggregate_cell",
     "cell_from_aggregate",
     "effective_runner",
     "execute_run",
@@ -66,17 +59,6 @@ __all__ = [
 
 #: An algorithm under test: ``runner(topology, seed) -> LeaderElectionResult``.
 ElectionRunner = Callable[[Topology, int], LeaderElectionResult]
-
-
-def warn_keep_results(stacklevel: int = 2) -> None:
-    """Emit the ``keep_results=True`` deprecation (shared by both drivers)."""
-    warnings.warn(
-        "keep_results=True is deprecated; compose a CollectingSink "
-        "(sinks=[CollectingSink()], see repro.analysis.streaming) to "
-        "retain per-run results explicitly",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
 
 
 @dataclass(frozen=True)
@@ -193,7 +175,6 @@ class ExperimentCell:
     #: cells built by the drivers; kept optional for hand-built cells).
     safety: Optional[SafetyTally] = None
     profile: Optional[ExpansionProfile] = None
-    results: List[LeaderElectionResult] = field(default_factory=list)
 
     @property
     def success_rate(self) -> float:
@@ -292,7 +273,6 @@ def cell_from_aggregate(
     aggregate: CellAggregate,
     *,
     profile: Optional[ExpansionProfile] = None,
-    results: Optional[List[LeaderElectionResult]] = None,
     protocol: str = "",
 ) -> ExperimentCell:
     """Assemble an :class:`ExperimentCell` from a streamed cell aggregate.
@@ -327,32 +307,6 @@ def cell_from_aggregate(
         protocol=protocol,
         safety=aggregate.safety,
         profile=profile,
-        results=list(results) if results is not None else [],
-    )
-
-
-def aggregate_cell(
-    topology: Topology,
-    runs: Sequence[LeaderElectionResult],
-    wall_clock: Sequence[float],
-    *,
-    profile: Optional[ExpansionProfile] = None,
-    keep_results: bool = False,
-) -> ExperimentCell:
-    """Aggregate the per-seed runs of one (algorithm, topology) cell.
-
-    Compatibility wrapper over the streaming aggregation path for callers
-    that already hold a run list; the drivers themselves fold runs into
-    :class:`~repro.analysis.streaming.CellAggregate` as they complete.
-    """
-    aggregate = CellAggregate()
-    for run, elapsed in zip(runs, wall_clock):
-        aggregate.add(run, elapsed)
-    return cell_from_aggregate(
-        topology,
-        aggregate,
-        profile=profile,
-        results=list(runs) if keep_results else None,
     )
 
 
@@ -384,7 +338,6 @@ def run_experiment(
     spec: ExperimentSpec,
     *,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    keep_results: bool = False,
     workers: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     checkpoint_compact: bool = False,
@@ -393,7 +346,6 @@ def run_experiment(
     backend: str = "auto",
     telemetry: Optional[TelemetrySink] = None,
     profile: Optional[str] = None,
-    dispatch: str = "adaptive",
     task_timeout: Optional[float] = None,
 ) -> ExperimentResult:
     """Run every (topology, seed) pair of the spec and aggregate per topology.
@@ -414,10 +366,10 @@ def run_experiment(
 
     Runs are streamed: each result is folded into its cell's aggregate
     (and forwarded to any caller-supplied ``sinks``) as it completes, then
-    released.  ``keep_results=True`` composes a
-    :class:`~repro.analysis.streaming.CollectingSink` to retain the full
-    per-run results on the cells — opt-in, since that is the one path
-    whose memory grows with ``runs × nodes``.
+    released.  To keep the per-run results, pass a
+    :class:`~repro.analysis.streaming.CollectingSink` in ``sinks`` and
+    read its ``results_for(spec.name, topology_index)`` — opt-in, since
+    that is the one path whose memory grows with ``runs × nodes``.
 
     ``backend`` selects the simulator core for every run of the sweep
     (``"auto"``, ``"round"`` or ``"event"`` — see
@@ -434,47 +386,37 @@ def run_experiment(
     aggregates pool-wide hotspots into the telemetry.  Both route
     execution through the parallel engine, like ``checkpoint`` does.
 
-    ``dispatch`` and ``task_timeout`` configure the parallel engine's
-    scheduler (see :func:`repro.parallel.runner.run_experiments`):
-    adaptive cost-aware batching with fault-tolerant re-dispatch by
-    default, ``"static"`` for the one-task-per-message baseline.  They
-    only apply when execution routes through the pool.
+    ``task_timeout`` bounds a pool task's lease before it is
+    re-dispatched (see :func:`repro.parallel.runner.run_experiments`); it
+    only applies when execution routes through the pool.
     """
-    if keep_results:
-        warn_keep_results()
     if (
         (workers is not None and workers > 1)
         or checkpoint is not None
         or telemetry is not None
     ):
-        from ..parallel.runner import run_parallel_experiment
+        from ..parallel.runner import run_experiments
 
-        return run_parallel_experiment(
-            spec,
+        return run_experiments(
+            [spec],
             workers=workers or 1,
             checkpoint=checkpoint,
             checkpoint_compact=checkpoint_compact,
             start_method=start_method,
             profiles=profiles,
-            keep_results=keep_results,
             sinks=sinks,
             backend=backend,
             telemetry=telemetry,
             profile=profile,
-            dispatch=dispatch,
             task_timeout=task_timeout,
-        )
+        )[0]
     if profile is not None:
         raise ConfigurationError(
             "profile= requires telemetry=: hotspots are reported through "
             "the telemetry summary (pass telemetry=TelemetrySink(path))"
         )
     aggregates = CellAggregatingSink()
-    collector = CollectingSink() if keep_results else None
-    all_sinks: List[ResultSink] = [aggregates]
-    if collector is not None:
-        all_sinks.append(collector)
-    all_sinks.extend(sinks)
+    all_sinks: List[ResultSink] = [aggregates, *sinks]
 
     result = ExperimentResult(name=spec.name)
     profiles = dict(profiles or {})
@@ -496,11 +438,6 @@ def run_experiment(
                         aggregate,
                         profile=resolve_profile(
                             topology, profiles, spec.collect_profile
-                        ),
-                        results=(
-                            collector.results_for(spec.name, topology_index)
-                            if collector is not None
-                            else None
                         ),
                         protocol=spec.protocol_token(),
                     )

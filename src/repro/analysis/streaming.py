@@ -26,8 +26,9 @@ Sinks
 * :class:`CellAggregatingSink` — the default pipeline: folds each run
   into its cell's :class:`CellAggregate`;
 * :class:`CollectingSink` — the opt-in "keep the full results" sink
-  behind ``keep_results=True``; composes with the aggregating sink
-  instead of threading a flag through every layer;
+  (``sinks=[CollectingSink()]``, read back with ``results_for``);
+  composes with the aggregating sink instead of threading a flag
+  through every layer;
 * :class:`JsonlSink` — streams one JSON record per run to a ``.jsonl``
   file (``repro-le sweep --jsonl out.jsonl``), so per-run data reaches
   offline analysis without retaining anything in memory;
@@ -285,7 +286,7 @@ class CellAggregatingSink(ResultSink):
 
 
 class CollectingSink(ResultSink):
-    """Opt-in retention of the full per-run results (``keep_results``).
+    """Opt-in retention of the full per-run results.
 
     This is the only part of the pipeline whose memory grows with
     ``runs × nodes``; it exists for callers that genuinely need per-run
@@ -401,8 +402,8 @@ class JsonlSink(ResultSink):
     """Stream one JSON record per completed run to a ``.jsonl`` file.
 
     The ROADMAP's export sink: per-run measurements reach disk for offline
-    analysis without ``keep_results`` retaining them in memory — the sink
-    holds one open file handle and nothing else.  Records carry the run's
+    analysis without a :class:`CollectingSink` retaining them in memory —
+    the sink holds one open file handle and nothing else.  Records carry the run's
     grid coordinates (``experiment``/``topology_index``/``seed_index``) so
     offline consumers can regroup or reorder them, plus the protocol
     token and adversary description when the run was parameterised.

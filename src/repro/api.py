@@ -63,15 +63,13 @@ class SweepConfig:
     parameters, test setup) and hand the same value to :func:`sweep` and
     :func:`query` calls instead of threading loose keywords through every
     layer.  The defaults are the engine's: one worker, the ``auto``
-    simulator backend, adaptive dispatch, JSONL checkpoints.
+    simulator backend, JSONL checkpoints.
     """
 
     #: worker processes (1 = in-process serial execution)
     workers: int = 1
     #: simulator core: "auto", "round" or "event"
     backend: str = "auto"
-    #: pool strategy: "adaptive" (cost-aware batching) or "static"
-    dispatch: str = "adaptive"
     #: multiprocessing start method (platform default when ``None``)
     start_method: Optional[str] = None
     #: checkpoint file for resume; required by ``shard``
@@ -270,8 +268,9 @@ def run(
     :class:`~repro.protocols.spec.ProtocolSpec` — resolved through the
     protocol registry.  ``topology`` is a
     :class:`~repro.graphs.topology.Topology` or a ``"family:arg[:arg]"``
-    generator string.  ``adversary`` optionally runs the election under a
-    fault model (same spellings as the CLI's ``--adversary``).
+    generator string (random families use graph seed 0).  ``adversary``
+    optionally runs the election under a fault model (same spellings as
+    the CLI's ``--adversary``).
     """
     from .core.simulator import backend_scope
     from .protocols import ProtocolSpec, protocol_runner
@@ -303,8 +302,8 @@ def sweep(
 ) -> List[ExperimentResult]:
     """Run an experiment grid through the parallel engine.
 
-    Results are bit-identical for any ``config`` worker count, dispatch
-    strategy, backend or shard layout — the configuration decides *how*
+    Results are bit-identical for any ``config`` worker count, batch
+    size, backend or shard layout — the configuration decides *how*
     the grid executes, never *what* it measures.
     """
     from .parallel.runner import run_experiments

@@ -36,14 +36,9 @@ from .store import ResultArchive
 __all__ = ["QueryReport", "QueryResult", "query_experiments"]
 
 #: ``run_experiments`` knobs a query may not override: the archive is
-#: the query's checkpoint, and sharding/retention belong to the populate
-#: sweeps, not the read path.
-_RESERVED_KWARGS = (
-    "checkpoint",
-    "checkpoint_compact",
-    "shard",
-    "keep_results",
-)
+#: the query's checkpoint, and sharding belongs to the populate sweeps,
+#: not the read path.
+_RESERVED_KWARGS = ("checkpoint", "checkpoint_compact", "shard")
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,14 @@ def query_experiments(
 
     ``runner_kwargs`` pass through to
     :func:`~repro.parallel.runner.run_experiments` (``workers``,
-    ``backend``, ``dispatch``, ``derive_seeds``/``base_seed``, ...) for
+    ``backend``, ``max_batch``, ``derive_seeds``/``base_seed``, ...) for
     the runs that do execute; checkpointing and sharding knobs are
     reserved — the archive is the query's checkpoint, and sharded
     populate belongs to ``sweep``.
+
+    The report's hits are the keys the engine's one restore ``fetch``
+    returned, so a run another writer archives while the query starts
+    is counted as what it was: replayed, not simulated.
     """
     for reserved in _RESERVED_KWARGS:
         if reserved in runner_kwargs:
@@ -128,12 +127,12 @@ def query_experiments(
         opened = ResultArchive(archive)
         store = opened
     try:
-        hits = store.present(wanted)
         added_before = store.flushed_new_runs
         results = run_experiments(
             specs, checkpoint=store, sinks=sinks, **runner_kwargs
         )
         added = store.flushed_new_runs - added_before
+        hits = store.fetched_keys & wanted
     finally:
         if opened is not None:
             opened.close()

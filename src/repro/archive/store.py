@@ -153,6 +153,9 @@ class ResultArchive:
         self._pending: Dict[str, Mapping[str, object]] = {}
         #: runs that :meth:`flush` newly added (not replaced) since opening
         self.flushed_new_runs = 0
+        #: the keys the most recent :meth:`fetch` returned — the runs a
+        #: sweep restoring from this archive actually replayed
+        self.fetched_keys: Set[str] = set()
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_seconds)
@@ -316,6 +319,7 @@ class ResultArchive:
                 chunk,
             ):
                 hits[key] = json.loads(payload)
+        self.fetched_keys = set(hits)
         return hits
 
     def present(self, keys: Iterable[str]) -> Set[str]:

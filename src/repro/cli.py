@@ -77,8 +77,12 @@ __all__ = ["main", "parse_topology", "build_parser"]
 ELECTION_RUNNERS: Dict[str, Callable[..., object]] = RUNNERS
 
 
-def parse_topology(spec: str, *, seed: Optional[int] = None) -> Topology:
-    """Parse a ``family:arg[:arg...]`` topology specification."""
+def parse_topology(spec: str, *, seed: int = 0) -> Topology:
+    """Parse a ``family:arg[:arg...]`` topology specification.
+
+    ``seed`` is the graph seed of the random families, so one spec names
+    one graph in every process.
+    """
     parts = spec.split(":")
     family = parts[0]
     if family not in GENERATORS:
@@ -88,7 +92,7 @@ def parse_topology(spec: str, *, seed: Optional[int] = None) -> Topology:
     args = [int(part) for part in parts[1:]]
     generator = GENERATORS[family]
     try:
-        if family in ("random_regular", "erdos_renyi") and seed is not None:
+        if family in ("random_regular", "erdos_renyi"):
             return generator(*args, seed=seed)
         return generator(*args)
     except TypeError as error:
@@ -393,7 +397,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         backend=args.backend,
         telemetry=telemetry,
         profile=args.profile,
-        dispatch=args.dispatch,
         task_timeout=args.task_timeout,
         lease_timeout=args.lease_timeout,
     )
@@ -723,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subparsers.add_parser("analyze", help="print a topology's expansion profile")
     analyze.add_argument("--topology", required=True, help="family:arg[:arg...] spec")
-    analyze.add_argument("--topology-seed", type=int, default=None)
+    analyze.add_argument("--topology-seed", type=int, default=0)
     analyze.set_defaults(func=_cmd_analyze)
 
     protocols = subparsers.add_parser(
@@ -741,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "x_multiplier=1.5 (see `repro-le protocols` for names and schemas)",
     )
     elect.add_argument("--topology", required=True)
-    elect.add_argument("--topology-seed", type=int, default=None)
+    elect.add_argument("--topology-seed", type=int, default=0)
     elect.add_argument("--seed", type=int, default=0)
     elect.add_argument(
         "--explicit",
@@ -782,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="compare algorithms on one topology")
     compare.add_argument("--topology", required=True)
-    compare.add_argument("--topology-seed", type=int, default=None)
+    compare.add_argument("--topology-seed", type=int, default=0)
     compare.add_argument("--seeds", type=int, default=2)
     compare.add_argument(
         "--algorithms",
@@ -851,23 +854,13 @@ def build_parser() -> argparse.ArgumentParser:
         "merge flow folds the results",
     )
     sweep.add_argument(
-        "--dispatch",
-        default="adaptive",
-        choices=["adaptive", "static"],
-        help="pool dispatch strategy: adaptive batches cheap tasks by "
-        "measured cost over a bounded in-flight window and re-dispatches "
-        "tasks lost to worker deaths or timeouts; static is the legacy "
-        "chunksize=1 baseline. Results are bit-identical either way",
-    )
-    sweep.add_argument(
         "--task-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
         help="re-dispatch a task whose worker has not reported for this "
-        "many seconds (requires --dispatch adaptive); re-runs are "
-        "deterministic, so duplicated completions are dropped without "
-        "changing results",
+        "many seconds; re-runs are deterministic, so duplicated "
+        "completions are dropped without changing results",
     )
     sweep.add_argument(
         "--lease-timeout",

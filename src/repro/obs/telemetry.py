@@ -112,7 +112,7 @@ class TaskTelemetry:
     fold_seconds: float = 0.0
     checkpoint_seconds: float = 0.0
     #: how many tasks shared this task's dispatch batch (1 = singleton;
-    #: the static engine always dispatches singletons)
+    #: in-process runs are always singletons)
     batch_size: int = 1
     #: which dispatch attempt produced this record (>1 means the task was
     #: re-dispatched after a worker death or lease timeout)
@@ -413,7 +413,7 @@ class TelemetrySink:
         scheduler: Optional[Dict[str, object]] = None,
     ) -> None:
         """Write the closing driver record (sweep elapsed, parent spans,
-        and — under the adaptive engine — the scheduler's dispatch/lease
+        and — when a pool ran — the scheduler's dispatch/lease
         counters)."""
         record: Dict[str, object] = {
             "kind": "driver",

@@ -47,12 +47,7 @@ from .checkpoint import (
     shard_checkpoint_path,
     writer_token,
 )
-from .runner import (
-    DISPATCH_MODES,
-    TaskExecutionError,
-    run_experiments,
-    run_parallel_experiment,
-)
+from .runner import TaskExecutionError, run_experiments
 from .scheduler import (
     DEFAULT_AUTO_BLOCKS,
     DEFAULT_LEASE_TIMEOUT,
@@ -82,7 +77,6 @@ __all__ = [
     "DEFAULT_AUTO_BLOCKS",
     "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_MAX_BATCH",
-    "DISPATCH_MODES",
     "DispatchStats",
     "JsonlCheckpointStore",
     "LeaseDirectory",
@@ -99,7 +93,6 @@ __all__ = [
     "result_from_record",
     "result_to_record",
     "run_experiments",
-    "run_parallel_experiment",
     "select_shard",
     "shard_checkpoint_path",
     "shard_round_robin",

@@ -431,15 +431,8 @@ def merge_shard_checkpoints(
             f"the shard jobs or pass --allow-partial"
         )
 
-    store = JsonlCheckpointStore(output, compact=compact)
-    store._loaded = True  # fresh merge output: never resume an existing file
-    store._runs = {
-        key: (compact_record(record) if compact else record)
-        for key, record in sorted(merged.items())
-    }
-    store._dirty = True
-    store._needs_rewrite = True  # one deterministic whole-file write
-    store.flush()
+    # Fresh merge output: an existing file is replaced, never resumed.
+    JsonlCheckpointStore(output, compact=compact).write_fresh(merged)
     return {
         "shards": manifest.shard_count,
         "shards_found": manifest.shard_count - len(missing_shards),

@@ -10,15 +10,14 @@ per-cell :class:`~repro.analysis.streaming.CellAggregate` accumulators
 (plus any caller-supplied sinks) the moment it arrives — no backend
 retains the full run list, so memory is O(cells), not O(runs × nodes).
 
-Dispatch is **adaptive** by default (see
-:class:`~repro.parallel.scheduler.AdaptiveScheduler`): a bounded in-flight
+Pool dispatch goes through one engine,
+:class:`~repro.parallel.scheduler.AdaptiveScheduler`: a bounded in-flight
 window of ``apply_async`` batches whose size tracks measured task cost —
 cheap tasks are batched to amortize the IPC round-trip, expensive tasks
 ship alone for load balance — with fault-tolerant re-dispatch when a
-worker dies or a task exceeds ``task_timeout``.  ``dispatch="static"``
-keeps the original one-task-per-message ``imap_unordered(chunksize=1)``
-path (it is also the benchmark baseline the adaptive engine is measured
-against).
+worker dies or a task exceeds ``task_timeout``.  ``max_batch=1`` ships
+one task per message.  Without a pool (one worker, or a single pending
+task) tasks run in-process through the same per-task worker body.
 
 Determinism guarantees
 ----------------------
@@ -26,8 +25,7 @@ Determinism guarantees
 * **Scheduling-independent results.**  Each task's seed is decided before
   the pool exists, and the cell aggregates use exact arithmetic (see
   :mod:`repro.analysis.streaming`), so the assembled cells are identical
-  for any worker count, start method, dispatch mode, batch size, or
-  completion order — including completions duplicated by fault-recovery
+  for any worker count, start method, batch size, or completion order — including completions duplicated by fault-recovery
   re-dispatch, which are deduplicated by task key.  Only wall-clock
   readings differ from a serial run.
 * **Checkpoint-transparent results.**  Completed runs are persisted to a
@@ -68,23 +66,15 @@ from ..analysis.experiments import (
     ExperimentSpec,
     cell_from_aggregate,
     resolve_profile,
-    warn_keep_results,
 )
-from ..analysis.streaming import (
-    CellAggregatingSink,
-    CollectingSink,
-    ResultSink,
-    abort_sinks,
-)
+from ..analysis.streaming import CellAggregatingSink, ResultSink, abort_sinks
 from ..core.errors import ConfigurationError
-from ..core.simulator import BACKENDS, backend_scope, default_backend, set_default_backend
+from ..core.simulator import BACKENDS, backend_scope, set_default_backend
 from ..election.base import LeaderElectionResult
 from ..graphs.properties import ExpansionProfile
 from ..obs import (
     ProfileAggregate,
     Stopwatch,
-    TaskProfiler,
-    TaskTelemetry,
     TelemetrySink,
     collect_spans,
     span,
@@ -104,7 +94,10 @@ from .scheduler import (
     AdaptiveScheduler,
     LeaseDirectory,
     TaskExecutionError,
-    _execute_task,
+    _Batch,
+    _BatchItem,
+    _FinishFn,
+    _execute_batch,
     _validate_timeout,
 )
 from .sharding import (
@@ -118,81 +111,13 @@ from .sharding import (
 from .store import JsonlCheckpointStore, RunStore
 
 __all__ = [
-    "DISPATCH_MODES",
     "TaskExecutionError",
-    "run_parallel_experiment",
     "run_experiments",
-]
-
-#: Dispatch strategies of the pool engine (see module docstring).
-DISPATCH_MODES = ("adaptive", "static")
-
-
-class _TimedTask(NamedTuple):
-    """A task plus its telemetry context, pickled to the worker as one unit.
-
-    ``submitted`` is the parent's monotonic stamp at dispatch: worker
-    start minus submit is the task's queue wait (both processes share the
-    machine's monotonic clock).  ``profile`` rides along so the opt-in
-    profiler needs no pool-initializer state of its own.
-    """
-
-    task: RunTask
-    submitted: float
-    profile: Optional[str]
-
-
-def _execute_timed_task(
-    timed: _TimedTask,
-) -> Tuple[str, LeaderElectionResult, float, TaskTelemetry, Optional[dict]]:
-    """Telemetry-path worker entry point: run one task, measure everything.
-
-    Wraps :func:`~repro.parallel.scheduler._execute_task` (results are
-    produced by the identical code either way) in a per-task span
-    collector, so the ``"simulate"`` span inside
-    :func:`~repro.analysis.experiments.execute_run` — and any deeper
-    spans — are captured per task and shipped home in the
-    :class:`~repro.obs.TaskTelemetry`.  The parent fills the record's
-    fold/checkpoint timings before emitting it.
-    """
-    started = time.monotonic()
-    task = timed.task
-    profiler = TaskProfiler() if timed.profile == "cprofile" else None
-    with collect_spans() as spans:
-        if profiler is not None:
-            with profiler:
-                key, result, elapsed = _execute_task(task)
-        else:
-            key, result, elapsed = _execute_task(task)
-    telemetry = TaskTelemetry(
-        task_key=key,
-        experiment=task.spec_name,
-        topology=task.topology.name,
-        topology_index=task.topology_index,
-        seed=task.seed,
-        seed_index=task.seed_index,
-        worker=f"pid-{os.getpid()}",
-        backend=default_backend(),
-        queue_wait_seconds=max(0.0, started - timed.submitted),
-        simulate_seconds=spans.total_seconds("simulate"),
-        task_seconds=time.monotonic() - started,
-        spans=spans.totals(),
-    )
-    return key, result, elapsed, telemetry, (
-        profiler.payload() if profiler is not None else None
-    )
-
-
-#: The unified completion callback: (key, result, elapsed, telemetry,
-#: profile payload) — the last two are ``None`` off the telemetry path.
-_FinishFn = Callable[
-    [str, LeaderElectionResult, float, Optional[TaskTelemetry], Optional[dict]],
-    None,
 ]
 
 
 class _PoolEngine:
-    """One sweep's worker pool and the dispatch strategy driving it.
+    """One sweep's worker pool and the scheduler driving it.
 
     The pool is created lazily on the first execute call that actually
     needs one (sized to ``min(workers, first pending count)``) and kept
@@ -207,7 +132,6 @@ class _PoolEngine:
         workers: int,
         start_method: Optional[str],
         backend: str,
-        dispatch: str,
         telemetry_on: bool,
         profile: Optional[str],
         task_timeout: Optional[float],
@@ -216,7 +140,6 @@ class _PoolEngine:
         self._workers = workers
         self._start_method = start_method
         self._backend = backend
-        self._dispatch = dispatch
         self._telemetry_on = telemetry_on
         self._profile = profile
         self._task_timeout = task_timeout
@@ -232,76 +155,47 @@ class _PoolEngine:
             self._pool.terminate()
             self._pool = None
 
-    def _ensure_pool(self, size_hint: int):
-        if self._pool is None:
-            context = multiprocessing.get_context(self._start_method)
-            # set_default_backend as initializer: the backend choice must
-            # reach the workers under "spawn" too, where the parent's
-            # in-process scope stack does not survive the fork-less hop.
-            self._pool = context.Pool(
-                processes=min(self._workers, max(1, size_hint)),
-                initializer=set_default_backend,
-                initargs=(self._backend,),
-            )
-        return self._pool
-
     def execute(self, pending: Sequence[RunTask], finish: _FinishFn) -> None:
         """Run ``pending`` to completion, calling ``finish`` per task."""
         if not pending:
             return
         if self._workers > 1 and (len(pending) > 1 or self._pool is not None):
-            pool = self._ensure_pool(len(pending))
-            if self._dispatch == "adaptive":
-                if self._scheduler is None:
-                    self._scheduler = AdaptiveScheduler(
-                        pool,
-                        self._workers,
-                        telemetry=self._telemetry_on,
-                        profile=self._profile,
-                        task_timeout=self._task_timeout,
-                        max_batch=self._max_batch,
-                    )
-                self._scheduler.run(pending, finish)
-            else:
-                self._execute_static(pool, pending, finish)
+            if self._scheduler is None:
+                context = multiprocessing.get_context(self._start_method)
+                # set_default_backend as initializer: the backend choice
+                # must reach the workers under "spawn" too, where the
+                # parent's in-process scope stack does not survive the
+                # fork-less hop.
+                self._pool = context.Pool(
+                    processes=min(self._workers, len(pending)),
+                    initializer=set_default_backend,
+                    initargs=(self._backend,),
+                )
+                self._scheduler = AdaptiveScheduler(
+                    self._pool,
+                    self._workers,
+                    telemetry=self._telemetry_on,
+                    profile=self._profile,
+                    task_timeout=self._task_timeout,
+                    max_batch=self._max_batch,
+                )
+            self._scheduler.run(pending, finish)
         else:
             self._execute_inline(pending, finish)
-
-    def _execute_static(self, pool, pending, finish: _FinishFn) -> None:
-        # The original engine: one task per IPC message, runs folded the
-        # moment they finish.  No batching, no re-dispatch — kept both
-        # for comparison benchmarks and as the conservative fallback.
-        if self._telemetry_on:
-            # A generator, so each task's submit stamp is taken when the
-            # pool's feeder dispatches it, not when the sweep starts —
-            # queue wait measures pool backlog.
-            timed = (
-                _TimedTask(task, time.monotonic(), self._profile)
-                for task in pending
-            )
-            for key, result, elapsed, tel, prof in pool.imap_unordered(
-                _execute_timed_task, timed, chunksize=1
-            ):
-                finish(key, result, elapsed, tel, prof)
-        else:
-            for key, result, elapsed in pool.imap_unordered(
-                _execute_task, pending, chunksize=1
-            ):
-                finish(key, result, elapsed, None, None)
 
     def _execute_inline(self, pending, finish: _FinishFn) -> None:
         with backend_scope(self._backend):
             for task in pending:
-                # Same entry point as the pool workers, so failures
-                # carry the same grid-coordinate context either way.
-                if self._telemetry_on:
-                    key, result, elapsed, tel, prof = _execute_timed_task(
-                        _TimedTask(task, time.monotonic(), self._profile)
-                    )
-                    finish(key, result, elapsed, tel, prof)
-                else:
-                    key, result, elapsed = _execute_task(task)
-                    finish(key, result, elapsed, None, None)
+                # A one-task batch through the pool workers' own entry
+                # point: failures carry the same grid-coordinate context
+                # and telemetry records the same fields either way.
+                batch = _Batch(
+                    (_BatchItem(task, 1),),
+                    time.monotonic(),
+                    self._telemetry_on,
+                    self._profile,
+                )
+                finish(*_execute_batch(batch)[0])
 
     def scheduler_stats(self) -> Optional[Dict[str, int]]:
         """The adaptive scheduler's dispatch counters (``None`` when the
@@ -320,50 +214,6 @@ class _AutoPlan(NamedTuple):
     block_paths: List[Path]
 
 
-def run_parallel_experiment(
-    spec: ExperimentSpec,
-    *,
-    workers: int = 1,
-    checkpoint: Optional[Union[str, Path, RunStore]] = None,
-    checkpoint_compact: bool = False,
-    start_method: Optional[str] = None,
-    profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    keep_results: bool = False,
-    derive_seeds: bool = False,
-    base_seed: Optional[int] = None,
-    shard=None,
-    sinks: Sequence[ResultSink] = (),
-    backend: str = "auto",
-    telemetry: Optional[TelemetrySink] = None,
-    profile: Optional[str] = None,
-    dispatch: str = "adaptive",
-    task_timeout: Optional[float] = None,
-    max_batch: Optional[int] = None,
-    lease_timeout: Optional[float] = None,
-) -> ExperimentResult:
-    """Parallel drop-in for :func:`repro.analysis.experiments.run_experiment`."""
-    return run_experiments(
-        [spec],
-        workers=workers,
-        checkpoint=checkpoint,
-        checkpoint_compact=checkpoint_compact,
-        start_method=start_method,
-        profiles=profiles,
-        keep_results=keep_results,
-        derive_seeds=derive_seeds,
-        base_seed=base_seed,
-        shard=shard,
-        sinks=sinks,
-        backend=backend,
-        telemetry=telemetry,
-        profile=profile,
-        dispatch=dispatch,
-        task_timeout=task_timeout,
-        max_batch=max_batch,
-        lease_timeout=lease_timeout,
-    )[0]
-
-
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
@@ -372,7 +222,6 @@ def run_experiments(
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    keep_results: bool = False,
     derive_seeds: bool = False,
     base_seed: Optional[int] = None,
     shard=None,
@@ -380,7 +229,6 @@ def run_experiments(
     backend: str = "auto",
     telemetry: Optional[TelemetrySink] = None,
     profile: Optional[str] = None,
-    dispatch: str = "adaptive",
     task_timeout: Optional[float] = None,
     max_batch: Optional[int] = None,
     lease_timeout: Optional[float] = None,
@@ -396,14 +244,13 @@ def run_experiments(
     stores checkpoint records without per-node diagnostic payloads so
     resume files of very large grids stay small.
 
-    ``dispatch`` selects the pool strategy: ``"adaptive"`` (the default —
-    cost-adaptive batching with fault-tolerant re-dispatch, see
-    :class:`~repro.parallel.scheduler.AdaptiveScheduler`) or ``"static"``
-    (the original ``imap_unordered(chunksize=1)``).  ``task_timeout``
-    (adaptive only) bounds one task's lease: an expired lease — straggler
-    or dead worker — is re-dispatched; worker *death* is detected and
-    recovered even without a timeout.  ``max_batch`` caps the adaptive
-    batch size.  Results are bit-identical across all of these knobs.
+    With more than one worker, tasks are dispatched by
+    :class:`~repro.parallel.scheduler.AdaptiveScheduler` (cost-adaptive
+    batching with fault-tolerant re-dispatch).  ``task_timeout`` bounds
+    one task's lease: an expired lease — straggler or dead worker — is
+    re-dispatched; worker *death* is detected and recovered even without
+    a timeout.  ``max_batch`` caps the batch size (``1`` ships one task
+    per message).  Results are bit-identical across all of these knobs.
 
     ``checkpoint`` is a path — an append-only
     :class:`~repro.parallel.store.JsonlCheckpointStore` that also reads
@@ -436,12 +283,12 @@ def run_experiments(
     the same manifest ``merge`` already understands.  The returned
     results contain only the cells whose blocks *this* job executed.
 
-    ``keep_results`` composes a
-    :class:`~repro.analysis.streaming.CollectingSink` that retains every
-    run on its cell (the one opt-in path whose memory grows with the
-    grid); ``sinks`` are additional caller-supplied
+    ``sinks`` are caller-supplied
     :class:`~repro.analysis.streaming.ResultSink` objects fed each run —
-    fresh or restored from a checkpoint — as it completes.
+    fresh or restored from a checkpoint — as it completes.  Nothing
+    retains the runs themselves; to keep them, pass a
+    :class:`~repro.analysis.streaming.CollectingSink` and read
+    ``results_for(spec_name, topology_index)`` afterwards.
 
     ``backend`` selects the simulator core (``"auto"``, ``"round"`` or
     ``"event"`` — see :class:`repro.core.simulator.SynchronousSimulator`)
@@ -464,27 +311,16 @@ def run_experiments(
     under an in-worker profiler and reports pool-wide hotspots through
     the telemetry summary.
     """
-    if keep_results:
-        warn_keep_results()
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown simulator backend {backend!r}: expected one of {BACKENDS}"
         )
-    if dispatch not in DISPATCH_MODES:
-        raise ConfigurationError(
-            f"unknown dispatch mode {dispatch!r}: expected one of {DISPATCH_MODES}"
-        )
     checkpoint_is_path = isinstance(checkpoint, (str, os.PathLike))
     if checkpoint_compact and checkpoint is not None and not checkpoint_is_path:
         raise ConfigurationError(
             "checkpoint_compact= requires a checkpoint path"
-        )
-    if task_timeout is not None and dispatch != "adaptive":
-        raise ConfigurationError(
-            "task_timeout= requires dispatch='adaptive': the static engine "
-            "cannot re-dispatch a timed-out task"
         )
     _validate_timeout("task_timeout", task_timeout)
     _validate_timeout("lease_timeout", lease_timeout)
@@ -581,11 +417,7 @@ def run_experiments(
             store = checkpoint
 
     aggregates = CellAggregatingSink()
-    collector = CollectingSink() if keep_results else None
-    all_sinks: List[ResultSink] = [aggregates]
-    if collector is not None:
-        all_sinks.append(collector)
-    all_sinks.extend(sinks)
+    all_sinks: List[ResultSink] = [aggregates, *sinks]
     if telemetry is not None:
         # Last in the fan-out so its (no-op) emit never delays real sinks;
         # close/abort lifecycle is shared with every other sink.
@@ -622,12 +454,10 @@ def run_experiments(
             sharded=shard is not None,
             profiles=profiles,
             aggregates=aggregates,
-            collector=collector,
             backend=backend,
             telemetry=telemetry,
             profile=profile,
             profile_aggregate=profile_aggregate,
-            dispatch=dispatch,
             task_timeout=task_timeout,
             max_batch=max_batch,
             all_sinks=all_sinks,
@@ -692,12 +522,10 @@ def _execute_and_assemble(
     sharded,
     profiles,
     aggregates,
-    collector,
     backend,
     telemetry,
     profile,
     profile_aggregate,
-    dispatch,
     task_timeout,
     max_batch,
     all_sinks,
@@ -709,7 +537,7 @@ def _execute_and_assemble(
     those carry no per-task telemetry (nothing was measured), so the
     telemetry summary reports them separately — and ``scheduler_stats``
     is the adaptive scheduler's counter dict (``None`` when every task
-    ran inline or through static dispatch).
+    ran inline).
     """
 
     def restore(from_store, tasks) -> set:
@@ -756,7 +584,6 @@ def _execute_and_assemble(
         workers=workers,
         start_method=start_method,
         backend=backend,
-        dispatch=dispatch,
         telemetry_on=telemetry is not None,
         profile=profile,
         task_timeout=task_timeout,
@@ -826,11 +653,6 @@ def _execute_and_assemble(
                     topology,
                     aggregate,
                     profile=resolve_profile(topology, profiles, spec.collect_profile),
-                    results=(
-                        collector.results_for(spec.name, topology_index)
-                        if collector is not None
-                        else None
-                    ),
                     protocol=spec.protocol_token(),
                 )
             )

@@ -1,10 +1,9 @@
 """Adaptive pool dispatch and work-stealing shard leases.
 
-The static engine dispatched every task through
-``pool.imap_unordered(chunksize=1)``: perfect load balance, but one IPC
-round-trip per task — ruinous when a grid holds thousands of sub-millisecond
-runs — and no recovery when a worker dies mid-task.  This module replaces
-that path with two cooperating mechanisms:
+Shipping every task to the pool as its own message gives perfect load
+balance, but one IPC round-trip per task — ruinous when a grid holds
+thousands of sub-millisecond runs — and no recovery when a worker dies
+mid-task.  This module provides two cooperating mechanisms instead:
 
 **Adaptive dispatch** (:class:`AdaptiveScheduler`).  Tasks are leased to
 the pool in a bounded in-flight window of ``apply_async`` batches.  Batch
@@ -159,14 +158,21 @@ class _Batch(NamedTuple):
 TaskCompletion = Tuple[
     str, LeaderElectionResult, float, Optional[TaskTelemetry], Optional[dict]
 ]
+#: The parent's completion callback, called with one unpacked
+#: :data:`TaskCompletion` per task.
+_FinishFn = Callable[
+    [str, LeaderElectionResult, float, Optional[TaskTelemetry], Optional[dict]],
+    None,
+]
 
 
 def _execute_batch(batch: _Batch) -> List[TaskCompletion]:
     """Pool worker entry point: run a leased batch task by task.
 
-    Results are produced by the same :func:`_execute_task` the static
-    path uses, so batching can never change a measurement — only when
-    and where it happens.
+    The one per-task worker body: the engine's in-process path runs each
+    task as a one-item batch through here too, so batching and placement
+    can never change a measurement — only when and where it happens —
+    and per-task telemetry is built in this function alone.
     """
     completions: List[TaskCompletion] = []
     size = len(batch.items)
@@ -266,8 +272,8 @@ class AdaptiveScheduler:
         pool's processes, so a killed worker's tasks recover either way.
     ``max_batch`` / ``target_batch_seconds``
         the batching dials: hard size cap, and how much estimated work
-        one batch should carry.  ``max_batch=1`` degenerates to the
-        static engine's one-task-per-message dispatch.
+        one batch should carry.  ``max_batch=1`` ships one task per
+        message.
     ``max_attempts``
         dispatch attempts per task before the sweep fails.
     """
@@ -452,14 +458,7 @@ class AdaptiveScheduler:
     # ------------------------------------------------------------------ #
     # the dispatch loop
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        tasks: Sequence[RunTask],
-        finish: Callable[
-            [str, LeaderElectionResult, float, Optional[TaskTelemetry], Optional[dict]],
-            None,
-        ],
-    ) -> None:
+    def run(self, tasks: Sequence[RunTask], finish: _FinishFn) -> None:
         """Execute ``tasks`` on the pool, calling ``finish`` once per task.
 
         ``finish`` receives exactly one completion per task key (the

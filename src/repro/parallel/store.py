@@ -363,6 +363,23 @@ class JsonlCheckpointStore:
         self._dirty = False
         self._last_flush = time.monotonic()
 
+    def write_fresh(self, records: Dict[str, Dict[str, object]]) -> None:
+        """Make ``records`` the store's whole contents, written as a fresh file.
+
+        Whatever ``path`` held is replaced unread, in one atomic whole-file
+        write sorted by key (compacted first when the store compacts) —
+        the byte-deterministic output a shard merge needs.
+        """
+        self._runs = {
+            key: compact_record(record) if self.compact_records else record
+            for key, record in records.items()
+        }
+        self._loaded = True
+        with span("checkpoint.flush"):
+            self._rewrite(self.path)
+        self._dirty = False
+        self._last_flush = time.monotonic()
+
     def _partial_path(self) -> Path:
         return self.path.with_name(f"{self.path.name}.{self._writer}.partial")
 

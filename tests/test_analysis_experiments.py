@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ConfigurationError
 from repro.analysis import (
+    CollectingSink,
     ExperimentSpec,
     render_comparison_table,
     render_kv,
@@ -108,16 +109,24 @@ class TestRunExperiment:
         series = result.series(x_field="n", y_field="mean_messages")
         assert [x for x, _ in series] == [8, 16]
 
-    def test_keep_results_stores_individual_runs(self):
+    def test_collecting_sink_stores_individual_runs(self):
+        # A registry protocol, not the local runner: the pooled leg ships
+        # the spec to worker processes under any start method.
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
         )
-        result = run_experiment(spec, keep_results=True)
-        assert len(result.cells[0].results) == 2
+        serial, pooled = CollectingSink(), CollectingSink()
+        run_experiment(spec, sinks=[serial])
+        run_experiment(spec, workers=2, sinks=[pooled])
+        runs = serial.results_for("flooding", 0)
+        assert len(runs) == 2
+        assert [run.as_dict() for run in runs] == [
+            run.as_dict() for run in pooled.results_for("flooding", 0)
+        ]
 
     def test_overall_success_rate_and_rows(self):
         spec = ExperimentSpec(

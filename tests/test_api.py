@@ -1,8 +1,8 @@
 """Tests for the ``repro.api`` facade, deprecations, and CLI exit codes.
 
 Covers the redesigned entry points (``run`` / ``sweep`` / ``query`` /
-``plan_sweep`` / ``SweepConfig``), the deprecation of the two legacy
-spellings (``ExperimentSpec(runner=...)`` and ``keep_results=True``),
+``plan_sweep`` / ``SweepConfig``), the deprecation of the legacy
+``ExperimentSpec(runner=...)`` spelling,
 and the 0/1/2 exit-code contract shared by ``merge`` / ``stats`` /
 ``archive stats`` (0 clean, 1 findings/partial, 2 usage or error).
 """
@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 from repro import api
-from repro.analysis.experiments import ExperimentSpec, run_experiment
+from repro.analysis.experiments import ExperimentSpec
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, path
@@ -46,14 +46,10 @@ def strip_wall_clock(results):
 class TestSweepConfig:
     def test_runner_kwargs_cover_run_experiments_signature(self):
         # drift guard: every run_experiments knob except the per-call ones
-        # (specs, sinks) and the deprecated keep_results flows through the
-        # config object — a new runner kwarg must be added here too
+        # (specs, sinks) flows through the config object — a new runner
+        # kwarg must be added here too
         signature = inspect.signature(run_experiments)
-        runner_knobs = set(signature.parameters) - {
-            "specs",
-            "sinks",
-            "keep_results",
-        }
+        runner_knobs = set(signature.parameters) - {"specs", "sinks"}
         assert set(api.SweepConfig().runner_kwargs()) == runner_knobs
 
     def test_defaults_are_valid_and_frozen(self):
@@ -193,20 +189,6 @@ class TestDeprecations:
             ExperimentSpec(
                 name="legacy", runner=trivial_runner, topologies=(cycle(5),)
             )
-
-    def test_keep_results_warns_in_run_experiment(self):
-        spec = sweep_specs(
-            ["flooding"], [cycle(5)], seeds=(0,), collect_profile=False
-        )[0]
-        with pytest.warns(DeprecationWarning, match="keep_results"):
-            run_experiment(spec, keep_results=True)
-
-    def test_keep_results_warns_in_run_experiments(self):
-        specs = sweep_specs(
-            ["flooding"], [cycle(5)], seeds=(0,), collect_profile=False
-        )
-        with pytest.warns(DeprecationWarning, match="CollectingSink"):
-            run_experiments(specs, keep_results=True)
 
     def test_builtin_sweep_specs_stay_quiet(self):
         with warnings.catch_warnings():

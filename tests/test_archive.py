@@ -342,7 +342,7 @@ class TestQueryEquivalence:
 
     def test_reserved_runner_kwargs_rejected(self, tmp_path):
         specs = small_specs()
-        for reserved in ("checkpoint", "shard", "keep_results"):
+        for reserved in ("checkpoint", "shard"):
             with pytest.raises(ConfigurationError, match="does not accept"):
                 query_experiments(
                     specs,

@@ -275,6 +275,25 @@ class TestCompaction:
         keys = [json.loads(line)["key"] for line in path.read_text().splitlines()[1:]]
         assert keys == sorted(keys)
 
+    def test_write_fresh_replaces_the_file_unread(self, tmp_path):
+        path = tmp_path / "ck.json"
+        records = _records(3)
+        stale = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
+        stale.add("stale", records["key-0"])
+        stale.flush()
+        JsonlCheckpointStore(path, compact=True).write_fresh(
+            {key: records[key] for key in ("key-2", "key-0", "key-1")}
+        )
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines[1:]] == [
+            "key-0",
+            "key-1",
+            "key-2",
+        ]
+        runs = JsonlCheckpointStore(path).load()
+        assert all("node_results" not in record for record in runs.values())
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_flush_interval_validation(self, tmp_path):
         for bad in (-1.0, float("nan")):
             with pytest.raises(ConfigurationError, match="flush_interval_seconds"):

@@ -22,6 +22,11 @@ class TestParseTopology:
         b = parse_topology("random_regular:16:4", seed=3)
         assert sorted(a.edges()) == sorted(b.edges())
 
+    def test_random_family_without_seed_is_reproducible(self):
+        a = parse_topology("random_regular:16:4")
+        b = parse_topology("random_regular:16:4")
+        assert a.fingerprint() == b.fingerprint()
+
     def test_unknown_family(self):
         with pytest.raises(ReproError):
             parse_topology("moebius:12")

@@ -315,6 +315,33 @@ class TestTelemetryDoesNotPerturbResults:
         assert _comparable(resumed.cells) == _comparable(baseline.cells)
 
 
+class TestSingletonTaskRecords:
+    """In-process runs and ``max_batch=1`` pools both ship one task per
+    batch; their records come from the same worker body."""
+
+    @pytest.mark.parametrize("workers, max_batch", [(1, None), (2, 1)])
+    def test_records_carry_singleton_batch_and_first_attempt(
+        self, workers, max_batch, tmp_path
+    ):
+        path = tmp_path / "tel.jsonl"
+        run_experiments(
+            [_spec()],
+            workers=workers,
+            max_batch=max_batch,
+            telemetry=TelemetrySink(path),
+        )
+        records = read_telemetry(path)
+        tasks = [r for r in records if r["kind"] == "task"]
+        assert len(tasks) == 3 * len(SEEDS)
+        assert {(r["batch_size"], r["attempt"]) for r in tasks} == {(1, 1)}
+        scheduler = records[-1].get("scheduler")
+        if workers == 1:
+            assert scheduler is None  # no pool, no scheduler
+        else:
+            assert scheduler["max_batch_size"] == 1
+            assert scheduler["batches"] == scheduler["dispatched_tasks"]
+
+
 class TestProfiling:
     def test_validate_profiler(self):
         assert validate_profiler("cprofile") == "cprofile"

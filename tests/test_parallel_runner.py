@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.analysis import ExperimentSpec, run_experiment
+from repro.analysis import CollectingSink, ExperimentSpec, run_experiment
 from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, random_regular, star
@@ -35,7 +35,6 @@ from repro.parallel import (
     result_from_record,
     result_to_record,
     run_experiments,
-    run_parallel_experiment,
     shard_round_robin,
     task_key,
     topology_fingerprint,
@@ -113,13 +112,17 @@ class TestSerialParallelEquivalence:
             assert a.profile == b.profile
             assert a.profile is not None
 
-    def test_keep_results_returns_individual_runs(self):
+    def test_collecting_sink_returns_individual_runs(self):
         spec = _spec()
-        parallel = run_experiment(spec, workers=2, keep_results=True)
-        assert all(len(cell.results) == len(SEEDS) for cell in parallel.cells)
-        serial = run_experiment(spec, keep_results=True)
-        for a, b in zip(serial.cells, parallel.cells):
-            assert [r.as_dict() for r in a.results] == [r.as_dict() for r in b.results]
+        serial, parallel = CollectingSink(), CollectingSink()
+        run_experiment(spec, sinks=[serial])
+        run_experiment(spec, workers=2, sinks=[parallel])
+        for index in range(len(spec.topologies)):
+            runs = parallel.results_for(spec.name, index)
+            assert len(runs) == len(SEEDS)
+            assert [r.as_dict() for r in runs] == [
+                r.as_dict() for r in serial.results_for(spec.name, index)
+            ]
 
     def test_multi_spec_pool_matches_independent_runs(self):
         specs = [
@@ -144,7 +147,7 @@ class TestSerialParallelEquivalence:
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_parallel_experiment(_spec(), workers=0)
+            run_experiments([_spec()], workers=0)
 
 
 class TestSeedDerivation:
@@ -464,7 +467,7 @@ class TestWorkerErrorContext:
         # The in-process (workers=1) and pool backends funnel through the
         # same task entry point, so both report grid coordinates.
         with pytest.raises(TaskExecutionError) as excinfo:
-            run_parallel_experiment(self._failing_spec(), workers=workers)
+            run_experiments([self._failing_spec()], workers=workers)
         message = str(excinfo.value)
         assert "'fragile'" in message
         assert "star" in message

@@ -124,6 +124,29 @@ class TestQueryRunsAgainstTheArchive:
             kept = sorted(parse_task_key(key).seed for key in archive.keys())
         assert kept == [0, 1]
 
+    def test_report_counts_runs_the_engine_replayed(self, tmp_path, monkeypatch):
+        """A run another writer archives just before the engine's fetch is
+        replayed, so the report must count it as archived, not simulated."""
+        reference = tmp_path / "reference.sqlite"
+        query_experiments(small_specs(), archive=reference)
+        with ResultArchive(reference) as source:
+            landed = source.fetch(source.keys()[:1])
+        db = tmp_path / "archive.sqlite"
+        original_fetch = ResultArchive.fetch
+
+        def fetch_after_concurrent_write(self, keys):
+            with ResultArchive(db) as writer:
+                writer.add_records(landed)
+            return original_fetch(self, keys)
+
+        monkeypatch.setattr(ResultArchive, "fetch", fetch_after_concurrent_write)
+        report = query_experiments(small_specs(), archive=db).report
+        assert report.requested_runs == 4
+        assert report.archived_runs == 1
+        assert report.simulated_runs == 3
+        assert report.simulated_cells == 2
+        assert report.archive_added == 3
+
     def test_derived_seeds_are_archived_and_replayed(self, tmp_path):
         db = tmp_path / "archive.sqlite"
         first = query_experiments(

@@ -3,10 +3,10 @@
 The acceptance pin of the elastic sweep engine: the adaptive scheduler
 (cost-aware batching, timeout/death re-dispatch) and the ``--shard auto``
 work-stealing path must produce results bit-identical to the serial
-driver and the static engine for any worker count, start method, batch
-size and kill/timeout schedule.  Wall-clock readings are the one
-legitimate difference, so cell comparisons drop
-``mean_wall_clock_seconds`` — everything else must match exactly.
+driver for any worker count, start method, batch size and kill/timeout
+schedule.  Wall-clock readings are the one legitimate difference, so
+cell comparisons drop ``mean_wall_clock_seconds`` — everything else
+must match exactly.
 
 Fault injection is deterministic here: stub pools that drop dispatches
 on the floor (timeout re-dispatch without real stragglers) and a runner
@@ -131,7 +131,7 @@ class _DroppyPool(_InlinePool):
 
 
 # --------------------------------------------------------------------------- #
-# adaptive dispatch == serial == static
+# adaptive dispatch == serial
 # --------------------------------------------------------------------------- #
 
 
@@ -139,23 +139,21 @@ class TestAdaptiveEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_adaptive_matches_serial_and_static(self, workers):
         serial = run_experiment(_spec())
-        adaptive = run_experiment(_spec(), workers=workers, dispatch="adaptive")
-        static = run_experiment(_spec(), workers=workers, dispatch="static")
+        adaptive = run_experiment(_spec(), workers=workers)
         assert _comparable(adaptive.cells) == _comparable(serial.cells)
-        assert _comparable(static.cells) == _comparable(serial.cells)
 
     @pytest.mark.parametrize("max_batch", [1, 2, 7, 32])
     def test_any_batch_size_is_identical(self, max_batch):
         serial = run_experiment(_spec())
         batched = run_experiments(
-            [_spec()], workers=2, dispatch="adaptive", max_batch=max_batch
+            [_spec()], workers=2, max_batch=max_batch
         )[0]
         assert _comparable(batched.cells) == _comparable(serial.cells)
 
     def test_spawn_start_method_matches_serial(self):
         serial = run_experiment(_spec())
         spawned = run_experiment(
-            _spec(), workers=2, dispatch="adaptive", start_method="spawn"
+            _spec(), workers=2, start_method="spawn"
         )
         assert _comparable(spawned.cells) == _comparable(serial.cells)
 
@@ -164,7 +162,6 @@ class TestAdaptiveEquivalence:
             run_experiments(
                 [_spec(runner=_failing_runner, seeds=(0,))],
                 workers=2,
-                dispatch="adaptive",
             )
 
 
@@ -303,23 +300,16 @@ class TestWorkerDeathRecovery:
         survived = run_experiment(
             _spec(runner=_kill_worker_once),
             workers=2,
-            dispatch="adaptive",
             start_method="fork",
         )
         assert (tmp_path / "killed.marker").exists(), "kill never fired"
         assert _comparable(survived.cells) == _comparable(serial.cells)
 
-    def test_timeout_requires_adaptive_dispatch(self):
-        with pytest.raises(ConfigurationError, match="adaptive"):
-            run_experiments(
-                [_spec()], workers=2, dispatch="static", task_timeout=1.0
-            )
-
     def test_bad_timeout_rejected_up_front(self):
         for bad in (0.0, -5.0, float("nan")):
             with pytest.raises(ConfigurationError, match="task_timeout"):
                 run_experiments(
-                    [_spec()], workers=2, dispatch="adaptive", task_timeout=bad
+                    [_spec()], workers=2, task_timeout=bad
                 )
 
     def test_bad_lease_timeout_rejected_up_front(self):
@@ -328,10 +318,6 @@ class TestWorkerDeathRecovery:
         for bad in (0.0, -5.0, float("nan")):
             with pytest.raises(ConfigurationError, match="lease_timeout"):
                 run_experiments([_spec()], workers=2, lease_timeout=bad)
-
-    def test_unknown_dispatch_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="dispatch"):
-            run_experiments([_spec()], workers=2, dispatch="bogus")
 
 
 # --------------------------------------------------------------------------- #
@@ -345,7 +331,6 @@ class TestDispatchTelemetry:
         run_experiments(
             [_spec()],
             workers=2,
-            dispatch="adaptive",
             telemetry=TelemetrySink(telemetry_path),
         )
         records = read_telemetry(telemetry_path)
@@ -363,7 +348,6 @@ class TestDispatchTelemetry:
         run_experiments(
             [_spec()],
             workers=2,
-            dispatch="adaptive",
             telemetry=TelemetrySink(telemetry_path),
         )
         summary = summarize_telemetry(read_telemetry(telemetry_path))
