@@ -13,7 +13,9 @@ workload timed under both simulator cores (``backend="round"`` vs
 the event core exists for — most nodes idle through most of the long walk
 and convergecast phases — so this is where its speedup is measured and
 its bit-for-bit equivalence to the round core is re-asserted at bench
-scale.  ``REPRO_BENCH_SMOKE=1`` switches the comparison to a seconds-long
+scale, both fault-free and under message loss (an adversary whose round
+hooks are quiet, so the event core still fast-forwards).
+``REPRO_BENCH_SMOKE=1`` switches the comparison to a seconds-long
 configuration with no speedup threshold (CI wiring check); smoke results
 are recorded under a separate experiment id.
 """
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro.analysis import ratio_spread, theory_ratio_series
-from repro.core import backend_scope
+from repro.core import backend_scope, fault_scope
+from repro.dynamics import AdversarySpec, make_adversary
 from repro.election import IrrevocableConfig, run_irrevocable_election
 from repro.workloads import scaling_family
 
@@ -42,6 +46,9 @@ SEED = 1
 BACKEND_EXPERIMENT_ID = "bench-backend-speedup" + ("-smoke" if SMOKE else "")
 BACKEND_CYCLE_SIZES = (8, 16) if SMOKE else CYCLE_SIZES
 BACKEND_EXPANDER_SIZES = (32,) if SMOKE else (32, 64)
+#: The adversarial leg: message loss only, so the event core may still
+#: fast-forward over rounds in which no node is due.
+BACKEND_LOSS = AdversarySpec.create("loss", p=0.05)
 
 
 def _run_family(family: str, sizes):
@@ -130,12 +137,21 @@ def _backend_workload():
     return workload
 
 
-def _timed_backend(backend, workload):
-    """Run the workload under one core; return (fingerprints, seconds)."""
+def _timed_backend(backend, workload, adversary=None):
+    """Run the workload under one core; return (fingerprints, seconds).
+
+    ``adversary`` (an :class:`AdversarySpec`) perturbs every election,
+    seeded with the election seed.
+    """
+    faults = (
+        fault_scope(lambda: make_adversary(adversary, SEED))
+        if adversary is not None
+        else nullcontext()
+    )
     # repro: disable=REP102 — backend speedup is a wall-clock measurement
     started = time.perf_counter()
     fingerprints = []
-    with backend_scope(backend):
+    with backend_scope(backend), faults:
         for family, topology, config in workload:
             result = run_irrevocable_election(topology, seed=SEED, config=config)
             fingerprints.append((family, topology.num_nodes, result.as_dict()))
@@ -149,15 +165,23 @@ def test_event_backend_speedup(benchmark):
     workload = _backend_workload()
 
     def _compare():
-        round_fps, round_seconds = _timed_backend("round", workload)
-        event_fps, event_seconds = _timed_backend("event", workload)
-        return round_fps, round_seconds, event_fps, event_seconds
+        return [
+            (
+                _timed_backend("round", workload, adversary),
+                _timed_backend("event", workload, adversary),
+            )
+            for adversary in (None, BACKEND_LOSS)
+        ]
 
-    round_fps, round_seconds, event_fps, event_seconds = benchmark.pedantic(
-        _compare, rounds=1, iterations=1
-    )
+    plain, loss = benchmark.pedantic(_compare, rounds=1, iterations=1)
+    (round_fps, round_seconds), (event_fps, event_seconds) = plain
+    (round_loss_fps, round_seconds_loss), (event_loss_fps, event_seconds_loss) = loss
 
-    speedup = round_seconds / event_seconds if event_seconds > 0 else float("inf")
+    def _speedup(round_s, event_s):
+        return round_s / event_s if event_s > 0 else float("inf")
+
+    speedup = _speedup(round_seconds, event_seconds)
+    speedup_loss = _speedup(round_seconds_loss, event_seconds_loss)
     rows = [
         {"family": family, "n": n, "rounds": record["rounds"]}
         for family, n, record in event_fps
@@ -167,6 +191,8 @@ def test_event_backend_speedup(benchmark):
         rows_table(rows, "Workload of the round-vs-event core comparison"),
         f"round core: {round_seconds:.3f}s  event core: {event_seconds:.3f}s  "
         f"speedup: {speedup:.2f}x",
+        f"under {BACKEND_LOSS.token()}: round core: {round_seconds_loss:.3f}s  "
+        f"event core: {event_seconds_loss:.3f}s  speedup: {speedup_loss:.2f}x",
     )
     record_bench_json(
         BACKEND_EXPERIMENT_ID,
@@ -177,14 +203,20 @@ def test_event_backend_speedup(benchmark):
             "round_seconds": round_seconds,
             "event_seconds": event_seconds,
             "speedup_event_vs_round": speedup,
+            "loss_adversary": BACKEND_LOSS.token(),
+            "round_seconds_loss": round_seconds_loss,
+            "event_seconds_loss": event_seconds_loss,
+            "speedup_event_vs_round_loss": speedup_loss,
             "smoke": SMOKE,
         },
     )
 
     # --- shape checks ----------------------------------------------------- #
     # Equivalence is non-negotiable in either mode: the event core must
-    # reproduce every election outcome and metric bit for bit.
+    # reproduce every election outcome and metric bit for bit, with and
+    # without message loss.
     assert event_fps == round_fps
+    assert event_loss_fps == round_loss_fps
 
     if not SMOKE:
         # On the quiescence-heavy workload the event core must actually

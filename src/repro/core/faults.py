@@ -29,6 +29,15 @@ randomness from a seed-derived private RNG perturbs a run identically in
 every process — which is what keeps adversarial sweeps bit-identical
 between the serial and parallel experiment backends.
 
+The event core calls the round hooks (``begin_round``, ``node_active``,
+``node_crashed``) only in rounds it executes.  It may skip a round in which
+no node is due and no message is in flight only while the adversary's
+:meth:`~FaultAdversary.quiescent_until` horizon lies beyond that round: the
+adversary thereby promises that its round hooks would draw no randomness,
+record no metric or trace event and change no state there.  The default
+horizon is the round itself, so an adversary that does not opt in sees
+every round, exactly as under the round core.
+
 The *ambient fault scope* lets experiment drivers attach an adversary to
 protocol entry points that build their own simulators internally
 (``run_flooding_election`` and friends): inside ``fault_scope(factory)``
@@ -50,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "DELIVER",
     "DROP",
+    "QUIET_FOREVER",
     "FaultAdversary",
     "fault_scope",
     "active_fault_factory",
@@ -58,6 +68,10 @@ __all__ = [
 #: Verdicts of :meth:`FaultAdversary.on_message`.
 DELIVER = 0
 DROP = -1
+
+#: A :meth:`FaultAdversary.quiescent_until` horizon no run reaches: the
+#: round hooks never act.
+QUIET_FOREVER = 1 << 62
 
 
 class FaultAdversary:
@@ -126,6 +140,26 @@ class FaultAdversary:
     ) -> int:
         """Rule on one delivery attempt: :data:`DELIVER`, :data:`DROP`, or a delay."""
         return DELIVER
+
+    def quiescent_until(self, round_index: int) -> int:
+        """First round at or after ``round_index`` whose round hooks may act.
+
+        The counterpart of :meth:`~repro.core.node.ProtocolNode.quiescent_until`.
+        Returning ``r > round_index`` asserts that for every round in
+        ``[round_index, r)`` the hooks :meth:`begin_round`,
+        :meth:`node_active` and :meth:`node_crashed` would draw no
+        randomness, record no metric or trace event, change no state, and
+        that :meth:`node_active` would return ``True`` and
+        :meth:`node_crashed` ``False``.  The event core may then skip such
+        rounds when no node is due and no delayed message is in flight.
+        :meth:`on_message` is not covered: a skipped round sends nothing.
+
+        The default returns ``round_index`` (never quiescent), so an
+        adversary that does not opt in keeps the event core stepping every
+        round, like the round core.  Models that act only in
+        :meth:`on_message` return :data:`QUIET_FOREVER`.
+        """
+        return round_index
 
     # ------------------------------------------------------------------ #
     # reporting

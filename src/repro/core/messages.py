@@ -112,7 +112,11 @@ class Message:
         """
         total = self.TYPE_TAG_BITS
         for name in _field_names(type(self)):
-            total += bits_for_value(getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is int and value > 0:
+                total += value.bit_length()  # what bits_for_value charges
+            else:
+                total += bits_for_value(value)
         return total
 
     def congest_units(self) -> int:

@@ -29,9 +29,11 @@ in a round:
   heap whose stale entries are dropped lazily, delivery records the set
   of receivers, and a counter tracks the live nodes, so a round costs
   O(due nodes) rather than O(n).
-  Rounds in which **no** node is due, no adversary is attached, no
+  Rounds in which **no** node is due, the adversary (if any) is quiet
+  (:meth:`~repro.core.faults.FaultAdversary.quiescent_until`), no
   ``stop_when`` is set and no delayed message is in flight are
-  fast-forwarded to the earliest wakeup in O(1).
+  fast-forwarded to the earliest wakeup or the end of the adversary's
+  quiet stretch, whichever comes first, in O(1).
 
 Due nodes are stepped in ascending index order under both cores, so inbox
 insertion order and every adversary RNG draw follow the same sequence.
@@ -46,6 +48,7 @@ the event core.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from contextlib import contextmanager
@@ -54,7 +57,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..graphs.topology import Topology
 from .errors import CongestViolationError, SimulationError
-from .faults import DELIVER, FaultAdversary, active_fault_factory
+from .faults import DELIVER, QUIET_FOREVER, FaultAdversary, active_fault_factory
 from .messages import Message, congest_budget_bits
 from .metrics import Metrics, MetricsCollector
 from .node import Outbox, ProtocolNode
@@ -153,6 +156,12 @@ class SimulationResult:
         if not self.node_results:
             self.node_results = [node.result() for node in self.nodes]
         return self.node_results
+
+
+@functools.lru_cache(maxsize=None)
+def _counts_one_unit(cls: type) -> bool:
+    """Whether ``cls`` keeps the base :meth:`Message.congest_units` (always 1)."""
+    return getattr(cls, "congest_units", None) is Message.congest_units
 
 
 def build_nodes(
@@ -337,6 +346,7 @@ class SynchronousSimulator:
         inboxes = self._inboxes
         endpoints = self._endpoints
         congest_budget = self._congest_bits
+        message_cost = self._message_cost
         enforce = self.enforce_congest
         total_count = 0
         total_bits = 0
@@ -348,10 +358,8 @@ class SynchronousSimulator:
                 continue
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
-                bits = self._message_bits(message)
-                units = getattr(message, "congest_units", None)
-                count = int(units()) if callable(units) else 1
-                total_count += max(1, count)
+                bits, units = message_cost(message)
+                total_count += units
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
@@ -397,6 +405,7 @@ class SynchronousSimulator:
         adversary = self._adversary
         endpoints = self._endpoints
         congest_budget = self._congest_bits
+        message_cost = self._message_cost
         enforce = self.enforce_congest
         trace = self.trace
         total_count = 0
@@ -412,10 +421,8 @@ class SynchronousSimulator:
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
                 neighbor, neighbor_port = node_endpoints[port - 1]
-                bits = self._message_bits(message)
-                units = getattr(message, "congest_units", None)
-                count = int(units()) if callable(units) else 1
-                total_count += max(1, count)
+                bits, units = message_cost(message)
+                total_count += units
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
@@ -546,9 +553,13 @@ class SynchronousSimulator:
         Once the heap holds more than ``4n`` entries it is rebuilt from the
         live ones, so its size is bounded by the node count rather than the
         run length.  When no node is due and
-        nothing else can make a round observable (no adversary,
-        ``stop_when`` or delayed message), the loop fast-forwards to the
-        earliest wakeup in O(1), recording the skipped rounds in one batch.
+        nothing else can make a round observable (no ``stop_when``, no
+        delayed message, and no adversary or one whose
+        :meth:`~repro.core.faults.FaultAdversary.quiescent_until` horizon
+        lies beyond the round), the loop fast-forwards to the earliest
+        wakeup or that horizon, whichever is first, in O(1), recording
+        the skipped rounds in one batch.  The adversary is asked only in
+        such idle rounds, so busy rounds pay nothing for it.
         A live-node counter ends the run once every node has halted.
         """
         nodes = self.nodes
@@ -580,21 +591,23 @@ class SynchronousSimulator:
                     if wake[index] == at:
                         wake[index] = -1
                         due_set.add(index)
-                if (
-                    not due_set
-                    and adversary is None
-                    and stop_when is None
-                    and not self._delayed
-                ):
-                    while heap and wake[heap[0][1]] != heap[0][0]:
-                        heapq.heappop(heap)
-                    if not heap:  # pragma: no cover - live nodes keep an entry
-                        break
-                    jump = min(heap[0][0] - round_index, max_rounds - executed)
-                    self.metrics.record_round(jump)
-                    self._round += jump
-                    executed += jump
-                    continue
+                if not due_set and stop_when is None and not self._delayed:
+                    quiet = (
+                        QUIET_FOREVER
+                        if adversary is None
+                        else adversary.quiescent_until(round_index)
+                    )
+                    if quiet > round_index:
+                        while heap and wake[heap[0][1]] != heap[0][0]:
+                            heapq.heappop(heap)
+                        if not heap:  # pragma: no cover - live nodes keep an entry
+                            break
+                        end = round_index + max_rounds - executed
+                        jump = min(heap[0][0], quiet, end) - round_index
+                        self.metrics.record_round(jump)
+                        self._round += jump
+                        executed += jump
+                        continue
                 due = sorted(due_set)
             else:
                 due = range(len(nodes))
@@ -662,14 +675,25 @@ class SynchronousSimulator:
                     f"ports 1..{node.num_ports}"
                 )
 
-    def _message_bits(self, message: Message) -> int:
+    def _message_cost(self, message: Message) -> Tuple[int, int]:
+        """``(bits, CONGEST units)`` charged for one sent message.
+
+        Units are at least 1.  A message whose class keeps the base
+        :meth:`Message.congest_units` counts as one unit without a call;
+        overrides (batched tokens) and foreign objects are asked.
+        """
+        if _counts_one_unit(type(message)):
+            units = 1
+        else:
+            congest_units = getattr(message, "congest_units", None)
+            units = max(1, int(congest_units())) if callable(congest_units) else 1
         if not self.count_bits:
-            return 0
+            return 0, units
         size = getattr(message, "size_bits", None)
         if callable(size):
-            return int(size(self.topology.num_nodes))
+            return int(size(self.topology.num_nodes)), units
         # Fall back to a single CONGEST word for foreign message objects.
-        return max(1, self._congest_bits)
+        return max(1, self._congest_bits), units
 
 
 def run_protocol(

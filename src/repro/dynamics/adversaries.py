@@ -29,7 +29,7 @@ import random
 from typing import Any, Dict, List, Optional, Set
 
 from ..core.errors import ConfigurationError
-from ..core.faults import DELIVER, DROP, FaultAdversary
+from ..core.faults import DELIVER, DROP, QUIET_FOREVER, FaultAdversary
 from ..core.messages import Message
 from ..core.metrics import MetricsCollector
 from ..core.rng import derive_seed
@@ -129,6 +129,9 @@ class MessageLossAdversary(SeededAdversary):
     ) -> int:
         return DROP if self._rng.random() < self.p else DELIVER
 
+    def quiescent_until(self, round_index: int) -> int:
+        return QUIET_FOREVER  # acts only in on_message
+
     def describe(self) -> Dict[str, Any]:
         return {"name": self.name, "p": self.p, "seed": self.seed}
 
@@ -169,6 +172,9 @@ class MessageDelayAdversary(SeededAdversary):
         if self._rng.random() < self.p:
             return self._rng.randint(1, self.max_delay)
         return DELIVER
+
+    def quiescent_until(self, round_index: int) -> int:
+        return QUIET_FOREVER  # acts only in on_message
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -457,7 +463,8 @@ class ComposedAdversary(FaultAdversary):
     * a round begins for every part (churn flips links, crashes fire);
     * a node is active only if every part says so;
     * a delivery is ruled on by the parts in order — the first ``DROP``
-      wins, otherwise the parts' delays add up.
+      wins, otherwise the parts' delays add up;
+    * the round hooks are quiet until the earliest part's horizon.
 
     **RNG stream separation.**  Each part is a normal seeded model bound
     to the same run seed, but its stream label is prefixed with its
@@ -544,6 +551,9 @@ class ComposedAdversary(FaultAdversary):
 
     def node_crashed(self, round_index: int, node: int) -> bool:
         return any(part.node_crashed(round_index, node) for part in self.parts)
+
+    def quiescent_until(self, round_index: int) -> int:
+        return min(part.quiescent_until(round_index) for part in self.parts)
 
     def on_message(
         self,

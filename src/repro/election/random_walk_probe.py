@@ -120,29 +120,34 @@ class RandomWalkProbeState:
         counts: Dict[int, int] = {}
         if self.num_ports == 0:
             return counts
+        # choice(range(1, n + 1)) draws 1 + _randbelow(n), exactly as
+        # randint(1, n) does, so the RNG stream is the same.
+        ports = range(1, self.num_ports + 1)
+        draw = rng.random
+        choice = rng.choice
         staying = 0
         for _ in range(self.tokens):
-            if rng.random() < 0.5:
+            if draw() < 0.5:
                 staying += 1
             else:
-                port = rng.randint(1, self.num_ports)
+                port = choice(ports)
                 counts[port] = counts.get(port, 0) + 1
         self.tokens = staying
         return counts
 
     def step(self, rng: random.Random, inbox: Inbox) -> Outbox:
         """One walk round: absorb, move, and emit the per-port messages."""
-        self.absorb(inbox)
+        if inbox:
+            self.absorb(inbox)
+        self.rounds_executed += 1
         if not self._initial_scatter_done:
             counts = self.initial_scatter(rng)
-        else:
+        elif self.tokens:
             counts = self.move_tokens(rng)
-        self.rounds_executed += 1
-        return {
-            port: WalkMessage(walk_id=self.max_walk_id, count=count)
-            for port, count in counts.items()
-            if count > 0
-        }
+        else:
+            return {}
+        walk_id = self.max_walk_id
+        return {port: WalkMessage(walk_id, count) for port, count in counts.items()}
 
     def quiescent(self) -> bool:
         """Whether :meth:`step` with an empty inbox is a guaranteed no-op.

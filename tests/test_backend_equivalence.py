@@ -1,12 +1,16 @@
 """Equivalence suite for the two simulator cores (``backend="round"|"event"``).
 
 The event-driven core is a pure performance optimisation: it skips
-quiescent nodes and fast-forwards over quiescent stretches of rounds, but
+quiescent nodes and fast-forwards over quiescent stretches of rounds (also
+under an adversary whose round hooks are quiet there), but
 every observable of a run — metrics, election outcomes, per-node results,
 traces, fault events — must be bit-for-bit identical to the round-robin
 core.  This file pins that contract across
 
 * the raw simulator (plain and under every adversary family),
+* fast-forward under adversaries whose round hooks are quiet (loss,
+  delay and their composition), which must skip idle rounds and still
+  match,
 * the irrevocable election pipeline (quiescence predicates engaged),
   including slot-aware broadcast horizons: overflowing super-rounds,
   nodes in several territories, and nodes frozen by an adversary,
@@ -39,7 +43,12 @@ from repro.core import (
 )
 from repro.core.errors import ConfigurationError
 from repro.core.faults import FaultAdversary, fault_scope
-from repro.dynamics import AdversarySpec, make_adversary, robustness_specs
+from repro.dynamics import (
+    AdversarySpec,
+    MessageLossAdversary,
+    make_adversary,
+    robustness_specs,
+)
 from repro.election import (
     IrrevocableConfig,
     IrrevocableLeaderElectionNode,
@@ -254,6 +263,11 @@ class TestSlotAwareHorizons:
         "adversary_spec",
         [
             AdversarySpec.create("loss", p=0.1),
+            AdversarySpec.create("delay", p=0.2, max_delay=3),
+            AdversarySpec.create(
+                "composed", models="loss+delay", **{"loss.p": 0.1, "delay.p": 0.2}
+            ),
+            AdversarySpec.create("skew", p=0.3, max_skew=3),
             AdversarySpec.create("churn", p_down=0.05, p_up=0.5),
             AdversarySpec.create("crash", p=0.2, horizon=60),
         ],
@@ -286,6 +300,31 @@ class TestSlotAwareHorizons:
                 run_irrevocable_election(topology, seed=0, config=config)
             counts[backend] = steps["count"]
         assert counts["event"] <= 0.06 * counts["round"], counts
+
+    def test_event_core_fast_forwards_under_message_only_adversaries(
+        self, monkeypatch
+    ):
+        # Loss acts only on messages, so its quiet horizon lets the event
+        # core skip the rounds in which nobody is due: begin_round runs
+        # once per executed round, the round core executes every round.
+        rounds = {"count": 0}
+        begin_round = MessageLossAdversary.begin_round
+
+        def counted_begin_round(adversary, round_index):
+            rounds["count"] += 1
+            return begin_round(adversary, round_index)
+
+        monkeypatch.setattr(MessageLossAdversary, "begin_round", counted_begin_round)
+        topology = random_regular(128, 8, seed=7)
+        loss = AdversarySpec.create("loss", p=0.05)
+        counts = {}
+        fingerprints = {}
+        for backend in ("round", "event"):
+            rounds["count"] = 0
+            fingerprints[backend] = _irrevocable_fingerprint(backend, topology, 0, loss)
+            counts[backend] = rounds["count"]
+        assert fingerprints["event"] == fingerprints["round"]
+        assert counts["event"] <= 0.10 * counts["round"], counts
 
 
 class TestExperimentEngineEquivalence:

@@ -119,12 +119,16 @@ class TestDefaultSizeOfBuiltinMessages:
         names = {cls.__name__ for cls in _builtin_message_classes()}
         assert {"OfferMessage", "WalkMessage", "DiffusionMessage"} <= names
 
+    # Positive ints take a fast path in size_bits; zero, negative ints and
+    # bools in an int field must still be charged as bits_for_value does.
+    @pytest.mark.parametrize("int_value", [1234567, 0, -5, True])
     @pytest.mark.parametrize(
         "cls", _builtin_message_classes(), ids=lambda cls: cls.__name__
     )
-    def test_size_bits_is_the_sum_over_dataclass_fields(self, cls):
+    def test_size_bits_is_the_sum_over_dataclass_fields(self, cls, int_value):
         fields = dataclasses.fields(cls)
-        message = cls(**{field.name: _FIELD_SAMPLES[field.type] for field in fields})
+        samples = dict(_FIELD_SAMPLES, int=int_value)
+        message = cls(**{field.name: samples[field.type] for field in fields})
         expected = Message.TYPE_TAG_BITS + sum(
             bits_for_value(getattr(message, field.name)) for field in fields
         )

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import (
     CongestViolationError,
+    FaultAdversary,
     GeneratorNode,
     Message,
     MetricsCollector,
@@ -245,6 +246,39 @@ class ForeignMessage:
 class ForeignSenderNode(ProtocolNode):
     def step(self, round_index, inbox):
         return {port: ForeignMessage() for port in self.ports()}
+
+
+@dataclass(frozen=True)
+class Batch(Message):
+    """Stands for ``units`` CONGEST messages, like a batched token bundle."""
+
+    units: int
+
+    def congest_units(self) -> int:
+        return self.units
+
+
+class BatchSenderNode(ProtocolNode):
+    """Sends ``Batch(units=3 * (port - 1))`` through every port."""
+
+    def step(self, round_index, inbox):
+        return {port: Batch(units=3 * (port - 1)) for port in self.ports()}
+
+
+class TestCongestUnits:
+    """Both delivery loops ask a congest_units override for its count."""
+
+    @pytest.mark.parametrize(
+        "adversary", [None, FaultAdversary()], ids=["plain", "adversary"]
+    )
+    def test_override_is_counted_and_at_least_one(self, adversary):
+        topology = cycle(4)
+        nodes = build_nodes(topology, lambda i, p, r: BatchSenderNode(p, r), seed=0)
+        simulator = SynchronousSimulator(topology, nodes, adversary=adversary)
+        simulator.run_round()
+        # Every node sends 0 units (charged as 1) and 3 units.
+        assert simulator.metrics.messages == 4 * (1 + 3)
+        assert simulator.metrics.sent_messages == 8
 
 
 class TestCongestEnforcement:

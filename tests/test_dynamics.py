@@ -169,6 +169,69 @@ class TestFaultHook:
         assert simulator.adversary is explicit
 
 
+def _rng_states(adversary):
+    """The RNG state of an adversary and of every part of a composition."""
+    parts = getattr(adversary, "parts", [adversary])
+    return [part._rng.getstate() for part in parts]
+
+
+class TestQuietHorizon:
+    """``FaultAdversary.quiescent_until``: the event core may skip rounds
+    before the horizon, so the round hooks must be no-ops there."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AdversarySpec.create("loss", p=0.3),
+            AdversarySpec.create("delay", p=0.3, max_delay=3),
+            AdversarySpec.create(
+                "composed", models="loss+delay", **{"loss.p": 0.3, "delay.p": 0.3}
+            ),
+        ],
+        ids=lambda spec: spec.token(),
+    )
+    @pytest.mark.parametrize("start", [0, 7, 1000])
+    def test_round_hooks_are_quiet_before_the_horizon(self, spec, start):
+        topology = torus_2d(4, 4)
+        metrics = MetricsCollector()
+        trace = TraceRecorder()
+        adversary = make_adversary(spec, 5)
+        adversary.attach(topology, metrics, trace)
+        horizon = adversary.quiescent_until(start)
+        assert horizon > start
+        rng_before = _rng_states(adversary)
+        events_before = metrics.snapshot().as_dict()
+        for round_index in range(start, min(horizon, start + 50)):
+            adversary.begin_round(round_index)
+            for node in range(topology.num_nodes):
+                assert adversary.node_active(round_index, node)
+                assert not adversary.node_crashed(round_index, node)
+        assert _rng_states(adversary) == rng_before
+        assert metrics.snapshot().as_dict() == events_before
+        assert len(trace) == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AdversarySpec.create("churn", p_down=0.1, p_up=0.5),
+            AdversarySpec.create("crash", p=0.2, horizon=4),
+            AdversarySpec.create("skew", p=0.4, max_skew=3),
+            AdversarySpec.create(
+                "composed", models="loss+churn", **{"churn.p_down": 0.1}
+            ),
+        ],
+        ids=lambda spec: spec.token(),
+    )
+    @pytest.mark.parametrize("start", [0, 7, 1000])
+    def test_models_with_round_hooks_keep_every_round(self, spec, start):
+        adversary = make_adversary(spec, 5)
+        adversary.attach(torus_2d(4, 4), MetricsCollector(), TraceRecorder())
+        assert adversary.quiescent_until(start) == start
+
+    def test_base_adversary_keeps_every_round(self):
+        assert FaultAdversary().quiescent_until(3) == 3
+
+
 # --------------------------------------------------------------------------- #
 # concrete models
 # --------------------------------------------------------------------------- #

@@ -79,6 +79,43 @@ class TestState:
         moved = state.move_tokens(random.Random(1))
         assert sum(moved.values()) + state.tokens == 50
 
+    @pytest.mark.parametrize("tokens", [0, 1, 50])
+    @pytest.mark.parametrize("num_ports", [1, 2, 3, 8])
+    def test_move_tokens_keeps_the_reference_rng_stream(self, num_ports, tokens):
+        # The reference loop draws ports with randint(1, n); the kernel must
+        # return the same counts and leave the RNG in the same state.
+        def reference_move(held, rng):
+            counts, staying = {}, 0
+            for _ in range(held):
+                if rng.random() < 0.5:
+                    staying += 1
+                else:
+                    port = rng.randint(1, num_ports)
+                    counts[port] = counts.get(port, 0) + 1
+            return counts, staying
+
+        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
+        for seed in range(5):
+            state = RandomWalkProbeState(
+                num_ports=num_ports, config=config, candidate=False, node_id=0
+            )
+            state.tokens = tokens
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            counts, staying = reference_move(tokens, reference_rng)
+            assert state.move_tokens(rng) == counts
+            assert state.tokens == staying
+            assert rng.getstate() == reference_rng.getstate()
+
+    def test_step_without_tokens_sends_nothing_and_counts_the_round(self):
+        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=4)
+        state = RandomWalkProbeState(num_ports=2, config=config, candidate=False, node_id=0)
+        rng = random.Random(0)
+        state.step(rng, {})
+        before = rng.getstate()
+        assert state.step(rng, {}) == {}
+        assert rng.getstate() == before
+        assert state.rounds_executed == 2
+
     def test_step_outbox_carries_current_max(self):
         config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=4)
         state = RandomWalkProbeState(num_ports=2, config=config, candidate=True, node_id=11)
