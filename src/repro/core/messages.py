@@ -9,7 +9,8 @@ walks the dataclass fields and charges a standard encoding cost per field
 (integers cost their binary length, booleans one bit, ``None`` nothing).
 
 Messages are value objects: they are immutable (frozen dataclasses) so the
-simulator can safely deliver the same object it was handed without copying.
+simulator can safely deliver the same object it was handed without copying,
+and a protocol may reuse one instance across ports and rounds.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ class Message:
     :meth:`size_bits` charges the sum of the field encodings plus a small
     tag identifying the message type on the wire (protocols multiplex
     several message kinds over the same link).
+
+    Instances are immutable values: a protocol may send one instance
+    through several ports and in several rounds, and the simulator never
+    relies on message identity.  Delivery sizes classes that keep the base
+    :meth:`size_bits`, :meth:`congest_units` and ``TYPE_TAG_BITS`` inline,
+    with the same result as calling :meth:`size_bits`.
     """
 
     #: bits charged for the message-type tag.

@@ -76,7 +76,8 @@ class ProtocolNode(ABC):
         Irrevocable protocols eventually halt at every node; revocable
         protocols may run forever (the simulator then stops at its round
         limit).  A halted node is no longer stepped, and its last outbox is
-        assumed empty.
+        assumed empty.  The flag may change only inside :meth:`step`: the
+        simulator reads it once per run and again after each step.
         """
         return False
 

@@ -30,10 +30,10 @@ in a round:
   of receivers, and a counter tracks the live nodes, so a round costs
   O(due nodes) rather than O(n).
   Rounds in which **no** node is due, the adversary (if any) is quiet
-  (:meth:`~repro.core.faults.FaultAdversary.quiescent_until`), no
-  ``stop_when`` is set and no delayed message is in flight are
-  fast-forwarded to the earliest wakeup or the end of the adversary's
-  quiet stretch, whichever comes first, in O(1).
+  (:meth:`~repro.core.faults.FaultAdversary.quiescent_until`) and no
+  delayed message is in flight are fast-forwarded to the earliest wakeup
+  or the end of the adversary's quiet stretch, whichever comes first, in
+  O(1).
 
 Due nodes are stepped in ascending index order under both cores, so inbox
 insertion order and every adversary RNG draw follow the same sequence.
@@ -58,7 +58,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..graphs.topology import Topology
 from .errors import CongestViolationError, SimulationError
 from .faults import DELIVER, QUIET_FOREVER, FaultAdversary, active_fault_factory
-from .messages import Message, congest_budget_bits
+from .messages import Message, _field_names, bits_for_value, congest_budget_bits
 from .metrics import Metrics, MetricsCollector
 from .node import Outbox, ProtocolNode
 from .rng import spawn_child_rngs
@@ -159,9 +159,25 @@ class SimulationResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _counts_one_unit(cls: type) -> bool:
-    """Whether ``cls`` keeps the base :meth:`Message.congest_units` (always 1)."""
-    return getattr(cls, "congest_units", None) is Message.congest_units
+def _sizing(cls: type) -> Optional[Tuple[str, ...]]:
+    """The field names delivery sizes ``cls`` by inline, or ``None``.
+
+    A :class:`Message` subclass that keeps the base
+    :meth:`~Message.size_bits`, :meth:`~Message.congest_units` and
+    ``TYPE_TAG_BITS`` costs ``TYPE_TAG_BITS`` plus its field encodings and
+    one CONGEST unit, so the delivery loops charge it without a call.
+    Overriding classes (batched tokens) and foreign objects resolve to
+    ``None`` and are charged through
+    :meth:`SynchronousSimulator._message_cost`.
+    """
+    if (
+        issubclass(cls, Message)
+        and cls.size_bits is Message.size_bits
+        and cls.congest_units is Message.congest_units
+        and cls.TYPE_TAG_BITS == Message.TYPE_TAG_BITS
+    ):
+        return _field_names(cls)
+    return None
 
 
 def build_nodes(
@@ -295,7 +311,7 @@ class SynchronousSimulator:
     # ------------------------------------------------------------------ #
     def run_round(self) -> None:
         """Execute one synchronous round (none once every node has halted)."""
-        self._run(1, None)
+        self._run(1)
 
     def _deliver_and_finish(
         self,
@@ -347,6 +363,9 @@ class SynchronousSimulator:
         endpoints = self._endpoints
         congest_budget = self._congest_bits
         message_cost = self._message_cost
+        count_bits = self.count_bits
+        tag_bits = Message.TYPE_TAG_BITS
+        sizing = _sizing
         enforce = self.enforce_congest
         total_count = 0
         total_bits = 0
@@ -354,12 +373,25 @@ class SynchronousSimulator:
         rejected = 0
         violation: Optional[Tuple[int, int, int]] = None
         for index, outbox in senders:
-            if not outbox:
-                continue
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
-                bits, units = message_cost(message)
-                total_count += units
+                names = sizing(type(message))
+                if names is None:
+                    bits, units = message_cost(message)
+                    total_count += units
+                elif count_bits:
+                    # Message.size_bits, inline.
+                    bits = tag_bits
+                    for name in names:
+                        value = getattr(message, name)
+                        if type(value) is int and value > 0:
+                            bits += value.bit_length()
+                        else:
+                            bits += bits_for_value(value)
+                    total_count += 1
+                else:
+                    bits = 0
+                    total_count += 1
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
@@ -406,6 +438,9 @@ class SynchronousSimulator:
         endpoints = self._endpoints
         congest_budget = self._congest_bits
         message_cost = self._message_cost
+        count_bits = self.count_bits
+        tag_bits = Message.TYPE_TAG_BITS
+        sizing = _sizing
         enforce = self.enforce_congest
         trace = self.trace
         total_count = 0
@@ -416,13 +451,26 @@ class SynchronousSimulator:
         delayed = 0
         violation: Optional[Tuple[int, int, int]] = None
         for index, outbox in senders:
-            if not outbox:
-                continue
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
                 neighbor, neighbor_port = node_endpoints[port - 1]
-                bits, units = message_cost(message)
-                total_count += units
+                names = sizing(type(message))
+                if names is None:
+                    bits, units = message_cost(message)
+                    total_count += units
+                elif count_bits:
+                    # Message.size_bits, inline (as in _deliver_plain).
+                    bits = tag_bits
+                    for name in names:
+                        value = getattr(message, name)
+                        if type(value) is int and value > 0:
+                            bits += value.bit_length()
+                        else:
+                            bits += bits_for_value(value)
+                    total_count += 1
+                else:
+                    bits = 0
+                    total_count += 1
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
@@ -498,14 +546,9 @@ class SynchronousSimulator:
         self,
         max_rounds: int,
         *,
-        stop_when: Optional[Callable[["SynchronousSimulator"], bool]] = None,
         require_halt: bool = False,
     ) -> SimulationResult:
-        """Run until every node halts, ``stop_when`` fires, or ``max_rounds``.
-
-        ``stop_when`` is evaluated after each round with the simulator as
-        argument; it allows drivers to stop revocable protocols (which
-        never halt on their own) once an external condition is met.
+        """Run until every node halts or ``max_rounds`` rounds have run.
 
         The returned :class:`SimulationResult` reports the rounds executed
         by *this* call in ``rounds_executed`` and the simulator's lifetime
@@ -514,7 +557,7 @@ class SynchronousSimulator:
         """
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be non-negative, got {max_rounds}")
-        executed = self._run(max_rounds, stop_when)
+        executed = self._run(max_rounds)
         all_halted = self.all_halted()
         if require_halt and not all_halted:
             raise SimulationError(
@@ -534,11 +577,7 @@ class SynchronousSimulator:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _run(
-        self,
-        max_rounds: int,
-        stop_when: Optional[Callable[["SynchronousSimulator"], bool]],
-    ) -> int:
+    def _run(self, max_rounds: int) -> int:
         """The run loop of both backends; returns the rounds executed.
 
         Per round, the *due* nodes are stepped in ascending index order.
@@ -553,25 +592,28 @@ class SynchronousSimulator:
         Once the heap holds more than ``4n`` entries it is rebuilt from the
         live ones, so its size is bounded by the node count rather than the
         run length.  When no node is due and
-        nothing else can make a round observable (no ``stop_when``, no
-        delayed message, and no adversary or one whose
+        nothing else can make a round observable (no delayed message, and
+        no adversary or one whose
         :meth:`~repro.core.faults.FaultAdversary.quiescent_until` horizon
         lies beyond the round), the loop fast-forwards to the earliest
         wakeup or that horizon, whichever is first, in O(1), recording
         the skipped rounds in one batch.  The adversary is asked only in
         such idle rounds, so busy rounds pay nothing for it.
         A live-node counter ends the run once every node has halted.
+        Since a node's ``halted`` flag changes only inside its ``step``,
+        the loop reads it once per run and after each step.
         """
         nodes = self.nodes
         inboxes = self._inboxes
         adversary = self._adversary
         event = self.backend == "event"
+        halted = [node.halted for node in nodes]
         wake = [-1] * len(nodes)
         heap: List[Tuple[int, int]] = []
         ready: List[int] = []  # due next round, kept out of the heap
         live = 0
         for index, node in enumerate(nodes):
-            if node.halted:
+            if halted[index]:
                 continue
             live += 1
             if event:
@@ -591,7 +633,7 @@ class SynchronousSimulator:
                     if wake[index] == at:
                         wake[index] = -1
                         due_set.add(index)
-                if not due_set and stop_when is None and not self._delayed:
+                if not due_set and not self._delayed:
                     quiet = (
                         QUIET_FOREVER
                         if adversary is None
@@ -615,8 +657,7 @@ class SynchronousSimulator:
                 adversary.begin_round(round_index)
             senders: List[Tuple[int, Outbox]] = []
             for index in due:
-                node = nodes[index]
-                if node.halted:
+                if halted[index]:
                     continue
                 if adversary is not None and not adversary.node_active(
                     round_index, index
@@ -624,8 +665,10 @@ class SynchronousSimulator:
                     if event and wake[index] < 0:
                         ready.append(index)  # its horizon has passed
                     continue
-                outbox = node.step(round_index, inboxes[index]) or {}
+                node = nodes[index]
+                outbox = node.step(round_index, inboxes[index])
                 if node.halted:
+                    halted[index] = True
                     live -= 1
                 elif event:
                     at = node.quiescent_until(round_index + 1)
@@ -636,7 +679,8 @@ class SynchronousSimulator:
                         wake[index] = at
                         heapq.heappush(heap, (at, index))
                 if outbox:
-                    self._validate_outbox(index, node, outbox)
+                    if min(outbox) < 1 or max(outbox) > node.num_ports:
+                        self._validate_outbox(index, node, outbox)
                     senders.append((index, outbox))
             if len(heap) > 4 * len(nodes):
                 # Mostly stale entries: rebuild from the live ones.
@@ -644,8 +688,6 @@ class SynchronousSimulator:
                 heapq.heapify(heap)
             self._deliver_and_finish(round_index, senders)
             executed += 1
-            if stop_when is not None and stop_when(self):
-                break
             if self._terminated_by_crashes():
                 break
         return executed
@@ -678,15 +720,12 @@ class SynchronousSimulator:
     def _message_cost(self, message: Message) -> Tuple[int, int]:
         """``(bits, CONGEST units)`` charged for one sent message.
 
-        Units are at least 1.  A message whose class keeps the base
-        :meth:`Message.congest_units` counts as one unit without a call;
-        overrides (batched tokens) and foreign objects are asked.
+        The fallback of the delivery loops for classes :func:`_sizing`
+        does not resolve: overrides (batched tokens) and foreign objects
+        are asked.  Units are at least 1.
         """
-        if _counts_one_unit(type(message)):
-            units = 1
-        else:
-            congest_units = getattr(message, "congest_units", None)
-            units = max(1, int(congest_units())) if callable(congest_units) else 1
+        congest_units = getattr(message, "congest_units", None)
+        units = max(1, int(congest_units())) if callable(congest_units) else 1
         if not self.count_bits:
             return 0, units
         size = getattr(message, "size_bits", None)
@@ -705,7 +744,6 @@ def run_protocol(
     metrics: Optional[MetricsCollector] = None,
     trace: Optional[TraceRecorder] = None,
     enforce_congest: bool = False,
-    stop_when: Optional[Callable[[SynchronousSimulator], bool]] = None,
     require_halt: bool = False,
     adversary: Optional[FaultAdversary] = None,
     backend: str = "auto",
@@ -721,8 +759,4 @@ def run_protocol(
         adversary=adversary,
         backend=backend,
     )
-    return simulator.run(
-        max_rounds,
-        stop_when=stop_when,
-        require_halt=require_halt,
-    )
+    return simulator.run(max_rounds, require_halt=require_halt)

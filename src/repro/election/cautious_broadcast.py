@@ -34,10 +34,11 @@ Algorithm 4 line 24 would inflate messages by a ``Θ(t_mix log n)`` factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Type, TypeVar
 
 from ..core.errors import ConfigurationError, ProtocolError
 from ..core.messages import Message
@@ -94,6 +95,21 @@ class StopMessage(Message):
     """Territory cap reached: stop the broadcast in the whole tree."""
 
     source_id: int
+
+
+M = TypeVar("M", bound=Message)
+
+
+@functools.lru_cache(maxsize=256)
+def _instance_message(kind: Type[M], source_id: int) -> M:
+    """The ``kind`` message of instance ``source_id``, built once and reused.
+
+    Offers, activations, deactivations and stops carry nothing but the
+    source ID, and messages are immutable values, so every node of a
+    territory sends the same object.  The cache is bounded: an election
+    has a few dozen ``(kind, source)`` pairs.
+    """
+    return kind(source_id)
 
 
 # --------------------------------------------------------------------------- #
@@ -177,6 +193,7 @@ class CautiousBroadcastState:
         self.rounds_executed = 0
         self.stop_notified = False
         self._size_reported = 0  # last size value sent to the parent
+        self._confirmed = 1  # running 1 + sum(child_size.values())
         self._quiescent: Optional[bool] = None  # cached quiescent() result
 
     # -------------------------------------------------------------- #
@@ -195,6 +212,7 @@ class CautiousBroadcastState:
             # A size report means the child just crossed a threshold and
             # paused itself; it stays paused until this node re-activates it
             # from its growth branch (the "re-activation prompt").
+            self._confirmed += message.size - self.child_size.get(port, 0)
             self.child_size[port] = message.size
             self.child_active[port] = False
             self.children.add(port)
@@ -225,7 +243,7 @@ class CautiousBroadcastState:
     # -------------------------------------------------------------- #
     def confirmed_subtree_size(self) -> int:
         """This node plus the confirmed sizes reported by its children."""
-        return 1 + sum(self.child_size.values())
+        return self._confirmed
 
     @property
     def exhausted(self) -> bool:
@@ -245,24 +263,25 @@ class CautiousBroadcastState:
 
         if self.status == STOPPED:
             if not self.stop_notified:
+                stop = _instance_message(StopMessage, self.source_id)
                 for port in self.children:
-                    outbox[port] = StopMessage(self.source_id)
+                    outbox[port] = stop
                 if not self.is_source and self.parent_port is not None:
-                    outbox[self.parent_port] = StopMessage(self.source_id)
+                    outbox[self.parent_port] = stop
                 self.stop_notified = True
             return outbox
 
-        subtree = self.confirmed_subtree_size()
+        subtree = self._confirmed
 
         if subtree < self.threshold and self.status == ACTIVE:
             # Growth mode: re-activate children, then probe one fresh port.
             for port in self.children:
                 if not self.child_active.get(port, False):
-                    outbox[port] = ActivateMessage(self.source_id)
+                    outbox[port] = _instance_message(ActivateMessage, self.source_id)
                     self.child_active[port] = True
             fresh = self._pick_available_port(rng, exclude=set(outbox))
             if fresh is not None:
-                outbox[fresh] = OfferMessage(self.source_id)
+                outbox[fresh] = _instance_message(OfferMessage, self.source_id)
         elif subtree >= self.threshold:
             # The confirmed count crossed the threshold: report upward,
             # double the threshold, pause the subtree.
@@ -274,7 +293,9 @@ class CautiousBroadcastState:
                 self.status = PASSIVE
             for port in self.children:
                 if self.child_active.get(port, False):
-                    outbox.setdefault(port, DeactivateMessage(self.source_id))
+                    outbox.setdefault(
+                        port, _instance_message(DeactivateMessage, self.source_id)
+                    )
                     self.child_active[port] = False
         return outbox
 
@@ -318,7 +339,7 @@ class CautiousBroadcastState:
             return False  # next step transitions to STOPPED and notifies
         if self.status == STOPPED:
             return self.stop_notified
-        if self.confirmed_subtree_size() >= self.threshold:
+        if self._confirmed >= self.threshold:
             return False  # next step reports upward and doubles the threshold
         if self.status != ACTIVE:
             return True  # passive below threshold: nothing to do
@@ -406,6 +427,11 @@ class CautiousBroadcastManager:
     super-round in discovery order, exactly one execution transmitting per
     round (the paper's scheme, Section 4).  Receptions are processed in any
     round because they are purely local.
+
+    A busy-slot index keeps :meth:`next_busy_round` from scanning every
+    slot: it holds the positions whose instance was not quiescent when last
+    checked, and only the positions that :meth:`handle_inbox` or
+    :meth:`transmissions_for_slot` touched since are checked again.
     """
 
     def __init__(
@@ -424,6 +450,12 @@ class CautiousBroadcastManager:
         #: ``_slots[s]`` is the instance served in slot ``s``: the first
         #: ``num_slots`` instances in discovery order.
         self._slots: List[CautiousBroadcastState] = []
+        #: source ID -> slot position, for the instances that have one.
+        self._position: Dict[int, int] = {}
+        #: Positions whose instance was busy (not quiescent) when checked.
+        self._busy: Set[int] = set()
+        #: Positions whose instance may have changed since it was checked.
+        self._touched: Set[int] = set()
         self.overflow_instances = 0
 
     # -------------------------------------------------------------- #
@@ -443,7 +475,10 @@ class CautiousBroadcastManager:
             raise ProtocolError(f"instance {source_id} registered twice")
         self._states[source_id] = state
         if len(self._slots) < self.num_slots:
+            position = len(self._slots)
             self._slots.append(state)
+            self._position[source_id] = position
+            self._touched.add(position)
         else:
             # More parallel executions than slots: the paper shows this does
             # not happen w.h.p.; we keep counting so experiments can verify.
@@ -473,6 +508,9 @@ class CautiousBroadcastManager:
                     f"{type(message).__name__}"
                 )
             self._state_for(source_id).handle_message(port, message)
+            position = self._position.get(source_id)
+            if position is not None:
+                self._touched.add(position)
 
     def transmissions_for_slot(self, slot: int, rng: random.Random) -> Outbox:
         """Transmissions of the instance assigned to ``slot`` (may be empty)."""
@@ -480,6 +518,7 @@ class CautiousBroadcastManager:
             raise ProtocolError(f"slot {slot} out of range 0..{self.num_slots - 1}")
         if slot >= len(self._slots):
             return {}
+        self._touched.add(slot)
         return self._slots[slot].prepare_transmissions(rng)
 
     def next_busy_round(self, round_index: int) -> Optional[int]:
@@ -489,16 +528,25 @@ class CautiousBroadcastManager:
         it is not :meth:`~CautiousBroadcastState.quiescent`.  Returns
         ``None`` when every served instance is quiescent, i.e. every slot
         is a no-op until a message arrives.
+
+        Only :meth:`handle_inbox` and :meth:`transmissions_for_slot` may
+        mutate the served instances: the busy-slot index re-checks just the
+        positions those two touched since the previous query.
         """
+        busy = self._busy
+        if self._touched:
+            slots = self._slots
+            for position in self._touched:
+                if slots[position].quiescent():
+                    busy.discard(position)
+                else:
+                    busy.add(position)
+            self._touched.clear()
+        if not busy:
+            return None
         num_slots = self.num_slots
         slot = round_index % num_slots
-        delay: Optional[int] = None
-        for position, state in enumerate(self._slots):
-            if not state.quiescent():
-                wait = (position - slot) % num_slots
-                if delay is None or wait < delay:
-                    delay = wait
-        return None if delay is None else round_index + delay
+        return round_index + min((position - slot) % num_slots for position in busy)
 
     # -------------------------------------------------------------- #
     # inspection used by the later election phases and by analysis

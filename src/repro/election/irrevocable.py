@@ -251,7 +251,8 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
 
     # ------------------------------------------------------------------ #
     def _broadcast_step(self, round_index: int, inbox: Inbox) -> Outbox:
-        self._broadcast.handle_inbox(inbox)
+        if inbox:
+            self._broadcast.handle_inbox(inbox)
         slot = round_index % self._broadcast.num_slots
         return self._broadcast.transmissions_for_slot(slot, self.rng)
 

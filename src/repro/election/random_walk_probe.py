@@ -89,6 +89,10 @@ class RandomWalkProbeState:
         self.tokens_seen = 0
         self.rounds_executed = 0
         self._initial_scatter_done = False
+        #: Sent messages by token count, all carrying ``_messages_id``;
+        #: reused across ports and rounds until ``max_walk_id`` changes.
+        self._messages: Dict[int, WalkMessage] = {}
+        self._messages_id = self.max_walk_id
 
     # -------------------------------------------------------------- #
     def initial_scatter(self, rng: random.Random) -> Dict[int, int]:
@@ -147,7 +151,17 @@ class RandomWalkProbeState:
         else:
             return {}
         walk_id = self.max_walk_id
-        return {port: WalkMessage(walk_id, count) for port, count in counts.items()}
+        messages = self._messages
+        if walk_id != self._messages_id:
+            messages.clear()
+            self._messages_id = walk_id
+        outbox: Outbox = {}
+        for port, count in counts.items():
+            message = messages.get(count)
+            if message is None:
+                message = messages[count] = WalkMessage(walk_id, count)
+            outbox[port] = message
+        return outbox
 
     def quiescent(self) -> bool:
         """Whether :meth:`step` with an empty inbox is a guaranteed no-op.

@@ -155,9 +155,16 @@ def isoperimetric_number_sweep(topology: Topology) -> float:
 
 
 def conductance(topology: Topology, *, exact: Optional[bool] = None) -> float:
-    """Graph conductance ``Φ(G)``; exact for small graphs, sweep otherwise."""
+    """Graph conductance ``Φ(G)``; exact for small graphs, sweep otherwise.
+
+    A call with the default ``exact=None`` is measured once per topology
+    instance (:meth:`Topology.memoized`).
+    """
     if exact is None:
         exact = topology.num_nodes <= EXACT_CUT_LIMIT
+        return topology.memoized(
+            "conductance", lambda: conductance(topology, exact=exact)
+        )
     return conductance_exact(topology) if exact else conductance_sweep(topology)
 
 

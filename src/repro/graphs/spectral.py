@@ -88,7 +88,23 @@ def mixing_time(
     transition matrix once and then binary-searches ``t`` — cheap even for
     slow-mixing graphs like large cycles.  A caller-supplied ``matrix``
     falls back to straightforward power iteration.
+
+    A call with the default arguments is measured once per topology
+    instance (:meth:`Topology.memoized`); the election drivers, the
+    baselines and the expansion profile all ask for it.
     """
+    if matrix is None and max_steps is None:
+        return topology.memoized(
+            "mixing_time", lambda: _mixing_time(topology, None, None)
+        )
+    return _mixing_time(topology, matrix, max_steps)
+
+
+def _mixing_time(
+    topology: Topology,
+    matrix: Optional[np.ndarray],
+    max_steps: Optional[int],
+) -> int:
     n = topology.num_nodes
     if n == 1:
         return 0

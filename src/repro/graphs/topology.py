@@ -18,7 +18,17 @@ a randomized assignment driven by a seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import networkx as nx
 
@@ -28,6 +38,8 @@ from ..core.rng import derive_seed
 __all__ = ["Topology"]
 
 Edge = Tuple[int, int]
+
+T = TypeVar("T")
 
 
 class Topology:
@@ -64,6 +76,7 @@ class Topology:
             raise TopologyError(f"num_nodes must be positive, got {num_nodes}")
         self._n = int(num_nodes)
         self._name = name
+        self._memo: Dict[str, object] = {}
 
         seen = set()
         edge_list: List[Edge] = []
@@ -260,18 +273,31 @@ class Topology:
         hashing, so the digest is stable across processes, multiprocessing
         start methods and Python invocations.  Computed lazily and cached.
         """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            digest = derive_seed(
-                0,
-                "topology-fingerprint",
-                self._n,
-                self._edges,
-                self._port_order,
-            )
-            cached = f"{digest:016x}"
-            self._fingerprint = cached
-        return cached
+        return self.memoized("fingerprint", self._compute_fingerprint)
+
+    def _compute_fingerprint(self) -> str:
+        digest = derive_seed(
+            0,
+            "topology-fingerprint",
+            self._n,
+            self._edges,
+            self._port_order,
+        )
+        return f"{digest:016x}"
+
+    def memoized(self, key: str, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per instance and cached under ``key``.
+
+        For quantities derived from the (immutable) graph that several
+        layers ask for: the fingerprint, and the default-argument
+        ``mixing_time`` and ``conductance``.  The memo is not pickled (see
+        :meth:`__getstate__`).  Two threads that miss at once may both
+        compute; the first value stored is the one both return.
+        """
+        memo = self._memo
+        if key in memo:
+            return memo[key]  # type: ignore[return-value]
+        return memo.setdefault(key, compute())  # type: ignore[return-value]
 
     def neighbor_via(self, node: int, port: int) -> int:
         """Return only the neighbour reached through ``port``."""
@@ -365,6 +391,7 @@ class Topology:
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._n = state["n"]
         self._name = state["name"]
+        self._memo = {}
         self._edges = state["edges"]
         self._adjacency = self._adjacency_from_edges(self._n, self._edges)
         self._finalize_ports(state["port_order"])

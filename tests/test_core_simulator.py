@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CongestViolationError,
@@ -177,18 +179,6 @@ class TestMessageDelivery:
         )
         assert result.all_halted
         assert result.rounds_executed == 2
-
-    def test_stop_when_predicate(self):
-        topology = cycle(4)
-        result = run_protocol(
-            topology,
-            lambda i, p, r: EchoNode(p, r),
-            max_rounds=50,
-            seed=0,
-            stop_when=lambda sim: sim.current_round >= 5,
-        )
-        assert result.rounds_executed == 5
-        assert not result.all_halted
 
     def test_rounds_executed_is_per_run_call(self):
         # A simulator driven in phases reports, per run() call, only the
@@ -492,3 +482,165 @@ class TestMessageConservation:
         assert simulator.metrics.sent_messages == 8
         assert simulator.metrics.delivered_messages == 8
         assert simulator.metrics.dropped_messages == 0
+
+
+def _repro_message_classes():
+    """Every :class:`Message` subclass the ``repro`` package defines."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, stack = [], list(Message.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro."):
+            found.append(cls)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+REPRO_MESSAGE_CLASSES = _repro_message_classes()
+
+
+class OneShotSender(ProtocolNode):
+    """Sends ``message`` through port 1 in round 0 only."""
+
+    def __init__(self, num_ports, rng, message) -> None:
+        super().__init__(num_ports, rng)
+        self.message = message
+
+    def step(self, round_index, inbox):
+        return {1: self.message} if round_index == 0 else {}
+
+
+@dataclass(frozen=True)
+class WideTag(Message):
+    """Keeps the base sizing methods but charges a wider type tag."""
+
+    TYPE_TAG_BITS = 9
+
+    value: int
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Records the message types charged through ``_message_cost``."""
+    calls = []
+    original = SynchronousSimulator._message_cost
+
+    def spy(simulator, message):
+        calls.append(type(message))
+        return original(simulator, message)
+
+    monkeypatch.setattr(SynchronousSimulator, "_message_cost", spy)
+    return calls
+
+
+class TestInlineSizing:
+    """Delivery sizes base-sized classes inline, exactly like ``size_bits``."""
+
+    def _deliver_one(self, message, fallback_calls, *, adversary=None, **options):
+        """One delivered round; returns the simulator and whether it fell back."""
+        fallback_calls.clear()
+        topology = path(2)
+        nodes = [
+            OneShotSender(1, random.Random(0), message),
+            PassiveNode(1, random.Random(1)),
+        ]
+        simulator = SynchronousSimulator(
+            topology, nodes, adversary=adversary, **options
+        )
+        simulator.run_round()
+        return simulator, bool(fallback_calls)
+
+    def test_every_repro_message_class_is_found(self):
+        names = {cls.__name__ for cls in REPRO_MESSAGE_CLASSES}
+        assert {"OfferMessage", "WalkMessage", "TokenBundle"} <= names
+
+    @pytest.mark.parametrize(
+        "cls", REPRO_MESSAGE_CLASSES, ids=lambda cls: cls.__name__
+    )
+    @pytest.mark.parametrize(
+        "adversary", [None, FaultAdversary()], ids=["plain", "adversary"]
+    )
+    def test_charges_size_bits_and_congest_units(
+        self, cls, adversary, fallback_calls
+    ):
+        overrides = (
+            cls.size_bits is not Message.size_bits
+            or cls.congest_units is not Message.congest_units
+            or cls.TYPE_TAG_BITS != Message.TYPE_TAG_BITS
+        )
+
+        @settings(
+            max_examples=25,
+            deadline=None,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
+        @given(st.builds(cls))
+        def check(message):
+            simulator, fell_back = self._deliver_one(
+                message, fallback_calls, adversary=adversary
+            )
+            metrics = simulator.metrics
+            assert metrics.bits == message.size_bits(2)
+            assert metrics.messages == max(1, message.congest_units())
+            assert metrics.delivered_messages == 1
+            assert fell_back == overrides
+
+            unsized, _ = self._deliver_one(
+                message, fallback_calls, adversary=adversary, count_bits=False
+            )
+            assert unsized.metrics.bits == 0
+            assert unsized.metrics.messages == metrics.messages
+
+        check()
+
+    def test_gilbert_token_bundle_takes_the_fallback(self, fallback_calls):
+        from repro.baselines.gilbert import TokenBundle, WalkToken
+
+        bundle = TokenBundle(
+            tokens=(WalkToken(5, "walk", 3, 7), WalkToken(9, "walk", 1, 9))
+        )
+        simulator, fell_back = self._deliver_one(bundle, fallback_calls)
+        assert fell_back
+        assert simulator.metrics.messages == 2
+        assert simulator.metrics.bits == bundle.size_bits(2)
+
+    def test_type_tag_override_takes_the_fallback(self, fallback_calls):
+        simulator, fell_back = self._deliver_one(WideTag(value=5), fallback_calls)
+        assert fell_back
+        assert simulator.metrics.bits == 9 + 3
+
+    def test_base_sized_message_skips_the_fallback(self, fallback_calls):
+        simulator, fell_back = self._deliver_one(Ping(payload=6), fallback_calls)
+        assert not fell_back
+        assert simulator.metrics.bits == Message.TYPE_TAG_BITS + 3
+
+    @pytest.mark.parametrize(
+        "adversary", [None, FaultAdversary()], ids=["plain", "adversary"]
+    )
+    def test_enforced_congest_withholds_an_inline_sized_message(self, adversary):
+        message = Ping(payload=2**40)
+        nodes = [
+            OneShotSender(1, random.Random(0), message),
+            PassiveNode(1, random.Random(1)),
+        ]
+        simulator = SynchronousSimulator(
+            path(2),
+            nodes,
+            adversary=adversary,
+            enforce_congest=True,
+            congest_bits=message.size_bits(2) - 1,
+        )
+        with pytest.raises(CongestViolationError, match=r"port 1 in round 0"):
+            simulator.run_round()
+        metrics = simulator.metrics
+        assert metrics.bits == message.size_bits(2)
+        assert metrics.congest_violations == 1
+        assert metrics.sent_messages == 1
+        assert metrics.delivered_messages == 0
+        assert metrics.dropped_messages == 1

@@ -6,6 +6,8 @@ import random
 from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, ProtocolError, run_protocol
 from repro.election import (
@@ -14,6 +16,7 @@ from repro.election import (
     CautiousBroadcastManager,
     CautiousBroadcastNode,
     CautiousBroadcastState,
+    DeactivateMessage,
     OfferMessage,
     SizeMessage,
     StopMessage,
@@ -298,3 +301,87 @@ class TestManager:
         manager.add_source_instance(1)
         manager.handle_inbox({1: OfferMessage(source_id=2)})
         assert manager.overflow_instances == 1
+
+
+def _brute_next_busy_round(manager: CautiousBroadcastManager, round_index: int):
+    """``next_busy_round`` by scanning every served slot."""
+    num_slots = manager.num_slots
+    waits = [
+        (position - round_index) % num_slots
+        for position, state in enumerate(manager._slots)
+        if not state.quiescent()
+    ]
+    return round_index + min(waits) if waits else None
+
+
+_MESSAGE_KINDS = (
+    OfferMessage,
+    SizeMessage,
+    ActivateMessage,
+    DeactivateMessage,
+    StopMessage,
+)
+
+
+@st.composite
+def _manager_scripts(draw):
+    """A manager set-up plus a random sequence of inbox/slot operations."""
+    num_ports = draw(st.integers(1, 4))
+    num_slots = draw(st.integers(1, 4))
+    config = CautiousBroadcastConfig(
+        protocol_rounds=draw(st.integers(1, 6)),
+        territory_cap=draw(st.integers(1, 10)),
+    )
+    # More sources than slots, so some instances overflow.
+    sources = st.integers(1, num_slots + 2)
+    message = st.builds(
+        lambda kind, source, size: (
+            kind(source_id=source, size=size)
+            if kind is SizeMessage
+            else kind(source_id=source)
+        ),
+        st.sampled_from(_MESSAGE_KINDS),
+        sources,
+        st.integers(1, 6),
+    )
+    inbox = st.dictionaries(st.integers(1, num_ports), message, max_size=num_ports)
+    # Slot operations take a round index whose slot wraps around.
+    operation = st.one_of(
+        st.tuples(st.just("inbox"), inbox),
+        st.tuples(st.just("slot"), st.integers(0, 5 * num_slots)),
+    )
+    own_source = draw(st.one_of(st.none(), sources))
+    operations = draw(st.lists(operation, max_size=40))
+    return num_ports, num_slots, config, own_source, operations
+
+
+class TestBusySlotIndex:
+    """The busy-slot index agrees with a full scan of the served slots."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_manager_scripts(), st.integers(0, 2**16))
+    def test_next_busy_round_matches_a_full_scan(self, script, seed):
+        num_ports, num_slots, config, own_source, operations = script
+        manager = CautiousBroadcastManager(
+            num_ports=num_ports, config=config, num_slots=num_slots
+        )
+        if own_source is not None:
+            manager.add_source_instance(own_source)
+        rng = random.Random(seed)
+        probes = sorted({0, 1, num_slots - 1, num_slots, 3 * num_slots + 1, 1000})
+        for kind, argument in operations:
+            if kind == "inbox":
+                manager.handle_inbox(argument)
+            else:
+                manager.transmissions_for_slot(argument % num_slots, rng)
+            for round_index in probes:
+                assert manager.next_busy_round(round_index) == _brute_next_busy_round(
+                    manager, round_index
+                )
+            for source_id in list(manager._states):
+                state = manager.state(source_id)
+                assert state.confirmed_subtree_size() == 1 + sum(
+                    state.child_size.values()
+                )
+        assert len(manager._slots) <= num_slots
+        assert manager.instance_count() == len(manager._slots) + manager.overflow_instances

@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.core import TopologyError
+from repro.core import ConfigurationError, TopologyError
 from repro.graphs import Topology, cycle, star
 
 
@@ -175,3 +175,114 @@ class TestPickling:
         topology = cycle(12)
         state = topology.__getstate__()
         assert set(state) == {"n", "name", "edges", "port_order"}
+
+
+class TestMemoizedMeasurements:
+    """``t_mix`` and ``Φ`` are measured once per topology instance."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_measurement_per_instance(self, monkeypatch):
+        from repro.graphs import properties, spectral
+        from repro.graphs.properties import cheeger_bounds, conductance, expansion_profile
+        from repro.graphs.spectral import mixing_time
+
+        eigh = self._count_calls(monkeypatch, spectral.np.linalg, "eigh")
+        sweeps = self._count_calls(monkeypatch, properties, "conductance_exact")
+        topology = cycle(12)
+        t_mix = mixing_time(topology)
+        phi = conductance(topology)
+        assert len(eigh) == 1 and len(sweeps) == 1
+        for _ in range(3):
+            assert mixing_time(topology) == t_mix
+            assert conductance(topology) == phi
+        assert cheeger_bounds(topology)[0] == phi * phi / 2.0
+        assert expansion_profile(topology).mixing_time == t_mix
+        assert len(eigh) == 1 and len(sweeps) == 1
+        # A different instance of the same graph is measured afresh.
+        assert mixing_time(cycle(12)) == t_mix
+        assert len(eigh) == 2
+
+    def test_irrevocable_and_gilbert_share_the_measurement(self, monkeypatch):
+        from repro.baselines.gilbert import run_gilbert_election
+        from repro.election.irrevocable import IrrevocableConfig, measure_mixing_time
+        from repro.graphs import spectral
+
+        eigh = self._count_calls(monkeypatch, spectral.np.linalg, "eigh")
+        topology = cycle(10)
+        IrrevocableConfig.from_topology(topology)
+        IrrevocableConfig.from_topology(topology)
+        run_gilbert_election(topology, seed=1)
+        assert measure_mixing_time(topology) == spectral.mixing_time(topology)
+        assert len(eigh) == 1
+
+    def test_non_default_arguments_bypass_the_memo(self, monkeypatch):
+        from repro.graphs import properties
+        from repro.graphs.properties import conductance
+        from repro.graphs.spectral import lazy_walk_matrix, mixing_time
+
+        topology = cycle(8)
+        t_mix = mixing_time(topology)
+        phi = conductance(topology)
+        assert mixing_time(topology, matrix=lazy_walk_matrix(topology)) == t_mix
+        assert mixing_time(topology, max_steps=10_000) == t_mix
+        with pytest.raises(ConfigurationError):
+            mixing_time(topology, max_steps=1)
+        exact = self._count_calls(monkeypatch, properties, "conductance_exact")
+        sweep = self._count_calls(monkeypatch, properties, "conductance_sweep")
+        assert conductance(topology, exact=True) == phi
+        conductance(topology, exact=False)
+        conductance(topology, exact=True)
+        assert len(exact) == 2 and len(sweep) == 1
+        assert conductance(topology) == phi
+        assert len(exact) == 2
+
+    def test_memo_is_not_pickled(self):
+        import pickle
+
+        from repro.graphs.properties import conductance
+        from repro.graphs.spectral import mixing_time
+
+        topology = cycle(9)
+        mixing_time(topology)
+        conductance(topology)
+        topology.fingerprint()
+        state = topology.__getstate__()
+        assert set(state) == {"n", "name", "edges", "port_order"}
+        clone = pickle.loads(pickle.dumps(topology))
+        assert clone._memo == {}
+        assert mixing_time(clone) == mixing_time(topology)
+        assert clone.fingerprint() == topology.fingerprint()
+
+    def test_concurrent_first_calls_agree(self):
+        import threading
+
+        from repro.graphs.properties import conductance
+        from repro.graphs.spectral import mixing_time
+
+        topology = cycle(40)
+        start = threading.Barrier(4)
+        results = []
+
+        def measure():
+            start.wait()
+            results.append((mixing_time(topology), conductance(topology)))
+
+        threads = [threading.Thread(target=measure) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(results) == 4
+        assert len(set(results)) == 1
+        assert results[0] == (mixing_time(cycle(40)), conductance(cycle(40)))
