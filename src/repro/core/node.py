@@ -38,7 +38,8 @@ class ProtocolNode(ABC):
     ----------
     num_ports:
         Number of incident links, i.e. the degree of the node.  Ports are
-        numbered ``1..num_ports``.
+        numbered ``1..num_ports``.  Fixed after construction: the
+        simulator reads it once per run.
     rng:
         Private source of randomness for this node.  All protocol decisions
         must draw from it (never from the global ``random`` module) so that

@@ -601,11 +601,19 @@ class SynchronousSimulator:
         such idle rounds, so busy rounds pay nothing for it.
         A live-node counter ends the run once every node has halted.
         Since a node's ``halted`` flag changes only inside its ``step``,
-        the loop reads it once per run and after each step.
+        the loop reads it once per run and after each step.  ``num_ports``
+        is fixed after construction, so it is read once per run for the
+        outbox port check.  ``step`` and ``quiescent_until`` are looked up
+        on the node at every call, so instance-level wrappers (tracers,
+        counters) still see every call.
         """
         nodes = self.nodes
         inboxes = self._inboxes
         adversary = self._adversary
+        faulty = adversary is not None
+        node_active = adversary.node_active if faulty else None
+        num_ports = [node.num_ports for node in nodes]
+        heappush = heapq.heappush
         event = self.backend == "event"
         halted = [node.halted for node in nodes]
         wake = [-1] * len(nodes)
@@ -653,15 +661,14 @@ class SynchronousSimulator:
                 due = sorted(due_set)
             else:
                 due = range(len(nodes))
-            if adversary is not None:
+            if faulty:
                 adversary.begin_round(round_index)
+            next_round = round_index + 1
             senders: List[Tuple[int, Outbox]] = []
             for index in due:
                 if halted[index]:
                     continue
-                if adversary is not None and not adversary.node_active(
-                    round_index, index
-                ):
+                if faulty and not node_active(round_index, index):
                     if event and wake[index] < 0:
                         ready.append(index)  # its horizon has passed
                     continue
@@ -671,15 +678,15 @@ class SynchronousSimulator:
                     halted[index] = True
                     live -= 1
                 elif event:
-                    at = node.quiescent_until(round_index + 1)
-                    if at <= round_index + 1:
+                    at = node.quiescent_until(next_round)
+                    if at <= next_round:
                         wake[index] = -1
                         ready.append(index)
                     elif at != wake[index]:
                         wake[index] = at
-                        heapq.heappush(heap, (at, index))
+                        heappush(heap, (at, index))
                 if outbox:
-                    if min(outbox) < 1 or max(outbox) > node.num_ports:
+                    if min(outbox) < 1 or max(outbox) > num_ports[index]:
                         self._validate_outbox(index, node, outbox)
                     senders.append((index, outbox))
             if len(heap) > 4 * len(nodes):

@@ -244,7 +244,10 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         if round_index < self._broadcast_end:
             return self._broadcast_step(round_index, inbox)
         if round_index < self._walk_end:
-            return self._walk_step(round_index, inbox)
+            walk = self._walk
+            if walk is None:
+                return self._walk_step(inbox)
+            return walk.step(self.rng, inbox)
         if round_index < self._convergecast_end:
             return self._convergecast_step(round_index, inbox)
         return self._decision_step(inbox)
@@ -256,19 +259,21 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         slot = round_index % self._broadcast.num_slots
         return self._broadcast.transmissions_for_slot(slot, self.rng)
 
-    def _walk_step(self, round_index: int, inbox: Inbox) -> Outbox:
-        if self._walk is None:
-            # First walk round: leftover broadcast messages in the inbox are
-            # still routed to the broadcast manager before walking begins.
-            self._broadcast.handle_inbox(inbox)
-            inbox = {}
-            self._walk = RandomWalkProbeState(
-                num_ports=self.num_ports,
-                config=self.config.walk_config(),
-                candidate=self.candidate,
-                node_id=self.node_id,
-            )
-        return self._walk.step(self.rng, inbox)
+    def _walk_step(self, inbox: Inbox) -> Outbox:
+        """First walk round: build the walk state, then take its first step.
+
+        Leftover broadcast messages in the inbox are still routed to the
+        broadcast manager before walking begins.  Later walk rounds go
+        straight to :meth:`RandomWalkProbeState.step`.
+        """
+        self._broadcast.handle_inbox(inbox)
+        self._walk = RandomWalkProbeState(
+            num_ports=self.num_ports,
+            config=self.config.walk_config(),
+            candidate=self.candidate,
+            node_id=self.node_id,
+        )
+        return self._walk.step(self.rng, {})
 
     def _convergecast_step(self, round_index: int, inbox: Inbox) -> Outbox:
         if self._convergecast is None:

@@ -12,6 +12,13 @@ IDs are absorbed by larger ones).
 :class:`RandomWalkProbeState` is the per-node state machine; the composite
 irrevocable-election node drives it, and :class:`RandomWalkProbeNode` wraps
 it as a standalone protocol for unit tests and analysis.
+
+RNG contract: the node's RNG is the ``random.Random`` that
+:func:`~repro.core.simulator.build_nodes` hands out.  A candidate's initial
+scatter draws ``randint(1, n)`` per token.  Afterwards each held token
+draws one ``random()`` coin, in order; a mover then draws its port as
+``getrandbits(k)`` with rejection (``k = n.bit_length()``), which is
+exactly the stream of ``randint(1, n)``.
 """
 
 from __future__ import annotations
@@ -70,6 +77,11 @@ class RandomWalkProbeState:
     tokens carry it) and at 0 for everyone else — a non-candidate's private
     ID never enters any walk, so it must not shadow the candidates'
     (see DESIGN.md, deviation 2).
+
+    Draws follow the module's RNG contract: one ``random()`` coin per held
+    token, then, for a mover, ``getrandbits(k)`` with rejection, equal to
+    ``randint(1, num_ports)``.  ``rng`` must be a ``random.Random`` (not a
+    subclass that overrides ``random`` alone) for that equality to hold.
     """
 
     def __init__(
@@ -120,29 +132,48 @@ class RandomWalkProbeState:
                 self.max_walk_id = message.walk_id
 
     def move_tokens(self, rng: random.Random) -> Dict[int, int]:
-        """Advance the lazy walk for every held token; return per-port counts."""
+        """Advance the lazy walk for every held token; return per-port counts.
+
+        A mover's port is ``randint(1, n)`` drawn inline: the body of the
+        stdlib's ``_randbelow`` for a ``random.Random``, so the RNG stream
+        is the same (see the module's RNG contract).
+        """
         counts: Dict[int, int] = {}
-        if self.num_ports == 0:
+        n = self.num_ports
+        if n == 0:
             return counts
-        # choice(range(1, n + 1)) draws 1 + _randbelow(n), exactly as
-        # randint(1, n) does, so the RNG stream is the same.
-        ports = range(1, self.num_ports + 1)
-        draw = rng.random
-        choice = rng.choice
+        k = n.bit_length()
+        coin = rng.random
+        getrandbits = rng.getrandbits
         staying = 0
         for _ in range(self.tokens):
-            if draw() < 0.5:
+            if coin() < 0.5:
                 staying += 1
             else:
-                port = choice(ports)
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                port = r + 1
                 counts[port] = counts.get(port, 0) + 1
         self.tokens = staying
         return counts
 
     def step(self, rng: random.Random, inbox: Inbox) -> Outbox:
-        """One walk round: absorb, move, and emit the per-port messages."""
+        """One walk round: absorb, move, and emit the per-port messages.
+
+        The inbox is merged inline with :meth:`absorb`'s semantics.
+        """
         if inbox:
-            self.absorb(inbox)
+            received = 0
+            max_walk_id = self.max_walk_id
+            for message in inbox.values():
+                if isinstance(message, WalkMessage):
+                    received += message.count
+                    if message.walk_id > max_walk_id:
+                        max_walk_id = message.walk_id
+            self.tokens += received
+            self.tokens_seen += received
+            self.max_walk_id = max_walk_id
         self.rounds_executed += 1
         if not self._initial_scatter_done:
             counts = self.initial_scatter(rng)

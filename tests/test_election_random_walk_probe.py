@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, run_protocol
+from repro.core.messages import Message
 from repro.election import (
     RandomWalkProbeConfig,
     RandomWalkProbeNode,
@@ -29,6 +33,31 @@ def run_walk_phase(topology: Topology, candidates: dict, config: RandomWalkProbe
         )
 
     return run_protocol(topology, factory, max_rounds=config.walk_rounds + 1, seed=seed)
+
+
+#: Port counts at and around powers of two, where ``getrandbits(k)``
+#: rejection changes shape (``k = num_ports.bit_length()``).
+PORT_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 127, 128, 129]
+
+
+def reference_move(held: int, num_ports: int, rng: random.Random):
+    """The walk loop as the paper states it: a lazy coin, then ``randint``."""
+    counts, staying = {}, 0
+    for _ in range(held):
+        if rng.random() < 0.5:
+            staying += 1
+        else:
+            port = rng.randint(1, num_ports)
+            counts[port] = counts.get(port, 0) + 1
+    return counts, staying
+
+
+@dataclass(frozen=True)
+class ForeignMessage(Message):
+    """Not a walk message, though it has the same fields."""
+
+    walk_id: int
+    count: int
 
 
 class TestConfig:
@@ -84,16 +113,6 @@ class TestState:
     def test_move_tokens_keeps_the_reference_rng_stream(self, num_ports, tokens):
         # The reference loop draws ports with randint(1, n); the kernel must
         # return the same counts and leave the RNG in the same state.
-        def reference_move(held, rng):
-            counts, staying = {}, 0
-            for _ in range(held):
-                if rng.random() < 0.5:
-                    staying += 1
-                else:
-                    port = rng.randint(1, num_ports)
-                    counts[port] = counts.get(port, 0) + 1
-            return counts, staying
-
         config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
         for seed in range(5):
             state = RandomWalkProbeState(
@@ -101,10 +120,74 @@ class TestState:
             )
             state.tokens = tokens
             rng, reference_rng = random.Random(seed), random.Random(seed)
-            counts, staying = reference_move(tokens, reference_rng)
+            counts, staying = reference_move(tokens, num_ports, reference_rng)
             assert state.move_tokens(rng) == counts
             assert state.tokens == staying
             assert rng.getstate() == reference_rng.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_ports=st.sampled_from(PORT_COUNTS),
+        tokens=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_move_tokens_matches_randint_stream(self, num_ports, tokens, seed):
+        # The inline getrandbits draw must be randint(1, n), port for port:
+        # same counts in the same insertion order, same staying tokens, and
+        # the same RNG state afterwards.
+        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
+        state = RandomWalkProbeState(
+            num_ports=num_ports, config=config, candidate=False, node_id=0
+        )
+        state.tokens = tokens
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        counts, staying = reference_move(tokens, num_ports, reference_rng)
+        assert list(state.move_tokens(rng).items()) == list(counts.items())
+        assert state.tokens == staying
+        assert rng.getstate() == reference_rng.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_step_merges_inbox_like_absorb(self, data):
+        # step merges its inbox inline; it must act exactly as absorb
+        # followed by move_tokens on a twin state with a twin RNG, foreign
+        # messages ignored.
+        num_ports = data.draw(st.sampled_from(PORT_COUNTS), label="num_ports")
+        candidate = data.draw(st.booleans(), label="candidate")
+        node_id = data.draw(st.integers(1, 10_000), label="node_id")
+        held = data.draw(st.integers(0, 50), label="held")
+        message = st.one_of(
+            st.builds(kind, st.integers(0, 20_000), st.integers(1, 30))
+            for kind in (WalkMessage, ForeignMessage)
+        )
+        messages = data.draw(
+            st.lists(message, max_size=min(num_ports, 8)), label="messages"
+        )
+        ports = data.draw(st.permutations(range(1, num_ports + 1)), label="ports")
+        inbox = dict(zip(ports, messages))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=3)
+        state, twin = (
+            RandomWalkProbeState(
+                num_ports=num_ports, config=config, candidate=candidate, node_id=node_id
+            )
+            for _ in range(2)
+        )
+        for walker in (state, twin):
+            walker.initial_scatter(random.Random(seed))
+            walker.tokens = held
+        rng, twin_rng = random.Random(seed), random.Random(seed)
+
+        outbox = state.step(rng, inbox)
+        twin.absorb(inbox)
+        counts = twin.move_tokens(twin_rng)
+        expected = {port: WalkMessage(twin.max_walk_id, count) for port, count in counts.items()}
+        assert list(outbox.items()) == list(expected.items())
+        assert state.tokens == twin.tokens
+        assert state.tokens_seen == twin.tokens_seen
+        assert state.max_walk_id == twin.max_walk_id
+        assert rng.getstate() == twin_rng.getstate()
 
     def test_step_without_tokens_sends_nothing_and_counts_the_round(self):
         config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=4)
