@@ -41,7 +41,7 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from ..core.errors import ConfigurationError
 
@@ -163,6 +163,12 @@ class ResultArchive:
             self._init_schema()
         except sqlite3.DatabaseError as error:
             self._conn.close()
+            if isinstance(error, sqlite3.OperationalError) and "locked" in str(error):
+                raise ConfigurationError(
+                    f"result archive {self.path} is busy ({error}): another "
+                    f"connection held its lock for over {timeout_seconds:g} "
+                    f"s; retry once that writer finishes"
+                ) from error
             raise ConfigurationError(
                 f"{self.path} is not a result archive (unreadable as a "
                 f"SQLite database: {error}); if a writer died mid-create, "
@@ -174,21 +180,38 @@ class ResultArchive:
     # schema
     # ------------------------------------------------------------------ #
     def _init_schema(self) -> None:
-        have_meta = self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' "
-            "AND name='archive_meta'"
-        ).fetchone()
-        if have_meta is None:
-            foreign = self._conn.execute(
+        """Check the stored schema version, creating the tables if absent.
+
+        Opening an existing archive only reads, so it never queues for the
+        write lock: the tables are created, in a write transaction, only
+        while the version row is missing (a new file, or a writer that
+        died mid-create).
+        """
+        tables = [
+            name
+            for (name,) in self._conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table'"
-            ).fetchone()
-            if foreign is not None:
-                raise ConfigurationError(
-                    f"{self.path} is a SQLite database but not a result "
-                    f"archive (no archive_meta table; found table "
-                    f"{foreign[0]!r}) — refusing to write into a foreign "
-                    f"database"
-                )
+            )
+        ]
+        if tables and "archive_meta" not in tables:
+            raise ConfigurationError(
+                f"{self.path} is a SQLite database but not a result "
+                f"archive (no archive_meta table; found table "
+                f"{tables[0]!r}) — refusing to write into a foreign "
+                f"database"
+            )
+        stored = self._stored_version() if tables else None
+        if stored is None:
+            self._create_schema()
+            stored = self._stored_version()
+        if stored != str(SCHEMA_VERSION):
+            raise ConfigurationError(
+                f"archive {self.path} has schema version {stored}; this "
+                f"build reads version {SCHEMA_VERSION} — use a matching "
+                f"build or re-populate a fresh archive"
+            )
+
+    def _create_schema(self) -> None:
         with self._conn:
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS archive_meta ("
@@ -219,16 +242,12 @@ class ResultArchive:
                 "VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
+
+    def _stored_version(self) -> Optional[str]:
         row = self._conn.execute(
             "SELECT value FROM archive_meta WHERE key='schema_version'"
         ).fetchone()
-        stored = row[0] if row else None
-        if stored != str(SCHEMA_VERSION):
-            raise ConfigurationError(
-                f"archive {self.path} has schema version {stored}; this "
-                f"build reads version {SCHEMA_VERSION} — use a matching "
-                f"build or re-populate a fresh archive"
-            )
+        return row[0] if row else None
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -25,17 +25,32 @@ is excluded from bit accounting (see DESIGN.md §3.5).  Knowledge of
 ``t_mix`` is granted to the baseline (the original pays extra *time*, not
 messages, to avoid it), so its message complexity — the quantity Table 1
 compares — is represented faithfully.
+
+RNG contract: the node's RNG is the ``random.Random`` that
+:func:`~repro.core.simulator.build_nodes` hands out.  After the identity
+draw, each round the node takes one ``random()`` coin per walking token
+(marks, and probes with steps left), in the order it holds them; a mover
+then draws its port as ``getrandbits(k)`` with rejection
+(``k = n.bit_length()``), which is exactly the stream of ``randint(1, n)``,
+as in the irrevocable election's walk.  Returning tokens and nodes
+without ports draw nothing.
+
+Quiescence: a node holding no tokens declares itself quiescent
+(:meth:`GilbertStyleNode.quiescent_until`) until its next phase
+boundary — the mark-phase end for a candidate that has not passed it,
+otherwise the final round — so the event-driven simulator core steps it
+only when tokens arrive or a boundary comes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.messages import Message, bits_for_int
+from ..core.messages import Message
 from ..core.metrics import MetricsCollector
 from ..core.node import Inbox, Outbox, ProtocolNode
 from ..core.simulator import SynchronousSimulator, build_nodes
@@ -60,9 +75,8 @@ MODE_PROBE = "probe"
 MODE_RETURN = "return"
 
 
-@dataclass(frozen=True)
-class WalkToken:
-    """One random-walk token.
+class WalkToken(NamedTuple):
+    """One random-walk token (an immutable tuple).
 
     ``path`` holds the arrival ports needed to retrace the walk (newest
     last); it models source routing and is excluded from the CONGEST bit
@@ -76,6 +90,10 @@ class WalkToken:
     path: Tuple[int, ...] = ()
 
 
+#: Builds a token from a 5-tuple of its fields in one C call.
+_new = tuple.__new__
+
+
 @dataclass(frozen=True)
 class TokenBundle(Message):
     """All tokens forwarded over one link in one round."""
@@ -83,13 +101,20 @@ class TokenBundle(Message):
     tokens: Tuple[WalkToken, ...]
 
     def size_bits(self, network_size: Optional[int] = None) -> int:
-        total = self.TYPE_TAG_BITS
-        for token in self.tokens:
+        """Tag, plus per token its three integers and a 2-bit mode tag.
+
+        Each integer costs :func:`~repro.core.messages.bits_for_int`,
+        written inline: ``x.bit_length() + (x <= 0)``.
+        """
+        total = self.TYPE_TAG_BITS + 2 * len(self.tokens)
+        for candidate_id, _, steps, collected, _ in self.tokens:
             total += (
-                bits_for_int(token.candidate_id)
-                + 2  # mode tag
-                + bits_for_int(token.steps_remaining)
-                + bits_for_int(token.collected_max)
+                candidate_id.bit_length()
+                + (candidate_id <= 0)
+                + steps.bit_length()
+                + (steps <= 0)
+                + collected.bit_length()
+                + (collected <= 0)
             )
         return total
 
@@ -173,7 +198,12 @@ class GilbertConfig:
 
 
 class GilbertStyleNode(ProtocolNode):
-    """One node of the Gilbert-style random-walk election."""
+    """One node of the Gilbert-style random-walk election.
+
+    The phase boundaries are read from the config once, at construction;
+    see the module docstring for the RNG contract and the quiescence
+    declaration.
+    """
 
     def __init__(
         self,
@@ -190,146 +220,137 @@ class GilbertStyleNode(ProtocolNode):
         self.mark = self.node_id if self.candidate else 0
         self.heard_max = self.node_id if self.candidate else 0
         self.leader = False
+        self._walk_length = config.walk_length
+        self._mark_phase_end = config.mark_phase_end
+        self._final_round = config.total_rounds() - 1
         self._held: List[WalkToken] = []
         self._halted = False
         if self.candidate:
-            self._held.extend(
-                WalkToken(
-                    candidate_id=self.node_id,
-                    mode=MODE_MARK,
-                    steps_remaining=config.walk_length,
-                    collected_max=self.node_id,
-                )
-                for _ in range(config.tokens_per_candidate)
-            )
+            token = WalkToken(self.node_id, MODE_MARK, self._walk_length, self.node_id)
+            self._held = [token] * config.tokens_per_candidate
 
     # ------------------------------------------------------------------ #
     @property
     def halted(self) -> bool:
         return self._halted
 
+    def quiescent_until(self, round_index: int) -> int:
+        """A node holding no tokens sleeps until its next phase boundary.
+
+        That is the mark-phase end for a candidate that has not passed it
+        (it releases its probes there), otherwise the final round.
+        """
+        if self._held:
+            return round_index
+        if self.candidate and round_index <= self._mark_phase_end:
+            return self._mark_phase_end
+        return self._final_round
+
     def step(self, round_index: int, inbox: Inbox) -> Outbox:
-        self._absorb(inbox)
+        if inbox:
+            self._absorb(inbox)
 
-        if round_index == self.config.mark_phase_end and self.candidate:
+        if round_index == self._mark_phase_end and self.candidate:
             # Release the probing wave.
-            self._held.extend(
-                WalkToken(
-                    candidate_id=self.node_id,
-                    mode=MODE_PROBE,
-                    steps_remaining=self.config.walk_length,
-                    collected_max=self.mark,
-                )
-                for _ in range(self.config.tokens_per_candidate)
-            )
+            probe = WalkToken(self.node_id, MODE_PROBE, self._walk_length, self.mark)
+            self._held.extend([probe] * self.config.tokens_per_candidate)
 
-        if round_index >= self.config.total_rounds() - 1:
+        if round_index >= self._final_round:
             self.leader = (
                 self.candidate and max(self.heard_max, self.mark) <= self.node_id
             )
             self._halted = True
             return {}
 
+        if not self._held:
+            return {}
         return self._move_tokens()
 
     # ------------------------------------------------------------------ #
     def _absorb(self, inbox: Inbox) -> None:
+        """Take in arriving tokens: marks mark, probes record, returns land."""
+        held = self._held
+        mark = self.mark
+        heard_max = self.heard_max
         for port, message in inbox.items():
             if not isinstance(message, TokenBundle):
                 continue
             for token in message.tokens:
-                if token.mode == MODE_MARK:
-                    if token.candidate_id > self.mark:
-                        self.mark = token.candidate_id
-                    self._held.append(token)
-                elif token.mode == MODE_PROBE:
-                    collected = max(token.collected_max, self.mark)
-                    self._held.append(
-                        replace(
-                            token,
-                            collected_max=collected,
-                            path=token.path + (port,),
-                        )
+                mode = token[1]
+                if mode == MODE_MARK:
+                    if token[0] > mark:
+                        mark = token[0]
+                    held.append(token)
+                elif mode == MODE_PROBE:
+                    candidate_id, _, steps, collected, path = token
+                    if mark > collected:
+                        collected = mark
+                    held.append(
+                        _new(WalkToken, (candidate_id, mode, steps, collected, path + (port,)))
                     )
-                elif token.mode == MODE_RETURN:
-                    if token.path:
-                        self._held.append(token)
-                    else:
-                        self._deliver(token)
-
-    def _deliver(self, token: WalkToken) -> None:
-        """A probe token returned to its origin: record what it collected."""
-        if token.collected_max > self.heard_max:
-            self.heard_max = token.collected_max
+                elif mode == MODE_RETURN:
+                    if token[4]:
+                        held.append(token)
+                    elif token[3] > heard_max:
+                        # Back at its origin: record what it collected.
+                        heard_max = token[3]
+        self.mark = mark
+        self.heard_max = heard_max
 
     def _move_tokens(self) -> Outbox:
+        """One hop for every held token; returns the per-port bundles.
+
+        Walking tokens (marks, and probes with steps left) each draw a
+        lazy coin and, if they move, a port inline (the module's RNG
+        contract).  Exhausted marks evaporate; exhausted probes turn into
+        return tokens, which retrace their path to the origin.
+        """
+        num_ports = self.num_ports
+        mark = self.mark
+        heard_max = self.heard_max
+        bits = num_ports.bit_length()
+        coin = self.rng.random
+        getrandbits = self.rng.getrandbits
+        new = _new
         per_port: Dict[int, List[WalkToken]] = {}
         still_held: List[WalkToken] = []
         for token in self._held:
-            if token.mode == MODE_MARK:
-                self._move_walk_token(token, per_port, still_held)
-            elif token.mode == MODE_PROBE:
-                if token.steps_remaining <= 0:
-                    self._start_return(token, per_port, still_held)
-                else:
-                    self._move_walk_token(token, per_port, still_held)
-            elif token.mode == MODE_RETURN:
-                self._move_return_token(token, per_port)
+            candidate_id, mode, steps, collected, path = token
+            if mode != MODE_RETURN and steps > 0:
+                moved = new(WalkToken, (candidate_id, mode, steps - 1, collected, path))
+                if num_ports == 0 or coin() < 0.5:
+                    still_held.append(moved)
+                    continue
+                r = getrandbits(bits)
+                while r >= num_ports:
+                    r = getrandbits(bits)
+                port = r + 1
+            elif mode == MODE_MARK:
+                continue  # exhausted mark tokens evaporate
+            else:
+                # An exhausted probe turns back with the largest mark seen;
+                # a return token takes one more step back along its path.
+                if mode == MODE_PROBE and mark > collected:
+                    collected = mark
+                if not path:
+                    # At its origin: record what it collected.
+                    if collected > heard_max:
+                        heard_max = collected
+                    continue
+                port = path[-1]
+                moved = new(
+                    WalkToken, (candidate_id, MODE_RETURN, steps, collected, path[:-1])
+                )
+            bundle = per_port.get(port)
+            if bundle is None:
+                per_port[port] = [moved]
+            else:
+                bundle.append(moved)
         self._held = still_held
+        self.heard_max = heard_max
         return {
-            port: TokenBundle(tokens=tuple(tokens))
-            for port, tokens in per_port.items()
-            if tokens
+            port: TokenBundle(tokens=tuple(tokens)) for port, tokens in per_port.items()
         }
-
-    def _move_walk_token(
-        self,
-        token: WalkToken,
-        per_port: Dict[int, List[WalkToken]],
-        still_held: List[WalkToken],
-    ) -> None:
-        if token.steps_remaining <= 0:
-            if token.mode == MODE_MARK:
-                return  # exhausted mark tokens evaporate
-            still_held.append(token)
-            return
-        if self.num_ports == 0 or self.rng.random() < 0.5:
-            still_held.append(replace(token, steps_remaining=token.steps_remaining - 1))
-            return
-        port = self.rng.randint(1, self.num_ports)
-        per_port.setdefault(port, []).append(
-            replace(token, steps_remaining=token.steps_remaining - 1)
-        )
-
-    def _start_return(
-        self,
-        token: WalkToken,
-        per_port: Dict[int, List[WalkToken]],
-        still_held: List[WalkToken],
-    ) -> None:
-        collected = max(token.collected_max, self.mark)
-        if not token.path:
-            # The token never left its origin: deliver locally.
-            self._deliver(replace(token, collected_max=collected))
-            return
-        returning = replace(token, mode=MODE_RETURN, collected_max=collected)
-        self._forward_return(returning, per_port)
-
-    def _move_return_token(
-        self, token: WalkToken, per_port: Dict[int, List[WalkToken]]
-    ) -> None:
-        if not token.path:
-            self._deliver(token)
-            return
-        self._forward_return(token, per_port)
-
-    def _forward_return(
-        self, token: WalkToken, per_port: Dict[int, List[WalkToken]]
-    ) -> None:
-        back_port = token.path[-1]
-        per_port.setdefault(back_port, []).append(
-            replace(token, path=token.path[:-1])
-        )
 
     # ------------------------------------------------------------------ #
     def result(self) -> Dict[str, object]:

@@ -728,9 +728,15 @@ class SynchronousSimulator:
         """``(bits, CONGEST units)`` charged for one sent message.
 
         The fallback of the delivery loops for classes :func:`_sizing`
-        does not resolve: overrides (batched tokens) and foreign objects
-        are asked.  Units are at least 1.
+        does not resolve: a :class:`Message` subclass that overrides its
+        sizing (batched tokens) is asked directly, a foreign object only
+        for the methods it has.  Units are at least 1.
         """
+        if isinstance(message, Message):
+            units = max(1, int(message.congest_units()))
+            if not self.count_bits:
+                return 0, units
+            return int(message.size_bits(self.topology.num_nodes)), units
         congest_units = getattr(message, "congest_units", None)
         units = max(1, int(congest_units())) if callable(congest_units) else 1
         if not self.count_bits:

@@ -169,6 +169,34 @@ class TestArchiveFailureModes:
         with pytest.raises(ConfigurationError, match="foreign"):
             ResultArchive(db)
 
+    def test_open_and_fetch_do_not_wait_for_a_held_write_lock(self, tmp_path):
+        db = tmp_path / "busy.sqlite"
+        with ResultArchive(db) as archive:
+            archive.add_records({"s|0|t|f|0|0|": {"x": 1}})
+        writer = sqlite3.connect(str(db))
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            with ResultArchive(db, timeout_seconds=0.5) as archive:
+                assert archive.fetch(["s|0|t|f|0|0|"]) == {"s|0|t|f|0|0|": {"x": 1}}
+        finally:
+            writer.rollback()
+            writer.close()
+
+    def test_locked_archive_reported_busy_not_corrupt(self, tmp_path):
+        db = tmp_path / "locked.sqlite"
+        ResultArchive(db).close()
+        writer = sqlite3.connect(str(db))
+        writer.execute("BEGIN EXCLUSIVE")
+        try:
+            with pytest.raises(ConfigurationError, match="is busy") as caught:
+                ResultArchive(db, timeout_seconds=0.1)
+            assert "re-populate" not in str(caught.value)
+        finally:
+            writer.rollback()
+            writer.close()
+        with ResultArchive(db) as archive:
+            assert len(archive) == 0
+
     def test_concurrent_writers_overlapping_shards_dedupe_by_key(self, tmp_path):
         db = tmp_path / "shared.sqlite"
         ResultArchive(db).close()

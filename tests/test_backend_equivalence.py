@@ -14,6 +14,8 @@ core.  This file pins that contract across
 * the irrevocable election pipeline (quiescence predicates engaged),
   including slot-aware broadcast horizons: overflowing super-rounds,
   nodes in several territories, and nodes frozen by an adversary,
+* the Gilbert baseline, whose token-less nodes sleep until their next
+  phase boundary, fault-free and under loss and delay,
 * the experiment engine in all execution modes: serial, pooled, pooled
   with the spawn start method, and sharded-with-checkpoint,
 * robustness curves over a dynamic scenario,
@@ -30,6 +32,7 @@ import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
 from repro.analysis.runners import flooding_runner, irrevocable_runner
+from repro.baselines import GilbertConfig, GilbertStyleNode, run_gilbert_election
 from repro.core import (
     BACKENDS,
     Message,
@@ -325,6 +328,69 @@ class TestSlotAwareHorizons:
             counts[backend] = rounds["count"]
         assert fingerprints["event"] == fingerprints["round"]
         assert counts["event"] <= 0.10 * counts["round"], counts
+
+
+def _gilbert_fingerprint(backend, topology, seed, adversary_spec=None):
+    """Outcome, cost and every node's result of one Gilbert election."""
+    config = GilbertConfig.from_topology(topology)
+    faults = (
+        fault_scope(lambda: make_adversary(adversary_spec, seed))
+        if adversary_spec is not None
+        else nullcontext()
+    )
+    with backend_scope(backend), faults:
+        result = run_gilbert_election(topology, seed=seed, config=config)
+    return result.as_dict(), result.node_results
+
+
+class TestGilbertEquivalence:
+    """Token-less Gilbert nodes sleep in the event core; results must not move."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "topology_factory",
+        [lambda: cycle(8), lambda: random_regular(16, 4, seed=7)],
+        ids=["cycle8", "rr16d4"],
+    )
+    @pytest.mark.parametrize(
+        "adversary_spec",
+        [
+            None,
+            AdversarySpec.create("loss", p=0.1),
+            AdversarySpec.create("delay", p=0.2, max_delay=3),
+        ],
+        ids=lambda s: s.token() if s is not None else "plain",
+    )
+    def test_gilbert_election_bit_identical(
+        self, topology_factory, seed, adversary_spec
+    ):
+        topology = topology_factory()
+        assert _gilbert_fingerprint(
+            "event", topology, seed, adversary_spec
+        ) == _gilbert_fingerprint("round", topology, seed, adversary_spec)
+
+    def test_event_core_steps_fewer_gilbert_nodes_same_productive_steps(
+        self, monkeypatch
+    ):
+        counts = {}
+        step = GilbertStyleNode.step
+
+        def counted_step(node, round_index, inbox):
+            outbox = step(node, round_index, inbox)
+            counts["steps"] += 1
+            counts["productive"] += bool(outbox)
+            return outbox
+
+        monkeypatch.setattr(GilbertStyleNode, "step", counted_step)
+        topology = cycle(16)
+        per_backend = {}
+        for backend in ("round", "event"):
+            counts.update(steps=0, productive=0)
+            _gilbert_fingerprint(backend, topology, 0)
+            per_backend[backend] = dict(counts)
+        event, reference = per_backend["event"], per_backend["round"]
+        assert event["productive"] == reference["productive"] > 0
+        assert event["steps"] <= 0.9 * reference["steps"], per_backend
 
 
 class TestExperimentEngineEquivalence:

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
+import random
 
-from repro.core import ConfigurationError
-from repro.baselines import GilbertConfig, TokenBundle, WalkToken, run_gilbert_election
-from repro.graphs import complete, cycle, random_regular
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ConfigurationError, SynchronousSimulator, build_nodes
+from repro.core.messages import bits_for_int
+from repro.baselines import (
+    GilbertConfig,
+    GilbertStyleNode,
+    TokenBundle,
+    WalkToken,
+    run_gilbert_election,
+)
+from repro.graphs import complete, cycle, random_regular, star
+
+#: Port counts around powers of two, where the rejection loop differs most.
+PORT_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
 
 class TestConfig:
@@ -58,6 +73,85 @@ class TestTokenBundle:
 
     def test_empty_bundle_still_one_unit(self):
         assert TokenBundle(()).congest_units() == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(), st.integers(), st.integers()), max_size=5
+        )
+    )
+    def test_size_bits_is_the_bits_for_int_sum(self, fields):
+        tokens = tuple(WalkToken(a, "probe", b, c, (1, 2)) for a, b, c in fields)
+        expected = TokenBundle.TYPE_TAG_BITS + sum(
+            bits_for_int(a) + 2 + bits_for_int(b) + bits_for_int(c)
+            for a, b, c in fields
+        )
+        assert TokenBundle(tokens).size_bits() == expected
+
+    def test_token_is_an_immutable_tuple_with_named_fields(self):
+        token = WalkToken(candidate_id=3, mode="mark", steps_remaining=2, collected_max=5)
+        assert token == (3, "mark", 2, 5, ())
+        assert (token.candidate_id, token.path) == (3, ())
+        with pytest.raises(AttributeError):
+            token.mode = "probe"
+
+
+class TestTokenHop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(PORT_COUNTS),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_port_draw_keeps_the_randint_stream(self, num_ports, tokens, seed):
+        node = GilbertStyleNode(
+            num_ports, random.Random(0), config=GilbertConfig(n=16, t_mix=2)
+        )
+        node.rng = random.Random(seed)
+        node._held = [WalkToken(7, "mark", 5, 7)] * tokens
+        outbox = node.step(1, {})
+
+        reference = random.Random(seed)
+        expected = {}
+        staying = 0
+        for _ in range(tokens):
+            if reference.random() < 0.5:
+                staying += 1
+            else:
+                port = reference.randint(1, num_ports)
+                expected[port] = expected.get(port, 0) + 1
+        counts = {port: len(bundle.tokens) for port, bundle in outbox.items()}
+        assert list(counts.items()) == list(expected.items())
+        assert len(node._held) == staying
+        assert node.rng.getstate() == reference.getstate()
+
+    def test_quiescent_node_steps_are_no_ops(self):
+        # Run an election one round at a time; before each round, step a
+        # twin of every node with empty inboxes up to its declared horizon.
+        topology = star(6)
+        config = GilbertConfig.from_topology(topology)
+        nodes = build_nodes(
+            topology,
+            lambda index, ports, rng: GilbertStyleNode(ports, rng, config=config),
+            seed=3,
+        )
+        simulator = SynchronousSimulator(topology, nodes, backend="round")
+        horizons = set()
+        while not simulator.all_halted():
+            round_index = simulator.current_round
+            for node in nodes:
+                horizon = node.quiescent_until(round_index)
+                if horizon <= round_index:
+                    continue
+                horizons.add(horizon)
+                twin = copy.deepcopy(node)
+                state, result = twin.rng.getstate(), twin.result()
+                for idle_round in range(round_index, horizon):
+                    assert twin.step(idle_round, {}) == {}
+                assert twin.rng.getstate() == state
+                assert twin.result() == result
+            simulator.run_round()
+        assert horizons == {config.mark_phase_end, config.total_rounds() - 1}
 
 
 class TestGilbertElection:
