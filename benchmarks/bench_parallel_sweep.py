@@ -35,7 +35,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import CollectingSink, ExperimentSpec
-from repro.analysis.runners import flooding_runner
 from repro.graphs import complete, cycle, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
 from repro.parallel import run_experiments
@@ -234,14 +233,14 @@ def _hetero_specs():
     return [
         ExperimentSpec(
             name="cheap",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(6), star(6), cycle(8)],
             seeds=tuple(range(CHEAP_SEEDS)),
             collect_profile=False,
         ),
         ExperimentSpec(
             name="expensive",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[complete(40)],
             seeds=(0, 1, 2, 3),
             collect_profile=False,

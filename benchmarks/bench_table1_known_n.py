@@ -26,8 +26,6 @@ from repro.analysis import (
     render_comparison_table,
     run_experiment,
 )
-from repro.baselines import run_flooding_election, run_gilbert_election, run_uniform_id_election
-from repro.election import IrrevocableConfig, run_irrevocable_election
 from repro.graphs import cycle, random_regular, torus_2d
 
 from _harness import profiles_for, record_report, rows_table
@@ -41,37 +39,21 @@ TOPOLOGIES = [
     cycle(32),
 ]
 
+#: Table column -> registered protocol, each at its default configuration.
 ALGORITHMS = {
-    "this-work-thm1": lambda topology, seed: run_irrevocable_election(
-        topology, seed=seed, config=_config_cache(topology)
-    ),
-    "gilbert-podc18": lambda topology, seed: run_gilbert_election(topology, seed=seed),
-    "flooding-kutten": lambda topology, seed: run_flooding_election(topology, seed=seed),
-    "uniform-id": lambda topology, seed: run_uniform_id_election(topology, seed=seed),
+    "this-work-thm1": "irrevocable",
+    "gilbert-podc18": "gilbert",
+    "flooding-kutten": "flooding",
+    "uniform-id": "uniform",
 }
-
-_CONFIGS = {}
-
-
-def _config_cache(topology):
-    config = _CONFIGS.get(topology.name)
-    if config is None:
-        profile = profiles_for([topology])[topology.name]
-        config = IrrevocableConfig(
-            n=topology.num_nodes,
-            t_mix=profile.mixing_time,
-            conductance=profile.conductance,
-        )
-        _CONFIGS[topology.name] = config
-    return config
 
 
 def _run_all():
     profiles = profiles_for(TOPOLOGIES)
     results = {}
-    for name, runner in ALGORITHMS.items():
+    for name, protocol in ALGORITHMS.items():
         spec = ExperimentSpec(
-            name=name, runner=runner, topologies=TOPOLOGIES, seeds=SEEDS
+            name=name, protocol=protocol, topologies=TOPOLOGIES, seeds=SEEDS
         )
         results[name] = run_experiment(spec, profiles=profiles)
     return results

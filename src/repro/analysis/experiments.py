@@ -1,9 +1,9 @@
 """Experiment runner: sweeps of election algorithms over topologies and seeds.
 
 The benchmark harness and the examples share the same driver: an
-:class:`ExperimentSpec` names an algorithm (a callable that takes a topology
-and a seed and returns a :class:`~repro.election.base.LeaderElectionResult`)
-and the grid of topologies/seeds to run it on; :func:`run_experiment`
+:class:`ExperimentSpec` names a registered protocol (a
+:class:`~repro.protocols.spec.ProtocolSpec`) and the grid of
+topologies/seeds to run it on; :func:`run_experiment`
 executes the grid and aggregates per-cell statistics (success rate, message
 and round means) into :class:`ExperimentCell` records that the reporting
 layer turns into Table 1-style tables or scaling series.
@@ -18,7 +18,6 @@ A caller that needs the runs passes a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -60,82 +59,94 @@ __all__ = [
 #: An algorithm under test: ``runner(topology, seed) -> LeaderElectionResult``.
 ElectionRunner = Callable[[Topology, int], LeaderElectionResult]
 
+#: The built-in protocols whose bare-name task keys predate protocol specs
+#: and so carry no protocol segment (see :meth:`ExperimentSpec.protocol_token`).
+_UNSTAMPED_PROTOCOLS = frozenset(
+    {"flooding", "gilbert", "irrevocable", "revocable", "uniform"}
+)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named sweep of one algorithm over topologies and seeds.
+    """A named sweep of one protocol over topologies and seeds.
 
-    The algorithm is either a ``runner`` callable (the legacy shape:
-    ``runner(topology, seed) -> LeaderElectionResult``) or a declarative
-    ``protocol`` (a :class:`~repro.protocols.spec.ProtocolSpec`, or its
-    string spelling ``"name:k=v,..."`` which is parsed and validated
-    here).  Exactly one of the two must be set; with ``protocol`` the
-    spec's configuration token becomes part of the checkpoint task keys,
-    so parameter sweeps resume/shard/merge without ever mixing runs
-    measured under different constants.
+    ``protocol`` is a :class:`~repro.protocols.spec.ProtocolSpec`, or its
+    string spelling ``"name:k=v,..."``, which is parsed and validated
+    here.  :meth:`protocol_token` decides what the configuration adds to
+    checkpoint task keys, so parameter sweeps resume/shard/merge without
+    ever mixing runs measured under different constants.
 
     ``adversary`` adds the execution-model grid axis: when set (an
     :class:`~repro.dynamics.spec.AdversarySpec`), every run executes under
     that fault model — deterministically per run seed — and the adversary's
     identity becomes part of the checkpoint task keys.
+
+    ``name`` and the topology names become ``|``-separated task-key
+    segments, so neither may contain ``|``.
     """
 
     name: str
-    runner: Optional[ElectionRunner] = None
+    protocol: "ProtocolSpec"
     topologies: Sequence[Topology] = ()
     seeds: Sequence[int] = (0, 1, 2)
     collect_profile: bool = True
     adversary: Optional["AdversarySpec"] = None
-    protocol: Optional["ProtocolSpec"] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.protocol, str):
             from ..protocols.spec import ProtocolSpec
 
             object.__setattr__(self, "protocol", ProtocolSpec.parse(self.protocol))
-        if self.runner is None and self.protocol is None:
-            raise ConfigurationError(
-                "an experiment needs an algorithm: pass runner=... or protocol=..."
-            )
-        if self.runner is not None and self.protocol is not None:
-            raise ConfigurationError(
-                "pass either runner= or protocol=, not both (the protocol "
-                "spec decides the runner)"
-            )
-        if self.runner is not None:
-            warnings.warn(
-                "ExperimentSpec(runner=...) is deprecated; pass "
-                "protocol=... (a ProtocolSpec or 'name:k=v,...' string) "
-                "so the configuration is validated against the protocol's "
-                "schema and enters checkpoint/archive task keys",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if not self.topologies:
             raise ConfigurationError("an experiment needs at least one topology")
         if not self.seeds:
             raise ConfigurationError("an experiment needs at least one seed")
+        for name in [self.name, *(topology.name for topology in self.topologies)]:
+            if "|" in name:
+                raise ConfigurationError(
+                    f"spec and topology names may not contain '|' (it "
+                    f"separates checkpoint task-key segments): {name!r}"
+                )
 
     def protocol_token(self) -> str:
-        """The spec's protocol-configuration token ("" for legacy runners)."""
-        return self.protocol.token() if self.protocol is not None else ""
+        """The protocol segment of this spec's task keys.
+
+        ``""`` exactly when a built-in protocol of :data:`_UNSTAMPED_PROTOCOLS` runs at
+        its default configuration under its own name (optionally followed
+        by ``@<adversary token>``), as bare-name sweep specs of the
+        built-in protocols do; otherwise the protocol's
+        :meth:`~repro.protocols.spec.ProtocolSpec.token`.  The same value
+        fills the cell's ``protocol`` column and the runs'
+        ``parameters["protocol"]`` stamp (no stamp when empty), so
+        checkpoints and archives written before protocol specs existed
+        keep their task keys, while two protocols under one spec name
+        never share them and a registered protocol always names itself.
+        """
+        protocol = self.protocol
+        bare_names = {protocol.name}
+        if self.adversary is not None:
+            bare_names.add(f"{protocol.name}@{self.adversary.token()}")
+        if (
+            protocol.name in _UNSTAMPED_PROTOCOLS
+            and not protocol.params
+            and self.name in bare_names
+        ):
+            return ""
+        return protocol.token()
 
 
 def effective_runner(spec: ExperimentSpec) -> ElectionRunner:
     """The runner actually executed for ``spec``'s runs.
 
-    Resolves a declarative protocol spec to its
-    :class:`~repro.protocols.runners.ProtocolRunner`, then wraps the base
-    runner in an adversarial fault scope when the spec carries an
-    adversary; both the serial driver and the parallel engine's task
-    expansion funnel through here, so the two backends run cells
-    identically.
+    Resolves the spec's protocol to its
+    :class:`~repro.protocols.runners.ProtocolRunner`, then wraps it in an
+    adversarial fault scope when the spec carries an adversary; both the
+    serial driver and the parallel engine's task expansion funnel through
+    here, so the two backends run cells identically.
     """
-    base = spec.runner
-    if base is None:
-        from ..protocols.runners import ProtocolRunner
+    from ..protocols.runners import ProtocolRunner
 
-        base = ProtocolRunner(spec.protocol)
+    base = ProtocolRunner(spec.protocol, stamp=spec.protocol_token())
     if spec.adversary is None:
         return base
     from ..dynamics.runners import AdversarialRunner
@@ -167,9 +178,9 @@ class ExperimentCell:
     max_messages: int = 0
     min_rounds: int = 0
     max_rounds: int = 0
-    #: The protocol-configuration token of the spec that produced the cell
-    #: ("" for legacy runner-callable specs at default configuration), so
-    #: parameter-sweep cells stay tellable apart in reports and exports.
+    #: The spec's :meth:`ExperimentSpec.protocol_token` ("" for bare-name
+    #: specs at default configuration), so parameter-sweep cells stay
+    #: tellable apart in reports and exports.
     protocol: str = ""
     #: Streaming safety verdicts of the cell's runs (never ``None`` for
     #: cells built by the drivers; kept optional for hand-built cells).

@@ -93,8 +93,10 @@ def parse_task_key(key: str) -> TaskCoordinates:
 
     The key format (see :func:`repro.parallel.sharding.task_key`) is
     ``spec|topology_index|topology_name|fingerprint|seed_index|seed|``
-    ``adversary`` with ``|protocol`` appended only when the spec carries a
-    protocol token — 7 or 8 segments, none of which contain ``|``.
+    ``adversary`` with ``|protocol`` appended only when the spec's
+    :meth:`~repro.analysis.experiments.ExperimentSpec.protocol_token` is
+    non-empty — 7 or 8 segments, none of which contain ``|`` (the spec
+    rejects ``|`` in its own and its topologies' names).
     """
     parts = key.split("|")
     if len(parts) == 7:

@@ -58,10 +58,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .analysis import render_kv, render_table
-from .analysis.runners import RUNNERS
 from .core.errors import ReproError
 from .election.explicit import extend_to_explicit
 from .graphs import Topology, expansion_profile
@@ -70,12 +69,6 @@ from .impossibility import demonstrate_impossibility
 from .protocols import ProtocolSpec, describe_protocols
 
 __all__ = ["main", "parse_topology", "build_parser"]
-
-#: Legacy name -> default-configuration runner registry (kept for
-#: programmatic users; the CLI itself now resolves ``--algorithm``
-#: strings through :mod:`repro.protocols`, which accepts parameters).
-ELECTION_RUNNERS: Dict[str, Callable[..., object]] = RUNNERS
-
 
 def parse_topology(spec: str, *, seed: int = 0) -> Topology:
     """Parse a ``family:arg[:arg...]`` topology specification.

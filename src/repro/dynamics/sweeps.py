@@ -68,7 +68,7 @@ def robustness_specs(
     """Expand an (algorithm × adversary) grid into experiment specs.
 
     ``algorithms`` entries are anything :func:`repro.workloads.suites.sweep_specs`
-    accepts — plain runner names, parameterised protocol spec strings
+    accepts — bare protocol names, parameterised protocol spec strings
     ("irrevocable:c=3"), or :class:`~repro.protocols.spec.ProtocolSpec`
     objects — so robustness curves compose with protocol parameter grids
     (how does a *retuned* protocol degrade under faults?).

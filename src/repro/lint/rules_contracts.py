@@ -2,10 +2,10 @@
 
 The repo's extension points are deliberately duck-typed — ``ResultSink``
 consumers, ``FaultAdversary`` models, ``ProtocolNode`` implementations —
-and its registries (``ADVERSARIES``, ``PROTOCOLS``, ``RUNNERS``) ship
-their entries across the multiprocessing boundary.  Nothing checks either
-contract until a sweep breaks: a sink whose ``emit`` has the wrong arity
-dies on the first completed run, a lambda registered as a runner dies
+and its registries (``ADVERSARIES``, ``PROTOCOLS``) ship their entries
+across the multiprocessing boundary.  Nothing checks either contract
+until a sweep breaks: a sink whose ``emit`` has the wrong arity dies on
+the first completed run, a lambda registered as a protocol factory dies
 only under ``spawn``.  These rules check both at the AST, where the cost
 of being wrong is a lint line instead of a dead sweep.
 """
@@ -24,10 +24,10 @@ __all__ = ["ContractConformanceRule", "PickleSafetyRule"]
 
 #: Registries whose values cross the pool boundary (pickled into spawn
 #: workers or shipped inside task payloads).
-_REGISTRIES = {"ADVERSARIES", "PROTOCOLS", "RUNNERS"}
+_REGISTRIES = {"ADVERSARIES", "PROTOCOLS"}
 
 #: ``register_*`` helpers feeding those registries.
-_REGISTER_CALLS = {"register_protocol", "register_adversary", "register_runner"}
+_REGISTER_CALLS = {"register_protocol", "register_adversary"}
 
 
 def _local_defs(tree: ast.Module) -> Set[str]:

@@ -47,9 +47,9 @@ Determinism guarantees
 * **Profile consistency.**  Expansion profiles are computed in the parent
   with the same cache-and-compute-on-demand policy as the serial driver.
 
-Workers receive their tasks by pickling, so spec runners must be
-importable module-level callables (see :mod:`repro.analysis.runners`);
-lambdas and closures only work with the in-process backend.
+Workers receive their tasks by pickling, so a registered protocol's
+factory must be an importable module-level callable; lambdas and
+closures only work with the in-process backend.
 """
 
 from __future__ import annotations

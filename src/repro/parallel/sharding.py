@@ -71,8 +71,8 @@ class RunTask:
     #: stable token of the spec's adversary model ("" without one); part of
     #: the task identity so checkpoints never mix execution models.
     adversary: str = ""
-    #: stable token of the spec's protocol configuration ("" for legacy
-    #: runner-callable specs); part of the task identity so checkpoints
+    #: the spec's :meth:`~repro.analysis.experiments.ExperimentSpec.protocol_token`
+    #: ("" for bare-name specs); part of the task identity so checkpoints
     #: never mix runs measured under different protocol constants.
     protocol: str = ""
 
@@ -123,11 +123,12 @@ def task_key(
     reason: a robustness sweep resumed with a different fault model must
     re-run, not replay.
 
-    ``protocol`` (the spec's protocol-configuration token, "" for legacy
-    runner-callable specs) keys the protocol constants the run was
-    measured under.  It is appended as an extra segment *only when set*,
-    so checkpoints written before protocol specs existed keep their task
-    keys and still resume.
+    ``protocol`` (the spec's
+    :meth:`~repro.analysis.experiments.ExperimentSpec.protocol_token`,
+    "" for bare-name specs at default configuration) keys the protocol
+    constants the run was measured under.  It is appended as an extra
+    segment *only when set*, so checkpoints written before protocol specs
+    existed keep their task keys and still resume.
     """
     key = (
         f"{spec_name}|{topology_index}|{topology_name}|{fingerprint}"

@@ -35,6 +35,10 @@ class ProtocolRunner:
 
     spec: ProtocolSpec
     definition: Optional[ProtocolDefinition] = None
+    #: The ``parameters["protocol"]`` value recorded on every run; nothing
+    #: is recorded when empty (see
+    #: :meth:`~repro.analysis.experiments.ExperimentSpec.protocol_token`).
+    stamp: str = ""
 
     def __post_init__(self) -> None:
         if self.definition is None:
@@ -52,7 +56,8 @@ class ProtocolRunner:
         result = self.definition.factory(topology, seed, **self._validated)
         # Record the configuration on the run itself, so checkpoint records
         # and JSONL exports always say which constants produced a number.
-        result.parameters = {**result.parameters, "protocol": self.spec.token()}
+        if self.stamp:
+            result.parameters = {**result.parameters, "protocol": self.stamp}
         return result
 
 
@@ -60,4 +65,4 @@ def protocol_runner(spec: Union[ProtocolSpec, str]) -> ProtocolRunner:
     """Build a runner from a spec (or its string spelling, validated here)."""
     if isinstance(spec, str):
         spec = ProtocolSpec.parse(spec)
-    return ProtocolRunner(spec)
+    return ProtocolRunner(spec, stamp=spec.token())

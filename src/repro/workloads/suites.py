@@ -17,7 +17,6 @@ so a suite is fully reproducible.
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -55,7 +54,7 @@ __all__ = [
     "protocol_scenario",
 ]
 
-#: What a sweep accepts as one algorithm: a registered runner name
+#: What a sweep accepts as one algorithm: a registered protocol name
 #: ("flooding"), a protocol spec string with parameters
 #: ("irrevocable:c=3"), or a ready :class:`~repro.protocols.spec.ProtocolSpec`.
 Algorithm = Union[str, "ProtocolSpec"]
@@ -165,38 +164,35 @@ def sweep_specs(
 ) -> List["ExperimentSpec"]:
     """Build one :class:`~repro.analysis.experiments.ExperimentSpec` per algorithm.
 
-    Each entry of ``algorithms`` is either a plain runner name from
-    :data:`repro.analysis.runners.RUNNERS` ("flooding" — the legacy path,
-    keeping long-standing checkpoint task keys), a protocol spec string
-    with parameters ("irrevocable:c=3,x_multiplier=1.5"), or a ready
+    Each entry of ``algorithms`` is a registered protocol name
+    ("flooding"), a protocol spec string with parameters
+    ("irrevocable:c=3,x_multiplier=1.5"), or a ready
     :class:`~repro.protocols.spec.ProtocolSpec` (e.g. from
-    :func:`param_grid`).  Either way the resulting specs are picklable and
-    can be handed directly to the parallel engine
-    (``repro.parallel.run_experiments``) or to the CLI's ``sweep``
-    command; parameterised variants are named by their spec token, so two
-    variants of the same algorithm occupy distinct cells.  ``adversary``
-    attaches one fault model (:class:`~repro.dynamics.spec.AdversarySpec`)
-    to every spec; use :func:`repro.dynamics.robustness_specs` for full
-    (algorithm × adversary) grids.
+    :func:`param_grid`); strings are parsed with
+    :meth:`ProtocolSpec.parse <repro.protocols.spec.ProtocolSpec.parse>`.
+    Each spec is named by its protocol's token, so two variants of the
+    same algorithm occupy distinct cells, and a bare name keeps the task
+    keys it had before protocol specs existed (see
+    :meth:`~repro.analysis.experiments.ExperimentSpec.protocol_token`).
+    The specs are picklable and can be handed directly to the parallel
+    engine (``repro.parallel.run_experiments``) or to the CLI's ``sweep``
+    command.  ``adversary`` attaches one fault model
+    (:class:`~repro.dynamics.spec.AdversarySpec`) to every spec; use
+    :func:`repro.dynamics.robustness_specs` for full (algorithm ×
+    adversary) grids.
     """
     from ..analysis.experiments import ExperimentSpec
-    from ..analysis.runners import RUNNERS, runner_by_name
     from ..protocols.spec import ProtocolSpec
 
     specs: List["ExperimentSpec"] = []
     spellings: Dict[str, str] = {}
     for algorithm in algorithms:
-        protocol: Optional[ProtocolSpec] = None
-        if isinstance(algorithm, ProtocolSpec):
-            protocol = algorithm
-        elif ":" in algorithm or algorithm not in RUNNERS:
-            # Parameterised spec strings, and bare names of protocols
-            # registered after the fact (register_protocol): both resolve
-            # through the protocol registry.  Only the built-in names take
-            # the legacy-runner path, which keeps their pre-protocol
-            # checkpoint task keys.
-            protocol = ProtocolSpec.parse(algorithm)
-        base = algorithm if protocol is None else protocol.token()
+        protocol = (
+            algorithm
+            if isinstance(algorithm, ProtocolSpec)
+            else ProtocolSpec.parse(algorithm)
+        )
+        base = protocol.token()
         name = base if adversary is None else f"{base}@{adversary.token()}"
         # Catch same-configuration collisions here, where the original
         # spellings are still in hand: "flooding:c=2" and "flooding:c=2.00"
@@ -204,16 +200,8 @@ def sweep_specs(
         # only in spelling out the default — either way the sweep would
         # measure one configuration twice (the engine's later unique-name
         # check would quote names the user never typed, or miss the
-        # legacy-name case entirely).
-        if protocol is not None:
-            canonical = protocol.canonical()
-        else:
-            try:
-                canonical = ProtocolSpec.create(algorithm).canonical()
-            except ConfigurationError:
-                # A runner registered only in the legacy RUNNERS dict (no
-                # protocol-registry entry): its name is its configuration.
-                canonical = algorithm
+        # bare-name case entirely).
+        canonical = protocol.canonical()
         spelling = str(algorithm)
         if canonical in spellings:
             raise ConfigurationError(
@@ -221,28 +209,16 @@ def sweep_specs(
                 f"the same configuration ({canonical})"
             )
         spellings[canonical] = spelling
-        algorithm_source = (
-            {"runner": runner_by_name(algorithm)}
-            if protocol is None
-            else {"protocol": protocol}
-        )
-        with warnings.catch_warnings():
-            if protocol is None:
-                # The built-in names deliberately take the legacy runner
-                # path to keep their pre-protocol checkpoint task keys;
-                # that internal choice must not surface the public
-                # ``runner=`` deprecation to every sweep caller.
-                warnings.simplefilter("ignore", DeprecationWarning)
-            specs.append(
-                ExperimentSpec(
-                    name=name,
-                    topologies=list(topologies),
-                    seeds=tuple(seeds),
-                    collect_profile=collect_profile,
-                    adversary=adversary,
-                    **algorithm_source,
-                )
+        specs.append(
+            ExperimentSpec(
+                name=name,
+                protocol=protocol,
+                topologies=list(topologies),
+                seeds=tuple(seeds),
+                collect_profile=collect_profile,
+                adversary=adversary,
             )
+        )
     return specs
 
 

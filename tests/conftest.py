@@ -15,6 +15,32 @@ from repro.graphs import (
     random_regular,
     star,
 )
+from repro.protocols import PROTOCOLS, register_protocol
+
+
+@pytest.fixture
+def register_fake_protocol():
+    """Register test-double protocols for one test, then unregister them.
+
+    Call it as ``register_fake_protocol(name, factory)`` with a
+    module-level ``factory(topology, seed)``.  A fake may shadow a
+    built-in name (so a replay hits that name's task keys); the built-in
+    is restored afterwards.  Spawn workers need no registration of their
+    own: the spec's ``ProtocolRunner`` pickles the definition it
+    captured, and the factory travels by reference.
+    """
+    shadowed = {}
+
+    def register(name, factory):
+        shadowed.setdefault(name, PROTOCOLS.get(name))
+        register_protocol(name, factory, replace=True)
+
+    yield register
+    for name, previous in shadowed.items():
+        if previous is None:
+            PROTOCOLS.pop(name, None)
+        else:
+            PROTOCOLS[name] = previous
 
 
 @pytest.fixture

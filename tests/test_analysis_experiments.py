@@ -15,29 +15,36 @@ from repro.analysis import (
     run_experiment,
     summarize_results,
 )
-from repro.baselines import run_flooding_election
-from repro.graphs import cycle, star
-
-
-def flooding_runner(topology, seed):
-    return run_flooding_election(topology, seed=seed)
+from repro.graphs import Topology, cycle, star
 
 
 class TestExperimentSpec:
     def test_requires_topologies_and_seeds(self):
         with pytest.raises(ConfigurationError):
-            ExperimentSpec(name="x", runner=flooding_runner, topologies=[], seeds=(1,))
+            ExperimentSpec(name="x", protocol="flooding", topologies=[], seeds=(1,))
         with pytest.raises(ConfigurationError):
             ExperimentSpec(
-                name="x", runner=flooding_runner, topologies=[cycle(4)], seeds=()
+                name="x", protocol="flooding", topologies=[cycle(4)], seeds=()
             )
+
+    def test_rejects_pipe_in_spec_name(self):
+        # "|" separates task-key segments: such a spec used to be accepted
+        # and then failed at the archive write with a malformed-key error.
+        with pytest.raises(ConfigurationError, match=r"'a\|b'"):
+            ExperimentSpec(name="a|b", protocol="flooding", topologies=[cycle(4)])
+
+    def test_rejects_pipe_in_topology_name(self):
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        renamed = Topology(5, edges, name="ring|5")
+        with pytest.raises(ConfigurationError, match=r"'ring\|5'"):
+            ExperimentSpec(name="x", protocol="flooding", topologies=[cycle(4), renamed])
 
 
 class TestRunExperiment:
     def test_cells_aggregate_per_topology(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8)],
             seeds=(0, 1, 2),
             collect_profile=False,
@@ -52,7 +59,7 @@ class TestRunExperiment:
     def test_profiles_attached_when_requested(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0,),
             collect_profile=True,
@@ -71,7 +78,7 @@ class TestRunExperiment:
         assert a.name == b.name
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[a, b],
             seeds=(0,),
             collect_profile=True,
@@ -90,7 +97,7 @@ class TestRunExperiment:
         profile = expansion_profile(topology)
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[topology],
             seeds=(0,),
         )
@@ -100,7 +107,7 @@ class TestRunExperiment:
     def test_series_extraction_sorted_by_x(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(16), cycle(8)],
             seeds=(0,),
             collect_profile=False,
@@ -110,8 +117,6 @@ class TestRunExperiment:
         assert [x for x, _ in series] == [8, 16]
 
     def test_collecting_sink_stores_individual_runs(self):
-        # A registry protocol, not the local runner: the pooled leg ships
-        # the spec to worker processes under any start method.
         spec = ExperimentSpec(
             name="flooding",
             protocol="flooding",
@@ -131,7 +136,7 @@ class TestRunExperiment:
     def test_overall_success_rate_and_rows(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
@@ -145,7 +150,7 @@ class TestRunExperiment:
     def test_missing_cell_raises(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0,),
             collect_profile=False,

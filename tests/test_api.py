@@ -1,8 +1,7 @@
 """Tests for the ``repro.api`` facade, deprecations, and CLI exit codes.
 
 Covers the redesigned entry points (``run`` / ``sweep`` / ``query`` /
-``plan_sweep`` / ``SweepConfig``), the deprecation of the legacy
-``ExperimentSpec(runner=...)`` spelling,
+``plan_sweep`` / ``SweepConfig``), warning-free built-in sweeps,
 and the 0/1/2 exit-code contract shared by ``merge`` / ``stats`` /
 ``archive stats`` (0 clean, 1 findings/partial, 2 usage or error).
 """
@@ -15,7 +14,6 @@ import warnings
 import pytest
 
 from repro import api
-from repro.analysis.experiments import ExperimentSpec
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, path
@@ -181,15 +179,6 @@ class TestSweepFacade:
 
 
 class TestDeprecations:
-    def test_spec_runner_kwarg_warns(self):
-        def trivial_runner(topology, seed):  # pragma: no cover - never run
-            raise AssertionError
-
-        with pytest.warns(DeprecationWarning, match="runner=.*deprecated"):
-            ExperimentSpec(
-                name="legacy", runner=trivial_runner, topologies=(cycle(5),)
-            )
-
     def test_builtin_sweep_specs_stay_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

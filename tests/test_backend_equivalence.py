@@ -31,7 +31,6 @@ from contextlib import nullcontext
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner, irrevocable_runner
 from repro.baselines import GilbertConfig, GilbertStyleNode, run_gilbert_election
 from repro.core import (
     BACKENDS,
@@ -59,6 +58,7 @@ from repro.election import (
 )
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import expand_run_tasks, run_experiments
+from repro.protocols import run_protocol
 from repro.workloads import dynamic_scenario
 
 ADVERSARY_GRID = [
@@ -176,7 +176,7 @@ def _comparable(cells):
 def _flooding_spec(adversary=None, name="flooding-backend-eq"):
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=(0, 1, 2),
         collect_profile=False,
@@ -228,9 +228,9 @@ class TestSimulatorCoreEquivalence:
 
     def test_irrevocable_runner_matches_across_backends(self):
         with backend_scope("round"):
-            reference = irrevocable_runner(cycle(8), 1).as_dict()
+            reference = run_protocol("irrevocable", cycle(8), 1).as_dict()
         with backend_scope("event"):
-            assert irrevocable_runner(cycle(8), 1).as_dict() == reference
+            assert run_protocol("irrevocable", cycle(8), 1).as_dict() == reference
 
 
 class TestSlotAwareHorizons:

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, star
 from repro.parallel import (
@@ -24,14 +23,15 @@ from repro.parallel import (
     result_to_record,
     run_experiments,
 )
+from repro.protocols import run_protocol
 
 SEEDS = (0, 1, 2)
 
 
-def _spec(seeds=SEEDS, runner=flooding_runner, name="flooding"):
+def _spec(seeds=SEEDS, name="flooding"):
     return ExperimentSpec(
         name=name,
-        runner=runner,
+        protocol=name,
         topologies=[cycle(8), star(8)],
         seeds=seeds,
         collect_profile=False,
@@ -50,7 +50,7 @@ def _comparable(cells):
 def _records(count):
     out = {}
     for seed in range(count):
-        result = flooding_runner(cycle(8), seed)
+        result = run_protocol("flooding", cycle(8), seed)
         out[f"key-{seed}"] = result_to_record(result, 0.1 * (seed + 1))
     return out
 
@@ -66,7 +66,7 @@ def _write_legacy(path, records):
 def _counted_runner(topology, seed):
     with open(os.environ["REPRO_STORE_COUNT_FILE"], "a", encoding="utf-8") as f:
         f.write(f"{topology.name} {seed}\n")
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)
 
 
 class TestJsonlFormat:
@@ -152,22 +152,23 @@ class TestLegacyTransparency:
         assert JsonlCheckpointStore(path).load() == {**records, "key-2": extra}
 
     def test_legacy_resume_executes_only_missing_runs(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, register_fake_protocol
     ):
         """The satellite pin: a legacy-JSON checkpoint resumes through the
         JSONL default with zero re-execution, and the results are
         bit-identical to an uncheckpointed serial sweep."""
+        register_fake_protocol("counted", _counted_runner)
         count_file = tmp_path / "runs.log"
         monkeypatch.setenv("REPRO_STORE_COUNT_FILE", str(count_file))
         checkpoint = tmp_path / "ck.json"
-        serial = run_experiment(_spec(name="counted", runner=_counted_runner))
+        serial = run_experiment(_spec(name="counted"))
         count_file.write_text("")
 
         # Interrupted sweep, 2 of 3 seeds done, its runs then saved in
         # the legacy format.
         partial = tmp_path / "partial.jsonl"
         run_experiments(
-            [_spec(seeds=(0, 1), name="counted", runner=_counted_runner)],
+            [_spec(seeds=(0, 1), name="counted")],
             checkpoint=partial,
         )
         assert len(count_file.read_text().splitlines()) == 4
@@ -177,7 +178,7 @@ class TestLegacyTransparency:
         # Resume with the JSONL default: only the 2 missing runs execute,
         # the file migrates, and the cells match the serial sweep exactly.
         resumed = run_experiment(
-            _spec(name="counted", runner=_counted_runner),
+            _spec(name="counted"),
             workers=2,
             checkpoint=checkpoint,
         )
@@ -190,7 +191,7 @@ class TestLegacyTransparency:
         # checkpoint is byte-identical afterwards.
         before = checkpoint.read_bytes()
         replayed = run_experiment(
-            _spec(name="counted", runner=_counted_runner),
+            _spec(name="counted"),
             checkpoint=checkpoint,
         )
         assert len(count_file.read_text().splitlines()) == 6

@@ -25,7 +25,6 @@ import random
 import pytest
 
 from repro.analysis import ExperimentSpec, effective_runner, run_experiment
-from repro.analysis.runners import flooding_runner, irrevocable_runner
 from repro.core import (
     DELIVER,
     DROP,
@@ -67,7 +66,11 @@ from repro.graphs import (
     torus_2d,
 )
 from repro.parallel import expand_run_tasks
+from repro.protocols import protocol_runner
 from repro.workloads import DYNAMIC_SCENARIOS, dynamic_scenario
+
+FLOODING = protocol_runner("flooding")
+IRREVOCABLE = protocol_runner("irrevocable")
 
 WORKER_COUNTS = sorted({2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 
@@ -550,7 +553,7 @@ ADVERSARY_GRID = [
 def _adversarial_spec(adversary, name="flooding-under-faults"):
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=(0, 1, 2),
         collect_profile=False,
@@ -569,8 +572,8 @@ class TestAdversarialSweepEquivalence:
 
     def test_adversarial_runs_are_repeatable(self):
         spec = AdversarySpec.create("loss", p=0.2)
-        a = run_with_adversary(flooding_runner, torus_2d(4, 4), 3, spec)
-        b = run_with_adversary(flooding_runner, torus_2d(4, 4), 3, spec)
+        a = run_with_adversary(FLOODING, torus_2d(4, 4), 3, spec)
+        b = run_with_adversary(FLOODING, torus_2d(4, 4), 3, spec)
         assert a.as_dict() == b.as_dict()
         assert a.parameters["adversary"] == spec.as_dict()
 
@@ -662,7 +665,7 @@ class TestSafetyUnderFaults:
     def test_irrevocable_never_elects_two_leaders_under_benign_loss(self, p):
         spec = AdversarySpec.create("loss", p=p)
         runs = [
-            run_with_adversary(irrevocable_runner, topology, seed, spec)
+            run_with_adversary(IRREVOCABLE, topology, seed, spec)
             for topology in SAFETY_TOPOLOGIES
             for seed in range(5)
         ]
@@ -676,7 +679,7 @@ class TestSafetyUnderFaults:
         # below the largest candidate's announcements die and a second
         # candidate also keeps its flag up.  The helpers must report it.
         spec = AdversarySpec.create("loss", p=0.05)
-        run = run_with_adversary(flooding_runner, path(8), 3, spec)
+        run = run_with_adversary(FLOODING, path(8), 3, spec)
         assert run.outcome.num_leaders == 2
         assert not run.outcome.safe
         summary = summarize_safety([run])
@@ -685,7 +688,7 @@ class TestSafetyUnderFaults:
         assert summary["violations"][0]["adversary"] == spec.as_dict()
 
     def test_safe_flag_on_outcomes(self):
-        run = flooding_runner(cycle(8), 0)
+        run = FLOODING(cycle(8), 0)
         assert run.outcome.safe
         assert summarize_safety([run])["safety_rate"] == 1.0
 
@@ -866,8 +869,8 @@ class TestComposedAdversary:
         spec = AdversarySpec.create(
             "composed", models="loss+delay", **{"loss.p": 0.0, "delay.p": 0.0}
         )
-        plain = flooding_runner(cycle(8), 3)
-        perturbed = run_with_adversary(flooding_runner, cycle(8), 3, spec)
+        plain = FLOODING(cycle(8), 3)
+        perturbed = run_with_adversary(FLOODING, cycle(8), 3, spec)
         assert perturbed.outcome.as_dict() == plain.outcome.as_dict()
         assert perturbed.metrics.dropped_messages == 0
         assert perturbed.metrics.delayed_messages == 0
@@ -878,7 +881,7 @@ class TestComposedAdversary:
             models="loss+delay",
             **{"loss.p": 0.2, "delay.p": 0.3, "delay.max_delay": 2},
         )
-        result = run_with_adversary(flooding_runner, torus_2d(4, 4), 1, spec)
+        result = run_with_adversary(FLOODING, torus_2d(4, 4), 1, spec)
         assert result.metrics.dropped_messages > 0
         assert result.metrics.delayed_messages > 0
 
@@ -898,10 +901,10 @@ class TestComposedAdversary:
         # loss model's stream: otherwise composing adversaries would
         # correlate their schedules with single-model baselines.
         loss_alone = run_with_adversary(
-            flooding_runner, torus_2d(4, 4), 7, AdversarySpec.create("loss", p=0.3)
+            FLOODING, torus_2d(4, 4), 7, AdversarySpec.create("loss", p=0.3)
         )
         composed = run_with_adversary(
-            flooding_runner,
+            FLOODING,
             torus_2d(4, 4),
             7,
             AdversarySpec.create(
@@ -918,8 +921,8 @@ class TestComposedAdversary:
         spec = AdversarySpec.create(
             "composed", models="loss+churn", **{"loss.p": 0.1, "churn.p_down": 0.05}
         )
-        a = run_with_adversary(flooding_runner, grid_2d(3, 3), 5, spec)
-        b = run_with_adversary(flooding_runner, grid_2d(3, 3), 5, spec)
+        a = run_with_adversary(FLOODING, grid_2d(3, 3), 5, spec)
+        b = run_with_adversary(FLOODING, grid_2d(3, 3), 5, spec)
         assert a.as_dict() == b.as_dict()
         assert "models='loss+churn'" in spec.token()
         # Parameter order never changes the token (and thus task keys).

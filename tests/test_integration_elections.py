@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import ExperimentSpec, fit_power_law, render_comparison_table, run_experiment
-from repro.baselines import run_flooding_election, run_gilbert_election
 from repro.election import IrrevocableConfig, run_irrevocable_election, run_revocable_election
 from repro.graphs import complete, expansion_profile, random_regular, torus_2d
 from repro.workloads import scaling_family, tiny_suite
@@ -25,16 +24,11 @@ def comparison_results():
         complete(16),
     ]
     seeds = (0, 1)
-    runners = {
-        "irrevocable": lambda t, s: run_irrevocable_election(t, seed=s),
-        "gilbert": lambda t, s: run_gilbert_election(t, seed=s),
-        "flooding": lambda t, s: run_flooding_election(t, seed=s),
-    }
     results = {}
     profiles = {t.name: expansion_profile(t) for t in topologies}
-    for name, runner in runners.items():
+    for name in ("irrevocable", "gilbert", "flooding"):
         spec = ExperimentSpec(
-            name=name, runner=runner, topologies=topologies, seeds=seeds
+            name=name, protocol=name, topologies=topologies, seeds=seeds
         )
         results[name] = run_experiment(spec, profiles=profiles)
     return results

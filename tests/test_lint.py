@@ -145,7 +145,7 @@ class TestUnorderedIteration:
 class TestPickleSafety:
     def test_lambda_registry_entry_flagged(self):
         findings = lint_source(
-            "RUNNERS = {}\nRUNNERS['quick'] = lambda spec: spec\n", rules=["REP104"]
+            "PROTOCOLS = {}\nPROTOCOLS['quick'] = lambda spec: spec\n", rules=["REP104"]
         )
         assert rule_ids(findings) == ["REP104"]
         assert "spawn" in findings[0].message
@@ -161,7 +161,7 @@ class TestPickleSafety:
             "def install():\n"
             "    def runner(spec):\n"
             "        return spec\n"
-            "    register_runner('nested', runner)\n",
+            "    register_protocol('nested', runner)\n",
             rules=["REP104"],
         )
         assert rule_ids(findings) == ["REP104"]
@@ -170,8 +170,8 @@ class TestPickleSafety:
         findings = lint_source(
             "def runner(spec):\n"
             "    return spec\n"
-            "RUNNERS = {'quick': runner}\n"
-            "register_runner('quick', runner)\n",
+            "PROTOCOLS = {'quick': runner}\n"
+            "register_protocol('quick', runner)\n",
             rules=["REP104"],
         )
         assert findings == []

@@ -20,7 +20,6 @@ import os
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
@@ -51,7 +50,7 @@ WORKER_COUNTS = sorted({1, 2} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 def _spec(name: str = "flooding") -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=SEEDS,
     )

@@ -23,7 +23,6 @@ import os
 import pytest
 
 from repro.analysis import CollectingSink, ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import (
@@ -39,6 +38,7 @@ from repro.parallel import (
     task_key,
     topology_fingerprint,
 )
+from repro.protocols import run_protocol
 
 SEEDS = (0, 1, 2)
 
@@ -50,7 +50,7 @@ WORKER_COUNTS = sorted({1, 2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))
 def _spec(name: str = "flooding", collect_profile: bool = False) -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=SEEDS,
         collect_profile=collect_profile,
@@ -74,7 +74,7 @@ def _stored_runs(path):
 
 
 def count_file_runner(topology, seed):
-    """A picklable runner that logs every invocation to a file.
+    """A picklable protocol factory that logs every invocation to a file.
 
     The log path travels through the environment so fork children (and the
     in-process backend) append to the same file, letting tests count how
@@ -82,7 +82,7 @@ def count_file_runner(topology, seed):
     """
     with open(os.environ["REPRO_TEST_COUNT_FILE"], "a", encoding="utf-8") as handle:
         handle.write(f"{topology.name} {seed}\n")
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)
 
 
 def _derive_in_child(args):
@@ -129,7 +129,7 @@ class TestSerialParallelEquivalence:
             _spec("flooding"),
             ExperimentSpec(
                 name="uniform",
-                runner=uniform_id_runner,
+                protocol="uniform",
                 topologies=[cycle(8), star(8)],
                 seeds=SEEDS,
                 collect_profile=False,
@@ -189,7 +189,7 @@ class TestSeedDerivation:
     def test_derived_seeds_differ_for_same_named_topologies(self):
         spec = ExperimentSpec(
             name="dup-derived",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[
                 random_regular(16, 4, seed=1),
                 random_regular(16, 4, seed=2),
@@ -252,7 +252,7 @@ class TestSharding:
         # key must keep their runs apart.
         spec = ExperimentSpec(
             name="dup-names",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[
                 random_regular(16, 4, seed=1),
                 random_regular(16, 4, seed=2),
@@ -268,7 +268,7 @@ class TestSharding:
 
 class TestCheckpointing:
     def test_record_round_trip(self):
-        result = flooding_runner(cycle(8), 3)
+        result = run_protocol("flooding", cycle(8), 3)
         record = result_to_record(result, 0.125)
         # The record must survive a JSON round trip unchanged.
         record = json.loads(json.dumps(record))
@@ -287,7 +287,10 @@ class TestCheckpointing:
         runs = _stored_runs(tmp_path / "sweep.json")
         assert len(runs) == len(spec.topologies) * len(SEEDS)
 
-    def test_resume_runs_only_missing_tasks(self, tmp_path, monkeypatch):
+    def test_resume_runs_only_missing_tasks(
+        self, tmp_path, monkeypatch, register_fake_protocol
+    ):
+        register_fake_protocol("counted", count_file_runner)
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
         checkpoint = tmp_path / "sweep.json"
@@ -295,7 +298,7 @@ class TestCheckpointing:
         def spec_with_seeds(seeds):
             return ExperimentSpec(
                 name="counted",
-                runner=count_file_runner,
+                protocol="counted",
                 topologies=[cycle(8), star(8)],
                 seeds=seeds,
                 collect_profile=False,
@@ -330,7 +333,7 @@ class TestCheckpointing:
         def spec_for(graph_seed):
             return ExperimentSpec(
                 name="regen",
-                runner=flooding_runner,
+                protocol="flooding",
                 topologies=[random_regular(16, 4, seed=graph_seed)],
                 seeds=(0, 1),
                 collect_profile=False,
@@ -348,7 +351,7 @@ class TestCheckpointing:
         run_experiment(spec, workers=1, checkpoint=checkpoint)
         other = ExperimentSpec(
             name="other-spec",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0,),
             collect_profile=False,
@@ -373,7 +376,7 @@ class TestCheckpointing:
 
     def test_atomic_flush_leaves_no_temp_file(self, tmp_path):
         store = JsonlCheckpointStore(tmp_path / "deep" / "ck.json")
-        result = flooding_runner(cycle(8), 0)
+        result = run_protocol("flooding", cycle(8), 0)
         store.add("k", result_to_record(result, 0.1))
         assert (tmp_path / "deep" / "ck.json").exists()
         assert not list((tmp_path / "deep").glob("*.tmp"))
@@ -381,7 +384,7 @@ class TestCheckpointing:
 
 class TestCheckpointCompaction:
     def test_compact_record_round_trips_aggregates(self):
-        result = flooding_runner(cycle(8), 3)
+        result = run_protocol("flooding", cycle(8), 3)
         record = compact_record(result_to_record(result, 0.25))
         record = json.loads(json.dumps(record))  # must survive JSON
         restored, elapsed = result_from_record(record)
@@ -446,17 +449,21 @@ class TestCheckpointCompaction:
 
 
 def failing_runner(topology, seed):
-    """A picklable runner that dies on one specific grid point."""
+    """A picklable protocol factory that dies on one specific grid point."""
     if topology.name.startswith("star") and seed == 1:
         raise ValueError("boom at the appointed run")
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)
 
 
 class TestWorkerErrorContext:
+    @pytest.fixture(autouse=True)
+    def _fragile_protocol(self, register_fake_protocol):
+        register_fake_protocol("fragile", failing_runner)
+
     def _failing_spec(self):
         return ExperimentSpec(
             name="fragile",
-            runner=failing_runner,
+            protocol="fragile",
             topologies=[cycle(8), star(8)],
             seeds=SEEDS,
             collect_profile=False,
@@ -480,7 +487,7 @@ class TestWorkerErrorContext:
 
         spec = ExperimentSpec(
             name="fragile-adv",
-            runner=failing_runner,
+            protocol="fragile",
             topologies=[star(8)],
             seeds=(1,),
             collect_profile=False,

@@ -15,7 +15,6 @@ import time
 from typing import Dict
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner
 from repro.core import Message, ProtocolNode, SynchronousSimulator, build_nodes
 from repro.graphs import cycle, random_regular, star
 
@@ -46,7 +45,7 @@ def test_simulator_hot_path_smoke():
 def test_parallel_engine_smoke():
     spec = ExperimentSpec(
         name="smoke",
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(12), star(12), random_regular(16, 4, seed=2)],
         seeds=(0, 1),
         collect_profile=False,

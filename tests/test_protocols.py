@@ -9,10 +9,11 @@ The contract under test:
   schema's declared types, so equal configurations hash equal;
 * specs and their runners are picklable (the parallel engine ships them
   to worker processes);
-* a default-configuration spec runs bit-identically to the legacy
-  ``RUNNERS`` entry, and parameter variants measurably change the run;
-* the experiment layer accepts ``protocol=`` specs, keys cells on the
-  protocol token, and exposes grid helpers (``param_grid``, the
+* a default-configuration spec runs bit-identically to
+  :func:`run_protocol`, and parameter variants measurably change the run;
+* the experiment layer keys tasks, cells and run stamps on one protocol
+  token (empty for bare names, pinned by literal task keys), and exposes
+  grid helpers (``param_grid``, the
   ``paper-constants`` ladder);
 * the JSONL export sink streams one record per run, protocol token
   included, without retaining the runs.
@@ -26,8 +27,9 @@ import pickle
 import pytest
 
 from repro.analysis import ExperimentSpec, JsonlSink, run_experiment
-from repro.analysis.runners import RUNNERS, irrevocable_runner
+from repro.analysis.streaming import CollectingSink
 from repro.core.errors import ConfigurationError
+from repro.dynamics import AdversarySpec
 from repro.graphs import cycle, grid_2d, star
 from repro.parallel import expand_run_tasks
 from repro.protocols import (
@@ -44,6 +46,17 @@ from repro.protocols import (
 from repro.workloads import PROTOCOL_SCENARIOS, param_grid, protocol_scenario, sweep_specs
 
 
+#: Task-key tail of seed 3 on ``cycle(6)`` after the spec-name segment,
+#: written down before bare names stopped taking a separate code path:
+#: checkpoints and archives written before then must keep hitting.
+PINNED_KEY_TAIL = "|0|cycle(n=6)|6006737bec0f0c44|0|3|"
+
+
+def _flooding_c3(topology, seed):
+    """A registered protocol that wraps a built-in one."""
+    return run_protocol("flooding", topology, seed, c=3.0)
+
+
 # --------------------------------------------------------------------------- #
 # registry and schemas
 # --------------------------------------------------------------------------- #
@@ -54,9 +67,6 @@ class TestRegistry:
         assert {"irrevocable", "revocable", "flooding", "gilbert", "uniform"} <= set(
             PROTOCOLS
         )
-
-    def test_registry_matches_legacy_runner_names(self):
-        assert set(RUNNERS) <= set(PROTOCOLS)
 
     def test_describe_lists_every_protocol_with_schema(self):
         rows = {row["protocol"]: row for row in describe_protocols()}
@@ -318,13 +328,13 @@ class TestPickling:
 
 
 class TestExecution:
-    def test_default_spec_matches_legacy_runner(self):
+    def test_default_spec_matches_run_protocol(self):
         topology = cycle(9)
         via_spec = protocol_runner("irrevocable")(topology, 5)
-        via_legacy = irrevocable_runner(topology, 5)
-        assert via_spec.messages == via_legacy.messages
-        assert via_spec.rounds_executed == via_legacy.rounds_executed
-        assert via_spec.outcome.as_dict() == via_legacy.outcome.as_dict()
+        via_registry = run_protocol("irrevocable", topology, 5)
+        assert via_spec.messages == via_registry.messages
+        assert via_spec.rounds_executed == via_registry.rounds_executed
+        assert via_spec.outcome.as_dict() == via_registry.outcome.as_dict()
 
     def test_parameters_change_the_run(self):
         topology = cycle(9)
@@ -353,16 +363,9 @@ class TestExecution:
 
 
 class TestExperimentIntegration:
-    def test_spec_requires_exactly_one_algorithm_source(self):
-        with pytest.raises(ConfigurationError, match="runner"):
+    def test_spec_requires_a_protocol(self):
+        with pytest.raises(TypeError, match="protocol"):
             ExperimentSpec(name="x", topologies=[cycle(5)])
-        with pytest.raises(ConfigurationError, match="not both"):
-            ExperimentSpec(
-                name="x",
-                runner=irrevocable_runner,
-                protocol=ProtocolSpec.parse("irrevocable"),
-                topologies=[cycle(5)],
-            )
 
     def test_spec_parses_protocol_strings(self):
         spec = ExperimentSpec(
@@ -383,10 +386,10 @@ class TestExperimentIntegration:
         assert [cell.protocol for cell in result.cells] == ["irrevocable:c=3.0"]
         assert result.cells[0].as_dict()["protocol"] == "irrevocable:c=3.0"
 
-    def test_legacy_cells_have_empty_protocol_column(self):
+    def test_bare_name_cells_have_empty_protocol_column(self):
         spec = ExperimentSpec(
-            name="x",
-            runner=irrevocable_runner,
+            name="irrevocable",
+            protocol="irrevocable",
             topologies=[cycle(6)],
             seeds=(0,),
             collect_profile=False,
@@ -425,11 +428,64 @@ class TestExperimentIntegration:
         ]
         assert all(spec.adversary == adversary for spec in specs)
 
-    def test_legacy_names_keep_legacy_task_keys(self):
-        spec = sweep_specs(["flooding"], [cycle(6)], seeds=(0,))[0]
+    @pytest.mark.parametrize(
+        "name", ["flooding", "gilbert", "irrevocable", "revocable", "uniform"]
+    )
+    def test_legacy_names_keep_legacy_task_keys(self, name):
+        spec = sweep_specs([name], [cycle(6)], seeds=(3,), collect_profile=False)[0]
         task = expand_run_tasks(spec)[0]
         assert task.protocol == ""
-        assert task.key.count("|") == 6  # the pre-protocol 7-field format
+        assert task.key == name + PINNED_KEY_TAIL  # the pre-protocol 7-field format
+
+    @pytest.mark.parametrize(
+        "name, protocol, adversary, key",
+        [
+            # A bare name under an adversary, as robustness sweeps name it.
+            (
+                "flooding@loss(p=0.1)",
+                "flooding",
+                AdversarySpec.create("loss", p=0.1),
+                "flooding@loss(p=0.1)" + PINNED_KEY_TAIL + "loss(p=0.1)",
+            ),
+            # An explicit default spec shares the bare-name key; its keys
+            # ending in "|flooding" are misses (re-simulated), never hits.
+            ("flooding", "flooding", None, "flooding" + PINNED_KEY_TAIL),
+            # Another spec name, or parameters, keep the protocol segment,
+            # so two protocols under one spec name never share keys.
+            ("x", "flooding", None, "x" + PINNED_KEY_TAIL + "|flooding"),
+            (
+                "flooding",
+                "flooding:c=3",
+                None,
+                "flooding" + PINNED_KEY_TAIL + "|flooding:c=3.0",
+            ),
+        ],
+    )
+    def test_task_key_rule(self, name, protocol, adversary, key):
+        spec = ExperimentSpec(
+            name=name,
+            protocol=protocol,
+            topologies=[cycle(6)],
+            seeds=(3,),
+            adversary=adversary,
+        )
+        assert expand_run_tasks(spec)[0].key == key
+
+    @pytest.mark.parametrize("name, stamp", [("flooding", None), ("x", "flooding")])
+    def test_run_stamp_is_the_task_key_token(self, name, stamp):
+        spec = ExperimentSpec(
+            name=name,
+            protocol="flooding",
+            topologies=[cycle(6)],
+            seeds=(3,),
+            collect_profile=False,
+        )
+        sink = CollectingSink()
+        result = run_experiment(spec, sinks=[sink])
+        run = sink.results_for(name, 0)[0]
+        assert run.parameters.get("protocol") == stamp
+        assert ("protocol" in run.parameters) == (stamp is not None)
+        assert result.cells[0].protocol == (stamp or "")
 
     def test_variant_task_keys_carry_the_token(self):
         spec = sweep_specs(["flooding:c=3"], [cycle(6)], seeds=(0,))[0]
@@ -452,6 +508,26 @@ class TestExperimentIntegration:
         finally:
             PROTOCOLS.pop("custom-sweep-test", None)
 
+    def test_custom_bare_name_keeps_its_protocol_segment(self, register_fake_protocol):
+        # Only the five built-ins predate protocol specs; a registered
+        # protocol swept by its bare name names itself in its task keys,
+        # its cells and its runs, exactly as before bare names stopped
+        # taking a separate code path.
+        register_fake_protocol("custom-sweep-test", _flooding_c3)
+        spec = sweep_specs(
+            ["custom-sweep-test"], [cycle(6)], seeds=(3,), collect_profile=False
+        )[0]
+        assert (
+            expand_run_tasks(spec)[0].key
+            == "custom-sweep-test" + PINNED_KEY_TAIL + "|custom-sweep-test"
+        )
+        sink = CollectingSink()
+        result = run_experiment(spec, sinks=[sink])
+        run = sink.results_for("custom-sweep-test", 0)[0]
+        assert run.algorithm == "flooding-max-id"
+        assert run.parameters["protocol"] == "custom-sweep-test"
+        assert result.cells[0].protocol == "custom-sweep-test"
+
     def test_unknown_bare_name_reports_protocol_registry(self):
         with pytest.raises(ConfigurationError, match="unknown protocol"):
             sweep_specs(["gossip"], [cycle(6)], seeds=(0,))
@@ -462,21 +538,8 @@ class TestExperimentIntegration:
         message = str(excinfo.value)
         assert "'flooding:c=2'" in message and "'flooding:c=2.00'" in message
 
-    def test_runner_registered_only_in_runners_dict_still_sweeps(self):
-        from repro.analysis.runners import RUNNERS, flooding_runner
-
-        RUNNERS["custom-runner-only"] = flooding_runner
-        try:
-            specs = sweep_specs(
-                ["custom-runner-only"], [cycle(6)], seeds=(0,), collect_profile=False
-            )
-            assert specs[0].runner is flooding_runner
-            assert specs[0].protocol is None
-        finally:
-            RUNNERS.pop("custom-runner-only", None)
-
     def test_bare_name_vs_explicit_default_rejected(self):
-        # "flooding" (legacy path) and "flooding:c=2.0" (spec path) run
+        # "flooding" (bare name) and "flooding:c=2.0" (explicit default) run
         # the identical configuration; sweeping both is a duplicated cell.
         with pytest.raises(ConfigurationError, match="same configuration"):
             sweep_specs(["flooding", "flooding:c=2.0"], [cycle(6)], seeds=(0,))
@@ -546,6 +609,10 @@ class TestParamGrid:
 
 
 class TestJsonlSink:
+    @pytest.fixture(autouse=True)
+    def _fragile_protocol(self, register_fake_protocol):
+        register_fake_protocol("fragile", _fail_on_seed_two)
+
     def _sweep(self, tmp_path, **kwargs):
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
@@ -591,7 +658,7 @@ class TestJsonlSink:
         path = tmp_path / "deeply" / "nested" / "runs.jsonl"
         spec = ExperimentSpec(
             name="x",
-            runner=irrevocable_runner,
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -602,8 +669,8 @@ class TestJsonlSink:
     def test_legacy_runs_have_empty_protocol_field(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
-            name="x",
-            runner=irrevocable_runner,
+            name="irrevocable",
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -633,7 +700,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="x",
-            runner=irrevocable_runner,
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -651,7 +718,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="dies-immediately",
-            runner=_fail_on_seed_two,
+            protocol="fragile",
             topologies=[cycle(8)],
             seeds=(2,),
             collect_profile=False,
@@ -683,7 +750,7 @@ class TestJsonlSink:
         sink = JsonlSink(path)
         spec = ExperimentSpec(
             name="x",
-            runner=irrevocable_runner,
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -699,7 +766,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fragile",
             topologies=[cycle(8)],
             seeds=(0, 1, 2),
             collect_profile=False,
@@ -727,7 +794,7 @@ class TestJsonlSink:
         sink = PublishingSink()
         spec = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fragile",
             topologies=[cycle(8)],
             seeds=(0, 2),
             collect_profile=False,
@@ -748,7 +815,7 @@ class TestJsonlSink:
 
         spec = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fragile",
             topologies=[cycle(8)],
             seeds=(2,),
             collect_profile=False,
@@ -761,7 +828,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         good = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fragile",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
@@ -771,7 +838,7 @@ class TestJsonlSink:
         assert len(complete.splitlines()) == 2
         bad = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fragile",
             topologies=[cycle(8)],
             seeds=(0, 1, 2),
             collect_profile=False,
@@ -786,12 +853,10 @@ class TestJsonlSink:
 
 
 def _fail_on_seed_two(topology, seed):
-    """Picklable runner dying on one grid point (sink-flush tests)."""
+    """Picklable protocol factory dying on one grid point (sink-flush tests)."""
     if seed == 2:
         raise ValueError("boom")
-    from repro.analysis.runners import flooding_runner
-
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)
 
 
 # --------------------------------------------------------------------------- #

@@ -36,6 +36,7 @@ from repro.core.errors import ConfigurationError
 from repro.dynamics import AdversarySpec, composed_spec, robustness_specs
 from repro.graphs import complete, cycle, star
 from repro.parallel import run_experiments
+from repro.protocols import run_protocol
 from repro.workloads import dynamic_scenario, robustness_curves, tiny_suite
 
 WORKER_COUNTS = sorted({2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
@@ -49,6 +50,11 @@ def _lossy_specs(seeds=(0, 1)):
         seeds=seeds,
         collect_profile=False,
     )
+
+
+def _flooding_c3(topology, seed):
+    """A registered protocol whose runs report the built-in's algorithm."""
+    return run_protocol("flooding", topology, seed, c=3.0)
 
 
 def _sink_for(specs, **kwargs):
@@ -155,6 +161,28 @@ class TestCurveFolding:
         assert curves_as_dicts(sharded_sink.curves()) == curves_as_dicts(
             serial_sink.curves()
         )
+
+    def test_wrapper_of_a_builtin_gets_its_own_curve(self, register_fake_protocol):
+        # The wrapper's runs say "flooding-max-id" like flooding's own; the
+        # protocol stamp must keep the two protocols' curves apart.
+        register_fake_protocol("flooding-wrapper", _flooding_c3)
+        specs = robustness_specs(
+            ["flooding", "flooding-wrapper"],
+            [cycle(6)],
+            [None, AdversarySpec.create("loss", p=0.1)],
+            seeds=(0, 1),
+        )
+        sink, results = _sink_for(specs)
+        for curves in (sink.curves(), fold_experiments(specs, results)):
+            assert [(c.protocol, c.adversary) for c in curves] == [
+                ("flooding-max-id", "loss"),
+                ("flooding-wrapper", "loss"),
+            ]
+            for curve in curves:
+                assert [(point.p, point.runs) for point in curve.points] == [
+                    (0.0, 2),
+                    (0.1, 2),
+                ]
 
     def test_fold_experiments_agrees_with_sink(self):
         specs = _lossy_specs()

@@ -17,12 +17,12 @@ from contextlib import closing
 import pytest
 
 from repro.analysis.experiments import ExperimentSpec
-from repro.analysis.runners import flooding_runner
 from repro.archive import ResultArchive, parse_task_key, query_experiments
 from repro.graphs import cycle, path
 from repro.parallel import TaskExecutionError
 from repro.parallel.sharding import expand_run_tasks
 from repro.parallel.store import JsonlCheckpointStore
+from repro.protocols import run_protocol
 from repro.workloads import sweep_specs
 
 KEYS = ("s|0|cycle_6|f1|0|0|", "s|0|cycle_6|f1|1|1|", "s|1|path_5|f2|0|0|")
@@ -108,11 +108,14 @@ class TestQueryRunsAgainstTheArchive:
         assert warm.report.archived_runs == 4
         assert sorted(tmp_path.iterdir()) == [db]
 
-    def test_failed_query_keeps_completed_misses(self, tmp_path):
+    def test_failed_query_keeps_completed_misses(
+        self, tmp_path, register_fake_protocol
+    ):
         """A run that raises after k misses leaves those k in the archive."""
+        register_fake_protocol("fails-at-seed-2", _fail_at_seed_2)
         spec = ExperimentSpec(
             name="fails-at-seed-2",
-            runner=_fail_at_seed_2,
+            protocol="fails-at-seed-2",
             topologies=[cycle(6)],
             seeds=(0, 1, 2, 3),
             collect_profile=False,
@@ -177,4 +180,4 @@ class TestQueryRunsAgainstTheArchive:
 def _fail_at_seed_2(topology, seed):
     if seed == 2:
         raise RuntimeError("injected failure")
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)

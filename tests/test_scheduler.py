@@ -9,8 +9,8 @@ cell comparisons drop ``mean_wall_clock_seconds`` — everything else
 must match exactly.
 
 Fault injection is deterministic here: stub pools that drop dispatches
-on the floor (timeout re-dispatch without real stragglers) and a runner
-that SIGKILLs its own pool worker exactly once (death re-dispatch).
+on the floor (timeout re-dispatch without real stragglers) and a fake
+protocol that SIGKILLs its own pool worker exactly once (death re-dispatch).
 """
 
 import json
@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
@@ -44,6 +43,7 @@ from repro.parallel import (
     split_blocks,
     writer_token,
 )
+from repro.protocols import protocol_by_name
 
 SEEDS = (0, 1, 2)
 
@@ -52,10 +52,10 @@ SEEDS = (0, 1, 2)
 WORKER_COUNTS = sorted({1, 2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 
 
-def _spec(name="flooding", seeds=SEEDS, runner=flooding_runner):
+def _spec(name="flooding", seeds=SEEDS):
     return ExperimentSpec(
         name=name,
-        runner=runner,
+        protocol=name,
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=seeds,
         collect_profile=False,
@@ -75,18 +75,23 @@ def _comparable_results(results):
     return [_comparable(result.cells) for result in results]
 
 
+#: The built-in flooding protocol, captured before a test shadows its name.
+_FLOODING = protocol_by_name("flooding")
+
+
 def _kill_worker_once(topology, seed):
     """SIGKILL our own pool worker on one specific task, exactly once.
 
     The marker file makes the kill one-shot: the re-dispatched attempt
     (and every other task) runs normally, so a sweep that survives the
-    kill must still produce exactly the serial results.
+    kill must still produce exactly the serial results.  It shadows
+    ``flooding``, so its cells are the bare-name cells of the serial run.
     """
     marker = Path(os.environ["REPRO_TEST_KILL_MARKER"])
     if seed == 1 and topology.name.startswith("cycle") and not marker.exists():
         marker.write_text("killed", encoding="utf-8")
         os.kill(os.getpid(), signal.SIGKILL)
-    return flooding_runner(topology, seed)
+    return _FLOODING.factory(topology, seed)
 
 
 def _failing_runner(topology, seed):
@@ -157,10 +162,11 @@ class TestAdaptiveEquivalence:
         )
         assert _comparable(spawned.cells) == _comparable(serial.cells)
 
-    def test_deterministic_task_error_propagates(self):
+    def test_deterministic_task_error_propagates(self, register_fake_protocol):
+        register_fake_protocol("failing", _failing_runner)
         with pytest.raises(TaskExecutionError, match="deterministic failure"):
             run_experiments(
-                [_spec(runner=_failing_runner, seeds=(0,))],
+                [_spec("failing", seeds=(0,))],
                 workers=2,
             )
 
@@ -227,7 +233,7 @@ class TestSchedulerUnit:
         tasks = expand_run_tasks(
             ExperimentSpec(
                 name="flooding",
-                runner=flooding_runner,
+                protocol="flooding",
                 topologies=[cycle(6)],
                 seeds=tuple(range(12)),
                 collect_profile=False,
@@ -289,7 +295,7 @@ class TestSchedulerUnit:
 
 class TestWorkerDeathRecovery:
     def test_killed_worker_redispatches_bit_identically(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, register_fake_protocol
     ):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("SIGKILL self-test requires the fork start method")
@@ -297,8 +303,9 @@ class TestWorkerDeathRecovery:
             "REPRO_TEST_KILL_MARKER", str(tmp_path / "killed.marker")
         )
         serial = run_experiment(_spec())
+        register_fake_protocol("flooding", _kill_worker_once)
         survived = run_experiment(
-            _spec(runner=_kill_worker_once),
+            _spec(),
             workers=2,
             start_method="fork",
         )

@@ -25,7 +25,6 @@ import os
 import pytest
 
 from repro.analysis import CellAggregate, ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.parallel import (
@@ -42,15 +41,16 @@ from repro.parallel import (
     shard_checkpoint_path,
     validate_shard,
 )
+from repro.protocols import run_protocol
 
 SEEDS = (0, 1, 2)
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", 2))
 
 
-def _spec(name: str = "flooding", runner=flooding_runner) -> ExperimentSpec:
+def _spec(name: str = "flooding") -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
-        runner=runner,
+        protocol=name,
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=SEEDS,
         collect_profile=False,
@@ -58,7 +58,7 @@ def _spec(name: str = "flooding", runner=flooding_runner) -> ExperimentSpec:
 
 
 def _specs():
-    return [_spec("flooding"), _spec("uniform", uniform_id_runner)]
+    return [_spec("flooding"), _spec("uniform")]
 
 
 def _comparable(cells):
@@ -71,10 +71,10 @@ def _comparable(cells):
 
 
 def count_file_runner(topology, seed):
-    """Picklable runner that logs invocations (see test_parallel_runner)."""
+    """Protocol factory logging each invocation (see test_parallel_runner)."""
     with open(os.environ["REPRO_TEST_COUNT_FILE"], "a", encoding="utf-8") as handle:
         handle.write(f"{topology.name} {seed}\n")
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -126,7 +126,9 @@ class TestShardSelection:
 
 
 class TestShardedSweepEquivalence:
-    def test_sharded_merge_replay_is_bit_identical(self, tmp_path, monkeypatch):
+    def test_sharded_merge_replay_is_bit_identical(
+        self, tmp_path, monkeypatch, register_fake_protocol
+    ):
         specs = _specs()
         unsharded = run_experiments(specs, workers=WORKERS)
 
@@ -142,31 +144,36 @@ class TestShardedSweepEquivalence:
         # The replay must execute nothing: every run comes from the merge.
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
+        for spec in specs:
+            register_fake_protocol(spec.name, count_file_runner)
         replay_specs = [
             ExperimentSpec(
                 name=spec.name,
-                runner=count_file_runner,
+                protocol=spec.name,
                 topologies=spec.topologies,
                 seeds=spec.seeds,
                 collect_profile=False,
             )
             for spec in specs
         ]
-        # NB: replay keys must match, and task keys do not include the
-        # runner identity — only spec/topology/seed/adversary — so the
-        # counting runner replays the stored records.
+        # NB: replay keys must match.  The counting stand-in is registered
+        # under each spec's own name, so its keys are the bare-name keys
+        # and it replays the stored records.
         replayed = run_experiments(replay_specs, checkpoint=merged)
         assert not count_file.exists() or count_file.read_text() == ""
 
         for a, b in zip(unsharded, replayed):
             assert _comparable(a.cells) == _comparable(b.cells)
 
-    def test_shard_runs_disjoint_slices(self, tmp_path, monkeypatch):
+    def test_shard_runs_disjoint_slices(
+        self, tmp_path, monkeypatch, register_fake_protocol
+    ):
+        register_fake_protocol("counted", count_file_runner)
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
         spec = ExperimentSpec(
             name="counted",
-            runner=count_file_runner,
+            protocol="counted",
             topologies=[cycle(8), star(8)],
             seeds=SEEDS,
             collect_profile=False,
@@ -185,7 +192,7 @@ class TestShardedSweepEquivalence:
         # cells from a shard's partial view.
         spec = ExperimentSpec(
             name="narrow",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8), grid_2d(3, 3)],
             seeds=(0,),
             collect_profile=False,
@@ -202,7 +209,7 @@ class TestShardedSweepEquivalence:
         # merge of the fully-executed split must validate as complete.
         spec = ExperimentSpec(
             name="small",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
@@ -216,12 +223,15 @@ class TestShardedSweepEquivalence:
         assert summary["tasks_missing"] == 0
         assert summary["tasks_merged"] == 2
 
-    def test_resumed_shard_skips_completed_runs(self, tmp_path, monkeypatch):
+    def test_resumed_shard_skips_completed_runs(
+        self, tmp_path, monkeypatch, register_fake_protocol
+    ):
+        register_fake_protocol("counted", count_file_runner)
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
         spec = ExperimentSpec(
             name="counted",
-            runner=count_file_runner,
+            protocol="counted",
             topologies=[cycle(8), star(8)],
             seeds=SEEDS,
             collect_profile=False,
@@ -265,7 +275,7 @@ class TestShardManifest:
         run_experiments([_spec()], checkpoint=base, shard=(0, 2))
         adversarial = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8), grid_2d(3, 3)],
             seeds=SEEDS,
             collect_profile=False,
@@ -369,7 +379,7 @@ class TestMergeValidation:
 
         adversarial = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8), grid_2d(3, 3)],
             seeds=SEEDS,
             collect_profile=False,
@@ -378,7 +388,7 @@ class TestMergeValidation:
         base = _sharded_run(tmp_path)
         stale_keys = [task.key for task in expand_run_tasks(adversarial)]
         store0 = JsonlCheckpointStore(shard_checkpoint_path(base, 0, 2))
-        result = flooding_runner(cycle(8), 0)
+        result = run_protocol("flooding", cycle(8), 0)
         store0.add(stale_keys[0], result_to_record(result, 0.1))
         store0.flush()
         summary = merge_shard_checkpoints(manifest_path(base), tmp_path / "m.json")
@@ -394,7 +404,7 @@ class TestMergeValidation:
 
 class TestStreamingAggregates:
     def _runs(self):
-        return [(flooding_runner(cycle(8), seed), 0.25) for seed in range(5)]
+        return [(run_protocol("flooding", cycle(8), seed), 0.25) for seed in range(5)]
 
     def test_fold_order_never_changes_the_aggregate(self):
         runs = self._runs()
@@ -427,13 +437,13 @@ class TestStreamingAggregates:
     def test_cell_min_max_fields(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=SEEDS,
             collect_profile=False,
         )
         cell = run_experiment(spec).cells[0]
-        messages = [flooding_runner(cycle(8), seed).messages for seed in SEEDS]
+        messages = [run_protocol("flooding", cycle(8), seed).messages for seed in SEEDS]
         assert cell.min_messages == min(messages)
         assert cell.max_messages == max(messages)
         assert cell.min_rounds <= cell.max_rounds
@@ -465,7 +475,7 @@ class TestStreamingAggregates:
     def test_checkpoint_parent_directories_created_at_construction(self, tmp_path):
         store = JsonlCheckpointStore(tmp_path / "a" / "b" / "ck.json")
         assert (tmp_path / "a" / "b").is_dir()
-        result = flooding_runner(cycle(8), 0)
+        result = run_protocol("flooding", cycle(8), 0)
         store.add("k", result_to_record(result, 0.1))
         assert store.path.exists()
 

@@ -14,7 +14,6 @@ import pickle
 import pytest
 
 from repro.analysis import ExperimentSpec
-from repro.analysis.runners import flooding_runner
 from repro.graphs import Topology, cycle, random_regular, torus_2d
 from repro.parallel import expand_run_tasks
 
@@ -83,7 +82,7 @@ class TestFingerprint:
         def keys_for(seed):
             spec = ExperimentSpec(
                 name="regen",
-                runner=flooding_runner,
+                protocol="flooding",
                 topologies=[random_regular(16, 4, seed=seed)],
                 seeds=(0, 1),
                 collect_profile=False,
