@@ -37,7 +37,7 @@ import pytest
 from repro.analysis import CollectingSink, ExperimentSpec
 from repro.graphs import complete, cycle, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
-from repro.parallel import run_experiments
+from repro.parallel import SweepConfig, run_experiments
 from repro.workloads import mixed_suite, sweep_specs, tiny_suite
 
 from _harness import record_bench_json, record_report, rows_table
@@ -58,12 +58,12 @@ def _build_specs():
 def _run_both():
     # repro: disable=REP102 — wall-clock speedup is the measurand here
     started = time.perf_counter()
-    serial = run_experiments(_build_specs(), workers=1)
+    serial = run_experiments(_build_specs(), config=SweepConfig(workers=1))
     serial_seconds = time.perf_counter() - started  # repro: disable=REP102 — measurand
 
     # repro: disable=REP102 — wall-clock speedup is the measurand here
     started = time.perf_counter()
-    parallel = run_experiments(_build_specs(), workers=WORKERS)
+    parallel = run_experiments(_build_specs(), config=SweepConfig(workers=WORKERS))
     parallel_seconds = time.perf_counter() - started  # repro: disable=REP102 — measurand
 
     # Third leg: the identical pooled sweep with telemetry streaming to
@@ -75,7 +75,8 @@ def _run_both():
         # repro: disable=REP102 — telemetry overhead budget is a wall-clock bound
         started = time.perf_counter()
         instrumented = run_experiments(
-            _build_specs(), workers=WORKERS, telemetry=sink
+            _build_specs(),
+            config=SweepConfig(workers=WORKERS, telemetry=sink),
         )
         telemetry_seconds = time.perf_counter() - started  # repro: disable=REP102 — measurand
         telemetry_summary = summarize_telemetry(read_telemetry(sink.path))
@@ -255,7 +256,8 @@ def _dispatch_leg(max_batch):
         # repro: disable=REP102 — dispatch comparison times real wall clock
         started = time.perf_counter()
         results = run_experiments(
-            _hetero_specs(), workers=DISPATCH_WORKERS, max_batch=max_batch
+            _hetero_specs(),
+            config=SweepConfig(workers=DISPATCH_WORKERS, max_batch=max_batch),
         )
         best = min(best, time.perf_counter() - started)  # repro: disable=REP102 — measurand
     return results, best
@@ -366,7 +368,7 @@ def _aggregate_sweep(num_seeds: int, *, sinks=()) -> int:
     )
     tracemalloc.start()
     try:
-        run_experiments(specs, workers=1, sinks=sinks)
+        run_experiments(specs, config=SweepConfig(workers=1), sinks=sinks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

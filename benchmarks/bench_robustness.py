@@ -40,7 +40,7 @@ import pytest
 from repro.analysis.robustness import RobustnessCurveSink, classify_adversary, curve_rows, curves_as_dicts
 from repro.dynamics import robustness_specs
 from repro.graphs import complete, cycle, star
-from repro.parallel import run_experiments
+from repro.parallel import SweepConfig, run_experiments
 from repro.workloads import dynamic_scenario, tiny_suite
 
 from _harness import record_bench_json, record_report, rows_table
@@ -118,12 +118,16 @@ def test_robustness_curves(benchmark, tmp_path):
         # scenario's sink instead of re-running it per ladder.
         sinks = {scenario: RobustnessCurveSink() for scenario in SCENARIOS}
         run_experiments(
-            _ladder_specs([None]), workers=1, sinks=list(sinks.values())
+            _ladder_specs([None]),
+            config=SweepConfig(workers=1),
+            sinks=list(sinks.values()),
         )
         for scenario in SCENARIOS:
             rungs = [r for r in dynamic_scenario(scenario) if r is not None]
             run_experiments(
-                _ladder_specs(rungs), workers=1, sinks=[sinks[scenario]]
+                _ladder_specs(rungs),
+                config=SweepConfig(workers=1),
+                sinks=[sinks[scenario]],
             )
         return {scenario: sinks[scenario].curves() for scenario in SCENARIOS}
 
@@ -145,15 +149,25 @@ def test_robustness_curves(benchmark, tmp_path):
         collect_profile=False,
     )
     serial_sink = RobustnessCurveSink()
-    run_experiments(equivalence_specs(), workers=1, sinks=[serial_sink])
+    run_experiments(
+        equivalence_specs(),
+        config=SweepConfig(workers=1),
+        sinks=[serial_sink],
+    )
     parallel_sink = RobustnessCurveSink()
-    run_experiments(equivalence_specs(), workers=2, sinks=[parallel_sink])
+    run_experiments(
+        equivalence_specs(),
+        config=SweepConfig(workers=2),
+        sinks=[parallel_sink],
+    )
     sharded_sink = RobustnessCurveSink()
     for shard_index in (0, 1):
         run_experiments(
             equivalence_specs(),
-            checkpoint=tmp_path / "bench-shards" / "sweep.json",
-            shard=(shard_index, 2),
+            config=SweepConfig(
+                checkpoint=tmp_path / "bench-shards" / "sweep.json",
+                shard=(shard_index, 2),
+            ),
             sinks=[sharded_sink],
         )
     serial_curves = curves_as_dicts(serial_sink.curves())

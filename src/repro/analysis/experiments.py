@@ -19,7 +19,6 @@ A caller that needs the runs passes a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -29,13 +28,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..core.errors import ConfigurationError
 from ..core.simulator import backend_scope
 from ..election.base import LeaderElectionResult, SafetyTally
-from ..obs import Stopwatch, TelemetrySink, span
+from ..obs import Stopwatch, span
 from ..graphs.properties import ExpansionProfile, expansion_profile
 from ..graphs.topology import Topology
 from .streaming import CellAggregate, CellAggregatingSink, ResultSink, abort_sinks
@@ -349,31 +347,23 @@ def run_experiment(
     spec: ExperimentSpec,
     *,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    checkpoint_compact: bool = False,
-    start_method: Optional[str] = None,
     sinks: Sequence[ResultSink] = (),
     backend: str = "auto",
-    telemetry: Optional[TelemetrySink] = None,
-    profile: Optional[str] = None,
-    task_timeout: Optional[float] = None,
 ) -> ExperimentResult:
     """Run every (topology, seed) pair of the spec and aggregate per topology.
+
+    The serial reference loop: every run executes in this process, in
+    grid order.  The parallel engine
+    (:func:`repro.parallel.runner.run_experiments`, configured by a
+    :class:`~repro.parallel.runner.SweepConfig`) produces the same cells
+    for any worker count, checkpoint or shard layout — only wall-clock
+    readings differ — and the equivalence tests compare it against this
+    loop.
 
     ``profiles`` lets callers pass pre-computed expansion profiles (the
     benchmarks reuse them across algorithms to avoid recomputing mixing
     times); missing entries are computed on demand when
     ``spec.collect_profile`` is set.
-
-    ``workers`` > 1 dispatches the (topology, seed) runs to a
-    :mod:`multiprocessing` pool via :mod:`repro.parallel`; results are
-    identical to the serial backend (same seeds, same aggregation — only
-    wall-clock readings differ).  ``checkpoint`` names a JSON file to which
-    completed runs are persisted so an interrupted sweep resumes instead of
-    restarting; passing it routes execution through the parallel engine
-    even when ``workers`` is 1.  ``start_method`` picks the multiprocessing
-    start method (``"fork"``, ``"spawn"``, ...; platform default if ``None``).
 
     Runs are streamed: each result is folded into its cell's aggregate
     (and forwarded to any caller-supplied ``sinks``) as it completes, then
@@ -386,46 +376,7 @@ def run_experiment(
     (``"auto"``, ``"round"`` or ``"event"`` — see
     :class:`repro.core.simulator.SynchronousSimulator`); both cores
     produce bit-identical results, so this is a pure performance knob.
-
-    ``telemetry`` attaches a :class:`repro.obs.TelemetrySink`: per-task
-    timing records (queue wait, simulate/fold/checkpoint durations,
-    worker id) stream to its JSONL file and fold into an end-of-sweep
-    utilization/straggler summary.  Telemetry observes without
-    perturbing — results are bit-identical with it on or off.
-    ``profile`` (requires ``telemetry``) additionally runs each task
-    under an in-worker profiler (see :data:`repro.obs.PROFILERS`) and
-    aggregates pool-wide hotspots into the telemetry.  Both route
-    execution through the parallel engine, like ``checkpoint`` does.
-
-    ``task_timeout`` bounds a pool task's lease before it is
-    re-dispatched (see :func:`repro.parallel.runner.run_experiments`); it
-    only applies when execution routes through the pool.
     """
-    if (
-        (workers is not None and workers > 1)
-        or checkpoint is not None
-        or telemetry is not None
-    ):
-        from ..parallel.runner import run_experiments
-
-        return run_experiments(
-            [spec],
-            workers=workers or 1,
-            checkpoint=checkpoint,
-            checkpoint_compact=checkpoint_compact,
-            start_method=start_method,
-            profiles=profiles,
-            sinks=sinks,
-            backend=backend,
-            telemetry=telemetry,
-            profile=profile,
-            task_timeout=task_timeout,
-        )[0]
-    if profile is not None:
-        raise ConfigurationError(
-            "profile= requires telemetry=: hotspots are reported through "
-            "the telemetry summary (pass telemetry=TelemetrySink(path))"
-        )
     aggregates = CellAggregatingSink()
     all_sinks: List[ResultSink] = [aggregates, *sinks]
 

@@ -6,9 +6,10 @@ four verbs around the engine:
 
 * :func:`run` — one election: a protocol on a topology under a seed
   (optionally under a fault adversary).
-* :func:`sweep` — an experiment grid through the parallel engine,
-  configured by one :class:`SweepConfig` instead of the ~15 loose
-  keyword arguments :func:`repro.parallel.runner.run_experiments` grew.
+* :func:`sweep` — an experiment grid through the parallel engine
+  (:func:`repro.parallel.runner.run_experiments`), configured by one
+  :class:`SweepConfig` — the engine's own configuration type, validated
+  when it is built.
 * :func:`query` — the memoized read path: answer a grid from a
   persistent :class:`~repro.archive.store.ResultArchive`, simulating
   only the cells the archive is missing (see :mod:`repro.archive`).
@@ -33,16 +34,15 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis.experiments import ExperimentResult, ExperimentSpec
 from .analysis.streaming import ResultSink
 from .core.errors import ConfigurationError
 from .election.base import LeaderElectionResult
 from .graphs.topology import Topology
-from .obs import TelemetrySink
+from .parallel.runner import SweepConfig
 
 __all__ = [
     "SweepConfig",
@@ -52,89 +52,6 @@ __all__ = [
     "query",
     "serve",
 ]
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Execution configuration of a sweep or query, as one value.
-
-    Every knob :func:`repro.parallel.runner.run_experiments` accepts,
-    grouped and validated once — build it at the edge (CLI parsing, HTTP
-    parameters, test setup) and hand the same value to :func:`sweep` and
-    :func:`query` calls instead of threading loose keywords through every
-    layer.  The defaults are the engine's: one worker, the ``auto``
-    simulator backend, JSONL checkpoints.
-    """
-
-    #: worker processes (1 = in-process serial execution)
-    workers: int = 1
-    #: simulator core: "auto", "round" or "event"
-    backend: str = "auto"
-    #: multiprocessing start method (platform default when ``None``)
-    start_method: Optional[str] = None
-    #: checkpoint file for resume; required by ``shard``
-    checkpoint: Optional[Union[str, Path]] = None
-    checkpoint_compact: bool = False
-    #: ``(i, k)`` fixed slice or ``(AUTO_SHARD, blocks)`` work stealing
-    shard: Optional[Tuple[object, int]] = None
-    #: derive an independent deterministic seed per cell from ``base_seed``
-    derive_seeds: bool = False
-    base_seed: Optional[int] = None
-    task_timeout: Optional[float] = None
-    max_batch: Optional[int] = None
-    lease_timeout: Optional[float] = None
-    #: pre-computed expansion profiles, keyed by topology name/fingerprint
-    profiles: Optional[Dict[str, object]] = None
-    telemetry: Optional[TelemetrySink] = None
-    #: in-worker profiler name (requires ``telemetry``)
-    profile: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.checkpoint_compact and self.checkpoint is None:
-            raise ConfigurationError(
-                "checkpoint_compact=True requires checkpoint="
-            )
-        if self.shard is not None and self.checkpoint is None:
-            raise ConfigurationError(
-                "shard= requires checkpoint= (shard results must persist "
-                "so merge can fold them together)"
-            )
-        if self.profile is not None and self.telemetry is None:
-            raise ConfigurationError(
-                "profile= requires telemetry= (hotspots are reported "
-                "through the telemetry summary)"
-            )
-
-    def runner_kwargs(self) -> Dict[str, object]:
-        """The keyword arguments for :func:`repro.parallel.runner.run_experiments`."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    def query_kwargs(self) -> Dict[str, object]:
-        """The subset of knobs a memoized query accepts.
-
-        A query runs with the archive as its checkpoint, so checkpoint/
-        shard settings on the config are a caller error there — populate
-        the archive with :func:`sweep` runs instead.
-        """
-        if self.checkpoint is not None or self.shard is not None:
-            raise ConfigurationError(
-                "a query ignores checkpoint=/shard= configuration: the "
-                "archive is its checkpoint; run the populate sweep with "
-                "those knobs instead"
-            )
-        kwargs = self.runner_kwargs()
-        for reserved in (
-            "checkpoint",
-            "checkpoint_compact",
-            "shard",
-            "lease_timeout",
-        ):
-            kwargs.pop(reserved)
-        return kwargs
 
 
 def plan_sweep(
@@ -308,8 +225,7 @@ def sweep(
     """
     from .parallel.runner import run_experiments
 
-    config = config if config is not None else SweepConfig()
-    return run_experiments(specs, sinks=sinks, **config.runner_kwargs())
+    return run_experiments(specs, config=config, sinks=sinks)
 
 
 def query(
@@ -328,10 +244,7 @@ def query(
     """
     from .archive.query import query_experiments
 
-    config = config if config is not None else SweepConfig()
-    return query_experiments(
-        specs, archive=archive, sinks=sinks, **config.query_kwargs()
-    )
+    return query_experiments(specs, archive=archive, config=config, sinks=sinks)
 
 
 def serve(
@@ -351,12 +264,7 @@ def serve(
     """
     from .archive.service import make_server
 
-    server = make_server(
-        archive=archive,
-        host=host,
-        port=port,
-        config=config if config is not None else SweepConfig(),
-    )
+    server = make_server(archive=archive, host=host, port=port, config=config)
     if block:
         try:
             server.serve_forever()

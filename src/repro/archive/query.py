@@ -22,23 +22,23 @@ even when a later run raises, the same keep-completed-runs rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.experiments import ExperimentResult, ExperimentSpec
 from ..analysis.streaming import ResultSink
 from ..core.errors import ConfigurationError
-from ..parallel.runner import run_experiments
+from ..parallel.runner import SweepConfig, run_experiments
 from ..parallel.sharding import expand_run_tasks
 from .store import ResultArchive
 
-__all__ = ["QueryReport", "QueryResult", "query_experiments"]
-
-#: ``run_experiments`` knobs a query may not override: the archive is
-#: the query's checkpoint, and sharding belongs to the populate sweeps,
-#: not the read path.
-_RESERVED_KWARGS = ("checkpoint", "checkpoint_compact", "shard")
+__all__ = [
+    "QueryReport",
+    "QueryResult",
+    "query_config",
+    "query_experiments",
+]
 
 
 @dataclass(frozen=True)
@@ -81,41 +81,50 @@ class QueryResult:
     report: QueryReport
 
 
+def query_config(config: Optional[SweepConfig]) -> SweepConfig:
+    """``config`` (the defaults when ``None``), checked for a query.
+
+    The archive is a query's checkpoint, and sharding belongs to the
+    populate sweeps, not the read path: a config that sets
+    ``checkpoint``/``shard`` is a caller error here, raised before
+    anything runs or binds.
+    """
+    if config is None:
+        return SweepConfig()
+    if config.checkpoint is not None or config.shard is not None:
+        raise ConfigurationError(
+            "a query does not accept checkpoint=/shard= configuration: the "
+            "archive is its checkpoint; run the populate sweep with those "
+            "knobs instead"
+        )
+    return config
+
+
 def query_experiments(
     specs: Sequence[ExperimentSpec],
     *,
     archive: Union[str, Path, ResultArchive],
+    config: Optional[SweepConfig] = None,
     sinks: Sequence[ResultSink] = (),
-    **runner_kwargs,
 ) -> QueryResult:
     """Answer an experiment grid from the archive, simulating only misses.
 
-    ``runner_kwargs`` pass through to
-    :func:`~repro.parallel.runner.run_experiments` (``workers``,
-    ``backend``, ``max_batch``, ``derive_seeds``/``base_seed``, ...) for
-    the runs that do execute; checkpointing and sharding knobs are
-    reserved — the archive is the query's checkpoint, and sharded
-    populate belongs to ``sweep``.
+    ``config`` (see :func:`query_config`) configures the runs that do
+    execute — ``workers``, ``backend``, ``max_batch``,
+    ``derive_seeds``/``base_seed``, ...; it may not set ``checkpoint``
+    or ``shard``.
 
     The report's hits are the keys the engine's one restore ``fetch``
     returned, so a run another writer archives while the query starts
     is counted as what it was: replayed, not simulated.
     """
-    for reserved in _RESERVED_KWARGS:
-        if reserved in runner_kwargs:
-            raise ConfigurationError(
-                f"query_experiments() does not accept {reserved!r}: the "
-                f"archive is the query's checkpoint; populate the archive "
-                f"with sweep/archive-add instead"
-            )
-    derive_seeds = bool(runner_kwargs.get("derive_seeds", False))
-    base_seed = runner_kwargs.get("base_seed")
+    config = query_config(config)
 
     wanted: Set[str] = set()
     cell_of_key: Dict[str, Tuple[str, int]] = {}
     for spec in specs:
         for task in expand_run_tasks(
-            spec, derive_seeds=derive_seeds, base_seed=base_seed
+            spec, derive_seeds=config.derive_seeds, base_seed=config.base_seed
         ):
             wanted.add(task.key)
             cell_of_key[task.key] = (task.spec_name, task.topology_index)
@@ -129,7 +138,7 @@ def query_experiments(
     try:
         added_before = store.flushed_new_runs
         results = run_experiments(
-            specs, checkpoint=store, sinks=sinks, **runner_kwargs
+            specs, config=replace(config, checkpoint=store), sinks=sinks
         )
         added = store.flushed_new_runs - added_before
         hits = store.fetched_keys & wanted

@@ -28,6 +28,8 @@ from typing import Dict, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.errors import ReproError
+from ..parallel.runner import SweepConfig
+from .query import query_config
 from .store import ResultArchive
 
 __all__ = ["ArchiveHTTPServer", "make_server"]
@@ -156,20 +158,16 @@ def make_server(
     archive: Union[str, Path],
     host: str = "127.0.0.1",
     port: int = 8765,
-    config=None,
+    config: Optional[SweepConfig] = None,
 ) -> ArchiveHTTPServer:
     """Build (and bind, but not run) the archive HTTP server.
 
-    Opening the archive up front validates the path and schema version
+    The config is checked the way every ``/query`` would check it, and
+    the archive is opened to validate its path and schema version, both
     before the socket accepts anything; ``port=0`` binds an ephemeral
     port (see ``server.server_address``).
     """
-    from ..api import SweepConfig
-
+    config = query_config(config)
     with ResultArchive(archive):
         pass
-    return ArchiveHTTPServer(
-        (host, port),
-        archive_path=archive,
-        config=config if config is not None else SweepConfig(),
-    )
+    return ArchiveHTTPServer((host, port), archive_path=archive, config=config)

@@ -30,9 +30,12 @@ contract:
   (O(new records) per flush) that reads legacy whole-file JSON
   checkpoints transparently.
 
-The engine is wired in as ``run_experiment(..., workers=N,
-checkpoint=...)``, as the ``repro-le sweep`` CLI command, and as the
-backend of ``benchmarks/bench_parallel_sweep.py``; the equivalence and
+The engine is one call, ``run_experiments(specs, config=SweepConfig(...),
+sinks=...)``, where :class:`~repro.parallel.runner.SweepConfig` holds
+every execution knob (workers, backend, checkpoint, shard, timeouts,
+telemetry) and validates them when it is built.  It backs
+:func:`repro.api.sweep`/:func:`repro.api.query`, the ``repro-le sweep``
+CLI command and ``benchmarks/bench_parallel_sweep.py``; the equivalence and
 determinism guarantees are pinned down by ``tests/test_parallel_runner.py``,
 ``tests/test_scheduler.py`` and ``tests/test_checkpoint_store.py``.
 """
@@ -47,7 +50,7 @@ from .checkpoint import (
     shard_checkpoint_path,
     writer_token,
 )
-from .runner import TaskExecutionError, run_experiments
+from .runner import SweepConfig, TaskExecutionError, run_experiments
 from .scheduler import (
     DEFAULT_AUTO_BLOCKS,
     DEFAULT_LEASE_TIMEOUT,
@@ -83,6 +86,7 @@ __all__ = [
     "RunStore",
     "RunTask",
     "ShardManifest",
+    "SweepConfig",
     "TaskExecutionError",
     "compact_record",
     "derive_cell_seed",

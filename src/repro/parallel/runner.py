@@ -1,4 +1,8 @@
-"""The parallel experiment engine: a pool-backed, streaming ``run_experiment``.
+"""The parallel experiment engine: ``run_experiments(specs, config=SweepConfig(...))``.
+
+:class:`SweepConfig` is the engine's one configuration value (workers,
+backend, checkpoint, shard, timeouts, telemetry), validated when it is
+built; :func:`run_experiments` reads every knob from it.
 
 Execution model
 ---------------
@@ -58,6 +62,7 @@ import multiprocessing
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -104,6 +109,7 @@ from .sharding import (
     AUTO_SHARD,
     RunTask,
     expand_run_tasks,
+    parse_shard,
     select_shard,
     split_blocks,
     validate_shard,
@@ -111,9 +117,112 @@ from .sharding import (
 from .store import JsonlCheckpointStore, RunStore
 
 __all__ = [
+    "SweepConfig",
     "TaskExecutionError",
     "run_experiments",
 ]
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """How a sweep or query executes, as one validated value.
+
+    The one way to configure :func:`run_experiments` (and, through it,
+    :func:`repro.archive.query.query_experiments` and the
+    :mod:`repro.api` facade): build it at the edge — CLI parsing, HTTP
+    parameters, test setup — and hand the same value to every call.
+    Every check runs here, when the config is built, so a config is
+    valid or invalid whichever path later runs it.  The defaults: one
+    worker, the ``auto`` simulator backend, no checkpoint.  Only
+    ``derive_seeds``/``base_seed`` change what runs; results are
+    bit-identical for any worker count, backend, batch size, timeout,
+    checkpoint, shard layout or telemetry setting.
+    """
+
+    #: worker processes (1 = in-process serial execution)
+    workers: int = 1
+    #: simulator core for every run, pool workers included: "auto",
+    #: "round" or "event" (see :class:`repro.core.simulator.SynchronousSimulator`)
+    backend: str = "auto"
+    #: multiprocessing start method (platform default when ``None``)
+    start_method: Optional[str] = None
+    #: run store to resume from and write to: a path (an append-only
+    #: :class:`~repro.parallel.store.JsonlCheckpointStore`) or any
+    #: :class:`~repro.parallel.store.RunStore`, such as a
+    #: :class:`~repro.archive.store.ResultArchive`
+    checkpoint: Optional[Union[str, Path, RunStore]] = None
+    #: store checkpoint records without per-node diagnostic payloads
+    #: (requires a checkpoint path)
+    checkpoint_compact: bool = False
+    #: ``(i, k)`` / ``"i/k"`` fixed round-robin slice, or ``"auto"`` /
+    #: ``(AUTO_SHARD, blocks)`` work stealing; requires a checkpoint path
+    #: and is stored parsed, as a tuple
+    shard: Optional[Union[str, Tuple[object, Optional[int]]]] = None
+    #: derive an independent deterministic seed per cell from ``base_seed``
+    #: (see :func:`repro.parallel.sharding.derive_cell_seed`)
+    derive_seeds: bool = False
+    base_seed: Optional[int] = None
+    #: seconds before a pool task's lease expires and it is re-dispatched
+    task_timeout: Optional[float] = None
+    #: most tasks per dispatched batch (``1`` ships one task per message)
+    max_batch: Optional[int] = None
+    #: seconds without a heartbeat before an auto-shard block is stolen
+    lease_timeout: Optional[float] = None
+    #: pre-computed expansion profiles, keyed by topology name/fingerprint
+    profiles: Optional[Dict[str, ExpansionProfile]] = None
+    #: per-task timing records and the end-of-sweep summary
+    telemetry: Optional[TelemetrySink] = None
+    #: in-worker profiler name from :data:`repro.obs.PROFILERS`
+    #: (requires ``telemetry``)
+    profile: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(
+                f"unknown simulator backend {self.backend!r}: expected one of "
+                f"{BACKENDS}"
+            )
+        _validate_timeout("task_timeout", self.task_timeout)
+        _validate_timeout("lease_timeout", self.lease_timeout)
+        if self.max_batch is not None and self.max_batch < 1:
+            raise ConfigurationError(
+                f"max_batch must be >= 1, got {self.max_batch}"
+            )
+        if self.profile is not None:
+            if self.telemetry is None:
+                raise ConfigurationError(
+                    "profile= requires telemetry=: hotspots are reported "
+                    "through the telemetry summary"
+                )
+            try:
+                validate_profiler(self.profile)
+            except ValueError as error:
+                raise ConfigurationError(str(error)) from error
+        if self.checkpoint_compact and not _is_path(self.checkpoint):
+            raise ConfigurationError(
+                "checkpoint_compact= requires a checkpoint path"
+            )
+        if self.shard is not None:
+            shard = (
+                parse_shard(self.shard)
+                if isinstance(self.shard, str)
+                else tuple(self.shard)
+            )
+            if shard[0] != AUTO_SHARD:
+                shard = validate_shard(*shard)
+            if not _is_path(self.checkpoint):
+                raise ConfigurationError(
+                    "a sharded sweep requires a checkpoint path: shard results "
+                    "must be persisted to files to be merged (pass "
+                    "checkpoint=/--checkpoint)"
+                )
+            object.__setattr__(self, "shard", shard)
+
+
+def _is_path(checkpoint) -> bool:
+    return isinstance(checkpoint, (str, os.PathLike))
 
 
 class _PoolEngine:
@@ -126,24 +235,8 @@ class _PoolEngine:
     scheduler's cost model likewise persists across blocks.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int,
-        start_method: Optional[str],
-        backend: str,
-        telemetry_on: bool,
-        profile: Optional[str],
-        task_timeout: Optional[float],
-        max_batch: int,
-    ) -> None:
-        self._workers = workers
-        self._start_method = start_method
-        self._backend = backend
-        self._telemetry_on = telemetry_on
-        self._profile = profile
-        self._task_timeout = task_timeout
-        self._max_batch = max_batch
+    def __init__(self, config: SweepConfig) -> None:
+        self._config = config
         self._pool = None
         self._scheduler: Optional[AdaptiveScheduler] = None
 
@@ -159,32 +252,38 @@ class _PoolEngine:
         """Run ``pending`` to completion, calling ``finish`` per task."""
         if not pending:
             return
-        if self._workers > 1 and (len(pending) > 1 or self._pool is not None):
+        config = self._config
+        if config.workers > 1 and (len(pending) > 1 or self._pool is not None):
             if self._scheduler is None:
-                context = multiprocessing.get_context(self._start_method)
+                context = multiprocessing.get_context(config.start_method)
                 # set_default_backend as initializer: the backend choice
                 # must reach the workers under "spawn" too, where the
                 # parent's in-process scope stack does not survive the
                 # fork-less hop.
                 self._pool = context.Pool(
-                    processes=min(self._workers, len(pending)),
+                    processes=min(config.workers, len(pending)),
                     initializer=set_default_backend,
-                    initargs=(self._backend,),
+                    initargs=(config.backend,),
                 )
                 self._scheduler = AdaptiveScheduler(
                     self._pool,
-                    self._workers,
-                    telemetry=self._telemetry_on,
-                    profile=self._profile,
-                    task_timeout=self._task_timeout,
-                    max_batch=self._max_batch,
+                    config.workers,
+                    telemetry=config.telemetry is not None,
+                    profile=config.profile,
+                    task_timeout=config.task_timeout,
+                    max_batch=(
+                        DEFAULT_MAX_BATCH
+                        if config.max_batch is None
+                        else config.max_batch
+                    ),
                 )
             self._scheduler.run(pending, finish)
         else:
             self._execute_inline(pending, finish)
 
     def _execute_inline(self, pending, finish: _FinishFn) -> None:
-        with backend_scope(self._backend):
+        config = self._config
+        with backend_scope(config.backend):
             for task in pending:
                 # A one-task batch through the pool workers' own entry
                 # point: failures carry the same grid-coordinate context
@@ -192,8 +291,8 @@ class _PoolEngine:
                 batch = _Batch(
                     (_BatchItem(task, 1),),
                     time.monotonic(),
-                    self._telemetry_on,
-                    self._profile,
+                    config.telemetry is not None,
+                    config.profile,
                 )
                 finish(*_execute_batch(batch)[0])
 
@@ -217,40 +316,26 @@ class _AutoPlan(NamedTuple):
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
-    workers: int = 1,
-    checkpoint: Optional[Union[str, Path, RunStore]] = None,
-    checkpoint_compact: bool = False,
-    start_method: Optional[str] = None,
-    profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    derive_seeds: bool = False,
-    base_seed: Optional[int] = None,
-    shard=None,
+    config: Optional[SweepConfig] = None,
     sinks: Sequence[ResultSink] = (),
-    backend: str = "auto",
-    telemetry: Optional[TelemetrySink] = None,
-    profile: Optional[str] = None,
-    task_timeout: Optional[float] = None,
-    max_batch: Optional[int] = None,
-    lease_timeout: Optional[float] = None,
 ) -> List[ExperimentResult]:
     """Run several specs through one worker pool and stream per-cell aggregates.
 
-    Pooling the specs' tasks together keeps workers busy even when one
-    algorithm or topology dominates the cost (the benchmarks' suites are
-    highly skewed).  ``derive_seeds`` switches every cell to an independent
-    deterministic seed derived from ``base_seed`` (see
-    :func:`repro.parallel.sharding.derive_cell_seed`); leave it off for
-    results identical to the serial backend's.  ``checkpoint_compact``
-    stores checkpoint records without per-node diagnostic payloads so
-    resume files of very large grids stay small.
+    ``config`` (a :class:`SweepConfig`; the defaults when ``None``)
+    decides *how* the grid executes, never *what* it measures.  Pooling
+    the specs' tasks together keeps workers busy even when one algorithm
+    or topology dominates the cost (the benchmarks' suites are highly
+    skewed).  ``config.derive_seeds`` switches every cell to an
+    independent deterministic seed derived from ``config.base_seed``;
+    leave it off for results identical to the serial
+    :func:`repro.analysis.experiments.run_experiment`.
 
     With more than one worker, tasks are dispatched by
     :class:`~repro.parallel.scheduler.AdaptiveScheduler` (cost-adaptive
     batching with fault-tolerant re-dispatch).  ``task_timeout`` bounds
     one task's lease: an expired lease — straggler or dead worker — is
     re-dispatched; worker *death* is detected and recovered even without
-    a timeout.  ``max_batch`` caps the batch size (``1`` ships one task
-    per message).  Results are bit-identical across all of these knobs.
+    a timeout.  ``max_batch`` caps the batch size.
 
     ``checkpoint`` is a path — an append-only
     :class:`~repro.parallel.store.JsonlCheckpointStore` that also reads
@@ -263,12 +348,11 @@ def run_experiments(
     never lost.
 
     ``shard=(i, k)`` runs only shard ``i`` of a deterministic ``k``-way
-    round-robin split of the pooled task list.  A sharded run requires a
-    ``checkpoint`` path: its completed runs persist to the shard's own file
-    (``<base>.shard<i>of<k>.json``) and the job (idempotently) writes the
-    sweep's shard manifest next to it, so ``k`` independent jobs — on as
-    many machines — cover the grid without contending on one file and are
-    folded back together by
+    round-robin split of the pooled task list.  Its completed runs
+    persist to the shard's own file (``<base>.shard<i>of<k>.json``) and
+    the job (idempotently) writes the sweep's shard manifest next to it,
+    so ``k`` independent jobs — on as many machines — cover the grid
+    without contending on one file and are folded back together by
     :func:`repro.parallel.checkpoint.merge_shard_checkpoints`.  The
     returned results contain only the cells this shard touched (cells
     with zero local runs are omitted).
@@ -290,12 +374,6 @@ def run_experiments(
     :class:`~repro.analysis.streaming.CollectingSink` and read
     ``results_for(spec_name, topology_index)`` afterwards.
 
-    ``backend`` selects the simulator core (``"auto"``, ``"round"`` or
-    ``"event"`` — see :class:`repro.core.simulator.SynchronousSimulator`)
-    for every run of the sweep, including pool workers under any start
-    method.  It never enters task keys, so checkpoints written under one
-    backend resume cleanly under the other.
-
     ``telemetry`` attaches a :class:`repro.obs.TelemetrySink`: every
     freshly-executed task ships a timing record back from its worker
     (queue wait, simulate time, span totals, worker id, batch size,
@@ -304,64 +382,25 @@ def run_experiments(
     utilization/straggler summary; the closing driver record carries the
     scheduler's dispatch/lease counters.  The sink's lifecycle (close on
     success, abort on failure) is owned here — do not also pass it in
-    ``sinks``.  Telemetry never enters task keys or seeds, so results
-    are bit-identical with it on or off; with it off this function's hot
-    path is unchanged.  ``profile`` (one of
-    :data:`repro.obs.PROFILERS`; requires ``telemetry``) runs each task
-    under an in-worker profiler and reports pool-wide hotspots through
-    the telemetry summary.
+    ``sinks``.  With telemetry off this function's hot path is
+    unchanged.  ``profile`` runs each task under an in-worker profiler
+    and reports pool-wide hotspots through the telemetry summary.
     """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown simulator backend {backend!r}: expected one of {BACKENDS}"
-        )
-    checkpoint_is_path = isinstance(checkpoint, (str, os.PathLike))
-    if checkpoint_compact and checkpoint is not None and not checkpoint_is_path:
-        raise ConfigurationError(
-            "checkpoint_compact= requires a checkpoint path"
-        )
-    _validate_timeout("task_timeout", task_timeout)
-    _validate_timeout("lease_timeout", lease_timeout)
-    if max_batch is None:
-        max_batch = DEFAULT_MAX_BATCH
-    if profile is not None:
-        if telemetry is None:
-            raise ConfigurationError(
-                "profile= requires telemetry=: hotspots are reported "
-                "through the telemetry summary"
-            )
-        try:
-            validate_profiler(profile)
-        except ValueError as error:
-            raise ConfigurationError(str(error)) from error
+    config = config if config is not None else SweepConfig()
+    telemetry = config.telemetry
+    shard = config.shard
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ConfigurationError(
             f"experiment specs must have unique names, got {names}"
         )
-    auto_shard = False
-    auto_blocks: Optional[int] = None
-    if shard is not None:
-        if isinstance(shard, str):
-            from .sharding import parse_shard
-
-            shard = parse_shard(shard)
-        if shard[0] == AUTO_SHARD:
-            auto_shard = True
-            auto_blocks = shard[1]
-        else:
-            shard_index, shard_count = validate_shard(*shard)
-        if not checkpoint_is_path:
-            raise ConfigurationError(
-                "a sharded sweep requires a checkpoint path: shard results "
-                "must be persisted to files to be merged (pass "
-                "checkpoint=/--checkpoint)"
-            )
+    auto_shard = shard is not None and shard[0] == AUTO_SHARD
+    checkpoint = config.checkpoint
 
     per_spec_tasks: List[List[RunTask]] = [
-        expand_run_tasks(spec, derive_seeds=derive_seeds, base_seed=base_seed)
+        expand_run_tasks(
+            spec, derive_seeds=config.derive_seeds, base_seed=config.base_seed
+        )
         for spec in specs
     ]
     all_tasks: List[RunTask] = [task for tasks in per_spec_tasks for task in tasks]
@@ -373,7 +412,9 @@ def run_experiments(
     }
 
     def make_store(path, *, staged: bool = False):
-        return JsonlCheckpointStore(path, compact=checkpoint_compact, staged=staged)
+        return JsonlCheckpointStore(
+            path, compact=config.checkpoint_compact, staged=staged
+        )
 
     auto: Optional[_AutoPlan] = None
     store = None
@@ -382,7 +423,7 @@ def run_experiments(
         # but with contiguous blocks whose owners are decided at runtime
         # by the lease directory rather than up front.
         keys = [task.key for task in all_tasks]
-        block_count = max(1, min(auto_blocks or DEFAULT_AUTO_BLOCKS, len(keys)))
+        block_count = max(1, min(shard[1] or DEFAULT_AUTO_BLOCKS, len(keys)))
         manifest = ShardManifest.plan_auto(checkpoint, keys, block_count)
         manifest.write(manifest_path(checkpoint))
         my_tasks = all_tasks
@@ -391,7 +432,9 @@ def run_experiments(
                 checkpoint,
                 block_count,
                 lease_timeout=(
-                    DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout
+                    DEFAULT_LEASE_TIMEOUT
+                    if config.lease_timeout is None
+                    else config.lease_timeout
                 ),
             ),
             blocks=split_blocks(all_tasks, block_count),
@@ -401,6 +444,7 @@ def run_experiments(
             ],
         )
     elif shard is not None:
+        shard_index, shard_count = shard
         manifest = ShardManifest.plan(
             checkpoint, [task.key for task in all_tasks], shard_count
         )
@@ -411,7 +455,7 @@ def run_experiments(
         )
     else:
         my_tasks = all_tasks
-        if checkpoint_is_path:
+        if _is_path(checkpoint):
             store = make_store(checkpoint)
         elif checkpoint is not None:
             store = checkpoint
@@ -429,12 +473,12 @@ def run_experiments(
         else:
             shard_label = None
         telemetry.begin_sweep(
-            workers=workers,
-            backend=backend,
-            profile=profile,
+            workers=config.workers,
+            backend=config.backend,
+            profile=config.profile,
             shard=shard_label,
         )
-    profile_aggregate = ProfileAggregate() if profile is not None else None
+    profile_aggregate = ProfileAggregate() if config.profile is not None else None
 
     def consume(key: str, result: LeaderElectionResult, elapsed: float) -> None:
         spec_name, topology_index, seed_index = route[key]
@@ -446,20 +490,12 @@ def run_experiments(
             specs,
             my_tasks,
             consume,
+            config=config,
             store=store,
             auto=auto,
             make_store=make_store,
-            workers=workers,
-            start_method=start_method,
-            sharded=shard is not None,
-            profiles=profiles,
             aggregates=aggregates,
-            backend=backend,
-            telemetry=telemetry,
-            profile=profile,
             profile_aggregate=profile_aggregate,
-            task_timeout=task_timeout,
-            max_batch=max_batch,
             all_sinks=all_sinks,
         )
 
@@ -514,20 +550,12 @@ def _execute_and_assemble(
     my_tasks,
     consume,
     *,
+    config: SweepConfig,
     store,
     auto: Optional[_AutoPlan],
     make_store,
-    workers,
-    start_method,
-    sharded,
-    profiles,
     aggregates,
-    backend,
-    telemetry,
-    profile,
     profile_aggregate,
-    task_timeout,
-    max_batch,
     all_sinks,
 ) -> Tuple[List[ExperimentResult], int, Optional[Dict[str, int]]]:
     """Run the pending tasks and assemble per-spec results (see caller).
@@ -569,7 +597,7 @@ def _execute_and_assemble(
                 task_telemetry.fold_seconds = stopwatch.elapsed()
                 if profile_payload is not None:
                     profile_aggregate.merge(profile_payload)
-                telemetry.emit_telemetry(task_telemetry)
+                config.telemetry.emit_telemetry(task_telemetry)
             else:
                 if to_store is not None:
                     to_store.add(key, result_to_record(result, elapsed))
@@ -580,16 +608,7 @@ def _execute_and_assemble(
         return finish
 
     restored = 0
-    engine = _PoolEngine(
-        workers=workers,
-        start_method=start_method,
-        backend=backend,
-        telemetry_on=telemetry is not None,
-        profile=profile,
-        task_timeout=task_timeout,
-        max_batch=max_batch,
-    )
-    with engine:
+    with _PoolEngine(config) as engine:
         if auto is None:
             completed_keys = restore(store, my_tasks) if store is not None else set()
             restored = len(completed_keys)
@@ -602,7 +621,7 @@ def _execute_and_assemble(
                 # must still leave its (empty) checkpoint file behind, or
                 # the merge would report the fully-executed split as
                 # missing a shard.
-                if store is not None and (pending or sharded):
+                if store is not None and (pending or config.shard is not None):
                     store.flush()
         else:
             # Work-stealing loop: claim a block, resume whatever any
@@ -638,7 +657,7 @@ def _execute_and_assemble(
                 auto.leases.mark_done(index)
         scheduler_stats = engine.scheduler_stats()
 
-    profiles = dict(profiles or {})
+    profiles = dict(config.profiles or {})
     results: List[ExperimentResult] = []
     for spec in specs:
         experiment = ExperimentResult(name=spec.name)

@@ -16,6 +16,7 @@ from repro.analysis import (
     summarize_results,
 )
 from repro.graphs import Topology, cycle, star
+from repro.parallel import SweepConfig, run_experiments
 
 
 class TestExperimentSpec:
@@ -126,7 +127,7 @@ class TestRunExperiment:
         )
         serial, pooled = CollectingSink(), CollectingSink()
         run_experiment(spec, sinks=[serial])
-        run_experiment(spec, workers=2, sinks=[pooled])
+        run_experiments([spec], config=SweepConfig(workers=2), sinks=[pooled])
         runs = serial.results_for("flooding", 0)
         assert len(runs) == 2
         assert [run.as_dict() for run in runs] == [

@@ -1,22 +1,28 @@
 """Tests for the ``repro.api`` facade, deprecations, and CLI exit codes.
 
 Covers the redesigned entry points (``run`` / ``sweep`` / ``query`` /
-``plan_sweep`` / ``SweepConfig``), warning-free built-in sweeps,
+``serve`` / ``plan_sweep`` / ``SweepConfig``), the module attributes
+perfbench's tracer replaces, warning-free built-in sweeps,
 and the 0/1/2 exit-code contract shared by ``merge`` / ``stats`` /
 ``archive stats`` (0 clean, 1 findings/partial, 2 usage or error).
 """
 
 from __future__ import annotations
 
-import inspect
+import json
+import threading
+import urllib.request
 import warnings
 
 import pytest
 
+import repro.archive.query as query_module
+import repro.archive.service as service_module
 from repro import api
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, path
+from repro.parallel import SweepConfig
 from repro.parallel.checkpoint import manifest_path
 from repro.parallel.runner import run_experiments
 from repro.workloads import sweep_specs
@@ -42,13 +48,8 @@ def strip_wall_clock(results):
 
 
 class TestSweepConfig:
-    def test_runner_kwargs_cover_run_experiments_signature(self):
-        # drift guard: every run_experiments knob except the per-call ones
-        # (specs, sinks) flows through the config object — a new runner
-        # kwarg must be added here too
-        signature = inspect.signature(run_experiments)
-        runner_knobs = set(signature.parameters) - {"specs", "sinks"}
-        assert set(api.SweepConfig().runner_kwargs()) == runner_knobs
+    def test_facade_and_engine_share_one_config_class(self):
+        assert api.SweepConfig is SweepConfig
 
     def test_defaults_are_valid_and_frozen(self):
         config = api.SweepConfig()
@@ -66,19 +67,29 @@ class TestSweepConfig:
             api.SweepConfig(shard=(0, 2))
         with pytest.raises(ConfigurationError, match="telemetry"):
             api.SweepConfig(profile="wall")
+        # rejected when the config is built, whatever path would run it
+        with pytest.raises(ConfigurationError, match="max_batch"):
+            api.SweepConfig(max_batch=0)
+        with pytest.raises(ConfigurationError, match="unknown simulator backend"):
+            api.SweepConfig(backend="warp")
+        with pytest.raises(ConfigurationError, match="task_timeout"):
+            api.SweepConfig(task_timeout=-1)
+        with pytest.raises(ConfigurationError, match="lease_timeout"):
+            api.SweepConfig(lease_timeout=0)
+        with pytest.raises(ConfigurationError, match="shard count"):
+            api.SweepConfig(shard="0/0", checkpoint=tmp_path / "ck.jsonl")
 
     def test_query_kwargs_reject_checkpoint_and_shard(self, tmp_path):
+        specs = sweep_specs(
+            ["flooding"], [cycle(6)], seeds=(0,), collect_profile=False
+        )
         config = api.SweepConfig(
             checkpoint=tmp_path / "ck.jsonl", shard=(0, 2)
         )
         with pytest.raises(ConfigurationError, match="archive is its checkpoint"):
-            config.query_kwargs()
-        # and without them, the reserved knobs are absent from the kwargs
-        kwargs = api.SweepConfig(workers=2).query_kwargs()
-        assert "checkpoint" not in kwargs
-        assert "shard" not in kwargs
-        assert "lease_timeout" not in kwargs
-        assert kwargs["workers"] == 2
+            api.query(specs, archive=tmp_path / "a.sqlite", config=config)
+        # the rejection comes before the archive is touched
+        assert not (tmp_path / "a.sqlite").exists()
 
 
 # --------------------------------------------------------------------------- #
@@ -171,6 +182,85 @@ class TestSweepFacade:
         checkpoint = tmp_path / "ck.jsonl"
         api.sweep(specs, config=api.SweepConfig(checkpoint=checkpoint))
         assert checkpoint.exists()
+
+
+# --------------------------------------------------------------------------- #
+# serve facade and the tracer seams
+# --------------------------------------------------------------------------- #
+
+
+def _query_over_http(archive, query):
+    server = api.serve(archive=archive, port=0, block=False)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        with urllib.request.urlopen(f"http://{host}:{port}{query}") as response:
+            return json.loads(response.read().decode("utf-8"))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+class TestServeFacade:
+    def test_serve_rejects_a_checkpoint_config_before_binding(
+        self, tmp_path, monkeypatch
+    ):
+        bound = []
+        monkeypatch.setattr(
+            service_module,
+            "ArchiveHTTPServer",
+            lambda *args, **kwargs: bound.append(args),
+        )
+        archive = tmp_path / "a.sqlite"
+        config = api.SweepConfig(checkpoint=tmp_path / "ck.jsonl")
+        with pytest.raises(ConfigurationError, match="archive is its checkpoint"):
+            api.serve(archive=archive, port=0, block=False, config=config)
+        assert bound == []
+        assert not archive.exists()
+
+
+class TestTracerSeams:
+    """perfbench times the query layers by replacing module attributes of
+    :mod:`repro.archive.query`; every caller must look them up per call."""
+
+    QUERY = "/query?suite=tiny&algorithms=flooding&seeds=1"
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        original = getattr(query_module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(query_module, name, spy)
+        return calls
+
+    def test_query_experiments_seen_by_api_query_and_http(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self._spy(monkeypatch, "query_experiments")
+        specs, _ = api.plan_sweep(
+            suite="tiny", algorithms=["flooding"], seeds=1, collect_profile=False
+        )
+        archive = tmp_path / "a.sqlite"
+        api.query(specs, archive=archive)
+        assert calls == ["query_experiments"]
+        answer = _query_over_http(archive, self.QUERY)
+        assert answer["report"]["simulated_runs"] == 0
+        assert calls == ["query_experiments", "query_experiments"]
+
+    def test_run_experiments_seen_by_query_experiments(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch, "run_experiments")
+        specs = sweep_specs(
+            ["flooding"], [cycle(6)], seeds=(0,), collect_profile=False
+        )
+        answer = query_module.query_experiments(specs, archive=tmp_path / "a.sqlite")
+        assert answer.report.simulated_runs == 1
+        assert calls == ["run_experiments"]
 
 
 # --------------------------------------------------------------------------- #

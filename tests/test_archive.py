@@ -34,7 +34,7 @@ from repro.archive import (
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, path
-from repro.parallel.runner import run_experiments
+from repro.parallel.runner import SweepConfig, run_experiments
 from repro.parallel.sharding import expand_run_tasks
 from repro.parallel.store import JsonlCheckpointStore
 from repro.workloads import sweep_specs
@@ -311,7 +311,9 @@ class TestQueryEquivalence:
         specs = small_specs()
         direct = run_experiments(specs)
         answer = query_experiments(
-            specs, archive=tmp_path / "a.sqlite", workers=2
+            specs,
+            archive=tmp_path / "a.sqlite",
+            config=SweepConfig(workers=2),
         )
         assert stripped_cells(direct) == stripped_cells(answer.results)
 
@@ -333,7 +335,10 @@ class TestQueryEquivalence:
         specs = small_specs()
         checkpoint = tmp_path / "sweep.jsonl"
         for index in range(2):
-            run_experiments(specs, checkpoint=checkpoint, shard=(index, 2))
+            run_experiments(
+                specs,
+                config=SweepConfig(checkpoint=checkpoint, shard=(index, 2)),
+            )
         from repro.parallel import merge_shard_checkpoints
         from repro.parallel.checkpoint import manifest_path
 
@@ -370,12 +375,14 @@ class TestQueryEquivalence:
 
     def test_reserved_runner_kwargs_rejected(self, tmp_path):
         specs = small_specs()
-        for reserved in ("checkpoint", "shard"):
+        checkpoint = tmp_path / "ck.jsonl"
+        for config in (
+            SweepConfig(checkpoint=checkpoint),
+            SweepConfig(checkpoint=checkpoint, shard=(0, 2)),
+        ):
             with pytest.raises(ConfigurationError, match="does not accept"):
                 query_experiments(
-                    specs,
-                    archive=tmp_path / "a.sqlite",
-                    **{reserved: "anything"},
+                    specs, archive=tmp_path / "a.sqlite", config=config
                 )
 
 

@@ -57,7 +57,7 @@ from repro.election import (
     run_irrevocable_election,
 )
 from repro.graphs import cycle, grid_2d, random_regular, star
-from repro.parallel import expand_run_tasks, run_experiments
+from repro.parallel import SweepConfig, expand_run_tasks, run_experiments
 from repro.protocols import run_protocol
 from repro.workloads import dynamic_scenario
 
@@ -415,20 +415,29 @@ class TestExperimentEngineEquivalence:
 
         assert _comparable(run_experiment(spec, backend="event").cells) == reference
         for backend in ("round", "event"):
-            pooled = run_experiment(spec, workers=2, backend=backend)
+            pooled = run_experiments(
+                [spec],
+                config=SweepConfig(workers=2, backend=backend),
+            )[0]
             assert _comparable(pooled.cells) == reference
-        spawned = run_experiment(
-            spec, workers=2, start_method="spawn", backend="event"
-        )
+        spawned = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, start_method="spawn", backend="event"),
+        )[0]
         assert _comparable(spawned.cells) == reference
 
         checkpoint = tmp_path / "ck" / "sweep.json"
         for shard_index in (0, 1):
             run_experiments(
-                [spec], checkpoint=checkpoint, shard=(shard_index, 2), backend="event"
+                [spec],
+                config=SweepConfig(
+                    checkpoint=checkpoint,
+                    shard=(shard_index, 2),
+                    backend="event",
+                ),
             )
         merge_shard_checkpoints(manifest_path(checkpoint), checkpoint)
-        replayed = run_experiment(spec, checkpoint=checkpoint)
+        replayed = run_experiments([spec], config=SweepConfig(checkpoint=checkpoint))[0]
         assert _comparable(replayed.cells) == reference
 
     def test_robustness_curve_identical_across_cores(self):
@@ -449,8 +458,14 @@ class TestExperimentEngineEquivalence:
         assert all("round" not in key and "event" not in key for key in keys)
 
         checkpoint = tmp_path / "sweep.json"
-        written = run_experiment(spec, checkpoint=checkpoint, backend="round")
-        replayed = run_experiment(spec, checkpoint=checkpoint, backend="event")
+        written = run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=checkpoint, backend="round"),
+        )[0]
+        replayed = run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=checkpoint, backend="event"),
+        )[0]
         assert _comparable(replayed.cells) == _comparable(written.cells)
 
 
@@ -495,5 +510,5 @@ class TestBackendSelection:
             with backend_scope("warp"):
                 pass  # pragma: no cover - the scope must refuse to open
         with pytest.raises(ConfigurationError, match="warp"):
-            run_experiments([_flooding_spec()], backend="warp")
+            run_experiments([_flooding_spec()], config=SweepConfig(backend="warp"))
         assert "warp" not in BACKENDS

@@ -20,6 +20,7 @@ from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, star
 from repro.parallel import (
     JsonlCheckpointStore,
+    SweepConfig,
     result_to_record,
     run_experiments,
 )
@@ -169,7 +170,7 @@ class TestLegacyTransparency:
         partial = tmp_path / "partial.jsonl"
         run_experiments(
             [_spec(seeds=(0, 1), name="counted")],
-            checkpoint=partial,
+            config=SweepConfig(checkpoint=partial),
         )
         assert len(count_file.read_text().splitlines()) == 4
         _write_legacy(checkpoint, JsonlCheckpointStore(partial).load())
@@ -177,11 +178,10 @@ class TestLegacyTransparency:
 
         # Resume with the JSONL default: only the 2 missing runs execute,
         # the file migrates, and the cells match the serial sweep exactly.
-        resumed = run_experiment(
-            _spec(name="counted"),
-            workers=2,
-            checkpoint=checkpoint,
-        )
+        resumed = run_experiments(
+            [_spec(name="counted")],
+            config=SweepConfig(workers=2, checkpoint=checkpoint),
+        )[0]
         assert len(count_file.read_text().splitlines()) == 6
         assert _comparable(resumed.cells) == _comparable(serial.cells)
         header = json.loads(checkpoint.read_text().splitlines()[0])
@@ -190,10 +190,10 @@ class TestLegacyTransparency:
         # A further pass is a pure replay: nothing executes, and the
         # checkpoint is byte-identical afterwards.
         before = checkpoint.read_bytes()
-        replayed = run_experiment(
-            _spec(name="counted"),
-            checkpoint=checkpoint,
-        )
+        replayed = run_experiments(
+            [_spec(name="counted")],
+            config=SweepConfig(checkpoint=checkpoint),
+        )[0]
         assert len(count_file.read_text().splitlines()) == 6
         assert _comparable(replayed.cells) == _comparable(serial.cells)
         assert checkpoint.read_bytes() == before

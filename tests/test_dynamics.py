@@ -65,7 +65,7 @@ from repro.graphs import (
     star,
     torus_2d,
 )
-from repro.parallel import expand_run_tasks
+from repro.parallel import SweepConfig, expand_run_tasks, run_experiments
 from repro.protocols import protocol_runner
 from repro.workloads import DYNAMIC_SCENARIOS, dynamic_scenario
 
@@ -567,7 +567,7 @@ class TestAdversarialSweepEquivalence:
     def test_serial_and_parallel_identical(self, adversary, workers):
         spec = _adversarial_spec(adversary)
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, workers=workers)
+        parallel = run_experiments([spec], config=SweepConfig(workers=workers))[0]
         assert _comparable(parallel.cells) == _comparable(serial.cells)
 
     def test_adversarial_runs_are_repeatable(self):
@@ -599,13 +599,17 @@ class TestAdversarialSweepEquivalence:
     def test_checkpointed_adversarial_sweep_matches(self, tmp_path):
         spec = _adversarial_spec(ADVERSARY_GRID[0])
         plain = run_experiment(spec)
-        checkpointed = run_experiment(
-            spec, workers=2, checkpoint=tmp_path / "sweep.json"
-        )
+        checkpointed = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, checkpoint=tmp_path / "sweep.json"),
+        )[0]
         assert _comparable(checkpointed.cells) == _comparable(plain.cells)
         # Replaying from the checkpoint reproduces the same cells, fault
         # counters included.
-        replayed = run_experiment(spec, checkpoint=tmp_path / "sweep.json")
+        replayed = run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=tmp_path / "sweep.json"),
+        )[0]
         assert _comparable(replayed.cells) == _comparable(plain.cells)
 
     def test_skew_sweep_bit_equivalent_across_all_backends(self, tmp_path):
@@ -624,25 +628,35 @@ class TestAdversarialSweepEquivalence:
             name="flooding-under-skew",
         )
         serial = run_experiment(spec)
-        pooled = run_experiment(spec, workers=2)
+        pooled = run_experiments([spec], config=SweepConfig(workers=2))[0]
         assert _comparable(pooled.cells) == _comparable(serial.cells)
-        spawned = run_experiment(spec, workers=2, start_method="spawn")
+        spawned = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, start_method="spawn"),
+        )[0]
         assert _comparable(spawned.cells) == _comparable(serial.cells)
 
         checkpoint = tmp_path / "ck" / "sweep.json"
         for shard_index in (0, 1):
-            run_experiments([spec], checkpoint=checkpoint, shard=(shard_index, 2))
+            run_experiments(
+                [spec],
+                config=SweepConfig(checkpoint=checkpoint, shard=(shard_index, 2)),
+            )
         merge_shard_checkpoints(manifest_path(checkpoint), checkpoint)
-        replayed = run_experiment(spec, checkpoint=checkpoint)
+        replayed = run_experiments([spec], config=SweepConfig(checkpoint=checkpoint))[0]
         assert _comparable(replayed.cells) == _comparable(serial.cells)
 
     def test_checkpoint_not_replayed_across_adversaries(self, tmp_path):
         checkpoint = tmp_path / "sweep.json"
-        run_experiment(_adversarial_spec(ADVERSARY_GRID[0]), checkpoint=checkpoint)
-        direct = run_experiment(_adversarial_spec(ADVERSARY_GRID[1]))
-        resumed = run_experiment(
-            _adversarial_spec(ADVERSARY_GRID[1]), checkpoint=checkpoint
+        run_experiments(
+            [_adversarial_spec(ADVERSARY_GRID[0])],
+            config=SweepConfig(checkpoint=checkpoint),
         )
+        direct = run_experiment(_adversarial_spec(ADVERSARY_GRID[1]))
+        resumed = run_experiments(
+            [_adversarial_spec(ADVERSARY_GRID[1])],
+            config=SweepConfig(checkpoint=checkpoint),
+        )[0]
         assert _comparable(resumed.cells) == _comparable(direct.cells)
 
 

@@ -40,7 +40,7 @@ from repro.obs import (
     summarize_telemetry,
     validate_profiler,
 )
-from repro.parallel import run_experiments
+from repro.parallel import SweepConfig, run_experiments
 
 SEEDS = (0, 1, 2)
 
@@ -235,9 +235,12 @@ class TestTelemetryDoesNotPerturbResults:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_pooled_results_identical(self, workers, tmp_path):
         spec = _spec()
-        baseline = run_experiment(spec, workers=workers)
+        baseline = run_experiments([spec], config=SweepConfig(workers=workers))[0]
         sink = TelemetrySink(tmp_path / "tel.jsonl")
-        instrumented = run_experiment(spec, workers=workers, telemetry=sink)
+        instrumented = run_experiments(
+            [spec],
+            config=SweepConfig(workers=workers, telemetry=sink),
+        )[0]
         assert _comparable(instrumented.cells) == _comparable(baseline.cells)
         summary = summarize_telemetry(read_telemetry(sink.path))
         assert summary["runs"] == 3 * len(SEEDS)
@@ -245,11 +248,12 @@ class TestTelemetryDoesNotPerturbResults:
 
     def test_spawn_results_identical(self, tmp_path):
         spec = _spec()
-        baseline = run_experiment(spec, workers=2)
+        baseline = run_experiments([spec], config=SweepConfig(workers=2))[0]
         sink = TelemetrySink(tmp_path / "tel.jsonl")
-        instrumented = run_experiment(
-            spec, workers=2, start_method="spawn", telemetry=sink
-        )
+        instrumented = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, start_method="spawn", telemetry=sink),
+        )[0]
         assert _comparable(instrumented.cells) == _comparable(baseline.cells)
         workers = {
             record["worker"]
@@ -264,9 +268,11 @@ class TestTelemetryDoesNotPerturbResults:
         baseline_shards = [
             run_experiments(
                 [spec],
-                workers=2,
-                shard=(i, 2),
-                checkpoint=tmp_path / f"base-{i}.json",
+                config=SweepConfig(
+                    workers=2,
+                    shard=(i, 2),
+                    checkpoint=tmp_path / f"base-{i}.json",
+                ),
             )
             for i in range(2)
         ]
@@ -276,10 +282,12 @@ class TestTelemetryDoesNotPerturbResults:
             instrumented_shards.append(
                 run_experiments(
                     [spec],
-                    workers=2,
-                    shard=(i, 2),
-                    checkpoint=tmp_path / f"inst-{i}.json",
-                    telemetry=sink,
+                    config=SweepConfig(
+                        workers=2,
+                        shard=(i, 2),
+                        checkpoint=tmp_path / f"inst-{i}.json",
+                        telemetry=sink,
+                    ),
                 )
             )
             summary = summarize_telemetry(read_telemetry(sink.path))
@@ -302,15 +310,16 @@ class TestTelemetryDoesNotPerturbResults:
     def test_checkpointed_telemetry_counts_restored_runs(self, tmp_path):
         spec = _spec()
         checkpoint = tmp_path / "ckpt.json"
-        run_experiment(spec, workers=1, checkpoint=checkpoint)
+        run_experiments([spec], config=SweepConfig(workers=1, checkpoint=checkpoint))
         sink = TelemetrySink(tmp_path / "tel.jsonl")
-        resumed = run_experiment(
-            spec, workers=1, checkpoint=checkpoint, telemetry=sink
-        )
+        resumed = run_experiments(
+            [spec],
+            config=SweepConfig(workers=1, checkpoint=checkpoint, telemetry=sink),
+        )[0]
         summary = summarize_telemetry(read_telemetry(sink.path))
         assert summary["runs"] == 0  # nothing re-executed...
         assert summary["restored"] == 3 * len(SEEDS)  # ...everything replayed
-        baseline = run_experiment(spec, workers=1)
+        baseline = run_experiment(spec)
         assert _comparable(resumed.cells) == _comparable(baseline.cells)
 
 
@@ -325,9 +334,11 @@ class TestSingletonTaskRecords:
         path = tmp_path / "tel.jsonl"
         run_experiments(
             [_spec()],
-            workers=workers,
-            max_batch=max_batch,
-            telemetry=TelemetrySink(path),
+            config=SweepConfig(
+                workers=workers,
+                max_batch=max_batch,
+                telemetry=TelemetrySink(path),
+            ),
         )
         records = read_telemetry(path)
         tasks = [r for r in records if r["kind"] == "task"]
@@ -366,11 +377,12 @@ class TestProfiling:
 
     def test_profiled_sweep_keeps_results_and_reports_hotspots(self, tmp_path):
         spec = _spec()
-        baseline = run_experiment(spec, workers=2)
+        baseline = run_experiments([spec], config=SweepConfig(workers=2))[0]
         sink = TelemetrySink(tmp_path / "tel.jsonl")
-        profiled = run_experiment(
-            spec, workers=2, telemetry=sink, profile="cprofile"
-        )
+        profiled = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, telemetry=sink, profile="cprofile"),
+        )[0]
         assert _comparable(profiled.cells) == _comparable(baseline.cells)
         summary = summarize_telemetry(read_telemetry(sink.path))
         assert summary["profile"] == "cprofile"
@@ -381,18 +393,24 @@ class TestProfiling:
 
     def test_profile_requires_telemetry(self):
         with pytest.raises(ConfigurationError):
-            run_experiment(_spec(), workers=2, profile="cprofile")
+            run_experiments(
+                [_spec()],
+                config=SweepConfig(workers=2, profile="cprofile"),
+            )
 
     def test_unknown_profiler_rejected(self, tmp_path):
         sink = TelemetrySink(tmp_path / "tel.jsonl")
         with pytest.raises(ConfigurationError):
-            run_experiment(_spec(), workers=2, telemetry=sink, profile="perf")
+            run_experiments(
+                [_spec()],
+                config=SweepConfig(workers=2, telemetry=sink, profile="perf"),
+            )
 
 
 class TestStatsCommand:
     def _export(self, tmp_path):
         sink = TelemetrySink(tmp_path / "tel.jsonl")
-        run_experiment(_spec(), workers=2, telemetry=sink)
+        run_experiments([_spec()], config=SweepConfig(workers=2, telemetry=sink))
         return sink.path
 
     def test_stats_reproduces_sweep_summary(self, tmp_path, capsys):

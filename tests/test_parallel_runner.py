@@ -27,6 +27,7 @@ from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import (
     JsonlCheckpointStore,
+    SweepConfig,
     TaskExecutionError,
     compact_record,
     derive_cell_seed,
@@ -95,19 +96,22 @@ class TestSerialParallelEquivalence:
     def test_cells_identical_across_worker_counts(self, workers):
         spec = _spec()
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, workers=workers)
+        parallel = run_experiments([spec], config=SweepConfig(workers=workers))[0]
         assert _comparable(parallel.cells) == _comparable(serial.cells)
 
     def test_cells_identical_under_spawn(self):
         spec = _spec()
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, workers=2, start_method="spawn")
+        parallel = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, start_method="spawn"),
+        )[0]
         assert _comparable(parallel.cells) == _comparable(serial.cells)
 
     def test_profiles_match_serial(self):
         spec = _spec(collect_profile=True)
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, workers=2)
+        parallel = run_experiments([spec], config=SweepConfig(workers=2))[0]
         for a, b in zip(serial.cells, parallel.cells):
             assert a.profile == b.profile
             assert a.profile is not None
@@ -116,7 +120,7 @@ class TestSerialParallelEquivalence:
         spec = _spec()
         serial, parallel = CollectingSink(), CollectingSink()
         run_experiment(spec, sinks=[serial])
-        run_experiment(spec, workers=2, sinks=[parallel])
+        run_experiments([spec], config=SweepConfig(workers=2), sinks=[parallel])
         for index in range(len(spec.topologies)):
             runs = parallel.results_for(spec.name, index)
             assert len(runs) == len(SEEDS)
@@ -135,7 +139,7 @@ class TestSerialParallelEquivalence:
                 collect_profile=False,
             ),
         ]
-        pooled = run_experiments(specs, workers=2)
+        pooled = run_experiments(specs, config=SweepConfig(workers=2))
         for spec, pooled_result in zip(specs, pooled):
             assert pooled_result.name == spec.name
             solo = run_experiment(spec)
@@ -143,11 +147,11 @@ class TestSerialParallelEquivalence:
 
     def test_duplicate_spec_names_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_experiments([_spec(), _spec()], workers=2)
+            run_experiments([_spec(), _spec()], config=SweepConfig(workers=2))
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_experiments([_spec()], workers=0)
+            run_experiments([_spec()], config=SweepConfig(workers=0))
 
 
 class TestSeedDerivation:
@@ -262,7 +266,7 @@ class TestSharding:
         )
         assert spec.topologies[0].name == spec.topologies[1].name
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, workers=2)
+        parallel = run_experiments([spec], config=SweepConfig(workers=2))[0]
         assert _comparable(parallel.cells) == _comparable(serial.cells)
 
 
@@ -280,9 +284,10 @@ class TestCheckpointing:
     def test_checkpointed_sweep_matches_uncheckpointed(self, tmp_path):
         spec = _spec()
         plain = run_experiment(spec)
-        checkpointed = run_experiment(
-            spec, workers=2, checkpoint=tmp_path / "sweep.json"
-        )
+        checkpointed = run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, checkpoint=tmp_path / "sweep.json"),
+        )[0]
         assert _comparable(checkpointed.cells) == _comparable(plain.cells)
         runs = _stored_runs(tmp_path / "sweep.json")
         assert len(runs) == len(spec.topologies) * len(SEEDS)
@@ -305,20 +310,25 @@ class TestCheckpointing:
             )
 
         # First (interrupted) sweep covers a prefix of the seed grid.
-        run_experiment(spec_with_seeds((0, 1)), workers=1, checkpoint=checkpoint)
+        run_experiments(
+            [spec_with_seeds((0, 1))],
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )
         assert len(count_file.read_text().splitlines()) == 4
 
         # The resumed sweep adds seed 2: only the 2 missing runs execute.
-        resumed = run_experiment(
-            spec_with_seeds((0, 1, 2)), workers=1, checkpoint=checkpoint
-        )
+        resumed = run_experiments(
+            [spec_with_seeds((0, 1, 2))],
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )[0]
         assert len(count_file.read_text().splitlines()) == 6
         assert all(cell.runs == 3 for cell in resumed.cells)
 
         # A third pass is a pure replay: no new executions, same cells.
-        replayed = run_experiment(
-            spec_with_seeds((0, 1, 2)), workers=1, checkpoint=checkpoint
-        )
+        replayed = run_experiments(
+            [spec_with_seeds((0, 1, 2))],
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )[0]
         assert len(count_file.read_text().splitlines()) == 6
         assert [c.as_dict() for c in replayed.cells] == [
             c.as_dict() for c in resumed.cells
@@ -339,8 +349,14 @@ class TestCheckpointing:
                 collect_profile=False,
             )
 
-        first = run_experiment(spec_for(1), workers=1, checkpoint=checkpoint)
-        fresh = run_experiment(spec_for(2), workers=1, checkpoint=checkpoint)
+        first = run_experiments(
+            [spec_for(1)],
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )[0]
+        fresh = run_experiments(
+            [spec_for(2)],
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )[0]
         direct = run_experiment(spec_for(2))
         assert _comparable(fresh.cells) == _comparable(direct.cells)
         assert first.cells[0].mean_messages != fresh.cells[0].mean_messages
@@ -348,7 +364,7 @@ class TestCheckpointing:
     def test_unrelated_checkpoint_entries_are_ignored(self, tmp_path):
         checkpoint = tmp_path / "sweep.json"
         spec = _spec()
-        run_experiment(spec, workers=1, checkpoint=checkpoint)
+        run_experiments([spec], config=SweepConfig(workers=1, checkpoint=checkpoint))
         other = ExperimentSpec(
             name="other-spec",
             protocol="flooding",
@@ -356,7 +372,10 @@ class TestCheckpointing:
             seeds=(0,),
             collect_profile=False,
         )
-        result = run_experiment(other, workers=1, checkpoint=checkpoint)
+        result = run_experiments(
+            [other],
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )[0]
         assert result.cells[0].runs == 1
         runs = _stored_runs(checkpoint)
         assert len(runs) == len(spec.topologies) * len(SEEDS) + 1
@@ -401,28 +420,38 @@ class TestCheckpointCompaction:
     def test_compacted_sweep_matches_uncompacted(self, tmp_path):
         spec = _spec()
         plain = run_experiment(spec)
-        compacted = run_experiment(
-            spec,
-            workers=2,
-            checkpoint=tmp_path / "sweep.json",
-            checkpoint_compact=True,
-        )
+        compacted = run_experiments(
+            [spec],
+            config=SweepConfig(
+                workers=2,
+                checkpoint=tmp_path / "sweep.json",
+                checkpoint_compact=True,
+            ),
+        )[0]
         assert _comparable(compacted.cells) == _comparable(plain.cells)
         runs = _stored_runs(tmp_path / "sweep.json")
         assert all(
             "node_results" not in record for record in runs.values()
         )
         # A resume from the compacted checkpoint replays the same cells.
-        resumed = run_experiment(
-            spec, checkpoint=tmp_path / "sweep.json", checkpoint_compact=True
-        )
+        resumed = run_experiments(
+            [spec],
+            config=SweepConfig(
+                checkpoint=tmp_path / "sweep.json",
+                checkpoint_compact=True,
+            ),
+        )[0]
         assert _comparable(resumed.cells) == _comparable(plain.cells)
 
     def test_compaction_shrinks_resume_files(self, tmp_path):
         spec = _spec()
-        run_experiment(spec, checkpoint=tmp_path / "full.json")
-        run_experiment(
-            spec, checkpoint=tmp_path / "slim.json", checkpoint_compact=True
+        run_experiments([spec], config=SweepConfig(checkpoint=tmp_path / "full.json"))
+        run_experiments(
+            [spec],
+            config=SweepConfig(
+                checkpoint=tmp_path / "slim.json",
+                checkpoint_compact=True,
+            ),
         )
         full = (tmp_path / "full.json").stat().st_size
         slim = (tmp_path / "slim.json").stat().st_size
@@ -430,21 +459,31 @@ class TestCheckpointCompaction:
 
     def test_in_place_compaction_of_existing_checkpoint(self, tmp_path):
         spec = _spec()
-        plain = run_experiment(spec, checkpoint=tmp_path / "ck.json")
+        plain = run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=tmp_path / "ck.json"),
+        )[0]
         store = JsonlCheckpointStore(tmp_path / "ck.json")
         compacted = store.compact()
         store.flush()
         assert compacted == len(spec.topologies) * len(SEEDS)
         assert store.compact() == 0  # idempotent
-        resumed = run_experiment(spec, checkpoint=tmp_path / "ck.json")
+        resumed = run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=tmp_path / "ck.json"),
+        )[0]
         assert _comparable(resumed.cells) == _comparable(plain.cells)
 
     def test_compact_store_compacts_loaded_full_records(self, tmp_path):
         spec = _spec()
-        run_experiment(spec, checkpoint=tmp_path / "ck.json")
-        resumed = run_experiment(
-            spec, checkpoint=tmp_path / "ck.json", checkpoint_compact=True
-        )
+        run_experiments([spec], config=SweepConfig(checkpoint=tmp_path / "ck.json"))
+        resumed = run_experiments(
+            [spec],
+            config=SweepConfig(
+                checkpoint=tmp_path / "ck.json",
+                checkpoint_compact=True,
+            ),
+        )[0]
         assert _comparable(resumed.cells) == _comparable(run_experiment(spec).cells)
 
 
@@ -474,7 +513,7 @@ class TestWorkerErrorContext:
         # The in-process (workers=1) and pool backends funnel through the
         # same task entry point, so both report grid coordinates.
         with pytest.raises(TaskExecutionError) as excinfo:
-            run_experiments([self._failing_spec()], workers=workers)
+            run_experiments([self._failing_spec()], config=SweepConfig(workers=workers))
         message = str(excinfo.value)
         assert "'fragile'" in message
         assert "star" in message
@@ -494,12 +533,15 @@ class TestWorkerErrorContext:
             adversary=AdversarySpec.create("loss", p=0.0),
         )
         with pytest.raises(TaskExecutionError, match=r"loss\(p=0\.0\)"):
-            run_experiment(spec, workers=2, checkpoint=None)
+            run_experiments([spec], config=SweepConfig(workers=2, checkpoint=None))
 
     def test_completed_runs_checkpointed_before_failure(self, tmp_path):
         checkpoint = tmp_path / "ck.json"
         with pytest.raises(TaskExecutionError):
-            run_experiment(self._failing_spec(), workers=1, checkpoint=checkpoint)
+            run_experiments(
+                [self._failing_spec()],
+                config=SweepConfig(workers=1, checkpoint=checkpoint),
+            )
         # The serial backend completed everything scheduled before the
         # failing run; the checkpoint holds those, so a fixed rerun resumes.
         assert len(_stored_runs(checkpoint)) >= 1
@@ -527,7 +569,7 @@ class TestProtocolGridParallel:
     def test_parallel_grid_matches_serial(self, workers):
         specs = self._grid_specs()
         serial = [run_experiment(spec) for spec in specs]
-        parallel = run_experiments(specs, workers=workers)
+        parallel = run_experiments(specs, config=SweepConfig(workers=workers))
         for serial_result, parallel_result in zip(serial, parallel):
             assert _comparable(parallel_result.cells) == _comparable(
                 serial_result.cells
@@ -538,7 +580,10 @@ class TestProtocolGridParallel:
     def test_grid_matches_under_spawn(self):
         specs = self._grid_specs()
         serial = [run_experiment(spec) for spec in specs]
-        parallel = run_experiments(specs, workers=2, start_method="spawn")
+        parallel = run_experiments(
+            specs,
+            config=SweepConfig(workers=2, start_method="spawn"),
+        )
         for serial_result, parallel_result in zip(serial, parallel):
             assert _comparable(parallel_result.cells) == _comparable(
                 serial_result.cells
@@ -547,7 +592,7 @@ class TestProtocolGridParallel:
     def test_checkpoint_keys_carry_protocol_tokens(self, tmp_path):
         checkpoint = tmp_path / "grid.json"
         specs = self._grid_specs()
-        run_experiments(specs, workers=1, checkpoint=checkpoint)
+        run_experiments(specs, config=SweepConfig(workers=1, checkpoint=checkpoint))
         keys = list(_stored_runs(checkpoint))
         assert len(keys) == 2 * 2 * len(SEEDS)
         assert all(
@@ -558,9 +603,15 @@ class TestProtocolGridParallel:
     def test_resumed_grid_replays_without_rerunning(self, tmp_path):
         checkpoint = tmp_path / "grid.json"
         specs = self._grid_specs()
-        first = run_experiments(specs, workers=1, checkpoint=checkpoint)
+        first = run_experiments(
+            specs,
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )
         stored = checkpoint.read_text()
-        resumed = run_experiments(specs, workers=1, checkpoint=checkpoint)
+        resumed = run_experiments(
+            specs,
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )
         # Nothing re-executed: the checkpoint is byte-identical (re-run
         # records would at least carry fresh wall-clock readings).
         assert checkpoint.read_text() == stored
@@ -576,7 +627,7 @@ class TestProtocolGridParallel:
         base = sweep_specs(
             ["flooding:c=2"], [cycle(8)], seeds=(0,), collect_profile=False
         )
-        run_experiments(base, workers=1, checkpoint=checkpoint)
+        run_experiments(base, config=SweepConfig(workers=1, checkpoint=checkpoint))
         # Same spec name is impossible (names embed the token), but force
         # the hazard anyway: a same-named spec under different constants
         # must re-run, not replay the stored c=2 measurements.
@@ -589,6 +640,9 @@ class TestProtocolGridParallel:
                 collect_profile=False,
             )
         ]
-        result = run_experiments(retuned, workers=1, checkpoint=checkpoint)[0]
+        result = run_experiments(
+            retuned,
+            config=SweepConfig(workers=1, checkpoint=checkpoint),
+        )[0]
         fresh = run_experiment(retuned[0])
         assert _comparable(result.cells) == _comparable(fresh.cells)

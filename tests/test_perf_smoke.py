@@ -17,6 +17,7 @@ from typing import Dict
 from repro.analysis import ExperimentSpec, run_experiment
 from repro.core import Message, ProtocolNode, SynchronousSimulator, build_nodes
 from repro.graphs import cycle, random_regular, star
+from repro.parallel import SweepConfig, run_experiments
 
 
 class ChattyNode(ProtocolNode):
@@ -52,7 +53,7 @@ def test_parallel_engine_smoke():
     )
     started = time.perf_counter()
     serial = run_experiment(spec)
-    parallel = run_experiment(spec, workers=2)
+    parallel = run_experiments([spec], config=SweepConfig(workers=2))[0]
     elapsed = time.perf_counter() - started
     assert [c.mean_messages for c in parallel.cells] == [
         c.mean_messages for c in serial.cells

@@ -31,7 +31,7 @@ from repro.analysis.streaming import CollectingSink
 from repro.core.errors import ConfigurationError
 from repro.dynamics import AdversarySpec
 from repro.graphs import cycle, grid_2d, star
-from repro.parallel import expand_run_tasks
+from repro.parallel import SweepConfig, expand_run_tasks, run_experiments
 from repro.protocols import (
     PROTOCOLS,
     ParamSpec,
@@ -304,7 +304,10 @@ class TestPickling:
             specs = sweep_specs(
                 ["spawn-custom:c=3"], [cycle(8)], seeds=(0, 1), collect_profile=False
             )
-            result = run_experiments(specs, workers=2, start_method="spawn")[0]
+            result = run_experiments(
+                specs,
+                config=SweepConfig(workers=2, start_method="spawn"),
+            )[0]
             assert result.cells[0].runs == 2
             assert result.cells[0].protocol == "spawn-custom:c=3.0"
         finally:
@@ -613,7 +616,7 @@ class TestJsonlSink:
     def _fragile_protocol(self, register_fake_protocol):
         register_fake_protocol("fragile", _fail_on_seed_two)
 
-    def _sweep(self, tmp_path, **kwargs):
+    def _sweep(self, tmp_path, config=None):
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="grid",
@@ -622,7 +625,11 @@ class TestJsonlSink:
             seeds=(0, 1),
             collect_profile=False,
         )
-        result = run_experiment(spec, sinks=[JsonlSink(path)], **kwargs)
+        sinks = [JsonlSink(path)]
+        if config is None:
+            result = run_experiment(spec, sinks=sinks)
+        else:
+            result = run_experiments([spec], config=config, sinks=sinks)[0]
         return path, result
 
     def test_streams_one_record_per_run(self, tmp_path):
@@ -644,7 +651,9 @@ class TestJsonlSink:
 
     def test_parallel_backend_writes_same_records(self, tmp_path):
         serial_path, _ = self._sweep(tmp_path / "serial")
-        parallel_path, _ = self._sweep(tmp_path / "parallel", workers=2)
+        parallel_path, _ = self._sweep(
+            tmp_path / "parallel", config=SweepConfig(workers=2)
+        )
 
         def stable(path):
             records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -772,7 +781,11 @@ class TestJsonlSink:
             collect_profile=False,
         )
         with pytest.raises((TaskExecutionError, ValueError)):
-            run_experiment(spec, sinks=[JsonlSink(path)], workers=workers)
+            run_experiments(
+                [spec],
+                config=SweepConfig(workers=workers),
+                sinks=[JsonlSink(path)],
+            )
         # The sink was closed on the failure path: the completed runs'
         # records reached the .partial staging file intact, while the
         # export path itself was not published (the sweep is incomplete).

@@ -35,7 +35,7 @@ from repro.analysis.streaming import ProgressSink
 from repro.core.errors import ConfigurationError
 from repro.dynamics import AdversarySpec, composed_spec, robustness_specs
 from repro.graphs import complete, cycle, star
-from repro.parallel import run_experiments
+from repro.parallel import SweepConfig, run_experiments
 from repro.protocols import run_protocol
 from repro.workloads import dynamic_scenario, robustness_curves, tiny_suite
 
@@ -57,9 +57,9 @@ def _flooding_c3(topology, seed):
     return run_protocol("flooding", topology, seed, c=3.0)
 
 
-def _sink_for(specs, **kwargs):
+def _sink_for(specs, config=None):
     sink = RobustnessCurveSink()
-    results = run_experiments(specs, sinks=[sink], **kwargs)
+    results = run_experiments(specs, config=config, sinks=[sink])
     return sink, results
 
 
@@ -142,7 +142,7 @@ class TestCurveFolding:
     def test_sink_curves_identical_for_any_worker_count(self, workers):
         specs = _lossy_specs()
         serial_sink, _ = _sink_for(specs)
-        parallel_sink, _ = _sink_for(specs, workers=workers)
+        parallel_sink, _ = _sink_for(specs, config=SweepConfig(workers=workers))
         assert curves_as_dicts(parallel_sink.curves()) == curves_as_dicts(
             serial_sink.curves()
         )
@@ -154,8 +154,10 @@ class TestCurveFolding:
         for shard_index in (0, 1, 2):
             run_experiments(
                 specs,
-                checkpoint=tmp_path / "sweep.json",
-                shard=(shard_index, 3),
+                config=SweepConfig(
+                    checkpoint=tmp_path / "sweep.json",
+                    shard=(shard_index, 3),
+                ),
                 sinks=[sharded_sink],
             )
         assert curves_as_dicts(sharded_sink.curves()) == curves_as_dicts(
@@ -213,7 +215,11 @@ class TestCurveFolding:
         full = run_experiments(specs)
         shard_results = [
             run_experiments(
-                specs, checkpoint=tmp_path / "sweep.json", shard=(index, 2)
+                specs,
+                config=SweepConfig(
+                    checkpoint=tmp_path / "sweep.json",
+                    shard=(index, 2),
+                ),
             )
             for index in (0, 1)
         ]

@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.experiments import ExperimentSpec
 from repro.archive import ResultArchive, parse_task_key, query_experiments
 from repro.graphs import cycle, path
-from repro.parallel import TaskExecutionError
+from repro.parallel import SweepConfig, TaskExecutionError
 from repro.parallel.sharding import expand_run_tasks
 from repro.parallel.store import JsonlCheckpointStore
 from repro.protocols import run_protocol
@@ -153,10 +153,14 @@ class TestQueryRunsAgainstTheArchive:
     def test_derived_seeds_are_archived_and_replayed(self, tmp_path):
         db = tmp_path / "archive.sqlite"
         first = query_experiments(
-            small_specs(), archive=db, derive_seeds=True, base_seed=3
+            small_specs(),
+            archive=db,
+            config=SweepConfig(derive_seeds=True, base_seed=3),
         )
         second = query_experiments(
-            small_specs(), archive=db, derive_seeds=True, base_seed=3
+            small_specs(),
+            archive=db,
+            config=SweepConfig(derive_seeds=True, base_seed=3),
         )
         assert first.report.simulated_runs == 4
         assert first.report.archive_added == 4

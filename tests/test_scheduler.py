@@ -33,6 +33,7 @@ from repro.parallel import (
     JsonlCheckpointStore,
     LeaseDirectory,
     ShardManifest,
+    SweepConfig,
     TaskExecutionError,
     expand_run_tasks,
     manifest_path,
@@ -144,22 +145,24 @@ class TestAdaptiveEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_adaptive_matches_serial_and_static(self, workers):
         serial = run_experiment(_spec())
-        adaptive = run_experiment(_spec(), workers=workers)
+        adaptive = run_experiments([_spec()], config=SweepConfig(workers=workers))[0]
         assert _comparable(adaptive.cells) == _comparable(serial.cells)
 
     @pytest.mark.parametrize("max_batch", [1, 2, 7, 32])
     def test_any_batch_size_is_identical(self, max_batch):
         serial = run_experiment(_spec())
         batched = run_experiments(
-            [_spec()], workers=2, max_batch=max_batch
+            [_spec()],
+            config=SweepConfig(workers=2, max_batch=max_batch),
         )[0]
         assert _comparable(batched.cells) == _comparable(serial.cells)
 
     def test_spawn_start_method_matches_serial(self):
         serial = run_experiment(_spec())
-        spawned = run_experiment(
-            _spec(), workers=2, start_method="spawn"
-        )
+        spawned = run_experiments(
+            [_spec()],
+            config=SweepConfig(workers=2, start_method="spawn"),
+        )[0]
         assert _comparable(spawned.cells) == _comparable(serial.cells)
 
     def test_deterministic_task_error_propagates(self, register_fake_protocol):
@@ -167,7 +170,7 @@ class TestAdaptiveEquivalence:
         with pytest.raises(TaskExecutionError, match="deterministic failure"):
             run_experiments(
                 [_spec("failing", seeds=(0,))],
-                workers=2,
+                config=SweepConfig(workers=2),
             )
 
 
@@ -304,11 +307,10 @@ class TestWorkerDeathRecovery:
         )
         serial = run_experiment(_spec())
         register_fake_protocol("flooding", _kill_worker_once)
-        survived = run_experiment(
-            _spec(),
-            workers=2,
-            start_method="fork",
-        )
+        survived = run_experiments(
+            [_spec()],
+            config=SweepConfig(workers=2, start_method="fork"),
+        )[0]
         assert (tmp_path / "killed.marker").exists(), "kill never fired"
         assert _comparable(survived.cells) == _comparable(serial.cells)
 
@@ -316,7 +318,8 @@ class TestWorkerDeathRecovery:
         for bad in (0.0, -5.0, float("nan")):
             with pytest.raises(ConfigurationError, match="task_timeout"):
                 run_experiments(
-                    [_spec()], workers=2, task_timeout=bad
+                    [_spec()],
+                    config=SweepConfig(workers=2, task_timeout=bad),
                 )
 
     def test_bad_lease_timeout_rejected_up_front(self):
@@ -324,7 +327,10 @@ class TestWorkerDeathRecovery:
         # rejected before any work starts — same contract as task_timeout.
         for bad in (0.0, -5.0, float("nan")):
             with pytest.raises(ConfigurationError, match="lease_timeout"):
-                run_experiments([_spec()], workers=2, lease_timeout=bad)
+                run_experiments(
+                    [_spec()],
+                    config=SweepConfig(workers=2, lease_timeout=bad),
+                )
 
 
 # --------------------------------------------------------------------------- #
@@ -337,8 +343,7 @@ class TestDispatchTelemetry:
         telemetry_path = tmp_path / "tel.jsonl"
         run_experiments(
             [_spec()],
-            workers=2,
-            telemetry=TelemetrySink(telemetry_path),
+            config=SweepConfig(workers=2, telemetry=TelemetrySink(telemetry_path)),
         )
         records = read_telemetry(telemetry_path)
         tasks = [r for r in records if r.get("kind") == "task"]
@@ -354,8 +359,7 @@ class TestDispatchTelemetry:
         telemetry_path = tmp_path / "tel.jsonl"
         run_experiments(
             [_spec()],
-            workers=2,
-            telemetry=TelemetrySink(telemetry_path),
+            config=SweepConfig(workers=2, telemetry=TelemetrySink(telemetry_path)),
         )
         summary = summarize_telemetry(read_telemetry(telemetry_path))
         waits = summary["queue_wait_by_worker"]
@@ -385,10 +389,11 @@ class TestDispatchTelemetry:
 
 class TestAutoShard:
     def test_single_job_covers_grid_and_merge_matches_serial(self, tmp_path):
-        serial = run_experiments([_spec()], workers=1)
+        serial = run_experiments([_spec()], config=SweepConfig(workers=1))
         base = tmp_path / "sweep.json"
         auto = run_experiments(
-            [_spec()], workers=2, checkpoint=base, shard="auto/4"
+            [_spec()],
+            config=SweepConfig(workers=2, checkpoint=base, shard="auto/4"),
         )
         assert _comparable_results(auto) == _comparable_results(serial)
         payload = json.loads(manifest_path(base).read_text())
@@ -398,27 +403,33 @@ class TestAutoShard:
         )
         assert summary["tasks_merged"] == summary["tasks_expected"] == 9
         replay = run_experiments(
-            [_spec()], workers=1, checkpoint=tmp_path / "merged.json"
+            [_spec()],
+            config=SweepConfig(workers=1, checkpoint=tmp_path / "merged.json"),
         )
         assert _comparable_results(replay) == _comparable_results(serial)
 
     def test_late_job_claims_nothing(self, tmp_path):
         base = tmp_path / "sweep.json"
-        run_experiments([_spec()], workers=1, checkpoint=base, shard="auto/4")
+        run_experiments(
+            [_spec()],
+            config=SweepConfig(workers=1, checkpoint=base, shard="auto/4"),
+        )
         second = run_experiments(
-            [_spec()], workers=1, checkpoint=base, shard="auto/4"
+            [_spec()],
+            config=SweepConfig(workers=1, checkpoint=base, shard="auto/4"),
         )
         assert all(not result.cells for result in second)
 
     def test_concurrent_jobs_partition_the_grid(self, tmp_path):
-        serial = run_experiments([_spec()], workers=1)
+        serial = run_experiments([_spec()], config=SweepConfig(workers=1))
         base = tmp_path / "sweep.json"
         errors = []
 
         def job():
             try:
                 run_experiments(
-                    [_spec()], workers=1, checkpoint=base, shard=("auto", 9)
+                    [_spec()],
+                    config=SweepConfig(workers=1, checkpoint=base, shard=("auto", 9)),
                 )
             except Exception as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
@@ -434,12 +445,13 @@ class TestAutoShard:
         )
         assert summary["tasks_merged"] == summary["tasks_expected"] == 9
         replay = run_experiments(
-            [_spec()], workers=1, checkpoint=tmp_path / "merged.json"
+            [_spec()],
+            config=SweepConfig(workers=1, checkpoint=tmp_path / "merged.json"),
         )
         assert _comparable_results(replay) == _comparable_results(serial)
 
     def test_stale_lease_is_stolen(self, tmp_path, capfd):
-        serial = run_experiments([_spec()], workers=1)
+        serial = run_experiments([_spec()], config=SweepConfig(workers=1))
         base = tmp_path / "sweep.json"
         # A dead job claimed block 0 an hour ago and never heartbeat.
         dead = LeaseDirectory(base, 4, owner="dead-job")
@@ -448,10 +460,12 @@ class TestAutoShard:
         os.utime(dead.lease_path(0), (stale, stale))
         run_experiments(
             [_spec()],
-            workers=1,
-            checkpoint=base,
-            shard=("auto", 4),
-            lease_timeout=60.0,
+            config=SweepConfig(
+                workers=1,
+                checkpoint=base,
+                shard=("auto", 4),
+                lease_timeout=60.0,
+            ),
         )
         assert "(1 stolen)" in capfd.readouterr().err
         summary = merge_shard_checkpoints(
@@ -459,7 +473,8 @@ class TestAutoShard:
         )
         assert summary["tasks_merged"] == summary["tasks_expected"] == 9
         replay = run_experiments(
-            [_spec()], workers=1, checkpoint=tmp_path / "merged.json"
+            [_spec()],
+            config=SweepConfig(workers=1, checkpoint=tmp_path / "merged.json"),
         )
         assert _comparable_results(replay) == _comparable_results(serial)
 
@@ -468,7 +483,8 @@ class TestAutoShard:
         other = LeaseDirectory(base, 4, owner="live-job")
         assert other.claim_next() == (0, False)
         results = run_experiments(
-            [_spec()], workers=1, checkpoint=base, shard=("auto", 4)
+            [_spec()],
+            config=SweepConfig(workers=1, checkpoint=base, shard=("auto", 4)),
         )
         # Blocks 1-3 execute here; block 0 stays with its live owner.
         executed = sum(cell.runs for result in results for cell in result.cells)
@@ -479,7 +495,7 @@ class TestAutoShard:
 
     def test_auto_requires_checkpoint(self):
         with pytest.raises(ConfigurationError, match="checkpoint"):
-            run_experiments([_spec()], workers=1, shard="auto")
+            run_experiments([_spec()], config=SweepConfig(workers=1, shard="auto"))
 
 
 class TestLeaseDirectory:

@@ -30,6 +30,7 @@ from repro.graphs import cycle, grid_2d, star
 from repro.parallel import (
     JsonlCheckpointStore,
     ShardManifest,
+    SweepConfig,
     compact_record,
     expand_run_tasks,
     manifest_path,
@@ -111,12 +112,13 @@ class TestShardSelection:
 
     def test_shard_requires_checkpoint(self):
         with pytest.raises(ConfigurationError, match="requires a checkpoint"):
-            run_experiments([_spec()], shard=(0, 2))
+            run_experiments([_spec()], config=SweepConfig(shard=(0, 2)))
 
     def test_shard_validated_in_runner(self, tmp_path):
         with pytest.raises(ConfigurationError, match="shard index"):
             run_experiments(
-                [_spec()], checkpoint=tmp_path / "ck.json", shard=(2, 2)
+                [_spec()],
+                config=SweepConfig(checkpoint=tmp_path / "ck.json", shard=(2, 2)),
             )
 
 
@@ -130,11 +132,14 @@ class TestShardedSweepEquivalence:
         self, tmp_path, monkeypatch, register_fake_protocol
     ):
         specs = _specs()
-        unsharded = run_experiments(specs, workers=WORKERS)
+        unsharded = run_experiments(specs, config=SweepConfig(workers=WORKERS))
 
         base = tmp_path / "sweep.json"
         for index in range(2):
-            run_experiments(specs, checkpoint=base, shard=(index, 2), workers=WORKERS)
+            run_experiments(
+                specs,
+                config=SweepConfig(checkpoint=base, shard=(index, 2), workers=WORKERS),
+            )
 
         merged = tmp_path / "merged.json"
         summary = merge_shard_checkpoints(manifest_path(base), merged)
@@ -159,7 +164,7 @@ class TestShardedSweepEquivalence:
         # NB: replay keys must match.  The counting stand-in is registered
         # under each spec's own name, so its keys are the bare-name keys
         # and it replays the stored records.
-        replayed = run_experiments(replay_specs, checkpoint=merged)
+        replayed = run_experiments(replay_specs, config=SweepConfig(checkpoint=merged))
         assert not count_file.exists() or count_file.read_text() == ""
 
         for a, b in zip(unsharded, replayed):
@@ -179,8 +184,8 @@ class TestShardedSweepEquivalence:
             collect_profile=False,
         )
         base = tmp_path / "sweep.json"
-        run_experiments([spec], checkpoint=base, shard=(0, 2))
-        run_experiments([spec], checkpoint=base, shard=(1, 2))
+        run_experiments([spec], config=SweepConfig(checkpoint=base, shard=(0, 2)))
+        run_experiments([spec], config=SweepConfig(checkpoint=base, shard=(1, 2)))
         # Each of the 6 grid runs executed exactly once across both jobs.
         lines = count_file.read_text().splitlines()
         assert len(lines) == 6
@@ -198,7 +203,10 @@ class TestShardedSweepEquivalence:
             collect_profile=False,
         )
         base = tmp_path / "sweep.json"
-        partial = run_experiments([spec], checkpoint=base, shard=(0, 3))[0]
+        partial = run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=base, shard=(0, 3)),
+        )[0]
         assert len(partial.cells) == 1  # tasks 0,3,6,... -> only cycle(8)
         assert partial.cells[0].topology_name == "cycle(n=8)"
         assert partial.cells[0].runs == 1
@@ -216,7 +224,10 @@ class TestShardedSweepEquivalence:
         )
         base = tmp_path / "sweep.json"
         for index in range(4):
-            run_experiments([spec], checkpoint=base, shard=(index, 4))
+            run_experiments(
+                [spec],
+                config=SweepConfig(checkpoint=base, shard=(index, 4)),
+            )
             assert shard_checkpoint_path(base, index, 4).exists()
         summary = merge_shard_checkpoints(manifest_path(base), tmp_path / "m.json")
         assert summary["missing_shards"] == 0
@@ -237,9 +248,12 @@ class TestShardedSweepEquivalence:
             collect_profile=False,
         )
         base = tmp_path / "sweep.json"
-        run_experiments([spec], checkpoint=base, shard=(0, 2))
+        run_experiments([spec], config=SweepConfig(checkpoint=base, shard=(0, 2)))
         executed = len(count_file.read_text().splitlines())
-        run_experiments([spec], checkpoint=base, shard=(0, 2))  # resume: replay
+        run_experiments(
+            [spec],
+            config=SweepConfig(checkpoint=base, shard=(0, 2)),
+        )  # resume: replay
         assert len(count_file.read_text().splitlines()) == executed
 
 
@@ -251,9 +265,9 @@ class TestShardedSweepEquivalence:
 class TestShardManifest:
     def test_every_job_writes_the_same_manifest(self, tmp_path):
         base = tmp_path / "sweep.json"
-        run_experiments([_spec()], checkpoint=base, shard=(0, 2))
+        run_experiments([_spec()], config=SweepConfig(checkpoint=base, shard=(0, 2)))
         first = manifest_path(base).read_text()
-        run_experiments([_spec()], checkpoint=base, shard=(1, 2))
+        run_experiments([_spec()], config=SweepConfig(checkpoint=base, shard=(1, 2)))
         assert manifest_path(base).read_text() == first
 
     def test_manifest_round_trip(self, tmp_path):
@@ -272,7 +286,7 @@ class TestShardManifest:
         from repro.dynamics import AdversarySpec
 
         base = tmp_path / "sweep.json"
-        run_experiments([_spec()], checkpoint=base, shard=(0, 2))
+        run_experiments([_spec()], config=SweepConfig(checkpoint=base, shard=(0, 2)))
         adversarial = ExperimentSpec(
             name="flooding",
             protocol="flooding",
@@ -282,7 +296,10 @@ class TestShardManifest:
             adversary=AdversarySpec.create("loss", p=0.01),
         )
         with pytest.raises(ConfigurationError, match="different sweep"):
-            run_experiments([adversarial], checkpoint=base, shard=(1, 2))
+            run_experiments(
+                [adversarial],
+                config=SweepConfig(checkpoint=base, shard=(1, 2)),
+            )
 
     def test_manifest_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "not-manifest.json"
@@ -300,7 +317,10 @@ def _sharded_run(tmp_path, specs=None, shards=2):
     base = tmp_path / "sweep.json"
     specs = specs if specs is not None else [_spec()]
     for index in range(shards):
-        run_experiments(specs, checkpoint=base, shard=(index, shards))
+        run_experiments(
+            specs,
+            config=SweepConfig(checkpoint=base, shard=(index, shards)),
+        )
     return base
 
 
@@ -345,14 +365,15 @@ class TestMergeValidation:
     def test_mixed_compact_and_full_shards_merge(self, tmp_path):
         specs = [_spec()]
         base = tmp_path / "sweep.json"
-        run_experiments(specs, checkpoint=base, shard=(0, 2))
+        run_experiments(specs, config=SweepConfig(checkpoint=base, shard=(0, 2)))
         run_experiments(
-            specs, checkpoint=base, shard=(1, 2), checkpoint_compact=True
+            specs,
+            config=SweepConfig(checkpoint=base, shard=(1, 2), checkpoint_compact=True),
         )
         merged = tmp_path / "merged.json"
         summary = merge_shard_checkpoints(manifest_path(base), merged)
         assert summary["tasks_missing"] == 0
-        replayed = run_experiments(specs, checkpoint=merged)
+        replayed = run_experiments(specs, config=SweepConfig(checkpoint=merged))
         plain = run_experiments(specs)
         for a, b in zip(plain, replayed):
             assert _comparable(a.cells) == _comparable(b.cells)
@@ -467,7 +488,7 @@ class TestStreamingAggregates:
         spec = _spec()
         serial, parallel = Recorder(), Recorder()
         run_experiment(spec, sinks=[serial])
-        run_experiment(spec, workers=2, sinks=[parallel])
+        run_experiments([spec], config=SweepConfig(workers=2), sinks=[parallel])
         assert sorted(serial.seen) == sorted(parallel.seen)
         assert len(serial.seen) == len(spec.topologies) * len(SEEDS)
         assert serial.closed and parallel.closed
@@ -498,18 +519,21 @@ class TestProtocolGridSharding:
 
     def test_sharded_protocol_grid_merge_replay_is_bit_identical(self, tmp_path):
         specs = self._grid_specs()
-        unsharded = run_experiments(specs, workers=WORKERS)
+        unsharded = run_experiments(specs, config=SweepConfig(workers=WORKERS))
 
         base = tmp_path / "grid.json"
         for index in range(2):
-            run_experiments(specs, checkpoint=base, shard=(index, 2), workers=WORKERS)
+            run_experiments(
+                specs,
+                config=SweepConfig(checkpoint=base, shard=(index, 2), workers=WORKERS),
+            )
 
         merged = tmp_path / "merged.json"
         summary = merge_shard_checkpoints(manifest_path(base), merged)
         assert summary["tasks_missing"] == 0
         assert summary["tasks_merged"] == 2 * 2 * len(SEEDS)
 
-        replayed = run_experiments(specs, checkpoint=merged)
+        replayed = run_experiments(specs, config=SweepConfig(checkpoint=merged))
         for a, b in zip(unsharded, replayed):
             assert _comparable(a.cells) == _comparable(b.cells)
         # Distinct variants stayed distinct through the split and merge.
@@ -518,7 +542,7 @@ class TestProtocolGridSharding:
     def test_manifest_task_keys_carry_protocol_tokens(self, tmp_path):
         specs = self._grid_specs()
         base = tmp_path / "grid.json"
-        run_experiments(specs, checkpoint=base, shard=(0, 2))
+        run_experiments(specs, config=SweepConfig(checkpoint=base, shard=(0, 2)))
         manifest = json.loads(manifest_path(base).read_text())
         keys = [key for shard in manifest["shards"] for key in shard["tasks"]]
         assert len(keys) == 2 * 2 * len(SEEDS)
@@ -526,7 +550,10 @@ class TestProtocolGridSharding:
 
     def test_variant_cells_report_their_token(self, tmp_path):
         specs = self._grid_specs()
-        results = run_experiments(specs, checkpoint=tmp_path / "grid.json")
+        results = run_experiments(
+            specs,
+            config=SweepConfig(checkpoint=tmp_path / "grid.json"),
+        )
         tokens = {
             cell.protocol for result in results for cell in result.cells
         }
