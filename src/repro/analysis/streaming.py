@@ -371,20 +371,6 @@ class ProgressSink(ResultSink):
         )
         self._reported_at = self._count
 
-    def extend_total(self, additional: int) -> None:
-        """Grow the expected total as work is discovered.
-
-        A work-stealing job (``sweep --shard auto``) cannot know its
-        total up front — it claims task blocks at runtime — so the
-        engine calls this as each block is claimed and the progress
-        lines always show the job's *current* commitment.  Starting the
-        sink with ``total=0`` and extending keeps percentages and ETAs
-        meaningful throughout.
-        """
-        if additional < 0:
-            raise ValueError(f"additional must be >= 0, got {additional}")
-        self._total = (self._total or 0) + additional
-
     def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
         self._count += 1
         if self._count % self._every == 0 or self._count == self._total:

@@ -16,8 +16,7 @@ Why SQLite and not another JSONL file: an archive outlives any one sweep
 and is queried by key *set* ("which of these 4000 task keys do you
 hold?"), which the indexed ``runs`` table answers without loading
 everything — the columnar-archive direction the ROADMAP's cross-machine
-item names.  Concurrency safety comes from the same discipline the JSONL
-store gets from staged partials, provided here by the engine itself:
+item names.  Concurrency safety comes from the database engine itself:
 every write happens inside a transaction (an interrupted writer rolls
 back to the last complete batch, never a torn tail), writers serialize
 on the database lock (``timeout_seconds`` bounds the wait), and

@@ -29,10 +29,6 @@ Examples::
     repro-le sweep     --suite mixed --algorithms flooding --seeds 5 \
                        --checkpoint sweep.json --shard 0/4   # one of 4 jobs
     repro-le sweep     --suite mixed --algorithms flooding --seeds 5 \
-                       --checkpoint sweep.json --shard auto  # work-stealing job
-                       # start k of these; each claims blocks from a shared
-                       # lease directory and steals stale ones
-    repro-le sweep     --suite mixed --algorithms flooding --seeds 5 \
                        --workers 4 --telemetry tel.jsonl \
                        --profile cprofile       # sweep telemetry + hotspots
     repro-le stats     tel.jsonl --top 5        # post-hoc telemetry summary
@@ -250,7 +246,7 @@ def _print_telemetry_summary(summary: Dict[str, object], *, title: str) -> None:
     print(render_kv(headline, title=title))
     dispatch = dict(summary.get("dispatch") or {})
     # The driver-side scheduler record (batches dispatched, re-dispatches
-    # after worker deaths/timeouts, lease steals) folds into the same
+    # after worker deaths/timeouts) folds into the same
     # section: one dispatch story, measured from both sides.
     dispatch.update(summary.get("scheduler") or {})
     if dispatch:
@@ -283,14 +279,12 @@ def _print_telemetry_summary(summary: Dict[str, object], *, title: str) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import os
-
     from .analysis import summarize_results
     from .analysis.streaming import JsonlSink, ProgressSink
     from .api import SweepConfig, sweep as run_sweep
     from .election.base import SafetyTally
     from .obs import TelemetrySink
-    from .parallel import AUTO_SHARD, parse_shard
+    from .parallel import parse_shard, shard_checkpoint_path
     from .workloads import DYNAMIC_SCENARIOS, suite_by_name
 
     if args.workers < 1:
@@ -317,28 +311,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     topologies = suite_by_name(args.suite)
     specs, adversarial = build_sweep_specs(args, topologies)
-    if shard is not None and shard[0] == AUTO_SHARD:
-        shard_label = "shard auto"
-    elif shard is not None:
-        shard_label = f"shard {shard[0]}/{shard[1]}"
-    else:
-        shard_label = ""
+    shard_label = f"shard {shard[0]}/{shard[1]}" if shard is not None else ""
 
     def slice_path(base: str, default_suffix: str):
         # Same naming as the per-shard checkpoints: k jobs sharing one
         # --jsonl/--telemetry spelling must not publish over each other's
-        # slices.  An auto job owns no fixed index, so its per-job files
-        # are keyed by pid instead.
-        from pathlib import Path
-
-        from .parallel import shard_checkpoint_path
-
-        if shard[0] == AUTO_SHARD:
-            base_path = Path(base)
-            suffix = base_path.suffix or default_suffix
-            return base_path.with_name(
-                f"{base_path.stem}.auto-{os.getpid()}{suffix}"
-            )
+        # slices.
         return shard_checkpoint_path(
             base, shard[0], shard[1], default_suffix=default_suffix
         )
@@ -371,12 +349,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.progress:
         # Count this job's slice, not the whole grid: a sharded job owns
         # the round-robin slice i, i+k, i+2k, ... of the pooled task list.
-        # An auto job's slice is unknowable up front — it starts at 0 and
-        # the runner grows the total as lease blocks are claimed.
         total = sum(len(spec.topologies) * len(spec.seeds) for spec in specs)
-        if shard is not None and shard[0] == AUTO_SHARD:
-            total = 0
-        elif shard is not None:
+        if shard is not None:
             total = len(range(shard[0], total, shard[1]))
         sinks.append(ProgressSink(total, label=shard_label))
     config = SweepConfig(
@@ -391,7 +365,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         telemetry=telemetry,
         profile=args.profile,
         task_timeout=args.task_timeout,
-        lease_timeout=args.lease_timeout,
     )
     results = run_sweep(specs, config=config, sinks=sinks)
     rows = summarize_results(results)
@@ -823,9 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint",
         default=None,
-        help="file recording completed runs (append-only JSONL; legacy "
-        "JSON checkpoints are read and migrated); an interrupted sweep "
-        "rerun with the same checkpoint resumes instead of restarting",
+        help="file recording completed runs (append-only JSONL); an "
+        "interrupted sweep rerun with the same checkpoint resumes instead "
+        "of restarting",
     )
     sweep.add_argument(
         "--checkpoint-compact",
@@ -836,15 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--shard",
         default=None,
-        metavar="I/K|auto[/N]",
+        metavar="I/K",
         help="run only shard I of a deterministic K-way split of the grid "
         "(0-based; requires --checkpoint). K independent jobs with "
         "--shard 0/K .. K-1/K cover the grid; fold their checkpoints "
-        "with `repro-le merge`. `auto` (or auto/N for N blocks) turns "
-        "on work stealing instead: any number of concurrent jobs claim "
-        "task blocks from a shared lease directory next to the "
-        "checkpoint, stale blocks are stolen, and the same manifest/"
-        "merge flow folds the results",
+        "with `repro-le merge`",
     )
     sweep.add_argument(
         "--task-timeout",
@@ -854,14 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-dispatch a task whose worker has not reported for this "
         "many seconds; re-runs are deterministic, so duplicated "
         "completions are dropped without changing results",
-    )
-    sweep.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --shard auto: steal a claimed block whose owner has "
-        "not heartbeat for this many seconds (default 300)",
     )
     sweep.add_argument(
         "--adversary",
@@ -1080,8 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
     archive_sub = archive.add_subparsers(dest="archive_command", required=True)
     archive_add = archive_sub.add_parser(
         "add",
-        help="absorb completed runs from checkpoint files (JSONL or "
-        "legacy JSON, including `repro-le merge` outputs) into the "
+        help="absorb completed runs from JSONL checkpoint files "
+        "(including `repro-le merge` outputs) into the "
         "archive; re-adding is idempotent (merge by task key)",
     )
     archive_add.add_argument(

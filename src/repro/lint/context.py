@@ -10,7 +10,7 @@ Suppression syntax
 
 ::
 
-    risky_call()  # repro: disable=REP102 — lease staleness needs epoch time
+    risky_call()  # repro: disable=REP102 — wall clock is the measurand
     # repro: disable=REP101,REP103 — fixture exercises both rules
     next_line_is_covered()
 

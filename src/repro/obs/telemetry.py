@@ -93,8 +93,7 @@ class TaskTelemetry:
 
     ``queue_wait_seconds`` is worker-start minus parent-submit on the
     shared monotonic clock: meaningful on one machine (where the pool
-    lives), and the direct measure of dispatch backlog the ROADMAP's
-    work-stealing scheduler needs.
+    lives), and the direct measure of dispatch backlog.
     """
 
     task_key: str
@@ -205,8 +204,8 @@ class TelemetryAggregator:
         self._batched_tasks = 0
         self._max_batch_size = 0
         self._redispatched_tasks = 0
-        #: the driver's scheduler counters (batches, re-dispatches, lease
-        #: steals), verbatim when present
+        #: the driver's scheduler counters (batches, re-dispatches,
+        #: worker restarts), verbatim when present
         self.scheduler: Optional[Dict[str, object]] = None
 
     def add(self, record: Dict[str, object]) -> None:
@@ -413,7 +412,7 @@ class TelemetrySink:
         scheduler: Optional[Dict[str, object]] = None,
     ) -> None:
         """Write the closing driver record (sweep elapsed, parent spans,
-        and — when a pool ran — the scheduler's dispatch/lease
+        and — when a pool ran — the scheduler's dispatch
         counters)."""
         record: Dict[str, object] = {
             "kind": "driver",

@@ -10,9 +10,7 @@ contract:
   :func:`~repro.parallel.sharding.derive_cell_seed`);
 * :mod:`~repro.parallel.scheduler` dispatches the tasks adaptively —
   cost-aware batching over a bounded in-flight window, fault-tolerant
-  re-dispatch of tasks lost to worker deaths or timeouts — and
-  coordinates work-stealing ``--shard auto`` jobs through a filesystem
-  lease directory;
+  re-dispatch of tasks lost to worker deaths or timeouts;
 * :mod:`~repro.parallel.runner` executes the tasks on a
   ``multiprocessing`` pool and streams each completed run into exact
   per-cell aggregates (:mod:`repro.analysis.streaming`), reassembling
@@ -21,14 +19,13 @@ contract:
 * :mod:`~repro.parallel.checkpoint` persists completed runs so
   interrupted sweeps resume instead of restarting, and — for
   multi-machine sweeps — splits one grid across per-shard checkpoint
-  files plus a deterministic shard manifest (``--shard i/k`` or the
-  work-stealing ``--shard auto``), merged back together by
+  files plus a deterministic shard manifest (``--shard i/k``), merged
+  back together by
   :func:`~repro.parallel.checkpoint.merge_shard_checkpoints`;
 * :mod:`~repro.parallel.store` defines the run-store contract
   (``fetch``/``add``/``flush``) the engine restores from and writes to,
   and the one on-disk checkpoint writer: an append-only JSONL store
-  (O(new records) per flush) that reads legacy whole-file JSON
-  checkpoints transparently.
+  (O(new records) per flush).
 
 The engine is one call, ``run_experiments(specs, config=SweepConfig(...),
 sinks=...)``, where :class:`~repro.parallel.runner.SweepConfig` holds
@@ -51,23 +48,14 @@ from .checkpoint import (
     writer_token,
 )
 from .runner import SweepConfig, TaskExecutionError, run_experiments
-from .scheduler import (
-    DEFAULT_AUTO_BLOCKS,
-    DEFAULT_LEASE_TIMEOUT,
-    DEFAULT_MAX_BATCH,
-    AdaptiveScheduler,
-    DispatchStats,
-    LeaseDirectory,
-)
+from .scheduler import DEFAULT_MAX_BATCH, AdaptiveScheduler, DispatchStats
 from .sharding import (
-    AUTO_SHARD,
     RunTask,
     derive_cell_seed,
     expand_run_tasks,
     parse_shard,
     select_shard,
     shard_round_robin,
-    split_blocks,
     task_key,
     topology_fingerprint,
     validate_shard,
@@ -75,14 +63,10 @@ from .sharding import (
 from .store import JsonlCheckpointStore, RunStore
 
 __all__ = [
-    "AUTO_SHARD",
     "AdaptiveScheduler",
-    "DEFAULT_AUTO_BLOCKS",
-    "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_MAX_BATCH",
     "DispatchStats",
     "JsonlCheckpointStore",
-    "LeaseDirectory",
     "RunStore",
     "RunTask",
     "ShardManifest",
@@ -100,7 +84,6 @@ __all__ = [
     "select_shard",
     "shard_checkpoint_path",
     "shard_round_robin",
-    "split_blocks",
     "task_key",
     "topology_fingerprint",
     "validate_shard",

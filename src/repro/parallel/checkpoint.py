@@ -66,8 +66,8 @@ MANIFEST_KIND = "shard-manifest"
 def writer_token() -> str:
     """A fresh name part unique to one writer: pid, thread id, random suffix.
 
-    Temp files, partial sidecars and lease owners are named with it so that
-    no two writers ever share one — not two processes, and not two threads
+    Temp files (checkpoint compaction, shard manifests) are named with it
+    so that no two writers ever share one — not two processes, and not two threads
     of one process either (``repro-le serve`` answers on threads).
     """
     return f"{os.getpid()}-{threading.get_ident()}-{os.urandom(4).hex()}"
@@ -205,12 +205,6 @@ class ShardManifest:
     shard_files: Tuple[str, ...]
     #: task keys per shard, in task order
     shard_tasks: Tuple[Tuple[str, ...], ...]
-    #: how the split was assigned: ``"static"`` (fixed round-robin
-    #: ``i/k`` slices) or ``"auto"`` (contiguous blocks claimed at
-    #: runtime from a lease directory).  The merge never cares — it only
-    #: reads files and keys — but the mode documents the sweep and keeps
-    #: a static resume from colliding with an auto lease directory.
-    mode: str = "static"
 
     @classmethod
     def plan(
@@ -236,40 +230,10 @@ class ShardManifest:
             shard_tasks=tuple(tuple(bucket) for bucket in buckets),
         )
 
-    @classmethod
-    def plan_auto(
-        cls, base: Union[str, Path], task_keys: Sequence[str], block_count: int
-    ) -> "ShardManifest":
-        """Build the manifest of a work-stealing ``--shard auto`` split:
-        ``block_count`` contiguous task-key blocks checkpointed next to
-        ``base``, claimed at runtime rather than assigned up front.
-
-        Deliberately the same manifest shape as a static split (a block
-        is a shard whose job is chosen late), so ``repro-le merge``
-        handles both without knowing which scheduler produced the files.
-        """
-        from .sharding import split_blocks
-
-        if block_count < 1:
-            raise ConfigurationError(
-                f"block count must be >= 1, got {block_count}"
-            )
-        blocks = split_blocks(list(task_keys), block_count)
-        return cls(
-            shard_count=block_count,
-            shard_files=tuple(
-                shard_checkpoint_path(base, index, block_count).name
-                for index in range(block_count)
-            ),
-            shard_tasks=tuple(tuple(block) for block in blocks),
-            mode="auto",
-        )
-
     def as_payload(self) -> Dict[str, object]:
         return {
             "version": FORMAT_VERSION,
             "kind": MANIFEST_KIND,
-            "mode": self.mode,
             "shard_count": self.shard_count,
             "shards": [
                 {"index": index, "file": name, "tasks": list(tasks)}
@@ -299,8 +263,6 @@ class ShardManifest:
             shard_tasks=tuple(
                 tuple(str(key) for key in entry["tasks"]) for entry in shards
             ),
-            # Manifests written before work stealing existed are static.
-            mode=str(payload.get("mode", "static")),
         )
 
     @classmethod
@@ -385,9 +347,7 @@ def merge_shard_checkpoints(
     Returns a summary dict (shards seen, records merged, coverage counts)
     that the CLI renders.
     """
-    # Shard files may be legacy JSON (old sweeps) or JSONL (current
-    # engine); the JSONL store reads both.  Imported here — the store
-    # module builds on this one.
+    # Imported here — the store module builds on this one.
     from .store import JsonlCheckpointStore
 
     manifest_file = Path(manifest_file)

@@ -42,12 +42,9 @@ Determinism guarantees
   if they are not JSON-encodable).
 * **Shard-transparent results.**  ``shard=(i, k)`` restricts execution to
   a deterministic round-robin slice of the grid and persists it to a
-  per-shard checkpoint plus a shard manifest; ``shard="auto"`` instead
-  lets any number of concurrent jobs claim contiguous task blocks from a
-  lease directory, stealing stale blocks from dead jobs.  Either way,
-  merging the shard checkpoints
-  (:func:`~repro.parallel.checkpoint.merge_shard_checkpoints`) and
-  replaying yields cells bit-identical to an unsharded sweep.
+  per-shard checkpoint plus a shard manifest; merging the shard
+  checkpoints (:func:`~repro.parallel.checkpoint.merge_shard_checkpoints`)
+  and replaying yields cells bit-identical to an unsharded sweep.
 * **Profile consistency.**  Expansion profiles are computed in the parent
   with the same cache-and-compute-on-demand policy as the serial driver.
 
@@ -60,11 +57,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiments import (
     ExperimentResult,
@@ -93,11 +89,8 @@ from .checkpoint import (
     shard_checkpoint_path,
 )
 from .scheduler import (
-    DEFAULT_AUTO_BLOCKS,
-    DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_BATCH,
     AdaptiveScheduler,
-    LeaseDirectory,
     TaskExecutionError,
     _Batch,
     _BatchItem,
@@ -106,12 +99,10 @@ from .scheduler import (
     _validate_timeout,
 )
 from .sharding import (
-    AUTO_SHARD,
     RunTask,
     expand_run_tasks,
     parse_shard,
     select_shard,
-    split_blocks,
     validate_shard,
 )
 from .store import JsonlCheckpointStore, RunStore
@@ -154,10 +145,9 @@ class SweepConfig:
     #: store checkpoint records without per-node diagnostic payloads
     #: (requires a checkpoint path)
     checkpoint_compact: bool = False
-    #: ``(i, k)`` / ``"i/k"`` fixed round-robin slice, or ``"auto"`` /
-    #: ``(AUTO_SHARD, blocks)`` work stealing; requires a checkpoint path
-    #: and is stored parsed, as a tuple
-    shard: Optional[Union[str, Tuple[object, Optional[int]]]] = None
+    #: ``(i, k)`` / ``"i/k"`` round-robin slice; requires a checkpoint
+    #: path and is stored parsed, as a tuple
+    shard: Optional[Union[str, Tuple[int, int]]] = None
     #: derive an independent deterministic seed per cell from ``base_seed``
     #: (see :func:`repro.parallel.sharding.derive_cell_seed`)
     derive_seeds: bool = False
@@ -166,8 +156,6 @@ class SweepConfig:
     task_timeout: Optional[float] = None
     #: most tasks per dispatched batch (``1`` ships one task per message)
     max_batch: Optional[int] = None
-    #: seconds without a heartbeat before an auto-shard block is stolen
-    lease_timeout: Optional[float] = None
     #: pre-computed expansion profiles, keyed by topology name/fingerprint
     profiles: Optional[Dict[str, ExpansionProfile]] = None
     #: per-task timing records and the end-of-sweep summary
@@ -185,7 +173,6 @@ class SweepConfig:
                 f"{BACKENDS}"
             )
         _validate_timeout("task_timeout", self.task_timeout)
-        _validate_timeout("lease_timeout", self.lease_timeout)
         if self.max_batch is not None and self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
@@ -208,10 +195,8 @@ class SweepConfig:
             shard = (
                 parse_shard(self.shard)
                 if isinstance(self.shard, str)
-                else tuple(self.shard)
+                else validate_shard(*self.shard)
             )
-            if shard[0] != AUTO_SHARD:
-                shard = validate_shard(*shard)
             if not _is_path(self.checkpoint):
                 raise ConfigurationError(
                     "a sharded sweep requires a checkpoint path: shard results "
@@ -228,11 +213,9 @@ def _is_path(checkpoint) -> bool:
 class _PoolEngine:
     """One sweep's worker pool and the scheduler driving it.
 
-    The pool is created lazily on the first execute call that actually
-    needs one (sized to ``min(workers, first pending count)``) and kept
-    for every later call — an auto-sharded job executes one claimed
-    block after another through the same pool, and the adaptive
-    scheduler's cost model likewise persists across blocks.
+    The pool is created only when :meth:`execute` needs one — more than
+    one worker and more than one pending task — and is sized to
+    ``min(workers, pending count)``.
     """
 
     def __init__(self, config: SweepConfig) -> None:
@@ -253,30 +236,29 @@ class _PoolEngine:
         if not pending:
             return
         config = self._config
-        if config.workers > 1 and (len(pending) > 1 or self._pool is not None):
-            if self._scheduler is None:
-                context = multiprocessing.get_context(config.start_method)
-                # set_default_backend as initializer: the backend choice
-                # must reach the workers under "spawn" too, where the
-                # parent's in-process scope stack does not survive the
-                # fork-less hop.
-                self._pool = context.Pool(
-                    processes=min(config.workers, len(pending)),
-                    initializer=set_default_backend,
-                    initargs=(config.backend,),
-                )
-                self._scheduler = AdaptiveScheduler(
-                    self._pool,
-                    config.workers,
-                    telemetry=config.telemetry is not None,
-                    profile=config.profile,
-                    task_timeout=config.task_timeout,
-                    max_batch=(
-                        DEFAULT_MAX_BATCH
-                        if config.max_batch is None
-                        else config.max_batch
-                    ),
-                )
+        if config.workers > 1 and len(pending) > 1:
+            context = multiprocessing.get_context(config.start_method)
+            # set_default_backend as initializer: the backend choice
+            # must reach the workers under "spawn" too, where the
+            # parent's in-process scope stack does not survive the
+            # fork-less hop.
+            self._pool = context.Pool(
+                processes=min(config.workers, len(pending)),
+                initializer=set_default_backend,
+                initargs=(config.backend,),
+            )
+            self._scheduler = AdaptiveScheduler(
+                self._pool,
+                config.workers,
+                telemetry=config.telemetry is not None,
+                profile=config.profile,
+                task_timeout=config.task_timeout,
+                max_batch=(
+                    DEFAULT_MAX_BATCH
+                    if config.max_batch is None
+                    else config.max_batch
+                ),
+            )
             self._scheduler.run(pending, finish)
         else:
             self._execute_inline(pending, finish)
@@ -304,15 +286,6 @@ class _PoolEngine:
         return self._scheduler.stats.as_dict()
 
 
-class _AutoPlan(NamedTuple):
-    """Everything a work-stealing job needs: the shared lease directory,
-    the deterministic block partition, and where each block checkpoints."""
-
-    leases: LeaseDirectory
-    blocks: List[List[RunTask]]
-    block_paths: List[Path]
-
-
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
@@ -338,8 +311,7 @@ def run_experiments(
     a timeout.  ``max_batch`` caps the batch size.
 
     ``checkpoint`` is a path — an append-only
-    :class:`~repro.parallel.store.JsonlCheckpointStore` that also reads
-    legacy JSON checkpoints and migrates them on first flush — or an
+    :class:`~repro.parallel.store.JsonlCheckpointStore` — or an
     object meeting the :class:`~repro.parallel.store.RunStore` contract
     (``fetch``/``add``/``flush``), such as a
     :class:`~repro.archive.store.ResultArchive`.  Stored runs are
@@ -357,16 +329,6 @@ def run_experiments(
     returned results contain only the cells this shard touched (cells
     with zero local runs are omitted).
 
-    ``shard="auto"`` (or ``(AUTO_SHARD, block_count)``) is the
-    work-stealing variant: the grid is split into contiguous task blocks
-    and any number of concurrent jobs sharing the checkpoint directory
-    claim blocks from a lease directory (``<base>.leases/``) until the
-    grid is covered — fast jobs claim more, and a block whose owner died
-    (no lease heartbeat for ``lease_timeout`` seconds) is stolen and
-    re-executed.  Each block checkpoints to its own shard file named by
-    the same manifest ``merge`` already understands.  The returned
-    results contain only the cells whose blocks *this* job executed.
-
     ``sinks`` are caller-supplied
     :class:`~repro.analysis.streaming.ResultSink` objects fed each run —
     fresh or restored from a checkpoint — as it completes.  Nothing
@@ -380,7 +342,7 @@ def run_experiments(
     dispatch attempt), the parent adds fold/checkpoint durations, and the
     sink streams the records to JSONL while building the end-of-sweep
     utilization/straggler summary; the closing driver record carries the
-    scheduler's dispatch/lease counters.  The sink's lifecycle (close on
+    scheduler's dispatch counters.  The sink's lifecycle (close on
     success, abort on failure) is owned here — do not also pass it in
     ``sinks``.  With telemetry off this function's hot path is
     unchanged.  ``profile`` runs each task under an in-worker profiler
@@ -394,7 +356,6 @@ def run_experiments(
         raise ConfigurationError(
             f"experiment specs must have unique names, got {names}"
         )
-    auto_shard = shard is not None and shard[0] == AUTO_SHARD
     checkpoint = config.checkpoint
 
     per_spec_tasks: List[List[RunTask]] = [
@@ -411,39 +372,11 @@ def run_experiments(
         for task in all_tasks
     }
 
-    def make_store(path, *, staged: bool = False):
-        return JsonlCheckpointStore(
-            path, compact=config.checkpoint_compact, staged=staged
-        )
+    def make_store(path):
+        return JsonlCheckpointStore(path, compact=config.checkpoint_compact)
 
-    auto: Optional[_AutoPlan] = None
     store = None
-    if auto_shard:
-        # Work stealing: same manifest/merge machinery as a static split,
-        # but with contiguous blocks whose owners are decided at runtime
-        # by the lease directory rather than up front.
-        keys = [task.key for task in all_tasks]
-        block_count = max(1, min(shard[1] or DEFAULT_AUTO_BLOCKS, len(keys)))
-        manifest = ShardManifest.plan_auto(checkpoint, keys, block_count)
-        manifest.write(manifest_path(checkpoint))
-        my_tasks = all_tasks
-        auto = _AutoPlan(
-            leases=LeaseDirectory(
-                checkpoint,
-                block_count,
-                lease_timeout=(
-                    DEFAULT_LEASE_TIMEOUT
-                    if config.lease_timeout is None
-                    else config.lease_timeout
-                ),
-            ),
-            blocks=split_blocks(all_tasks, block_count),
-            block_paths=[
-                shard_checkpoint_path(checkpoint, index, block_count)
-                for index in range(block_count)
-            ],
-        )
-    elif shard is not None:
+    if shard is not None:
         shard_index, shard_count = shard
         manifest = ShardManifest.plan(
             checkpoint, [task.key for task in all_tasks], shard_count
@@ -466,17 +399,11 @@ def run_experiments(
         # Last in the fan-out so its (no-op) emit never delays real sinks;
         # close/abort lifecycle is shared with every other sink.
         all_sinks.append(telemetry)
-        if auto_shard:
-            shard_label: Optional[str] = AUTO_SHARD
-        elif shard is not None:
-            shard_label = f"{shard[0]}/{shard[1]}"
-        else:
-            shard_label = None
         telemetry.begin_sweep(
             workers=config.workers,
             backend=config.backend,
             profile=config.profile,
-            shard=shard_label,
+            shard=f"{shard[0]}/{shard[1]}" if shard is not None else None,
         )
     profile_aggregate = ProfileAggregate() if config.profile is not None else None
 
@@ -492,11 +419,8 @@ def run_experiments(
             consume,
             config=config,
             store=store,
-            auto=auto,
-            make_store=make_store,
             aggregates=aggregates,
             profile_aggregate=profile_aggregate,
-            all_sinks=all_sinks,
         )
 
     try:
@@ -509,9 +433,6 @@ def run_experiments(
                 stopwatch = Stopwatch()
                 results, restored, scheduler_stats = execute()
                 elapsed_seconds = stopwatch.elapsed()
-            if auto is not None:
-                scheduler_stats = dict(scheduler_stats or {})
-                scheduler_stats.update(auto.leases.summary())
             telemetry.record_driver(
                 elapsed_seconds=elapsed_seconds,
                 restored=restored,
@@ -533,15 +454,6 @@ def run_experiments(
         raise
     for sink in all_sinks:
         sink.close()
-    if auto is not None:
-        # The job's one operational closing line (to stderr, like the
-        # progress sink's): how much of the shared grid it ended up with.
-        leases = auto.leases
-        print(
-            f"shard auto: claimed {leases.claimed}/{leases.block_count} "
-            f"block(s) ({leases.stolen} stolen)",
-            file=sys.stderr,
-        )
     return results
 
 
@@ -552,11 +464,8 @@ def _execute_and_assemble(
     *,
     config: SweepConfig,
     store,
-    auto: Optional[_AutoPlan],
-    make_store,
     aggregates,
     profile_aggregate,
-    all_sinks,
 ) -> Tuple[List[ExperimentResult], int, Optional[Dict[str, int]]]:
     """Run the pending tasks and assemble per-spec results (see caller).
 
@@ -568,94 +477,53 @@ def _execute_and_assemble(
     ran inline).
     """
 
-    def restore(from_store, tasks) -> set:
-        """Replay ``tasks``' completed runs out of ``from_store``, in
-        sorted key order (the same order whatever the store)."""
+    completed_keys = set()
+    if store is not None:
+        # Replay the stored runs in sorted key order (the same order
+        # whatever the store).
         with span("restore"):
-            hits = from_store.fetch([task.key for task in tasks])
+            hits = store.fetch([task.key for task in my_tasks])
             for key in sorted(hits):
                 result, elapsed = result_from_record(hits[key])
                 consume(key, result, elapsed)
-        return set(hits)
+        completed_keys = set(hits)
 
-    def make_finish(
-        to_store, heartbeat: Optional[Callable[[], None]] = None
-    ) -> _FinishFn:
-        def finish(key, result, elapsed, task_telemetry, profile_payload):
-            # Parent-side epilogue of one task.  On the telemetry path,
-            # stamp the two phases that happen here (checkpoint append,
-            # sink fan-out) onto the worker's record, then emit it.  The
-            # stamps go through the injectable-clock Stopwatch — the same
-            # layer every other telemetry timing uses.
-            if task_telemetry is not None:
-                stopwatch = Stopwatch()
-                if to_store is not None:
-                    to_store.add(key, result_to_record(result, elapsed))
-                task_telemetry.checkpoint_seconds = stopwatch.elapsed()
-                stopwatch.restart()
-                consume(key, result, elapsed)
-                task_telemetry.fold_seconds = stopwatch.elapsed()
-                if profile_payload is not None:
-                    profile_aggregate.merge(profile_payload)
-                config.telemetry.emit_telemetry(task_telemetry)
-            else:
-                if to_store is not None:
-                    to_store.add(key, result_to_record(result, elapsed))
-                consume(key, result, elapsed)
-            if heartbeat is not None:
-                heartbeat()
-
-        return finish
-
-    restored = 0
-    with _PoolEngine(config) as engine:
-        if auto is None:
-            completed_keys = restore(store, my_tasks) if store is not None else set()
-            restored = len(completed_keys)
-            pending = [task for task in my_tasks if task.key not in completed_keys]
-            try:
-                engine.execute(pending, make_finish(store))
-            finally:
-                # Sharded jobs flush even with nothing pending: a shard
-                # whose round-robin slice is empty (grid smaller than k)
-                # must still leave its (empty) checkpoint file behind, or
-                # the merge would report the fully-executed split as
-                # missing a shard.
-                if store is not None and (pending or config.shard is not None):
-                    store.flush()
+    def finish(key, result, elapsed, task_telemetry, profile_payload):
+        # Parent-side epilogue of one task.  On the telemetry path,
+        # stamp the two phases that happen here (checkpoint append,
+        # sink fan-out) onto the worker's record, then emit it.  The
+        # stamps go through the injectable-clock Stopwatch — the same
+        # layer every other telemetry timing uses.
+        if task_telemetry is not None:
+            stopwatch = Stopwatch()
+            if store is not None:
+                store.add(key, result_to_record(result, elapsed))
+            task_telemetry.checkpoint_seconds = stopwatch.elapsed()
+            stopwatch.restart()
+            consume(key, result, elapsed)
+            task_telemetry.fold_seconds = stopwatch.elapsed()
+            if profile_payload is not None:
+                profile_aggregate.merge(profile_payload)
+            config.telemetry.emit_telemetry(task_telemetry)
         else:
-            # Work-stealing loop: claim a block, resume whatever any
-            # previous owner persisted (published file and/or a dead
-            # job's partial), execute the rest, publish atomically, mark
-            # done, repeat until no block is claimable.
-            while True:
-                claim = auto.leases.claim_next()
-                if claim is None:
-                    break
-                index, _stolen = claim
-                block = auto.blocks[index]
-                for sink in all_sinks:
-                    # Progress sinks can't know the job's total up front
-                    # (blocks are claimed at runtime); let them grow it.
-                    extend = getattr(sink, "extend_total", None)
-                    if extend is not None:
-                        extend(len(block))
-                block_store = make_store(auto.block_paths[index], staged=True)
-                completed_keys = restore(block_store, block)
-                restored += len(completed_keys)
-                pending = [
-                    task for task in block if task.key not in completed_keys
-                ]
-                engine.execute(
-                    pending,
-                    make_finish(
-                        block_store,
-                        heartbeat=lambda i=index: auto.leases.heartbeat(i),
-                    ),
-                )
-                block_store.publish()
-                auto.leases.mark_done(index)
+            if store is not None:
+                store.add(key, result_to_record(result, elapsed))
+            consume(key, result, elapsed)
+
+    pending = [task for task in my_tasks if task.key not in completed_keys]
+    with _PoolEngine(config) as engine:
+        try:
+            engine.execute(pending, finish)
+        finally:
+            # Sharded jobs flush even with nothing pending: a shard
+            # whose round-robin slice is empty (grid smaller than k)
+            # must still leave its (empty) checkpoint file behind, or
+            # the merge would report the fully-executed split as
+            # missing a shard.
+            if store is not None and (pending or config.shard is not None):
+                store.flush()
         scheduler_stats = engine.scheduler_stats()
+    restored = len(completed_keys)
 
     profiles = dict(config.profiles or {})
     results: List[ExperimentResult] = []
@@ -665,7 +533,7 @@ def _execute_and_assemble(
             aggregate = aggregates.aggregate_for(spec.name, topology_index)
             if aggregate is None:
                 # Possible only under sharding: none of this cell's runs
-                # landed in our shard slice (or claimed blocks).
+                # landed in our shard slice.
                 continue
             experiment.cells.append(
                 cell_from_aggregate(

@@ -1,11 +1,9 @@
-"""Adaptive pool dispatch and work-stealing shard leases.
+"""Adaptive pool dispatch of run tasks onto one worker pool.
 
 Shipping every task to the pool as its own message gives perfect load
 balance, but one IPC round-trip per task — ruinous when a grid holds
 thousands of sub-millisecond runs — and no recovery when a worker dies
-mid-task.  This module provides two cooperating mechanisms instead:
-
-**Adaptive dispatch** (:class:`AdaptiveScheduler`).  Tasks are leased to
+mid-task.  :class:`AdaptiveScheduler` does better: tasks are leased to
 the pool in a bounded in-flight window of ``apply_async`` batches.  Batch
 size adapts to *measured* task cost per (experiment, topology) cell: cheap
 tasks are packed until a batch is worth roughly
@@ -21,24 +19,11 @@ worker produces an identical record; the first completion per task key
 wins and duplicates are dropped.  Results are therefore bit-identical to
 the serial driver for any batch size, timeout, worker count or
 kill schedule — the contract :mod:`tests.test_scheduler` pins down.
-
-**Work-stealing shard leases** (:class:`LeaseDirectory`).  ``--shard i/k``
-fixes each job's slice up front, so a straggler job just finishes late.
-``--shard auto`` instead partitions the grid into contiguous task-key
-blocks (:func:`split_blocks`, many more blocks than jobs) and lets k
-concurrent jobs *claim* blocks one at a time from a shared lease
-directory next to the checkpoint: fast jobs simply claim more blocks, and
-a block whose lease has gone stale (its owner died) is stolen and
-re-executed.  Claims are atomic file creation (``O_CREAT | O_EXCL``);
-steals replace the stale lease.  Two jobs racing to steal the same block
-both execute it — identical deterministic records — and the shard merge
-deduplicates, exactly as it already does for overlapping re-runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import queue
@@ -46,7 +31,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable,
     Deque,
@@ -57,7 +41,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from ..analysis.experiments import execute_run
@@ -65,20 +48,15 @@ from ..core.errors import ConfigurationError, ReproError
 from ..core.simulator import default_backend
 from ..election.base import LeaderElectionResult
 from ..obs import TaskProfiler, TaskTelemetry, collect_spans
-from .checkpoint import writer_token
-from .sharding import RunTask, split_blocks
+from .sharding import RunTask
 
 __all__ = [
-    "DEFAULT_AUTO_BLOCKS",
-    "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_TARGET_BATCH_SECONDS",
     "AdaptiveScheduler",
     "DispatchStats",
-    "LeaseDirectory",
     "TaskExecutionError",
-    "split_blocks",
 ]
 
 #: Hard cap on the number of tasks packed into one dispatch batch.
@@ -93,13 +71,6 @@ DEFAULT_MAX_ATTEMPTS = 5
 #: How long the parent waits on the completion queue before checking
 #: lease deadlines and worker liveness.
 DEFAULT_POLL_SECONDS = 0.05
-#: Default block count of a ``--shard auto`` split (capped at the grid
-#: size); many more blocks than jobs is what makes stealing effective.
-DEFAULT_AUTO_BLOCKS = 16
-#: A lease untouched for this long belongs to a dead job and may be
-#: stolen.  Owners touch their lease after every completed run, so the
-#: default only has to beat the cost of one very slow task.
-DEFAULT_LEASE_TIMEOUT = 300.0
 
 
 class TaskExecutionError(ReproError):
@@ -503,139 +474,3 @@ class AdaptiveScheduler:
                 self._check_leases(leases, pending, done)
                 last_check = time.monotonic()
 
-
-# --------------------------------------------------------------------------- #
-# work-stealing shard leases (--shard auto)
-# --------------------------------------------------------------------------- #
-
-
-class LeaseDirectory:
-    """Filesystem claim/steal coordination of a ``--shard auto`` sweep.
-
-    Lives at ``<checkpoint base>.leases/`` — the one shared location the
-    concurrent jobs already have (they share the checkpoint directory).
-    Per block ``i`` of ``n``:
-
-    * ``block<i>of<n>.lease`` — created atomically (``O_CREAT|O_EXCL``)
-      by the claiming job and touched after every completed run (the
-      heartbeat).  A lease untouched for ``lease_timeout`` seconds with
-      no done marker belongs to a dead job and is *stolen* (atomically
-      replaced) by the next job that scans it.
-    * ``block<i>of<n>.done`` — written once the block's checkpoint is
-      published; a done block is never claimed again.
-
-    A steal can race a slow-but-alive owner; both then execute the block
-    and publish identical deterministic records, which the shard merge
-    deduplicates.  Stealing trades a little duplicated work for never
-    waiting on a straggler — the point of ``--shard auto``.
-    """
-
-    def __init__(
-        self,
-        base: Union[str, Path],
-        block_count: int,
-        *,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        owner: Optional[str] = None,
-    ) -> None:
-        if block_count < 1:
-            raise ConfigurationError(
-                f"block count must be >= 1, got {block_count}"
-            )
-        if math.isnan(lease_timeout) or lease_timeout <= 0:
-            raise ConfigurationError(
-                f"lease_timeout must be a positive number of seconds, "
-                f"got {lease_timeout}"
-            )
-        base = Path(base)
-        self.directory = base.with_name(f"{base.stem}.leases")
-        self.block_count = block_count
-        self.lease_timeout = lease_timeout
-        self.owner = owner if owner is not None else f"pid-{writer_token()}"
-        self.claimed = 0
-        self.stolen = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def lease_path(self, index: int) -> Path:
-        return self.directory / f"block{index}of{self.block_count}.lease"
-
-    def done_path(self, index: int) -> Path:
-        return self.directory / f"block{index}of{self.block_count}.done"
-
-    def is_done(self, index: int) -> bool:
-        return self.done_path(index).exists()
-
-    def claim_next(self) -> Optional[Tuple[int, bool]]:
-        """Claim the next available block; ``(index, stolen)`` or ``None``.
-
-        Scans blocks in index order: skips done blocks and live leases,
-        claims unleased blocks, steals stale ones.  ``None`` means every
-        block is either done or actively leased by a live job — this
-        job's work is over (the merge, not the job, waits for the rest).
-        """
-        for index in range(self.block_count):
-            if self.is_done(index):
-                continue
-            claim = self._try_claim(index)
-            if claim is not None:
-                return claim
-        return None
-
-    def _try_claim(self, index: int) -> Optional[Tuple[int, bool]]:
-        path = self.lease_path(index)
-        content = json.dumps({"owner": self.owner}, sort_keys=True)
-        try:
-            descriptor = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                # repro: disable=REP102 — lease staleness compares against
-                # st_mtime, which is epoch wall-clock by definition; never
-                # enters any result path
-                age = time.time() - path.stat().st_mtime
-            except OSError:
-                # The lease vanished between exists and stat: its block
-                # just completed or the owner released it; rescan later.
-                return None
-            if age < self.lease_timeout or self.is_done(index):
-                return None
-            # Stale lease and no done marker: the owner died mid-block.
-            # Steal by atomic replacement — of two racing thieves, both
-            # "win" and execute identical deterministic work.
-            temp = path.with_name(f"{path.name}.{writer_token()}.steal")
-            temp.write_text(content, encoding="utf-8")
-            os.replace(temp, path)
-            self.claimed += 1
-            self.stolen += 1
-            return index, True
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        self.claimed += 1
-        return index, False
-
-    def heartbeat(self, index: int) -> None:
-        """Refresh the lease's mtime so live blocks are never stolen."""
-        try:
-            os.utime(self.lease_path(index))
-        except OSError:
-            # The lease was stolen out from under us (we were presumed
-            # dead); keep going — our records are identical to the
-            # thief's and the merge deduplicates.
-            pass
-
-    def mark_done(self, index: int) -> None:
-        """Publish the done marker (atomically) after the block's
-        checkpoint is on disk."""
-        done = self.done_path(index)
-        temp = done.with_name(f"{done.name}.{writer_token()}.tmp")
-        temp.write_text(
-            json.dumps({"owner": self.owner}, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(temp, done)
-
-    def summary(self) -> Dict[str, int]:
-        """Lease counters for telemetry (and the CLI's closing line)."""
-        return {
-            "blocks": self.block_count,
-            "leases_claimed": self.claimed,
-            "leases_stolen": self.stolen,
-        }

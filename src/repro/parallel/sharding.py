@@ -29,23 +29,16 @@ from ..core.rng import derive_seed
 from ..graphs.topology import Topology
 
 __all__ = [
-    "AUTO_SHARD",
     "RunTask",
     "derive_cell_seed",
     "expand_run_tasks",
     "parse_shard",
     "select_shard",
     "shard_round_robin",
-    "split_blocks",
     "task_key",
     "topology_fingerprint",
     "validate_shard",
 ]
-
-#: Sentinel shard index of a work-stealing ``--shard auto`` job: instead
-#: of a fixed ``i/k`` slice, the job claims task-key blocks from a lease
-#: directory at runtime (see :mod:`repro.parallel.scheduler`).
-AUTO_SHARD = "auto"
 
 T = TypeVar("T")
 
@@ -224,28 +217,6 @@ def shard_round_robin(items: Sequence[T], shards: int) -> List[List[T]]:
     return buckets
 
 
-def split_blocks(items: Sequence[T], blocks: int) -> List[List[T]]:
-    """Partition ``items`` into ``blocks`` contiguous, near-even ranges.
-
-    The work-stealing counterpart of :func:`shard_round_robin`: a pure
-    function of (item order, block count), so every job of a ``--shard
-    auto`` split computes the same partition independently.  Contiguous
-    ranges (not round-robin) so each block is a *task-key range* in grid
-    order, which keeps the per-block checkpoints humanly mappable back
-    onto the grid.
-    """
-    if blocks <= 0:
-        raise ValueError(f"blocks must be positive, got {blocks}")
-    base, extra = divmod(len(items), blocks)
-    out: List[List[T]] = []
-    start = 0
-    for index in range(blocks):
-        size = base + (1 if index < extra else 0)
-        out.append(list(items[start:start + size]))
-        start += size
-    return out
-
-
 def validate_shard(index: int, count: int) -> Tuple[int, int]:
     """Validate a (shard index, shard count) pair.
 
@@ -263,39 +234,24 @@ def validate_shard(index: int, count: int) -> Tuple[int, int]:
     return index, count
 
 
-def parse_shard(text: str):
+def parse_shard(text: str) -> Tuple[int, int]:
     """Parse a CLI shard specification.
 
     ``i/k`` — a static split — parses to ``(index, count)``: ``i`` is
     this job's shard (0-based) and ``k`` the total number of jobs
     splitting the grid; ``0/2`` and ``1/2`` together cover exactly the
     tasks of one unsharded sweep.
-
-    ``auto`` (or ``auto/N`` to override the block count) — a
-    work-stealing split — parses to ``(AUTO_SHARD, block_count_or_None)``:
-    any number of concurrent jobs claim blocks from a lease directory
-    until the grid is covered.
     """
     head, sep, tail = text.partition("/")
-    if head == AUTO_SHARD:
-        if not sep:
-            return AUTO_SHARD, None
-        try:
-            blocks = int(tail)
-        except ValueError:
-            raise ConfigurationError(
-                f"bad shard specification {text!r}; expected auto or auto/N "
-                f"with an integer block count"
-            ) from None
-        if blocks < 1:
-            raise ConfigurationError(
-                f"shard block count must be >= 1, got {blocks}"
-            )
-        return AUTO_SHARD, blocks
+    if head == "auto":
+        raise ConfigurationError(
+            f"shard specification {text!r}: work stealing (--shard auto) was "
+            f"removed; split the grid with --shard i/k jobs and fold their "
+            f"checkpoints with `repro-le merge`"
+        )
     if not sep:
         raise ConfigurationError(
-            f"bad shard specification {text!r}; expected i/k (e.g. 0/4) "
-            f"for a static split, or auto[/N] for work stealing"
+            f"bad shard specification {text!r}; expected i/k (e.g. 0/4)"
         )
     try:
         index, count = int(head), int(tail)

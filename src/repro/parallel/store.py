@@ -22,25 +22,15 @@ records), independent of how many are already on disk.  A sweep killed
 mid-append leaves at most one truncated trailing line, which the loader
 drops (those runs simply re-execute); every earlier line is intact.
 
-**Legacy transparency.**  ``load`` sniffs the format: a whole-file JSON
-checkpoint (``{"version": 1, "runs": {...}}``, written by earlier
-builds) loads transparently and is migrated to JSONL on the first flush,
-so old checkpoints resume with nothing re-executed.  Nothing writes that
-format any more.  **Compaction** bounds the file when
-records are superseded (re-added keys, ``compact=True`` stripping
-per-node payloads): once enough dead lines accumulate, the next flush
-rewrites the file atomically — sorted by key, so a fully-compacted store
-is byte-deterministic.
+A file whose first line is not that header is refused at load, before
+any flush could overwrite it: it is not a checkpoint, or it is a
+whole-file JSON checkpoint (``{"version": 1, "runs": {...}}``) from a
+build that predates the JSONL format, which is no longer read.
 
-**Staged mode** exists for the work-stealing shard path, where a stolen
-block can briefly have *two* jobs writing it.  A staged store appends to
-a writer-unique ``<path>.<token>.partial`` sidecar, named by
-:func:`~repro.parallel.checkpoint.writer_token` (incremental durability
-without interleaving two writers' lines in one file), and
-:meth:`~JsonlCheckpointStore.publish` atomically replaces the real path
-with the full contents once the block completes; ``load`` folds in any
-leftover partials from a dead job, so a thief resumes the victim's
-partial progress instead of redoing the whole block.
+**Compaction** bounds the file when records are superseded (re-added
+keys, ``compact=True`` stripping per-node payloads): once enough dead
+lines accumulate, the next flush rewrites the file atomically — sorted by
+key, so a fully-compacted store is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..obs import span
-from .checkpoint import FORMAT_VERSION, compact_record, writer_token
+from .checkpoint import compact_record, writer_token
 
 __all__ = ["JSONL_FORMAT", "JsonlCheckpointStore", "RunStore"]
 
@@ -117,8 +107,7 @@ class JsonlCheckpointStore:
     completed runs.  With ``compact=True`` every record is compacted on
     the way in (see :func:`~repro.parallel.checkpoint.compact_record`),
     including records loaded from an existing full checkpoint.  See the
-    module docstring for the format, the legacy migration and the staged
-    mode.
+    module docstring for the format.
     """
 
     def __init__(
@@ -127,7 +116,6 @@ class JsonlCheckpointStore:
         *,
         flush_interval_seconds: float = 1.0,
         compact: bool = False,
-        staged: bool = False,
     ) -> None:
         self.path = Path(path)
         # Create missing parent directories up front: an unwritable or
@@ -149,9 +137,6 @@ class JsonlCheckpointStore:
         self._loaded = False
         self._dirty = False
         self._last_flush = float("-inf")
-        self._staged = staged
-        #: names this store's partial sidecar for its whole lifetime
-        self._writer = writer_token()
         #: (key, record) completions not yet appended to disk
         self._pending: List[Tuple[str, Dict[str, object]]] = []
         #: superseded lines sitting in the file (duplicate keys, compacted
@@ -159,7 +144,7 @@ class JsonlCheckpointStore:
         #: rewrites instead of appending
         self._dead_lines = 0
         #: force the next flush to be an atomic whole-file rewrite —
-        #: set by legacy migration and :meth:`compact`
+        #: set by torn-tail repair and :meth:`compact`
         self._needs_rewrite = False
 
     def __contains__(self, key: str) -> bool:
@@ -177,7 +162,7 @@ class JsonlCheckpointStore:
         return {key: runs[key] for key in keys if key in runs}
 
     # ------------------------------------------------------------------ #
-    # loading (format sniff + tolerant JSONL parse)
+    # loading (header check + tolerant JSONL parse)
     # ------------------------------------------------------------------ #
     def load(self) -> Dict[str, Dict[str, object]]:
         """Load (once) and return every completed run record."""
@@ -186,34 +171,35 @@ class JsonlCheckpointStore:
         self._loaded = True
         with span("checkpoint.load"):
             if self.path.exists():
-                self._load_file(self.path, tolerate_trailing=True)
-            if self._staged:
-                # Fold in partials left by writers of this path — ours
-                # from a previous life, or a dead job's whose block we
-                # are stealing.  Their records are deterministic re-runs
-                # of the same tasks, so merge order cannot matter.
-                for partial in sorted(self.path.parent.glob(f"{self.path.name}.*.partial")):
-                    self._load_file(partial, tolerate_trailing=True, jsonl_only=True)
+                self._load_file()
         if self.compact_records:
             self.compact()
         return self._runs
 
-    def _load_file(
-        self, path: Path, *, tolerate_trailing: bool, jsonl_only: bool = False
-    ) -> None:
+    def _load_file(self) -> None:
+        path = self.path
         text = path.read_text(encoding="utf-8")
         lines = text.split("\n")
-        if not jsonl_only and not _is_jsonl_header(lines[0] if lines else ""):
-            self._load_legacy(path, text)
-            return
-        parsed = 0
+        if not _is_jsonl_header(lines[0]):
+            try:
+                json.loads(text)
+            except ValueError:
+                problem = "is neither a JSONL checkpoint nor valid JSON"
+            else:
+                problem = "has no JSONL header line"
+            raise ConfigurationError(
+                f"checkpoint {path} {problem}: it is not a checkpoint, or it "
+                f"predates the JSONL format (a whole-file JSON checkpoint "
+                f"with a 'runs' table, which this build no longer reads); "
+                f"delete or move it to start the sweep from scratch"
+            )
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
             except ValueError as error:
-                if tolerate_trailing and number == len(lines):
+                if number == len(lines):
                     # A writer died mid-append; drop the torn line (its
                     # runs re-execute) and keep everything before it.
                     self._needs_rewrite = True
@@ -248,40 +234,6 @@ class JsonlCheckpointStore:
             if key in self._runs:
                 self._dead_lines += 1
             self._runs[str(key)] = dict(record)
-            parsed += 1
-        if path != self.path:
-            # Records recovered from a partial are not in the real file
-            # yet; make sure they end up there even if no new run is
-            # ever added (publish/flush must persist them).
-            self._dirty = True
-            self._needs_rewrite = True
-
-    def _load_legacy(self, path: Path, text: str) -> None:
-        """Read a whole-file JSON checkpoint written by an earlier build."""
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise ConfigurationError(
-                f"checkpoint {path} is neither a JSONL checkpoint nor valid "
-                f"JSON ({error}); delete or move it to start the sweep from "
-                f"scratch"
-            ) from error
-        if not isinstance(payload, dict) or "runs" not in payload:
-            raise ConfigurationError(
-                f"checkpoint {path} is valid JSON but not a checkpoint "
-                f"(no 'runs' table)"
-            )
-        version = payload.get("version")
-        if version != FORMAT_VERSION:
-            raise ConfigurationError(
-                f"checkpoint {path} has format version {version!r}; "
-                f"this build reads version {FORMAT_VERSION}"
-            )
-        self._runs.update(payload.get("runs", {}))
-        # Migrate on the next flush: one last whole-file write, after
-        # which every flush is an append.
-        self._needs_rewrite = True
-        self._dirty = True
 
     # ------------------------------------------------------------------ #
     # writing (append by default, atomic rewrite when compacting)
@@ -329,37 +281,13 @@ class JsonlCheckpointStore:
         return self._dead_lines > max(64, len(self._runs))
 
     def flush(self) -> None:
-        if not self._dirty and (self._staged or self.path.exists()):
+        if not self._dirty and self.path.exists():
             return
-        target = self._partial_path() if self._staged else self.path
         with span("checkpoint.flush"):
-            if not self._staged and (self._needs_rewrite or self._compaction_due()):
-                self._rewrite(self.path)
+            if self._needs_rewrite or self._compaction_due():
+                self._rewrite()
             else:
-                self._append(target)
-        self._dirty = False
-        self._last_flush = time.monotonic()
-
-    def publish(self) -> None:
-        """Atomically publish a staged store's full contents to its path.
-
-        Rewrites ``path`` from the in-memory table (everything loaded
-        plus everything added) and removes every partial sidecar —
-        including a dead previous writer's, whose records were folded in
-        by ``load``.  Called once per completed work-stealing block; a
-        no-op for non-staged stores beyond an ordinary flush.
-        """
-        self.load()
-        if not self._staged:
-            self.flush()
-            return
-        with span("checkpoint.flush"):
-            self._rewrite(self.path)
-            for partial in self.path.parent.glob(f"{self.path.name}.*.partial"):
-                try:
-                    partial.unlink()
-                except OSError:
-                    pass
+                self._append()
         self._dirty = False
         self._last_flush = time.monotonic()
 
@@ -376,32 +304,29 @@ class JsonlCheckpointStore:
         }
         self._loaded = True
         with span("checkpoint.flush"):
-            self._rewrite(self.path)
+            self._rewrite()
         self._dirty = False
         self._last_flush = time.monotonic()
 
-    def _partial_path(self) -> Path:
-        return self.path.with_name(f"{self.path.name}.{self._writer}.partial")
-
-    def _append(self, target: Path) -> None:
+    def _append(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_header = not target.exists() or target.stat().st_size == 0
-        with open(target, "a", encoding="utf-8") as handle:
+        write_header = not self.path.exists() or self.path.stat().st_size == 0
+        with open(self.path, "a", encoding="utf-8") as handle:
             if write_header:
                 handle.write(_header_line() + "\n")
             for key, record in self._pending:
                 handle.write(_record_line(key, record) + "\n")
         self._pending = []
 
-    def _rewrite(self, target: Path) -> None:
+    def _rewrite(self) -> None:
         """One atomic whole-file write: header + live records sorted by key."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = target.with_name(f"{target.name}.{writer_token()}.tmp")
+        temp = self.path.with_name(f"{self.path.name}.{writer_token()}.tmp")
         with open(temp, "w", encoding="utf-8") as handle:
             handle.write(_header_line() + "\n")
             for key in sorted(self._runs):
                 handle.write(_record_line(key, self._runs[key]) + "\n")
-        os.replace(temp, target)
+        os.replace(temp, self.path)
         self._pending = []
         self._dead_lines = 0
         self._needs_rewrite = False

@@ -74,8 +74,6 @@ class TestSweepConfig:
             api.SweepConfig(backend="warp")
         with pytest.raises(ConfigurationError, match="task_timeout"):
             api.SweepConfig(task_timeout=-1)
-        with pytest.raises(ConfigurationError, match="lease_timeout"):
-            api.SweepConfig(lease_timeout=0)
         with pytest.raises(ConfigurationError, match="shard count"):
             api.SweepConfig(shard="0/0", checkpoint=tmp_path / "ck.jsonl")
 

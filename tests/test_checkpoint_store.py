@@ -2,20 +2,17 @@
 
 Pins the on-disk contract of :class:`repro.parallel.store.JsonlCheckpointStore`:
 one header line plus one line per completed run, flushes that append
-rather than rewrite, transparent reads of legacy whole-file JSON
-checkpoints (migrated to JSONL on the first real flush, with nothing
-re-executed), tolerance of a torn trailing line from a writer killed
-mid-append, compaction once dead lines outnumber live records, and the
-staged partial/publish discipline the work-stealing shard path uses.
+rather than rewrite, refusal of header-less files (such as the whole-file
+JSON checkpoints of earlier builds) before anything is written,
+tolerance of a torn trailing line from a writer killed mid-append, and
+compaction once dead lines outnumber live records.
 """
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import ExperimentSpec, run_experiment
+from repro.analysis import ExperimentSpec
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, star
 from repro.parallel import (
@@ -29,23 +26,14 @@ from repro.protocols import run_protocol
 SEEDS = (0, 1, 2)
 
 
-def _spec(seeds=SEEDS, name="flooding"):
+def _spec():
     return ExperimentSpec(
-        name=name,
-        protocol=name,
+        name="flooding",
+        protocol="flooding",
         topologies=[cycle(8), star(8)],
-        seeds=seeds,
+        seeds=SEEDS,
         collect_profile=False,
     )
-
-
-def _comparable(cells):
-    rows = []
-    for cell in cells:
-        row = cell.as_dict()
-        row.pop("mean_wall_clock_seconds")
-        rows.append(row)
-    return rows
 
 
 def _records(count):
@@ -62,12 +50,6 @@ def _write_legacy(path, records):
         json.dumps({"version": 1, "runs": records}, indent=1, sort_keys=True),
         encoding="utf-8",
     )
-
-
-def _counted_runner(topology, seed):
-    with open(os.environ["REPRO_STORE_COUNT_FILE"], "a", encoding="utf-8") as f:
-        f.write(f"{topology.name} {seed}\n")
-    return run_protocol("flooding", topology, seed)
 
 
 class TestJsonlFormat:
@@ -122,6 +104,20 @@ class TestJsonlFormat:
         again.flush()
         assert path.read_bytes() == before
 
+    def test_run_store_reads_see_only_stored_keys(self, tmp_path):
+        path = tmp_path / "ck.json"
+        records = _records(3)
+        JsonlCheckpointStore(path).write_fresh(records)
+        store = JsonlCheckpointStore(path)
+        assert len(store) == 3
+        assert "key-1" in store and "key-9" not in store
+        assert store.get("key-2") == records["key-2"]
+        assert store.get("key-9") is None
+        assert store.fetch(["key-0", "key-9", "key-2"]) == {
+            "key-0": records["key-0"],
+            "key-2": records["key-2"],
+        }
+
     def test_unreadable_future_version_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text(
@@ -132,71 +128,41 @@ class TestJsonlFormat:
             JsonlCheckpointStore(path).load()
 
 
-class TestLegacyTransparency:
-    def test_reads_legacy_whole_file_json(self, tmp_path):
+class TestPreJsonlFiles:
+    def test_whole_file_json_checkpoint_rejected_before_any_write(self, tmp_path):
         path = tmp_path / "ck.json"
-        records = _records(3)
-        _write_legacy(path, records)
-        assert json.loads(path.read_text())["runs"] == records
-        assert JsonlCheckpointStore(path).load() == records
-
-    def test_migrates_to_jsonl_on_first_flush(self, tmp_path):
-        path = tmp_path / "ck.json"
-        records = _records(2)
-        _write_legacy(path, records)
+        _write_legacy(path, _records(2))
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="predates the JSONL format") as info:
+            run_experiments([_spec()], config=SweepConfig(checkpoint=path))
+        assert str(path) in str(info.value)
         store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
-        extra = _records(3)["key-2"]
-        store.add("key-2", extra)
-        store.flush()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["format"] == "jsonl"
-        assert JsonlCheckpointStore(path).load() == {**records, "key-2": extra}
+        with pytest.raises(ConfigurationError, match="predates the JSONL format"):
+            store.add("key-9", _records(1)["key-0"])
+        assert path.read_bytes() == before
 
-    def test_legacy_resume_executes_only_missing_runs(
-        self, tmp_path, monkeypatch, register_fake_protocol
-    ):
-        """The satellite pin: a legacy-JSON checkpoint resumes through the
-        JSONL default with zero re-execution, and the results are
-        bit-identical to an uncheckpointed serial sweep."""
-        register_fake_protocol("counted", _counted_runner)
-        count_file = tmp_path / "runs.log"
-        monkeypatch.setenv("REPRO_STORE_COUNT_FILE", str(count_file))
-        checkpoint = tmp_path / "ck.json"
-        serial = run_experiment(_spec(name="counted"))
-        count_file.write_text("")
-
-        # Interrupted sweep, 2 of 3 seeds done, its runs then saved in
-        # the legacy format.
-        partial = tmp_path / "partial.jsonl"
-        run_experiments(
-            [_spec(seeds=(0, 1), name="counted")],
-            config=SweepConfig(checkpoint=partial),
-        )
-        assert len(count_file.read_text().splitlines()) == 4
-        _write_legacy(checkpoint, JsonlCheckpointStore(partial).load())
-        assert "runs" in json.loads(checkpoint.read_text())
-
-        # Resume with the JSONL default: only the 2 missing runs execute,
-        # the file migrates, and the cells match the serial sweep exactly.
-        resumed = run_experiments(
-            [_spec(name="counted")],
-            config=SweepConfig(workers=2, checkpoint=checkpoint),
-        )[0]
-        assert len(count_file.read_text().splitlines()) == 6
-        assert _comparable(resumed.cells) == _comparable(serial.cells)
-        header = json.loads(checkpoint.read_text().splitlines()[0])
-        assert header["format"] == "jsonl"
-
-        # A further pass is a pure replay: nothing executes, and the
-        # checkpoint is byte-identical afterwards.
-        before = checkpoint.read_bytes()
-        replayed = run_experiments(
-            [_spec(name="counted")],
-            config=SweepConfig(checkpoint=checkpoint),
-        )[0]
-        assert len(count_file.read_text().splitlines()) == 6
-        assert _comparable(replayed.cells) == _comparable(serial.cells)
-        assert checkpoint.read_bytes() == before
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ('{"version": 1, "runs": {}}', "has no JSONL header line"),
+            ("[]", "has no JSONL header line"),
+            ('{"key": "k", "record": {}}\n', "has no JSONL header line"),
+            (
+                '{"key": "a", "record": {}}\n{"key": "b", "record": {}}\n',
+                "neither a JSONL checkpoint nor valid JSON",
+            ),
+            ("leader elected\n", "neither a JSONL checkpoint nor valid JSON"),
+        ],
+    )
+    def test_header_less_file_rejected_at_load_by_path(self, tmp_path, content, problem):
+        path = tmp_path / "ck.json"
+        path.write_text(content, encoding="utf-8")
+        store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
+        with pytest.raises(ConfigurationError, match=problem) as info:
+            store.load()
+        assert str(path) in str(info.value)
+        assert "predates the JSONL format" in str(info.value)
+        assert path.read_text(encoding="utf-8") == content
 
 
 class TestCorruptionTolerance:
@@ -295,57 +261,20 @@ class TestCompaction:
         assert all("node_results" not in record for record in runs.values())
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_appends_and_rewrites_leave_only_the_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.json"
+        store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
+        records = _records(2)
+        for key, record in records.items():
+            store.add(key, record)  # two appending flushes
+        assert store.compact() == 2
+        store.flush()  # an atomic rewrite
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        assert set(JsonlCheckpointStore(path).load()) == set(records)
+
     def test_flush_interval_validation(self, tmp_path):
         for bad in (-1.0, float("nan")):
             with pytest.raises(ConfigurationError, match="flush_interval_seconds"):
                 JsonlCheckpointStore(tmp_path / "ck.json", flush_interval_seconds=bad)
         # Zero (flush on every add) stays legal.
         JsonlCheckpointStore(tmp_path / "ok.json", flush_interval_seconds=0.0)
-
-
-class TestStagedMode:
-    def test_partial_sidecar_then_atomic_publish(self, tmp_path):
-        path = tmp_path / "block.json"
-        records = _records(2)
-        staged = JsonlCheckpointStore(
-            path, flush_interval_seconds=0.0, staged=True
-        )
-        for key, record in records.items():
-            staged.add(key, record)
-        staged.flush()
-        # Flushes land in the writer-unique partial; the real path does
-        # not exist until publish.
-        (partial,) = tmp_path.glob(f"block.json.{os.getpid()}-*.partial")
-        assert partial == staged._partial_path() and not path.exists()
-        staged.publish()
-        assert path.exists() and not partial.exists()
-        assert JsonlCheckpointStore(path).load() == records
-
-    def test_load_folds_in_dead_writers_partial(self, tmp_path):
-        # A dead job flushed one run to its partial but never published:
-        # the thief's store resumes that progress instead of redoing it.
-        path = tmp_path / "block.json"
-        records = _records(2)
-        dead_partial = Path(f"{path}.99999.partial")
-        dead_partial.write_text(
-            json.dumps(
-                {"format": "jsonl", "kind": "checkpoint", "version": 1},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-            + json.dumps(
-                {"key": "key-0", "record": records["key-0"]},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-        thief = JsonlCheckpointStore(
-            path, flush_interval_seconds=0.0, staged=True
-        )
-        assert thief.load() == {"key-0": records["key-0"]}
-        thief.add("key-1", records["key-1"])
-        thief.publish()
-        assert not dead_partial.exists()
-        assert JsonlCheckpointStore(path).load() == records

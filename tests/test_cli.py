@@ -226,13 +226,28 @@ class TestCommands:
 
     def test_sweep_rejects_non_positive_timeouts(self, capsys):
         base = ["sweep", "--suite", "tiny", "--algorithms", "flooding"]
-        for flag, name in (
-            ("--lease-timeout", "lease_timeout"),
-            ("--task-timeout", "task_timeout"),
-        ):
-            for bad in ("0", "-2.5", "nan"):
-                assert main(base + [flag, bad]) == 2
-                assert name in capsys.readouterr().err
+        for bad in ("0", "-2.5", "nan"):
+            assert main(base + ["--task-timeout", bad]) == 2
+            assert "task_timeout" in capsys.readouterr().err
+
+    def test_sweep_rejects_removed_auto_shard(self, capsys, tmp_path):
+        code = main(
+            [
+                "sweep",
+                "--suite",
+                "tiny",
+                "--algorithms",
+                "flooding",
+                "--checkpoint",
+                str(tmp_path / "ck.json"),
+                "--shard",
+                "auto",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "work stealing" in err
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_derive_seeds(self, capsys):
         code = main(

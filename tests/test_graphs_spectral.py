@@ -13,6 +13,7 @@ from repro.graphs import (
     algebraic_connectivity,
     complete,
     cycle,
+    grid_2d,
     lazy_walk_matrix,
     mixing_time,
     mixing_time_spectral_bound,
@@ -53,6 +54,35 @@ class TestWalkMatrices:
         pi = stationary_distribution(topology)
         matrix = lazy_walk_matrix(topology)
         assert np.allclose(pi @ matrix, pi)
+
+    @pytest.mark.parametrize(
+        "topology", [path(6), cycle(7), complete(5), grid_2d(3, 4)], ids=str
+    )
+    def test_stationary_is_degree_over_twice_the_edges(self, topology):
+        pi = stationary_distribution(topology)
+        for node in range(topology.num_nodes):
+            assert pi[node] == pytest.approx(
+                topology.degree(node) / (2 * topology.num_edges)
+            )
+        assert np.allclose(pi @ lazy_walk_matrix(topology), pi)
+
+    def test_stationary_undefined_without_edges(self):
+        with pytest.raises(ConfigurationError, match="without edges"):
+            stationary_distribution(Topology(1, []))
+
+    def test_lazy_walk_from_a_point_mass_converges_to_stationary(self):
+        # The exact distribution of a lazy walk started at a leaf of the
+        # star: a point mass at step 0, a probability vector at every
+        # step, and within 1e-3 of deg(v)/2m after 200 steps.
+        topology = star(6)
+        matrix = lazy_walk_matrix(topology)
+        distribution = np.zeros(topology.num_nodes)
+        distribution[1] = 1.0
+        for _ in range(200):
+            distribution = distribution @ matrix
+            assert distribution.sum() == pytest.approx(1.0)
+            assert (distribution >= 0).all()
+        assert np.allclose(distribution, stationary_distribution(topology), atol=1e-3)
 
 
 class TestMixingTime:

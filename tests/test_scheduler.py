@@ -1,10 +1,9 @@
-"""Adaptive dispatch and work-stealing shard tests.
+"""Adaptive dispatch and concurrent-writer tests.
 
 The acceptance pin of the elastic sweep engine: the adaptive scheduler
-(cost-aware batching, timeout/death re-dispatch) and the ``--shard auto``
-work-stealing path must produce results bit-identical to the serial
-driver for any worker count, start method, batch size and kill/timeout
-schedule.  Wall-clock readings are the one legitimate difference, so
+(cost-aware batching, timeout/death re-dispatch) must produce results
+bit-identical to the serial driver for any worker count, start method,
+batch size and kill/timeout schedule.  Wall-clock readings are the one legitimate difference, so
 cell comparisons drop ``mean_wall_clock_seconds`` — everything else
 must match exactly.
 
@@ -13,12 +12,10 @@ on the floor (timeout re-dispatch without real stragglers) and a fake
 protocol that SIGKILLs its own pool worker exactly once (death re-dispatch).
 """
 
-import json
 import multiprocessing
 import os
 import signal
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -28,20 +25,14 @@ from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
 from repro.parallel import (
-    AUTO_SHARD,
     AdaptiveScheduler,
     JsonlCheckpointStore,
-    LeaseDirectory,
     ShardManifest,
     SweepConfig,
     TaskExecutionError,
     expand_run_tasks,
     manifest_path,
-    merge_shard_checkpoints,
-    parse_shard,
     run_experiments,
-    shard_checkpoint_path,
-    split_blocks,
     writer_token,
 )
 from repro.protocols import protocol_by_name
@@ -70,10 +61,6 @@ def _comparable(cells):
         row.pop("mean_wall_clock_seconds")
         rows.append(row)
     return rows
-
-
-def _comparable_results(results):
-    return [_comparable(result.cells) for result in results]
 
 
 #: The built-in flooding protocol, captured before a test shadows its name.
@@ -322,16 +309,6 @@ class TestWorkerDeathRecovery:
                     config=SweepConfig(workers=2, task_timeout=bad),
                 )
 
-    def test_bad_lease_timeout_rejected_up_front(self):
-        # lease_timeout only matters for sharded runs, but a bad value is
-        # rejected before any work starts — same contract as task_timeout.
-        for bad in (0.0, -5.0, float("nan")):
-            with pytest.raises(ConfigurationError, match="lease_timeout"):
-                run_experiments(
-                    [_spec()],
-                    config=SweepConfig(workers=2, lease_timeout=bad),
-                )
-
 
 # --------------------------------------------------------------------------- #
 # dispatch telemetry (batch_size / attempt / scheduler record)
@@ -383,171 +360,7 @@ class TestDispatchTelemetry:
 
 
 # --------------------------------------------------------------------------- #
-# --shard auto: work stealing over the lease directory
-# --------------------------------------------------------------------------- #
-
-
-class TestAutoShard:
-    def test_single_job_covers_grid_and_merge_matches_serial(self, tmp_path):
-        serial = run_experiments([_spec()], config=SweepConfig(workers=1))
-        base = tmp_path / "sweep.json"
-        auto = run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=2, checkpoint=base, shard="auto/4"),
-        )
-        assert _comparable_results(auto) == _comparable_results(serial)
-        payload = json.loads(manifest_path(base).read_text())
-        assert payload["mode"] == "auto"
-        summary = merge_shard_checkpoints(
-            manifest_path(base), tmp_path / "merged.json"
-        )
-        assert summary["tasks_merged"] == summary["tasks_expected"] == 9
-        replay = run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=1, checkpoint=tmp_path / "merged.json"),
-        )
-        assert _comparable_results(replay) == _comparable_results(serial)
-
-    def test_late_job_claims_nothing(self, tmp_path):
-        base = tmp_path / "sweep.json"
-        run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=1, checkpoint=base, shard="auto/4"),
-        )
-        second = run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=1, checkpoint=base, shard="auto/4"),
-        )
-        assert all(not result.cells for result in second)
-
-    def test_concurrent_jobs_partition_the_grid(self, tmp_path):
-        serial = run_experiments([_spec()], config=SweepConfig(workers=1))
-        base = tmp_path / "sweep.json"
-        errors = []
-
-        def job():
-            try:
-                run_experiments(
-                    [_spec()],
-                    config=SweepConfig(workers=1, checkpoint=base, shard=("auto", 9)),
-                )
-            except Exception as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
-
-        threads = [threading.Thread(target=job) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        summary = merge_shard_checkpoints(
-            manifest_path(base), tmp_path / "merged.json"
-        )
-        assert summary["tasks_merged"] == summary["tasks_expected"] == 9
-        replay = run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=1, checkpoint=tmp_path / "merged.json"),
-        )
-        assert _comparable_results(replay) == _comparable_results(serial)
-
-    def test_stale_lease_is_stolen(self, tmp_path, capfd):
-        serial = run_experiments([_spec()], config=SweepConfig(workers=1))
-        base = tmp_path / "sweep.json"
-        # A dead job claimed block 0 an hour ago and never heartbeat.
-        dead = LeaseDirectory(base, 4, owner="dead-job")
-        assert dead.claim_next() == (0, False)
-        stale = time.time() - 3600
-        os.utime(dead.lease_path(0), (stale, stale))
-        run_experiments(
-            [_spec()],
-            config=SweepConfig(
-                workers=1,
-                checkpoint=base,
-                shard=("auto", 4),
-                lease_timeout=60.0,
-            ),
-        )
-        assert "(1 stolen)" in capfd.readouterr().err
-        summary = merge_shard_checkpoints(
-            manifest_path(base), tmp_path / "merged.json"
-        )
-        assert summary["tasks_merged"] == summary["tasks_expected"] == 9
-        replay = run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=1, checkpoint=tmp_path / "merged.json"),
-        )
-        assert _comparable_results(replay) == _comparable_results(serial)
-
-    def test_live_lease_is_not_stolen(self, tmp_path):
-        base = tmp_path / "sweep.json"
-        other = LeaseDirectory(base, 4, owner="live-job")
-        assert other.claim_next() == (0, False)
-        results = run_experiments(
-            [_spec()],
-            config=SweepConfig(workers=1, checkpoint=base, shard=("auto", 4)),
-        )
-        # Blocks 1-3 execute here; block 0 stays with its live owner.
-        executed = sum(cell.runs for result in results for cell in result.cells)
-        keys = [task.key for task in expand_run_tasks(_spec())]
-        blocks = split_blocks(keys, 4)
-        assert executed == sum(len(block) for block in blocks[1:])
-        assert not other.is_done(0)
-
-    def test_auto_requires_checkpoint(self):
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            run_experiments([_spec()], config=SweepConfig(workers=1, shard="auto"))
-
-
-class TestLeaseDirectory:
-    def test_claims_are_exclusive_and_ordered(self, tmp_path):
-        base = tmp_path / "ck.json"
-        a = LeaseDirectory(base, 3, owner="a")
-        b = LeaseDirectory(base, 3, owner="b")
-        assert a.claim_next() == (0, False)
-        assert b.claim_next() == (1, False)
-        assert a.claim_next() == (2, False)
-        assert b.claim_next() is None
-        assert a.summary() == {
-            "blocks": 3,
-            "leases_claimed": 2,
-            "leases_stolen": 0,
-        }
-
-    def test_done_blocks_are_never_reclaimed(self, tmp_path):
-        base = tmp_path / "ck.json"
-        a = LeaseDirectory(base, 2, owner="a")
-        assert a.claim_next() == (0, False)
-        a.mark_done(0)
-        stale = time.time() - 3600
-        os.utime(a.lease_path(0), (stale, stale))
-        b = LeaseDirectory(base, 2, owner="b")
-        assert b.claim_next() == (1, False)
-        assert b.claim_next() is None
-
-    def test_heartbeat_prevents_theft(self, tmp_path):
-        base = tmp_path / "ck.json"
-        a = LeaseDirectory(base, 1, lease_timeout=0.05, owner="a")
-        assert a.claim_next() == (0, False)
-        b = LeaseDirectory(base, 1, lease_timeout=0.05, owner="b")
-        a.heartbeat(0)
-        assert b.claim_next() is None  # freshly touched: not stale
-        time.sleep(0.06)
-        assert b.claim_next() == (0, True)  # now stale: stolen
-        assert b.summary()["leases_stolen"] == 1
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="block count"):
-            LeaseDirectory(tmp_path / "ck.json", 0)
-        with pytest.raises(ConfigurationError, match="lease_timeout"):
-            LeaseDirectory(tmp_path / "ck.json", 1, lease_timeout=0.0)
-        with pytest.raises(ConfigurationError, match="lease_timeout"):
-            LeaseDirectory(
-                tmp_path / "ck.json", 1, lease_timeout=float("nan")
-            )
-
-
-# --------------------------------------------------------------------------- #
-# block splitting and shard-spec parsing
+# writer identity: concurrent writers never share a temp file
 # --------------------------------------------------------------------------- #
 
 
@@ -557,18 +370,20 @@ class TestWriterIdentity:
         assert len(tokens) == 64
         assert all(token.startswith(f"{os.getpid()}-") for token in tokens)
 
-    def test_concurrent_threads_never_share_temp_files_or_owners(
+    def test_concurrent_threads_never_share_temp_files(
         self, tmp_path, monkeypatch
     ):
         # Two jobs in one process (as under the threaded ``serve``) write
-        # the same manifest, race for the same stale lease, mark blocks
-        # done and stage the same block checkpoint at the same moment.
+        # the same static shard manifest, then replace one checkpoint with
+        # a fresh file, at the same moment.
         base = tmp_path / "sweep.json"
-        keys = [f"key-{index}" for index in range(4)]
-        dead = LeaseDirectory(base, 2, owner="dead-job")
-        assert dead.claim_next() == (0, False)
-        stale = time.time() - 3600
-        os.utime(dead.lease_path(0), (stale, stale))
+        keys = [task.key for task in expand_run_tasks(_spec())]
+        manifest = ShardManifest.plan(base, keys, 2)
+        store_path = tmp_path / "merged.json"
+        contents = [
+            {f"key-{index}": {"leader": job} for index in range(4)}
+            for job in range(2)
+        ]
 
         real_replace = os.replace
         temps = {}
@@ -579,78 +394,30 @@ class TestWriterIdentity:
 
         monkeypatch.setattr(os, "replace", recording_replace)
         barrier = threading.Barrier(2, timeout=30)
-        owners, partials, errors = [], [], []
+        errors = []
 
-        def job():
+        def job(records):
             try:
                 barrier.wait()
-                ShardManifest.plan_auto(base, keys, 2).write(manifest_path(base))
-                leases = LeaseDirectory(base, 2, lease_timeout=60.0)
-                owners.append(leases.owner)
-                index, _ = leases.claim_next()
-                store = JsonlCheckpointStore(
-                    tmp_path / "block.json", flush_interval_seconds=0.0, staged=True
-                )
-                store.add("key-0", {"leader": 1})
-                store.flush()
-                partials.append(store._partial_path().name)
+                manifest.write(manifest_path(base))
                 barrier.wait()
-                store.publish()
-                leases.mark_done(index)
+                JsonlCheckpointStore(store_path).write_fresh(records)
             except Exception as error:  # noqa: BLE001 - surfaced below
                 barrier.abort()
                 errors.append(error)
 
-        threads = [threading.Thread(target=job) for _ in range(2)]
+        threads = [
+            threading.Thread(target=job, args=(records,)) for records in contents
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert len(set(owners)) == 2
-        assert len(set(partials)) == 2
         first, second = temps.values()
-        assert len(first) >= 2 and len(second) >= 2  # publish, done
+        assert first and second  # each thread published at least once
         assert not set(first) & set(second)
-        assert JsonlCheckpointStore(tmp_path / "block.json").load() == {
-            "key-0": {"leader": 1}
-        }
-
-
-class TestBlockPlanning:
-    def test_split_blocks_is_contiguous_and_near_even(self):
-        items = list(range(10))
-        blocks = split_blocks(items, 3)
-        assert blocks == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert split_blocks(items, 1) == [items]
-        # More blocks than items: trailing blocks are empty, nothing lost.
-        blocks = split_blocks([1, 2], 4)
-        assert [item for block in blocks for item in block] == [1, 2]
-        assert len(blocks) == 4
-
-    def test_parse_shard_auto_spellings(self):
-        assert parse_shard("auto") == (AUTO_SHARD, None)
-        assert parse_shard("auto/4") == (AUTO_SHARD, 4)
-        assert parse_shard("0/2") == (0, 2)
-        with pytest.raises(ConfigurationError):
-            parse_shard("auto/0")
-        with pytest.raises(ConfigurationError):
-            parse_shard("auto/x")
-
-    def test_plan_auto_manifest_round_trips(self, tmp_path):
-        base = tmp_path / "sweep.json"
-        keys = [task.key for task in expand_run_tasks(_spec())]
-        manifest = ShardManifest.plan_auto(base, keys, 4)
-        assert manifest.mode == "auto"
-        assert len(manifest.shard_files) == 4
-        assert manifest.shard_files[0] == shard_checkpoint_path(base, 0, 4).name
-        restored = ShardManifest.from_payload(manifest.as_payload(), "test")
-        assert restored.mode == "auto"
-        assert restored.as_payload() == manifest.as_payload()
-        # Static manifests (and pre-auto payloads) default to "static".
-        static = ShardManifest.plan(base, keys, 2)
-        assert static.mode == "static"
-        payload = static.as_payload()
-        payload.pop("mode")
-        assert ShardManifest.from_payload(payload, "test").mode == "static"
+        assert ShardManifest.load(manifest_path(base)) == manifest
+        assert JsonlCheckpointStore(store_path).load() in contents
+        assert not list(tmp_path.glob("*.tmp"))

@@ -40,6 +40,7 @@ from repro.parallel import (
     run_experiments,
     select_shard,
     shard_checkpoint_path,
+    shard_round_robin,
     validate_shard,
 )
 from repro.protocols import run_protocol
@@ -95,6 +96,12 @@ class TestShardSelection:
         with pytest.raises(ConfigurationError):
             parse_shard(text)
 
+    @pytest.mark.parametrize("text", ["auto", "auto/4"])
+    def test_auto_shard_is_rejected_with_the_replacement(self, text):
+        with pytest.raises(ConfigurationError, match="work stealing") as info:
+            parse_shard(text)
+        assert "i/k" in str(info.value) and "merge" in str(info.value)
+
     def test_validate_shard_bounds(self):
         assert validate_shard(0, 1) == (0, 1)
         with pytest.raises(ConfigurationError):
@@ -109,6 +116,34 @@ class TestShardSelection:
         assert shards[0] == [0, 3, 6, 9]
         # Deterministic: same inputs, same slice.
         assert select_shard(items, 0, 3) == shards[0]
+
+    @pytest.mark.parametrize(
+        "count, shards", [(0, 1), (1, 3), (7, 1), (7, 3), (9, 3), (10, 4), (5, 8)]
+    )
+    def test_round_robin_split_is_a_near_even_partition(self, tmp_path, count, shards):
+        keys = [f"task-{index}" for index in range(count)]
+        buckets = shard_round_robin(keys, shards)
+        assert len(buckets) == shards
+        assert sorted(key for bucket in buckets for key in bucket) == sorted(keys)
+        sizes = [len(bucket) for bucket in buckets]
+        assert max(sizes) - min(sizes) <= 1
+        for index, bucket in enumerate(buckets):
+            assert bucket == keys[index::shards]
+            # Job-side selection and the manifest's coverage bookkeeping
+            # apply the same assignment rule.
+            assert select_shard(keys, index, shards) == bucket
+        manifest = ShardManifest.plan(tmp_path / "ck.json", keys, shards)
+        assert manifest.shard_tasks == tuple(tuple(bucket) for bucket in buckets)
+
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_round_robin_rejects_non_positive_shard_count(self, shards):
+        with pytest.raises(ValueError, match="shards must be positive"):
+            shard_round_robin([1, 2, 3], shards)
+
+    @pytest.mark.parametrize("index, count", [(3, 3), (0, 0), (-1, 2)])
+    def test_select_shard_validates_before_slicing(self, index, count):
+        with pytest.raises(ConfigurationError, match="shard"):
+            select_shard(list(range(6)), index, count)
 
     def test_shard_requires_checkpoint(self):
         with pytest.raises(ConfigurationError, match="requires a checkpoint"):
@@ -256,6 +291,21 @@ class TestShardedSweepEquivalence:
         )  # resume: replay
         assert len(count_file.read_text().splitlines()) == executed
 
+    def test_single_shard_split_covers_grid_and_merge_matches_serial(self, tmp_path):
+        # A 0/1 split is one job owning the whole grid: its shard file
+        # holds every run and merges into a replay of the serial sweep.
+        serial = run_experiment(_spec())
+        base = tmp_path / "sweep.json"
+        run_experiments([_spec()], config=SweepConfig(checkpoint=base, shard=(0, 1)))
+        keys = {task.key for task in expand_run_tasks(_spec())}
+        assert set(JsonlCheckpointStore(shard_checkpoint_path(base, 0, 1)).load()) == keys
+        merged = tmp_path / "merged.json"
+        summary = merge_shard_checkpoints(manifest_path(base), merged)
+        assert summary["shards"] == summary["shards_found"] == 1
+        assert summary["tasks_merged"] == summary["tasks_expected"] == len(keys)
+        replayed = run_experiments([_spec()], config=SweepConfig(checkpoint=merged))
+        assert _comparable(replayed[0].cells) == _comparable(serial.cells)
+
 
 # --------------------------------------------------------------------------- #
 # the shard manifest
@@ -301,11 +351,137 @@ class TestShardManifest:
                 config=SweepConfig(checkpoint=base, shard=(1, 2)),
             )
 
+    def test_pre_change_static_manifest_still_matches_a_fresh_plan(self, tmp_path):
+        # Manifests used to carry a "mode" key; a static one already on
+        # disk must keep matching the plan a resumed shard job computes.
+        base = tmp_path / "sweep.json"
+        keys = [task.key for task in expand_run_tasks(_spec())]
+        manifest = ShardManifest.plan(base, keys, 2)
+        assert "mode" not in manifest.as_payload()
+        manifest_path(base).write_text(
+            json.dumps({**manifest.as_payload(), "mode": "static"}, indent=1)
+        )
+        assert ShardManifest.load(manifest_path(base)) == manifest
+        manifest.write(manifest_path(base))  # idempotent, not a conflict
+
+    def test_auto_manifest_from_before_the_change_merges(
+        self, tmp_path, monkeypatch, register_fake_protocol
+    ):
+        # What a `--shard auto/3` sweep left on disk: a manifest with
+        # "mode": "auto" over contiguous task-key blocks, one block
+        # checkpoint per shard file.
+        serial = run_experiment(_spec())
+        base = tmp_path / "sweep.json"
+        full = tmp_path / "full.json"
+        run_experiments([_spec()], config=SweepConfig(checkpoint=full))
+        records = JsonlCheckpointStore(full).load()
+        keys = [task.key for task in expand_run_tasks(_spec())]
+        blocks = [keys[0:3], keys[3:6], keys[6:9]]
+        shards = []
+        for index, block in enumerate(blocks):
+            shard_file = shard_checkpoint_path(base, index, len(blocks))
+            JsonlCheckpointStore(shard_file).write_fresh(
+                {key: records[key] for key in block}
+            )
+            shards.append({"index": index, "file": shard_file.name, "tasks": block})
+        manifest_path(base).write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "kind": "shard-manifest",
+                    "mode": "auto",
+                    "shard_count": len(blocks),
+                    "shards": shards,
+                },
+                indent=1,
+                sort_keys=True,
+            )
+        )
+
+        merged = tmp_path / "merged.json"
+        summary = merge_shard_checkpoints(manifest_path(base), merged)
+        assert summary["tasks_merged"] == summary["tasks_expected"] == 9
+
+        count_file = tmp_path / "invocations.log"
+        monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
+        register_fake_protocol("flooding", count_file_runner)
+        replayed = run_experiments([_spec()], config=SweepConfig(checkpoint=merged))
+        assert not count_file.exists()
+        assert _comparable(replayed[0].cells) == _comparable(serial.cells)
+
     def test_manifest_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "not-manifest.json"
         path.write_text(json.dumps({"version": 1, "runs": {}}))
         with pytest.raises(ConfigurationError, match="not a shard manifest"):
             ShardManifest.load(path)
+
+    def test_manifest_rejects_other_format_version(self, tmp_path):
+        manifest = ShardManifest.plan(tmp_path / "ck.json", ["a", "b"], 2)
+        path = manifest_path(tmp_path / "ck.json")
+        path.write_text(json.dumps({**manifest.as_payload(), "version": 2}))
+        with pytest.raises(ConfigurationError, match="format version 2"):
+            ShardManifest.load(path)
+
+    def test_missing_manifest_names_the_sharded_sweep(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="does not exist.*--shard i/k"):
+            ShardManifest.load(tmp_path / "absent.manifest.json")
+
+    def test_manifest_that_is_not_json_rejected(self, tmp_path):
+        path = tmp_path / "sweep.manifest.json"
+        path.write_text('{"version": 1, "kind": "shard-mani')
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            ShardManifest.load(path)
+
+    @pytest.mark.parametrize("shard_count", [0, -1])
+    def test_plan_rejects_non_positive_shard_count(self, tmp_path, shard_count):
+        with pytest.raises(ConfigurationError, match="shard count must be >= 1"):
+            ShardManifest.plan(tmp_path / "ck.json", ["a"], shard_count)
+
+    @pytest.mark.parametrize(
+        "base, index, count, suffix, expected",
+        [
+            ("sweep.json", 0, 2, ".json", "sweep.shard0of2.json"),
+            ("sweep", 1, 3, ".json", "sweep.shard1of3.json"),
+            ("runs/grid.jsonl", 3, 4, ".json", "runs/grid.shard3of4.jsonl"),
+            ("telemetry", 0, 1, ".jsonl", "telemetry.shard0of1.jsonl"),
+        ],
+    )
+    def test_shard_checkpoint_path_naming(
+        self, tmp_path, base, index, count, suffix, expected
+    ):
+        path = shard_checkpoint_path(
+            tmp_path / base, index, count, default_suffix=suffix
+        )
+        assert path == tmp_path / expected
+
+    @pytest.mark.parametrize(
+        "base, expected",
+        [("sweep.json", "sweep.manifest.json"), ("sweep", "sweep.manifest.json")],
+    )
+    def test_manifest_path_naming(self, tmp_path, base, expected):
+        assert manifest_path(tmp_path / base) == tmp_path / expected
+
+    def test_write_creates_parents_and_leaves_no_temp_file(self, tmp_path):
+        base = tmp_path / "nested" / "dir" / "sweep.json"
+        manifest = ShardManifest.plan(base, ["a", "b", "c"], 2)
+        manifest.write(manifest_path(base))
+        assert ShardManifest.load(manifest_path(base)) == manifest
+        assert sorted(p.name for p in base.parent.iterdir()) == [
+            "sweep.manifest.json"
+        ]
+
+    def test_shard_files_resolve_next_to_the_manifest(self, tmp_path):
+        base = tmp_path / "sweep.json"
+        manifest = ShardManifest.plan(base, ["a", "b", "c"], 3)
+        assert manifest.shard_files == (
+            "sweep.shard0of3.json",
+            "sweep.shard1of3.json",
+            "sweep.shard2of3.json",
+        )
+        assert manifest.shard_file_paths(manifest_path(base)) == [
+            shard_checkpoint_path(base, index, 3) for index in range(3)
+        ]
+        assert manifest.expected_keys() == {"a": 0, "b": 1, "c": 2}
 
 
 # --------------------------------------------------------------------------- #
@@ -416,6 +592,22 @@ class TestMergeValidation:
         assert summary["extraneous_records_dropped"] == 1
         assert summary["tasks_missing"] == 0
         assert stale_keys[0] not in JsonlCheckpointStore(tmp_path / "m.json").load()
+
+    def test_pre_jsonl_shard_file_rejected_before_output_is_written(self, tmp_path):
+        # A shard file in the whole-file JSON format of earlier builds is
+        # refused by name; the merge writes no output and leaves the
+        # shard file as it was.
+        base = _sharded_run(tmp_path)
+        shard = shard_checkpoint_path(base, 1, 2)
+        runs = JsonlCheckpointStore(shard).load()
+        shard.write_text(json.dumps({"version": 1, "runs": runs}))
+        before = shard.read_bytes()
+        output = tmp_path / "m.json"
+        with pytest.raises(ConfigurationError, match="predates the JSONL format") as info:
+            merge_shard_checkpoints(manifest_path(base), output)
+        assert str(shard) in str(info.value)
+        assert not output.exists()
+        assert shard.read_bytes() == before
 
 
 # --------------------------------------------------------------------------- #
