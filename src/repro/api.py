@@ -97,8 +97,7 @@ def plan_sweep(
         raise ConfigurationError(
             "adversary and scenario are mutually exclusive"
         )
-    if adversary_params and adversary is None:
-        raise ConfigurationError("adversary_params requires adversary")
+    spec_adversary = _resolve_adversary(adversary, adversary_params)
     if seeds < 1:
         raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
     if topologies is None:
@@ -140,7 +139,6 @@ def plan_sweep(
             collect_profile=collect_profile,
         )
     else:
-        spec_adversary = _resolve_adversary(adversary, adversary_params)
         specs = sweep_specs(
             chosen,
             topologies,
@@ -154,6 +152,11 @@ def plan_sweep(
 def _resolve_adversary(adversary, adversary_params):
     """An :class:`~repro.dynamics.spec.AdversarySpec` from its CLI spelling."""
     if adversary is None:
+        if adversary_params:
+            raise ConfigurationError(
+                "adversary_params (--adversary-param) requires adversary "
+                "(--adversary)"
+            )
         return None
     from .dynamics import parse_adversary_params, spec_from_cli
     from .dynamics.spec import AdversarySpec

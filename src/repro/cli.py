@@ -53,6 +53,7 @@ with its parameter schema).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -118,28 +119,23 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
 def _cmd_elect(args: argparse.Namespace) -> int:
     from .api import run as run_election
 
-    if args.adversary_param and not args.adversary:
-        raise ReproError("--adversary-param requires --adversary")
     topology = parse_topology(args.topology, seed=args.topology_seed)
     spec = ProtocolSpec.parse(args.algorithm)
-    adversary = None
-    if args.adversary:
-        from .dynamics import parse_adversary_params, spec_from_cli
-
-        adversary = spec_from_cli(
-            args.adversary, parse_adversary_params(args.adversary_param or [])
-        )
     recorder = None
+    scope = contextlib.nullcontext()
     if args.trace:
         from .core.tracing import TraceRecorder, trace_scope
 
         recorder = TraceRecorder(max_events=args.trace_max_events)
-        with trace_scope(recorder):
-            result = run_election(
-                spec, topology, seed=args.seed, adversary=adversary
-            )
-    else:
-        result = run_election(spec, topology, seed=args.seed, adversary=adversary)
+        scope = trace_scope(recorder)
+    with scope:
+        result = run_election(
+            spec,
+            topology,
+            seed=args.seed,
+            adversary=args.adversary,
+            adversary_params=args.adversary_param,
+        )
     summary = {
         "algorithm": result.algorithm,
         "topology": result.topology_name,
@@ -152,8 +148,13 @@ def _cmd_elect(args: argparse.Namespace) -> int:
     }
     if spec.params:
         summary = {"algorithm": summary["algorithm"], "protocol": str(spec), **summary}
+    adversary = result.parameters.get("adversary")
     if adversary is not None:
-        summary["adversary"] = adversary.token()
+        from .dynamics import AdversarySpec
+
+        summary["adversary"] = AdversarySpec(
+            adversary["name"], tuple(sorted(adversary["params"].items()))
+        ).token()
     if recorder is not None:
         trace_summary = recorder.summary()
         recorder.to_jsonl(args.trace)
@@ -287,30 +288,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .parallel import parse_shard, shard_checkpoint_path
     from .workloads import DYNAMIC_SCENARIOS, suite_by_name
 
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.adversary and args.scenario:
-        raise ReproError("--adversary and --scenario are mutually exclusive")
-    if args.adversary_param and not args.adversary:
-        raise ReproError("--adversary-param requires --adversary")
-    if args.checkpoint_compact and not args.checkpoint:
-        raise ReproError("--checkpoint-compact requires --checkpoint")
-    if args.profile and not args.telemetry:
-        raise ReproError(
-            "--profile requires --telemetry (hotspots are reported through "
-            "the telemetry summary)"
-        )
-    shard = None
-    if args.shard is not None:
-        if not args.checkpoint:
-            raise ReproError(
-                "--shard requires --checkpoint (shard results must be "
-                "persisted so `repro-le merge` can fold them together)"
-            )
-        shard = parse_shard(args.shard)
-
-    topologies = suite_by_name(args.suite)
-    specs, adversarial = build_sweep_specs(args, topologies)
+    shard = parse_shard(args.shard) if args.shard is not None else None
     shard_label = f"shard {shard[0]}/{shard[1]}" if shard is not None else ""
 
     def slice_path(base: str, default_suffix: str):
@@ -324,12 +302,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jsonl = args.jsonl
     if jsonl and shard is not None:
         jsonl = slice_path(jsonl, ".jsonl")
-        print(f"{shard_label}: writing JSONL export to {jsonl}")
     telemetry_path = args.telemetry
     if telemetry_path and shard is not None:
         telemetry_path = slice_path(telemetry_path, ".jsonl")
-        print(f"{shard_label}: writing telemetry to {telemetry_path}")
     telemetry = TelemetrySink(telemetry_path) if telemetry_path else None
+    # Every check runs here, before a sink creates any file (the archive
+    # sink creates its database when it is built); the telemetry sink
+    # opens its file lazily.
+    config = SweepConfig(
+        workers=args.workers,
+        checkpoint=args.checkpoint,
+        start_method=args.start_method,
+        derive_seeds=args.derive_seeds,
+        base_seed=args.base_seed,
+        shard=shard,
+        backend=args.backend,
+        telemetry=telemetry,
+        profile=args.profile,
+        task_timeout=args.task_timeout,
+    )
+    topologies = suite_by_name(args.suite)
+    specs, adversarial = build_sweep_specs(args, topologies)
+    if jsonl and shard is not None:
+        print(f"{shard_label}: writing JSONL export to {jsonl}")
+    if telemetry_path and shard is not None:
+        print(f"{shard_label}: writing telemetry to {telemetry_path}")
     sinks: List[object] = [JsonlSink(jsonl)] if jsonl else []
     if args.archive:
         from .archive import ArchiveSink
@@ -353,19 +350,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if shard is not None:
             total = len(range(shard[0], total, shard[1]))
         sinks.append(ProgressSink(total, label=shard_label))
-    config = SweepConfig(
-        workers=args.workers,
-        checkpoint=args.checkpoint,
-        checkpoint_compact=args.checkpoint_compact,
-        start_method=args.start_method,
-        derive_seeds=args.derive_seeds,
-        base_seed=args.base_seed,
-        shard=shard,
-        backend=args.backend,
-        telemetry=telemetry,
-        profile=args.profile,
-        task_timeout=args.task_timeout,
-    )
     results = run_sweep(specs, config=config, sinks=sinks)
     rows = summarize_results(results)
     title = f"sweep over suite {args.suite!r}"
@@ -495,7 +479,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             manifest,
             output,
             allow_partial=args.allow_partial,
-            compact=args.compact,
         )
     except OSError as error:
         raise ReproError(f"merge failed: {error}") from error
@@ -519,10 +502,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .api import SweepConfig, query as run_query
     from .workloads import DYNAMIC_SCENARIOS, suite_by_name
 
-    if args.adversary and args.scenario:
-        raise ReproError("--adversary and --scenario are mutually exclusive")
-    if args.adversary_param and not args.adversary:
-        raise ReproError("--adversary-param requires --adversary")
     topologies = suite_by_name(args.suite)
     specs, adversarial = build_sweep_specs(args, topologies)
     config = SweepConfig(
@@ -592,7 +571,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_archive_add(args: argparse.Namespace) -> int:
     from .archive import ResultArchive
-    from .parallel.checkpoint import compact_record
     from .parallel.store import JsonlCheckpointStore
 
     with ResultArchive(args.archive) as archive:
@@ -609,11 +587,6 @@ def _cmd_archive_add(args: argparse.Namespace) -> int:
                 raise ReproError(
                     f"{path} is not a checkpoint file: {error}"
                 ) from error
-            if args.compact:
-                records = {
-                    key: compact_record(record)
-                    for key, record in records.items()
-                }
             seen += len(records)
             added += archive.add_records(records)
         print(
@@ -799,12 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file recording completed runs (append-only JSONL); an "
         "interrupted sweep rerun with the same checkpoint resumes instead "
         "of restarting",
-    )
-    sweep.add_argument(
-        "--checkpoint-compact",
-        action="store_true",
-        help="store checkpoint records without per-node diagnostics so "
-        "resume files of very large grids stay small",
     )
     sweep.add_argument(
         "--shard",
@@ -1058,13 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DB",
         help="result archive (SQLite) to absorb into; created if missing",
     )
-    archive_add.add_argument(
-        "--compact",
-        action="store_true",
-        help="strip per-node diagnostic payloads before archiving "
-        "(aggregates are unaffected; archives of very large grids stay "
-        "small)",
-    )
     archive_add.set_defaults(func=_cmd_archive_add)
     archive_stats = archive_sub.add_parser(
         "stats",
@@ -1104,11 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="merge whatever shards/tasks are present instead of requiring "
         "full grid coverage",
-    )
-    merge.add_argument(
-        "--compact",
-        action="store_true",
-        help="write the merged checkpoint without per-node diagnostics",
     )
     merge.set_defaults(func=_cmd_merge)
 

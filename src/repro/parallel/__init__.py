@@ -39,7 +39,6 @@ determinism guarantees are pinned down by ``tests/test_parallel_runner.py``,
 
 from .checkpoint import (
     ShardManifest,
-    compact_record,
     manifest_path,
     merge_shard_checkpoints,
     result_from_record,
@@ -72,7 +71,6 @@ __all__ = [
     "ShardManifest",
     "SweepConfig",
     "TaskExecutionError",
-    "compact_record",
     "derive_cell_seed",
     "expand_run_tasks",
     "manifest_path",

@@ -11,15 +11,11 @@ on-disk writer is the append-only
 The stored record round-trips everything the aggregation layer needs —
 outcome, metrics (including per-phase breakdowns), rounds, seed and
 parameters — so resumed sweeps produce cells identical to uninterrupted
-ones.  Per-node protocol results are stored when they are JSON-encodable
-and dropped otherwise (they are diagnostic payload, not aggregate input).
-
-For very large grids the per-node payloads dominate the file:
-*compaction* (:func:`compact_record`, ``JsonlCheckpointStore(compact=True)``,
-:meth:`~repro.parallel.store.JsonlCheckpointStore.compact`) strips them,
-keeping resume files proportional to the number of runs rather than to
-``runs × nodes``.  Compacted records restore to the same aggregates as
-full ones — only per-node diagnostics are gone.
+ones.  Per-node protocol results are not stored: they are diagnostic
+payload, not aggregate input, so a record's size is independent of the
+network size and a restored run has empty ``node_results``.  Records
+written by earlier builds may still carry a ``node_results`` field; it
+is ignored.
 
 Sharded checkpoints
 -------------------
@@ -50,7 +46,6 @@ from ..election.base import ElectionOutcome, LeaderElectionResult
 
 __all__ = [
     "ShardManifest",
-    "compact_record",
     "manifest_path",
     "merge_shard_checkpoints",
     "result_to_record",
@@ -66,7 +61,7 @@ MANIFEST_KIND = "shard-manifest"
 def writer_token() -> str:
     """A fresh name part unique to one writer: pid, thread id, random suffix.
 
-    Temp files (checkpoint compaction, shard manifests) are named with it
+    Temp files (checkpoint rewrites, shard manifests) are named with it
     so that no two writers ever share one — not two processes, and not two threads
     of one process either (``repro-le serve`` answers on threads).
     """
@@ -77,10 +72,6 @@ def result_to_record(
     result: LeaderElectionResult, wall_clock_seconds: float
 ) -> Dict[str, object]:
     """Serialise one run to a JSON-encodable checkpoint record."""
-    try:
-        node_results = json.loads(json.dumps(result.node_results))
-    except (TypeError, ValueError):
-        node_results = None
     return {
         "wall_clock_seconds": wall_clock_seconds,
         "algorithm": result.algorithm,
@@ -92,21 +83,7 @@ def result_to_record(
         "outcome": result.outcome.as_dict(),
         "metrics": result.metrics.as_dict(),
         "parameters": dict(result.parameters),
-        "node_results": node_results,
     }
-
-
-def compact_record(record: Dict[str, object]) -> Dict[str, object]:
-    """Strip a record down to what aggregation needs.
-
-    Drops the per-node diagnostic payload (the only unbounded part of a
-    record — everything else is O(1) per run).  Restoring a compacted
-    record yields a run whose aggregates — outcome, metrics, rounds —
-    are identical to the original's.
-    """
-    compacted = dict(record)
-    compacted.pop("node_results", None)
-    return compacted
 
 
 def result_from_record(
@@ -147,7 +124,6 @@ def result_from_record(
         rounds_executed=record["rounds_executed"],
         seed=record["seed"],
         parameters=dict(record.get("parameters", {})),
-        node_results=list(record.get("node_results") or []),
     )
     return result, float(record["wall_clock_seconds"])
 
@@ -326,7 +302,6 @@ def merge_shard_checkpoints(
     output: Union[str, Path],
     *,
     allow_partial: bool = False,
-    compact: bool = False,
 ) -> Dict[str, object]:
     """Fold the shard checkpoints of one sharded sweep into ``output``.
 
@@ -334,8 +309,7 @@ def merge_shard_checkpoints(
 
     * *conflicts* — two shards holding different measurements for the same
       task key abort the merge (identical records, e.g. from an
-      overlapping re-run, deduplicate silently; a compact and a full
-      record of the same run count as identical and the fuller one wins);
+      overlapping re-run, deduplicate silently);
     * *coverage* — every task key named by the manifest must be present,
       unless ``allow_partial`` (useful for merging the shards that did
       finish while a straggler is still running);
@@ -368,15 +342,13 @@ def merge_shard_checkpoints(
             known = merged.get(key)
             if known is None:
                 merged[key] = record
-            elif compact_record(known) != compact_record(record):
+            elif known != record:
                 raise ConfigurationError(
                     f"conflicting records for task {key!r} across shard "
                     f"checkpoints of {manifest_file}: the same run was "
                     f"measured twice with different outcomes, so the shard "
                     f"files do not belong to one sweep"
                 )
-            elif "node_results" in record and "node_results" not in known:
-                merged[key] = record  # keep the fuller of two equal records
     if missing_shards and not allow_partial:
         raise ConfigurationError(
             f"missing shard checkpoint(s) {missing_shards} for "
@@ -392,7 +364,7 @@ def merge_shard_checkpoints(
         )
 
     # Fresh merge output: an existing file is replaced, never resumed.
-    JsonlCheckpointStore(output, compact=compact).write_fresh(merged)
+    JsonlCheckpointStore(output).write_fresh(merged)
     return {
         "shards": manifest.shard_count,
         "shards_found": manifest.shard_count - len(missing_shards),

@@ -38,8 +38,8 @@ Determinism guarantees
   path, or any store object passed as ``checkpoint`` — the memoized
   query passes its :class:`~repro.archive.store.ResultArchive`.  A
   resumed sweep replays the stored runs and computes the same cells an
-  uninterrupted sweep would (per-node diagnostic payloads may be dropped
-  if they are not JSON-encodable).
+  uninterrupted sweep would (a restored run has no per-node diagnostic
+  payload: records never store one).
 * **Shard-transparent results.**  ``shard=(i, k)`` restricts execution to
   a deterministic round-robin slice of the grid and persists it to a
   per-shard checkpoint plus a shard manifest; merging the shard
@@ -142,14 +142,13 @@ class SweepConfig:
     #: :class:`~repro.parallel.store.RunStore`, such as a
     #: :class:`~repro.archive.store.ResultArchive`
     checkpoint: Optional[Union[str, Path, RunStore]] = None
-    #: store checkpoint records without per-node diagnostic payloads
-    #: (requires a checkpoint path)
-    checkpoint_compact: bool = False
     #: ``(i, k)`` / ``"i/k"`` round-robin slice; requires a checkpoint
     #: path and is stored parsed, as a tuple
     shard: Optional[Union[str, Tuple[int, int]]] = None
     #: derive an independent deterministic seed per cell from ``base_seed``
-    #: (see :func:`repro.parallel.sharding.derive_cell_seed`)
+    #: (see :func:`repro.parallel.sharding.derive_cell_seed`); a
+    #: ``base_seed`` without ``derive_seeds`` is rejected, since nothing
+    #: would read it
     derive_seeds: bool = False
     base_seed: Optional[int] = None
     #: seconds before a pool task's lease expires and it is re-dispatched
@@ -180,16 +179,18 @@ class SweepConfig:
         if self.profile is not None:
             if self.telemetry is None:
                 raise ConfigurationError(
-                    "profile= requires telemetry=: hotspots are reported "
-                    "through the telemetry summary"
+                    "profile= (--profile) requires telemetry= (--telemetry): "
+                    "hotspots are reported through the telemetry summary"
                 )
             try:
                 validate_profiler(self.profile)
             except ValueError as error:
                 raise ConfigurationError(str(error)) from error
-        if self.checkpoint_compact and not _is_path(self.checkpoint):
+        if self.base_seed is not None and not self.derive_seeds:
             raise ConfigurationError(
-                "checkpoint_compact= requires a checkpoint path"
+                "base_seed= (--base-seed) requires derive_seeds=True "
+                "(--derive-seeds): without it every cell runs seeds 0..N-1 "
+                "and the base seed would be ignored"
             )
         if self.shard is not None:
             shard = (
@@ -372,9 +373,6 @@ def run_experiments(
         for task in all_tasks
     }
 
-    def make_store(path):
-        return JsonlCheckpointStore(path, compact=config.checkpoint_compact)
-
     store = None
     if shard is not None:
         shard_index, shard_count = shard
@@ -383,13 +381,13 @@ def run_experiments(
         )
         manifest.write(manifest_path(checkpoint))
         my_tasks = select_shard(all_tasks, shard_index, shard_count)
-        store = make_store(
+        store = JsonlCheckpointStore(
             shard_checkpoint_path(checkpoint, shard_index, shard_count)
         )
     else:
         my_tasks = all_tasks
         if _is_path(checkpoint):
-            store = make_store(checkpoint)
+            store = JsonlCheckpointStore(checkpoint)
         elif checkpoint is not None:
             store = checkpoint
 

@@ -27,10 +27,10 @@ any flush could overwrite it: it is not a checkpoint, or it is a
 whole-file JSON checkpoint (``{"version": 1, "runs": {...}}``) from a
 build that predates the JSONL format, which is no longer read.
 
-**Compaction** bounds the file when records are superseded (re-added
-keys, ``compact=True`` stripping per-node payloads): once enough dead
-lines accumulate, the next flush rewrites the file atomically — sorted by
-key, so a fully-compacted store is byte-deterministic.
+A **dead-line rewrite** bounds the file when records are superseded
+(re-added keys): once enough dead lines accumulate, the next flush
+rewrites the file atomically — sorted by key, so a rewritten store is
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..obs import span
-from .checkpoint import compact_record, writer_token
+from .checkpoint import writer_token
 
 __all__ = ["JSONL_FORMAT", "JsonlCheckpointStore", "RunStore"]
 
@@ -104,10 +104,7 @@ class JsonlCheckpointStore:
     flush is older than ``flush_interval_seconds`` and otherwise only
     queues the record.  Callers flush explicitly at the end of a sweep;
     an interrupt in between loses at most one interval's worth of
-    completed runs.  With ``compact=True`` every record is compacted on
-    the way in (see :func:`~repro.parallel.checkpoint.compact_record`),
-    including records loaded from an existing full checkpoint.  See the
-    module docstring for the format.
+    completed runs.  See the module docstring for the format.
     """
 
     def __init__(
@@ -115,7 +112,6 @@ class JsonlCheckpointStore:
         path: Union[str, Path],
         *,
         flush_interval_seconds: float = 1.0,
-        compact: bool = False,
     ) -> None:
         self.path = Path(path)
         # Create missing parent directories up front: an unwritable or
@@ -132,19 +128,18 @@ class JsonlCheckpointStore:
                 f"got {flush_interval_seconds}"
             )
         self.flush_interval_seconds = flush_interval_seconds
-        self.compact_records = compact
         self._runs: Dict[str, Dict[str, object]] = {}
         self._loaded = False
         self._dirty = False
         self._last_flush = float("-inf")
         #: (key, record) completions not yet appended to disk
         self._pending: List[Tuple[str, Dict[str, object]]] = []
-        #: superseded lines sitting in the file (duplicate keys, compacted
-        #: records); when they outnumber the live records the next flush
-        #: rewrites instead of appending
+        #: superseded lines sitting in the file (duplicate keys); when
+        #: they outnumber the live records the next flush rewrites
+        #: instead of appending
         self._dead_lines = 0
         #: force the next flush to be an atomic whole-file rewrite —
-        #: set by torn-tail repair and :meth:`compact`
+        #: set by torn-tail repair
         self._needs_rewrite = False
 
     def __contains__(self, key: str) -> bool:
@@ -172,8 +167,6 @@ class JsonlCheckpointStore:
         with span("checkpoint.load"):
             if self.path.exists():
                 self._load_file()
-        if self.compact_records:
-            self.compact()
         return self._runs
 
     def _load_file(self) -> None:
@@ -236,13 +229,11 @@ class JsonlCheckpointStore:
             self._runs[str(key)] = dict(record)
 
     # ------------------------------------------------------------------ #
-    # writing (append by default, atomic rewrite when compacting)
+    # writing (append by default, atomic rewrite once lines are dead)
     # ------------------------------------------------------------------ #
     def add(self, key: str, record: Dict[str, object]) -> None:
         """Record a completed run; flush unless one happened very recently."""
         self.load()
-        if self.compact_records:
-            record = compact_record(record)
         existing = self._runs.get(key)
         if existing == record:
             return  # identical re-measurement: nothing new to persist
@@ -253,29 +244,6 @@ class JsonlCheckpointStore:
         self._dirty = True
         if time.monotonic() - self._last_flush >= self.flush_interval_seconds:
             self.flush()
-
-    def compact(self) -> int:
-        """Compact every stored record in place; returns how many shrank.
-
-        Useful for shrinking the checkpoint of an interrupted large sweep
-        before archiving or resuming it; the next :meth:`flush` rewrites
-        the file in the compact form.
-        """
-        compacted = 0
-        for key, record in self.load().items():
-            slim = compact_record(record)
-            if slim != record:
-                self._runs[key] = slim
-                compacted += 1
-        if compacted:
-            # Superseded full records are dead lines in the file; force
-            # the next flush to rewrite rather than append-after.
-            self._dirty = True
-            self._needs_rewrite = True
-            self._pending = [
-                (key, self._runs[key]) for key, _ in self._pending
-            ]
-        return compacted
 
     def _compaction_due(self) -> bool:
         return self._dead_lines > max(64, len(self._runs))
@@ -295,13 +263,10 @@ class JsonlCheckpointStore:
         """Make ``records`` the store's whole contents, written as a fresh file.
 
         Whatever ``path`` held is replaced unread, in one atomic whole-file
-        write sorted by key (compacted first when the store compacts) —
-        the byte-deterministic output a shard merge needs.
+        write sorted by key — the byte-deterministic output a shard merge
+        needs.
         """
-        self._runs = {
-            key: compact_record(record) if self.compact_records else record
-            for key, record in records.items()
-        }
+        self._runs = dict(records)
         self._loaded = True
         with span("checkpoint.flush"):
             self._rewrite()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.graphs import (
     random_regular,
     star,
 )
+from repro.parallel import result_to_record
 from repro.protocols import PROTOCOLS, register_protocol
 
 
@@ -41,6 +43,28 @@ def register_fake_protocol():
             PROTOCOLS.pop(name, None)
         else:
             PROTOCOLS[name] = previous
+
+
+@pytest.fixture
+def pre_change_records():
+    """Build run records in the shape earlier builds wrote.
+
+    Call it as ``pre_change_records(tasks)`` with tasks from
+    :func:`repro.parallel.expand_run_tasks`; it runs each task and returns
+    ``{task key: record}``, every record carrying the run's per-node
+    results under ``node_results`` as those builds stored them.
+    """
+
+    def build(tasks):
+        records = {}
+        for task in tasks:
+            result = task.runner(task.topology, task.seed)
+            record = result_to_record(result, 0.0)
+            record["node_results"] = json.loads(json.dumps(result.node_results))
+            records[task.key] = record
+        return records
+
+    return build
 
 
 @pytest.fixture

@@ -61,8 +61,6 @@ class TestSweepConfig:
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ConfigurationError, match="workers"):
             api.SweepConfig(workers=0)
-        with pytest.raises(ConfigurationError, match="checkpoint_compact"):
-            api.SweepConfig(checkpoint_compact=True)
         with pytest.raises(ConfigurationError, match="shard"):
             api.SweepConfig(shard=(0, 2))
         with pytest.raises(ConfigurationError, match="telemetry"):
@@ -76,6 +74,12 @@ class TestSweepConfig:
             api.SweepConfig(task_timeout=-1)
         with pytest.raises(ConfigurationError, match="shard count"):
             api.SweepConfig(shard="0/0", checkpoint=tmp_path / "ck.jsonl")
+
+    def test_base_seed_requires_derive_seeds(self):
+        with pytest.raises(ConfigurationError, match="requires derive_seeds"):
+            api.SweepConfig(base_seed=7)
+        assert api.SweepConfig(derive_seeds=True, base_seed=7).base_seed == 7
+        assert api.SweepConfig(derive_seeds=True).base_seed is None
 
     def test_query_kwargs_reject_checkpoint_and_shard(self, tmp_path):
         specs = sweep_specs(
@@ -162,6 +166,10 @@ class TestRunFacade:
             adversary=spec_from_cli("loss", {"p": 0.2}),
         )
         assert via_cli_spelling.as_dict() == via_spec_object.as_dict()
+
+    def test_run_rejects_adversary_params_without_adversary(self):
+        with pytest.raises(ConfigurationError, match="requires adversary"):
+            api.run("flooding", cycle(5), seed=1, adversary_params=["p=0.9"])
 
 
 class TestSweepFacade:

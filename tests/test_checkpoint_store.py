@@ -226,29 +226,13 @@ class TestCompaction:
         assert len(lines) < 20
         assert JsonlCheckpointStore(path).load()["k"]["elapsed_seconds"] == 69.0
 
-    def test_explicit_compact_strips_node_results(self, tmp_path):
-        path = tmp_path / "ck.json"
-        store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
-        for key, record in _records(2).items():
-            store.add(key, record)
-        store.flush()
-        store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
-        assert store.compact() == 2
-        store.flush()
-        runs = JsonlCheckpointStore(path).load()
-        assert all("node_results" not in record for record in runs.values())
-        # Fully-compacted stores are byte-deterministic: header + records
-        # sorted by key.
-        keys = [json.loads(line)["key"] for line in path.read_text().splitlines()[1:]]
-        assert keys == sorted(keys)
-
     def test_write_fresh_replaces_the_file_unread(self, tmp_path):
         path = tmp_path / "ck.json"
         records = _records(3)
         stale = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
         stale.add("stale", records["key-0"])
         stale.flush()
-        JsonlCheckpointStore(path, compact=True).write_fresh(
+        JsonlCheckpointStore(path).write_fresh(
             {key: records[key] for key in ("key-2", "key-0", "key-1")}
         )
         lines = path.read_text().splitlines()
@@ -267,8 +251,13 @@ class TestCompaction:
         records = _records(2)
         for key, record in records.items():
             store.add(key, record)  # two appending flushes
-        assert store.compact() == 2
-        store.flush()  # an atomic rewrite
+        # Superseding one record 70 times leaves more dead lines than
+        # max(64, live records): the last flush is an atomic rewrite.
+        for i in range(70):
+            changed = dict(records["key-0"])
+            changed["wall_clock_seconds"] = float(i)
+            store.add("key-0", changed)
+        assert len(path.read_text().splitlines()) < 20
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
         assert set(JsonlCheckpointStore(path).load()) == set(records)
 

@@ -154,7 +154,7 @@ class TestCommands:
             ]
         )
         assert code == 2
-        assert "--adversary-param requires --adversary" in capsys.readouterr().err
+        assert "requires adversary" in capsys.readouterr().err
 
     def test_compare(self, capsys):
         code = main(
@@ -344,7 +344,7 @@ class TestSweepDynamics:
     def test_sweep_rejects_bad_workers(self, capsys):
         code = main(self.BASE + ["--workers", "0"])
         assert code == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_sweep_rejects_unknown_adversary(self, capsys):
         code = main(self.BASE + ["--adversary", "gremlin"])
@@ -361,12 +361,42 @@ class TestSweepDynamics:
     def test_sweep_rejects_param_without_adversary(self, capsys):
         code = main(self.BASE + ["--adversary-param", "p=0.1"])
         assert code == 2
-        assert "requires --adversary" in capsys.readouterr().err
+        assert "requires adversary" in capsys.readouterr().err
 
-    def test_sweep_rejects_compact_without_checkpoint(self, capsys):
-        code = main(self.BASE + ["--checkpoint-compact"])
+    def test_query_rejects_param_without_adversary(self, capsys, tmp_path):
+        code = main(
+            ["query", "--archive", str(tmp_path / "a.sqlite")]
+            + self.BASE[1:]
+            + ["--adversary-param", "p=0.1"]
+        )
         assert code == 2
-        assert "requires --checkpoint" in capsys.readouterr().err
+        assert "requires adversary" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_config_error_leaves_no_archive(self, capsys, tmp_path):
+        archive = tmp_path / "a.sqlite"
+        code = main(self.BASE + ["--archive", str(archive), "--task-timeout", "0"])
+        assert code == 2
+        assert "task_timeout" in capsys.readouterr().err
+        assert not archive.exists()
+
+    def test_sweep_base_seed_requires_derive_seeds(self, capsys):
+        code = main(self.BASE + ["--base-seed", "7"])
+        assert code == 2
+        assert "requires derive_seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["merge", "--manifest", "sweep.manifest.json", "--compact"],
+            ["archive", "add", "ck.json", "--archive", "a.sqlite", "--compact"],
+        ],
+    )
+    def test_removed_compact_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_rejects_adversary_and_scenario_together(self, capsys):
         code = main(
@@ -397,19 +427,29 @@ class TestSweepDynamics:
         assert code == 2
         assert "composed" in capsys.readouterr().err
 
-    def test_sweep_checkpoint_compact(self, capsys, tmp_path):
-        import json
-
+    def test_sweep_checkpoint_records_carry_no_node_results(self, capsys, tmp_path):
         checkpoint = tmp_path / "ck.json"
-        code = main(
-            self.BASE + ["--checkpoint", str(checkpoint), "--checkpoint-compact"]
-        )
+        code = main(self.BASE + ["--checkpoint", str(checkpoint)])
         assert code == 0
         from repro.parallel import JsonlCheckpointStore
 
         runs = JsonlCheckpointStore(checkpoint).load()
         assert runs
         assert all("node_results" not in record for record in runs.values())
+        capsys.readouterr()
+
+    def test_sweep_archive_records_carry_no_node_results(self, capsys, tmp_path):
+        import json
+        import sqlite3
+        from contextlib import closing
+
+        archive = tmp_path / "a.sqlite"
+        assert main(self.BASE + ["--archive", str(archive)]) == 0
+        with closing(sqlite3.connect(str(archive))) as conn:
+            rows = conn.execute("SELECT record FROM runs").fetchall()
+        records = [json.loads(record) for (record,) in rows]
+        assert len(records) == 10
+        assert all("node_results" not in record for record in records)
         capsys.readouterr()
 
     def test_sweep_creates_missing_checkpoint_directories(self, capsys, tmp_path):
@@ -434,7 +474,7 @@ class TestSweepSharding:
     def test_shard_requires_checkpoint(self, capsys):
         code = main(self.BASE + ["--shard", "0/2"])
         assert code == 2
-        assert "--shard requires --checkpoint" in capsys.readouterr().err
+        assert "requires a checkpoint path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shard", ["2/2", "3/2", "-1/2", "1/0", "x/y", "1"])
     def test_shard_rejects_bad_specs(self, capsys, tmp_path, shard):

@@ -29,7 +29,6 @@ from repro.parallel import (
     JsonlCheckpointStore,
     SweepConfig,
     TaskExecutionError,
-    compact_record,
     derive_cell_seed,
     expand_run_tasks,
     result_from_record,
@@ -401,90 +400,45 @@ class TestCheckpointing:
         assert not list((tmp_path / "deep").glob("*.tmp"))
 
 
-class TestCheckpointCompaction:
-    def test_compact_record_round_trips_aggregates(self):
+class TestRunRecordShape:
+    def test_record_carries_no_node_results(self):
         result = run_protocol("flooding", cycle(8), 3)
-        record = compact_record(result_to_record(result, 0.25))
-        record = json.loads(json.dumps(record))  # must survive JSON
-        restored, elapsed = result_from_record(record)
+        assert result.node_results  # a fresh run keeps them in full
+        record = result_to_record(result, 0.25)
+        assert "node_results" not in record
+        restored, elapsed = result_from_record(json.loads(json.dumps(record)))
         assert elapsed == 0.25
         # Everything the aggregation layer reads is identical; only the
         # per-node diagnostic payload is gone.
         assert restored.node_results == []
         assert restored.outcome.as_dict() == result.outcome.as_dict()
         assert restored.metrics.as_dict() == result.metrics.as_dict()
-        full = result.as_dict()
-        slim = restored.as_dict()
-        assert slim == full  # as_dict never includes node_results
+        assert restored.as_dict() == result.as_dict()
 
-    def test_compacted_sweep_matches_uncompacted(self, tmp_path):
+    def test_record_with_node_results_loads_and_ignores_them(self):
+        result = run_protocol("flooding", cycle(8), 3)
+        record = result_to_record(result, 0.25)
+        record["node_results"] = json.loads(json.dumps(result.node_results))
+        restored, _ = result_from_record(record)
+        assert restored.node_results == []
+        assert restored.as_dict() == result.as_dict()
+
+    def test_checkpointed_sweep_stores_no_node_results(self, tmp_path):
         spec = _spec()
         plain = run_experiment(spec)
-        compacted = run_experiments(
+        checkpointed = run_experiments(
             [spec],
-            config=SweepConfig(
-                workers=2,
-                checkpoint=tmp_path / "sweep.json",
-                checkpoint_compact=True,
-            ),
+            config=SweepConfig(workers=2, checkpoint=tmp_path / "sweep.json"),
         )[0]
-        assert _comparable(compacted.cells) == _comparable(plain.cells)
+        assert _comparable(checkpointed.cells) == _comparable(plain.cells)
         runs = _stored_runs(tmp_path / "sweep.json")
-        assert all(
-            "node_results" not in record for record in runs.values()
-        )
-        # A resume from the compacted checkpoint replays the same cells.
+        assert runs
+        assert all("node_results" not in record for record in runs.values())
+        # A resume from the checkpoint replays the same cells.
         resumed = run_experiments(
-            [spec],
-            config=SweepConfig(
-                checkpoint=tmp_path / "sweep.json",
-                checkpoint_compact=True,
-            ),
+            [spec], config=SweepConfig(checkpoint=tmp_path / "sweep.json")
         )[0]
         assert _comparable(resumed.cells) == _comparable(plain.cells)
-
-    def test_compaction_shrinks_resume_files(self, tmp_path):
-        spec = _spec()
-        run_experiments([spec], config=SweepConfig(checkpoint=tmp_path / "full.json"))
-        run_experiments(
-            [spec],
-            config=SweepConfig(
-                checkpoint=tmp_path / "slim.json",
-                checkpoint_compact=True,
-            ),
-        )
-        full = (tmp_path / "full.json").stat().st_size
-        slim = (tmp_path / "slim.json").stat().st_size
-        assert slim < full / 2
-
-    def test_in_place_compaction_of_existing_checkpoint(self, tmp_path):
-        spec = _spec()
-        plain = run_experiments(
-            [spec],
-            config=SweepConfig(checkpoint=tmp_path / "ck.json"),
-        )[0]
-        store = JsonlCheckpointStore(tmp_path / "ck.json")
-        compacted = store.compact()
-        store.flush()
-        assert compacted == len(spec.topologies) * len(SEEDS)
-        assert store.compact() == 0  # idempotent
-        resumed = run_experiments(
-            [spec],
-            config=SweepConfig(checkpoint=tmp_path / "ck.json"),
-        )[0]
-        assert _comparable(resumed.cells) == _comparable(plain.cells)
-
-    def test_compact_store_compacts_loaded_full_records(self, tmp_path):
-        spec = _spec()
-        run_experiments([spec], config=SweepConfig(checkpoint=tmp_path / "ck.json"))
-        resumed = run_experiments(
-            [spec],
-            config=SweepConfig(
-                checkpoint=tmp_path / "ck.json",
-                checkpoint_compact=True,
-            ),
-        )[0]
-        assert _comparable(resumed.cells) == _comparable(run_experiment(spec).cells)
 
 
 def failing_runner(topology, seed):

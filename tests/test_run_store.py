@@ -5,7 +5,9 @@ Both :class:`repro.parallel.store.JsonlCheckpointStore` and
 the sweep engine restores from and writes to (``fetch``, ``add``,
 ``flush``).  A memoized query hands the archive itself to the engine as
 its checkpoint: no staging directory, no staging file, and misses that
-completed before a failure are kept.
+completed before a failure are kept.  Records in the shape earlier
+builds wrote, carrying per-node ``node_results``, replay from either
+store without a run executing.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from repro.analysis.experiments import ExperimentSpec
 from repro.archive import ResultArchive, parse_task_key, query_experiments
 from repro.graphs import cycle, path
-from repro.parallel import SweepConfig, TaskExecutionError
+from repro.parallel import SweepConfig, TaskExecutionError, run_experiments
 from repro.parallel.sharding import expand_run_tasks
 from repro.parallel.store import JsonlCheckpointStore
 from repro.protocols import run_protocol
@@ -179,6 +181,60 @@ class TestQueryRunsAgainstTheArchive:
         for task in tasks:
             assert parse_task_key(task.key).seed == task.seed
             assert stored[task.key] % (1 << 64) == task.seed
+
+
+class TestRecordsWithNodeResults:
+    """A store written before records dropped ``node_results`` still
+    answers: the field is ignored and every cell matches a fresh sweep."""
+
+    @pytest.fixture
+    def fresh_and_stored(self, pre_change_records, register_fake_protocol):
+        specs = small_specs()
+        fresh = run_experiments(specs)
+        tasks = [task for spec in specs for task in expand_run_tasks(spec)]
+        records = pre_change_records(tasks)
+        # From here on, running a flooding election is a test failure.
+        register_fake_protocol("flooding", _refuse_to_run)
+        return fresh, records
+
+    def test_jsonl_checkpoint_resumes_without_running(
+        self, tmp_path, fresh_and_stored
+    ):
+        fresh, records = fresh_and_stored
+        path = tmp_path / "ck.jsonl"
+        JsonlCheckpointStore(path).write_fresh(records)
+        resumed = run_experiments(
+            small_specs(), config=SweepConfig(checkpoint=path)
+        )
+        assert _cells(resumed) == _cells(fresh)
+
+    def test_archive_answers_without_simulating(self, tmp_path, fresh_and_stored):
+        fresh, records = fresh_and_stored
+        db = tmp_path / "archive.sqlite"
+        with ResultArchive(db) as archive:
+            archive.add_records(records)
+        answer = query_experiments(small_specs(), archive=db)
+        assert answer.report.simulated_runs == 0
+        assert answer.report.archived_runs == len(records)
+        assert _cells(answer.results) == _cells(fresh)
+
+
+def _cells(results):
+    return [
+        [
+            {
+                key: value
+                for key, value in cell.as_dict().items()
+                if key != "mean_wall_clock_seconds"
+            }
+            for cell in result.cells
+        ]
+        for result in results
+    ]
+
+
+def _refuse_to_run(topology, seed):
+    raise AssertionError("a stored run must replay, not execute")
 
 
 def _fail_at_seed_2(topology, seed):

@@ -10,8 +10,8 @@ The contract under test:
   zero re-executed runs;
 * merge validation catches what multi-machine reality produces: missing
   shard files, partial coverage, conflicting records for one task key,
-  shard files of mixed compactness, and stale records from a re-run
-  under a different adversary token;
+  shard files written before records dropped their per-node payload,
+  and stale records from a re-run under a different adversary token;
 * the streaming aggregation path (exact per-cell accumulators) is
   order-independent, so pool completion order and shard fold order can
   never change a cell.
@@ -31,7 +31,6 @@ from repro.parallel import (
     JsonlCheckpointStore,
     ShardManifest,
     SweepConfig,
-    compact_record,
     expand_run_tasks,
     manifest_path,
     merge_shard_checkpoints,
@@ -538,34 +537,26 @@ class TestMergeValidation:
         with pytest.raises(ConfigurationError, match="conflicting records"):
             merge_shard_checkpoints(manifest_path(base), tmp_path / "m.json")
 
-    def test_mixed_compact_and_full_shards_merge(self, tmp_path):
+    def test_old_and_new_shape_shards_merge(self, tmp_path, pre_change_records):
         specs = [_spec()]
         base = tmp_path / "sweep.json"
         run_experiments(specs, config=SweepConfig(checkpoint=base, shard=(0, 2)))
-        run_experiments(
-            specs,
-            config=SweepConfig(checkpoint=base, shard=(1, 2), checkpoint_compact=True),
+        # Shard 1 as an earlier build wrote it: every record carries the
+        # run's per-node results.
+        tasks = [task for spec in specs for task in expand_run_tasks(spec)]
+        JsonlCheckpointStore(shard_checkpoint_path(base, 1, 2)).write_fresh(
+            pre_change_records(select_shard(tasks, 1, 2))
         )
         merged = tmp_path / "merged.json"
         summary = merge_shard_checkpoints(manifest_path(base), merged)
         assert summary["tasks_missing"] == 0
+        stored = merged.read_text()
         replayed = run_experiments(specs, config=SweepConfig(checkpoint=merged))
+        # Nothing re-executed: a pure replay leaves the file byte-identical.
+        assert merged.read_text() == stored
         plain = run_experiments(specs)
         for a, b in zip(plain, replayed):
             assert _comparable(a.cells) == _comparable(b.cells)
-
-    def test_compact_and_full_copies_of_one_record_are_not_a_conflict(self, tmp_path):
-        base = _sharded_run(tmp_path)
-        store0 = JsonlCheckpointStore(shard_checkpoint_path(base, 0, 2))
-        store1 = JsonlCheckpointStore(shard_checkpoint_path(base, 1, 2))
-        key, record = next(iter(store0.load().items()))
-        store1.add(key, compact_record(record))
-        store1.flush()
-        summary = merge_shard_checkpoints(manifest_path(base), tmp_path / "m.json")
-        assert summary["tasks_merged"] == summary["tasks_expected"]
-        # The fuller record survives the dedupe.
-        merged = JsonlCheckpointStore(tmp_path / "m.json").load()
-        assert "node_results" in merged[key]
 
     def test_stale_records_from_other_adversary_token_dropped(self, tmp_path):
         # A shard file resumed from an earlier sweep under a different
