@@ -2,41 +2,26 @@
 
 Every benchmark module reproduces one of the paper's evaluation artefacts
 (Table 1 or a figure-style scaling/illustration; see DESIGN.md §2).  The
-helpers here take care of the bookkeeping that is common to all of them:
+helpers here record the rendered report of each experiment both to stdout
+and to ``benchmarks/results/<experiment>.txt``, so that ``pytest
+benchmarks/ --benchmark-only`` leaves the regenerated tables on disk for
+EXPERIMENTS.md regardless of output capturing.
 
-* caching expansion profiles (mixing time, conductance, ...) per topology so
-  the different algorithms under comparison are parameterised identically;
-* recording the rendered report of each experiment both to stdout and to
-  ``benchmarks/results/<experiment>.txt`` so that ``pytest benchmarks/
-  --benchmark-only`` leaves the regenerated tables on disk for
-  EXPERIMENTS.md regardless of output capturing.
+Benchmarks measure a topology with :func:`repro.graphs.expansion_profile`,
+which the topology instance memoizes: every algorithm run on that instance
+reads the same ``t_mix`` and Φ, and two graphs that share a display name
+never share a measurement.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.analysis import render_table
-from repro.graphs import ExpansionProfile, Topology, expansion_profile
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-_PROFILE_CACHE: Dict[str, ExpansionProfile] = {}
-
-
-def profile_for(topology: Topology) -> ExpansionProfile:
-    """Expansion profile of ``topology``, cached across benchmarks."""
-    profile = _PROFILE_CACHE.get(topology.name)
-    if profile is None:
-        profile = expansion_profile(topology)
-        _PROFILE_CACHE[topology.name] = profile
-    return profile
-
-
-def profiles_for(topologies: Iterable[Topology]) -> Dict[str, ExpansionProfile]:
-    return {topology.name: profile_for(topology) for topology in topologies}
 
 
 def record_report(experiment_id: str, *sections: str) -> Path:

@@ -23,9 +23,9 @@ import pytest
 
 from repro.core import Message, ProtocolNode, run_protocol
 from repro.election import CautiousBroadcastConfig, CautiousBroadcastNode
-from repro.graphs import random_regular, torus_2d
+from repro.graphs import expansion_profile, random_regular, torus_2d
 
-from _harness import profile_for, record_report, rows_table
+from _harness import record_report, rows_table
 
 EXPERIMENT_ID = "ablation-cautious"
 SEED = 3
@@ -93,7 +93,7 @@ def _run_cautious(topology, config, seed):
 def _run_all():
     rows = []
     for topology in TOPOLOGIES:
-        profile = profile_for(topology)
+        profile = expansion_profile(topology)
         cap = max(4.0, topology.num_nodes ** 0.5)
         config = CautiousBroadcastConfig(
             protocol_rounds=max(32, 4 * profile.mixing_time),

@@ -21,9 +21,10 @@ import pytest
 from repro.analysis import fit_power_law, render_series
 from repro.baselines import GilbertConfig, run_gilbert_election
 from repro.election import IrrevocableConfig, run_irrevocable_election
+from repro.graphs import expansion_profile
 from repro.workloads import scaling_family
 
-from _harness import profile_for, record_report, rows_table
+from _harness import record_report, rows_table
 
 EXPERIMENT_ID = "fig-msg-scaling"
 SIZES = (32, 64, 128)
@@ -33,7 +34,7 @@ SEEDS = (0, 1)
 def _run_series():
     rows = []
     for topology in scaling_family("random_regular", SIZES, seed=23):
-        profile = profile_for(topology)
+        profile = expansion_profile(topology)
         ours_config = IrrevocableConfig(
             n=topology.num_nodes,
             t_mix=profile.mixing_time,

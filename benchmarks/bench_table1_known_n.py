@@ -26,9 +26,9 @@ from repro.analysis import (
     render_comparison_table,
     run_experiment,
 )
-from repro.graphs import cycle, random_regular, torus_2d
+from repro.graphs import cycle, expansion_profile, random_regular, torus_2d
 
-from _harness import profiles_for, record_report, rows_table
+from _harness import record_report, rows_table
 
 EXPERIMENT_ID = "table1-known-n"
 SEEDS = (0, 1)
@@ -49,13 +49,12 @@ ALGORITHMS = {
 
 
 def _run_all():
-    profiles = profiles_for(TOPOLOGIES)
     results = {}
     for name, protocol in ALGORITHMS.items():
         spec = ExperimentSpec(
             name=name, protocol=protocol, topologies=TOPOLOGIES, seeds=SEEDS
         )
-        results[name] = run_experiment(spec, profiles=profiles)
+        results[name] = run_experiment(spec)
     return results
 
 
@@ -82,8 +81,9 @@ def test_table1_known_n(benchmark):
         value_column="success_rate",
         title="Table 1 (known n) — unique-leader rate",
     )
-    profile_rows = [profile.as_dict() for profile in profiles_for(TOPOLOGIES).values()]
-    theory_rows = predicted_rows(profiles_for(TOPOLOGIES))
+    profiles = {topology.name: expansion_profile(topology) for topology in TOPOLOGIES}
+    profile_rows = [profile.as_dict() for profile in profiles.values()]
+    theory_rows = predicted_rows(profiles)
     record_report(
         EXPERIMENT_ID,
         rows_table(profile_rows, "Topology suite"),

@@ -19,9 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro.election import PaperSchedule, default_scaled_schedule, run_revocable_election
+from repro.graphs import expansion_profile
 from repro.workloads import tiny_suite
 
-from _harness import profile_for, record_report, rows_table
+from _harness import record_report, rows_table
 
 EXPERIMENT_ID = "table1-unknown-n"
 SEEDS = (0, 1)
@@ -37,7 +38,7 @@ def _run_all():
         )
         for seed in SEEDS:
             result = run_revocable_election(topology, seed=seed, schedule=schedule)
-            profile = profile_for(topology)
+            profile = expansion_profile(topology)
             rows.append(
                 {
                     "topology": topology.name,

@@ -32,9 +32,10 @@ from repro.analysis import ratio_spread, theory_ratio_series
 from repro.core import backend_scope, fault_scope
 from repro.dynamics import AdversarySpec, make_adversary
 from repro.election import IrrevocableConfig, run_irrevocable_election
+from repro.graphs import expansion_profile
 from repro.workloads import scaling_family
 
-from _harness import profile_for, record_bench_json, record_report, rows_table
+from _harness import record_bench_json, record_report, rows_table
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -54,7 +55,7 @@ BACKEND_LOSS = AdversarySpec.create("loss", p=0.05)
 def _run_family(family: str, sizes):
     rows = []
     for topology in scaling_family(family, sizes, seed=31):
-        profile = profile_for(topology)
+        profile = expansion_profile(topology)
         config = IrrevocableConfig(
             n=topology.num_nodes,
             t_mix=profile.mixing_time,
@@ -127,7 +128,7 @@ def _backend_workload():
         ("random_regular", BACKEND_EXPANDER_SIZES),
     ):
         for topology in scaling_family(family, sizes, seed=31):
-            profile = profile_for(topology)
+            profile = expansion_profile(topology)
             config = IrrevocableConfig(
                 n=topology.num_nodes,
                 t_mix=profile.mixing_time,

@@ -319,34 +319,9 @@ def cell_from_aggregate(
     )
 
 
-def resolve_profile(
-    topology: Topology,
-    profiles: Dict[str, ExpansionProfile],
-    collect_profile: bool,
-) -> Optional[ExpansionProfile]:
-    """Look up (or compute and cache) the expansion profile of a topology.
-
-    Caller-supplied entries are keyed by display name (the benchmarks'
-    long-standing contract), but profiles computed here are cached under
-    the topology's structure fingerprint: a grid may contain distinct
-    graph instances that share a display name, and those must not
-    silently inherit each other's mixing time or conductance.
-    """
-    if not collect_profile:
-        return None
-    profile = profiles.get(topology.fingerprint())
-    if profile is None:
-        profile = profiles.get(topology.name)
-    if profile is None:
-        profile = expansion_profile(topology)
-        profiles[topology.fingerprint()] = profile
-    return profile
-
-
 def run_experiment(
     spec: ExperimentSpec,
     *,
-    profiles: Optional[Dict[str, ExpansionProfile]] = None,
     sinks: Sequence[ResultSink] = (),
     backend: str = "auto",
 ) -> ExperimentResult:
@@ -360,10 +335,9 @@ def run_experiment(
     readings differ — and the equivalence tests compare it against this
     loop.
 
-    ``profiles`` lets callers pass pre-computed expansion profiles (the
-    benchmarks reuse them across algorithms to avoid recomputing mixing
-    times); missing entries are computed on demand when
-    ``spec.collect_profile`` is set.
+    With ``spec.collect_profile`` set, each cell carries the
+    :func:`~repro.graphs.properties.expansion_profile` of its topology,
+    measured once per topology instance and shared with the runs.
 
     Runs are streamed: each result is folded into its cell's aggregate
     (and forwarded to any caller-supplied ``sinks``) as it completes, then
@@ -381,7 +355,6 @@ def run_experiment(
     all_sinks: List[ResultSink] = [aggregates, *sinks]
 
     result = ExperimentResult(name=spec.name)
-    profiles = dict(profiles or {})
     runner = effective_runner(spec)
     try:
         with backend_scope(backend):
@@ -398,8 +371,10 @@ def run_experiment(
                     cell_from_aggregate(
                         topology,
                         aggregate,
-                        profile=resolve_profile(
-                            topology, profiles, spec.collect_profile
+                        profile=(
+                            expansion_profile(topology)
+                            if spec.collect_profile
+                            else None
                         ),
                         protocol=spec.protocol_token(),
                     )

@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .analysis import render_kv, render_table
@@ -573,6 +574,12 @@ def _cmd_archive_add(args: argparse.Namespace) -> int:
     from .archive import ResultArchive
     from .parallel.store import JsonlCheckpointStore
 
+    # Checked before anything is opened: the archive and the store's
+    # constructor both create what is missing, and the store loads a
+    # missing file as empty.
+    for path in args.files:
+        if not Path(path).is_file():
+            raise ReproError(f"no checkpoint file at {path}")
     with ResultArchive(args.archive) as archive:
         seen = 0
         added = 0

@@ -226,8 +226,18 @@ def expansion_profile(topology: Topology, *, exact_cuts: Optional[bool] = None) 
 
     This is what the experiment runner attaches to every measured data
     point, so that results can be grouped and fitted against Φ, i(G) and
-    ``t_mix``.
+    ``t_mix``.  A call with the default ``exact_cuts=None`` is measured
+    once per topology instance (:meth:`Topology.memoized`) and shares its
+    ``t_mix`` and Φ with the election drivers and :func:`cheeger_bounds`.
     """
+    if exact_cuts is None:
+        return topology.memoized(
+            "expansion_profile", lambda: _expansion_profile(topology, None)
+        )
+    return _expansion_profile(topology, exact_cuts)
+
+
+def _expansion_profile(topology: Topology, exact_cuts: Optional[bool]) -> ExpansionProfile:
     return ExpansionProfile(
         name=topology.name,
         num_nodes=topology.num_nodes,

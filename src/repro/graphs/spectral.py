@@ -13,7 +13,6 @@ also provided for cross-checking and for the analysis layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "relaxation_time",
     "mixing_time_spectral_bound",
     "algebraic_connectivity",
-    "SpectralProfile",
-    "spectral_profile",
 ]
 
 
@@ -235,39 +232,3 @@ def mixing_time_spectral_bound(topology: Topology) -> float:
     pi = stationary_distribution(topology)
     t_rel = relaxation_time(topology)
     return t_rel * math.log(2.0 * n / float(pi.min()))
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Bundle of spectral quantities for one topology."""
-
-    num_nodes: int
-    num_edges: int
-    spectral_gap: float
-    relaxation_time: float
-    mixing_time: int
-    mixing_time_upper_bound: float
-
-    def as_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "num_edges": self.num_edges,
-            "spectral_gap": self.spectral_gap,
-            "relaxation_time": self.relaxation_time,
-            "mixing_time": self.mixing_time,
-            "mixing_time_upper_bound": self.mixing_time_upper_bound,
-        }
-
-
-def spectral_profile(topology: Topology) -> SpectralProfile:
-    """Compute all spectral quantities for ``topology`` in one pass."""
-    gap = spectral_gap(topology)
-    t_rel = 1.0 / gap if gap > 0 else math.inf
-    return SpectralProfile(
-        num_nodes=topology.num_nodes,
-        num_edges=topology.num_edges,
-        spectral_gap=gap,
-        relaxation_time=t_rel,
-        mixing_time=mixing_time(topology),
-        mixing_time_upper_bound=mixing_time_spectral_bound(topology),
-    )

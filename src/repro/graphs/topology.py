@@ -267,7 +267,7 @@ class Topology:
         Display names omit construction details (two
         ``random_regular(n=64,d=4)`` instances built from different graph
         seeds share a name), so anything that must identify a topology
-        *instance* — profile caches, parallel-sweep checkpoint keys —
+        *instance* — parallel-sweep checkpoint keys and derived seeds —
         hashes the node count, edge list and port assignment instead.
         Built on :func:`repro.core.rng.derive_seed`: no salted string
         hashing, so the digest is stable across processes, multiprocessing
@@ -288,9 +288,11 @@ class Topology:
     def memoized(self, key: str, compute: Callable[[], T]) -> T:
         """``compute()``, evaluated once per instance and cached under ``key``.
 
-        For quantities derived from the (immutable) graph that several
-        layers ask for: the fingerprint, and the default-argument
-        ``mixing_time`` and ``conductance``.  The memo is not pickled (see
+        The one cache of what is measured on the (immutable) graph: the
+        fingerprint, and the default-argument ``mixing_time``,
+        ``conductance`` and ``expansion_profile``.  It is keyed by
+        instance, so two graphs that share a display name never share a
+        measurement, and it is pickled with the topology (see
         :meth:`__getstate__`).  Two threads that miss at once may both
         compute; the first value stored is the one both return.
         """
@@ -377,21 +379,24 @@ class Topology:
     # pickling
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> Dict[str, object]:
-        # Only the defining data travels (nodes, edges, port assignment);
-        # the derived tables (_adjacency, _port_of, _endpoint_table) are
-        # rebuilt on load.  This keeps the per-task payload small when the
-        # parallel engine ships one topology per (topology, seed) run.
+        # The defining data (nodes, edges, port assignment) travels with
+        # the memo, so a topology measured in the parent reaches a pool
+        # worker already measured; the derived tables (_adjacency,
+        # _port_of, _endpoint_table) are rebuilt on load.  This keeps the
+        # per-task payload small when the parallel engine ships one
+        # topology per (topology, seed) run.
         return {
             "n": self._n,
             "name": self._name,
             "edges": self._edges,
             "port_order": self._port_order,
+            "memo": dict(self._memo),
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._n = state["n"]
         self._name = state["name"]
-        self._memo = {}
+        self._memo = state["memo"]
         self._edges = state["edges"]
         self._adjacency = self._adjacency_from_edges(self._n, self._edges)
         self._finalize_ports(state["port_order"])

@@ -45,8 +45,12 @@ Determinism guarantees
   per-shard checkpoint plus a shard manifest; merging the shard
   checkpoints (:func:`~repro.parallel.checkpoint.merge_shard_checkpoints`)
   and replaying yields cells bit-identical to an unsharded sweep.
-* **Profile consistency.**  Expansion profiles are computed in the parent
-  with the same cache-and-compute-on-demand policy as the serial driver.
+* **Profile consistency.**  A cell's expansion profile is the one its
+  topology instance memoizes (:meth:`~repro.graphs.topology.Topology.memoized`),
+  as in the serial driver.  The parent measures the profiles of the cells
+  it will assemble before the pool exists; the memo travels with the
+  pickled topology, so a worker running such a cell's tasks reads ``t_mix``
+  and Φ instead of measuring them.
 
 Workers receive their tasks by pickling, so a registered protocol's
 factory must be an importable module-level callable; lambdas and
@@ -62,17 +66,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..analysis import experiments
 from ..analysis.experiments import (
     ExperimentResult,
     ExperimentSpec,
     cell_from_aggregate,
-    resolve_profile,
 )
 from ..analysis.streaming import CellAggregatingSink, ResultSink, abort_sinks
 from ..core.errors import ConfigurationError
 from ..core.simulator import BACKENDS, backend_scope, set_default_backend
 from ..election.base import LeaderElectionResult
-from ..graphs.properties import ExpansionProfile
 from ..obs import (
     ProfileAggregate,
     Stopwatch,
@@ -155,8 +158,6 @@ class SweepConfig:
     task_timeout: Optional[float] = None
     #: most tasks per dispatched batch (``1`` ships one task per message)
     max_batch: Optional[int] = None
-    #: pre-computed expansion profiles, keyed by topology name/fingerprint
-    profiles: Optional[Dict[str, ExpansionProfile]] = None
     #: per-task timing records and the end-of-sweep summary
     telemetry: Optional[TelemetrySink] = None
     #: in-worker profiler name from :data:`repro.obs.PROFILERS`
@@ -508,6 +509,17 @@ def _execute_and_assemble(
                 store.add(key, result_to_record(result, elapsed))
             consume(key, result, elapsed)
 
+    # Measure the profiled cells' topologies before the pool exists: the
+    # memo ships with each pickled task, so workers do no BLAS work for
+    # them, and assembly below reads the same memo.
+    profiled = {spec.name for spec in specs if spec.collect_profile}
+    for topology in {
+        id(task.topology): task.topology
+        for task in my_tasks
+        if task.spec_name in profiled
+    }.values():
+        experiments.expansion_profile(topology)
+
     pending = [task for task in my_tasks if task.key not in completed_keys]
     with _PoolEngine(config) as engine:
         try:
@@ -523,7 +535,6 @@ def _execute_and_assemble(
         scheduler_stats = engine.scheduler_stats()
     restored = len(completed_keys)
 
-    profiles = dict(config.profiles or {})
     results: List[ExperimentResult] = []
     for spec in specs:
         experiment = ExperimentResult(name=spec.name)
@@ -537,7 +548,11 @@ def _execute_and_assemble(
                 cell_from_aggregate(
                     topology,
                     aggregate,
-                    profile=resolve_profile(topology, profiles, spec.collect_profile),
+                    profile=(
+                        experiments.expansion_profile(topology)
+                        if spec.collect_profile
+                        else None
+                    ),
                     protocol=spec.protocol_token(),
                 )
             )

@@ -231,9 +231,8 @@ def _validate_timeout(name: str, value: Optional[float]) -> Optional[float]:
 class AdaptiveScheduler:
     """Cost-adaptive, fault-tolerant dispatch of run tasks onto one pool.
 
-    One scheduler serves one pool for the lifetime of a sweep (an auto-
-    sharded job calls :meth:`run` once per claimed block; the cost model
-    and the stats persist across calls).  See the module docstring for
+    One scheduler serves one pool for the lifetime of a sweep, which calls
+    :meth:`run` once with its pending tasks.  See the module docstring for
     the design; the parameters:
 
     ``task_timeout``

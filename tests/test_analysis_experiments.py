@@ -91,20 +91,6 @@ class TestRunExperiment:
         assert result.cells[1].profile == expansion_profile(b)
         assert result.cells[0].profile != result.cells[1].profile
 
-    def test_precomputed_profiles_are_reused(self):
-        from repro.graphs import expansion_profile
-
-        topology = cycle(8)
-        profile = expansion_profile(topology)
-        spec = ExperimentSpec(
-            name="flooding",
-            protocol="flooding",
-            topologies=[topology],
-            seeds=(0,),
-        )
-        result = run_experiment(spec, profiles={topology.name: profile})
-        assert result.cells[0].profile is profile
-
     def test_series_extraction_sorted_by_x(self):
         spec = ExperimentSpec(
             name="flooding",

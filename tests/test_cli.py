@@ -380,6 +380,15 @@ class TestSweepDynamics:
         assert "task_timeout" in capsys.readouterr().err
         assert not archive.exists()
 
+    def test_archive_add_rejects_missing_checkpoint(self, capsys, tmp_path):
+        archive = tmp_path / "new.sqlite"
+        missing = tmp_path / "nodir" / "missing.json"
+        code = main(["archive", "add", str(missing), "--archive", str(archive)])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not archive.exists()
+        assert not missing.parent.exists()
+
     def test_sweep_base_seed_requires_derive_seeds(self, capsys):
         code = main(self.BASE + ["--base-seed", "7"])
         assert code == 2

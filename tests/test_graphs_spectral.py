@@ -22,7 +22,6 @@ from repro.graphs import (
     relaxation_time,
     simple_walk_matrix,
     spectral_gap,
-    spectral_profile,
     star,
     stationary_distribution,
 )
@@ -154,19 +153,3 @@ class TestGaps:
         sparse = cycle(16)
         assert spectral_gap(dense) > spectral_gap(sparse)
         assert mixing_time(dense) < mixing_time(sparse)
-
-
-class TestSpectralProfile:
-    def test_profile_fields_consistent(self):
-        topology = random_regular(16, 4, seed=4)
-        profile = spectral_profile(topology)
-        assert profile.num_nodes == 16
-        assert profile.num_edges == 32
-        assert profile.mixing_time == mixing_time(topology)
-        assert profile.spectral_gap == pytest.approx(spectral_gap(topology))
-        assert profile.relaxation_time == pytest.approx(1.0 / profile.spectral_gap)
-        assert profile.mixing_time <= profile.mixing_time_upper_bound + 1
-
-    def test_as_dict_keys(self):
-        data = spectral_profile(cycle(6)).as_dict()
-        assert {"num_nodes", "mixing_time", "spectral_gap"} <= set(data)

@@ -171,10 +171,10 @@ class TestPickling:
             for port in range(1, topology.degree(node) + 1):
                 assert restored.endpoint(node, port) == topology.endpoint(node, port)
 
-    def test_payload_ships_only_defining_data(self):
+    def test_payload_ships_defining_data_and_memo(self):
         topology = cycle(12)
         state = topology.__getstate__()
-        assert set(state) == {"n", "name", "edges", "port_order"}
+        assert set(state) == {"n", "name", "edges", "port_order", "memo"}
 
 
 class TestMemoizedMeasurements:
@@ -247,22 +247,38 @@ class TestMemoizedMeasurements:
         assert conductance(topology) == phi
         assert len(exact) == 2
 
-    def test_memo_is_not_pickled(self):
+    def test_profile_election_and_cheeger_share_one_measurement(self, monkeypatch):
+        from repro.election import run_irrevocable_election
+        from repro.graphs import properties, spectral
+        from repro.graphs.properties import cheeger_bounds, expansion_profile
+
+        eigh = self._count_calls(monkeypatch, spectral.np.linalg, "eigh")
+        exact = self._count_calls(monkeypatch, properties, "conductance_exact")
+        topology = cycle(12)
+        profile = expansion_profile(topology)
+        result = run_irrevocable_election(topology, seed=1)
+        assert result.parameters["t_mix"] == profile.mixing_time
+        assert cheeger_bounds(topology)[2] == 2.0 * profile.conductance
+        assert expansion_profile(topology) is profile
+        assert len(eigh) == 1 and len(exact) == 1
+
+    def test_memo_travels(self, monkeypatch):
         import pickle
 
-        from repro.graphs.properties import conductance
+        from repro.graphs import properties, spectral
+        from repro.graphs.properties import conductance, expansion_profile
         from repro.graphs.spectral import mixing_time
 
         topology = cycle(9)
-        mixing_time(topology)
-        conductance(topology)
-        topology.fingerprint()
-        state = topology.__getstate__()
-        assert set(state) == {"n", "name", "edges", "port_order"}
+        profile = expansion_profile(topology)
+        eigh = self._count_calls(monkeypatch, spectral.np.linalg, "eigh")
+        exact = self._count_calls(monkeypatch, properties, "conductance_exact")
         clone = pickle.loads(pickle.dumps(topology))
-        assert clone._memo == {}
-        assert mixing_time(clone) == mixing_time(topology)
+        assert mixing_time(clone) == profile.mixing_time
+        assert conductance(clone) == profile.conductance
+        assert expansion_profile(clone) == profile
         assert clone.fingerprint() == topology.fingerprint()
+        assert eigh == [] and exact == []
 
     def test_concurrent_first_calls_agree(self):
         import threading

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import ExperimentSpec, fit_power_law, render_comparison_table, run_experiment
 from repro.election import IrrevocableConfig, run_irrevocable_election, run_revocable_election
-from repro.graphs import complete, expansion_profile, random_regular, torus_2d
+from repro.graphs import complete, random_regular, torus_2d
 from repro.workloads import scaling_family, tiny_suite
 
 
@@ -25,12 +25,11 @@ def comparison_results():
     ]
     seeds = (0, 1)
     results = {}
-    profiles = {t.name: expansion_profile(t) for t in topologies}
     for name in ("irrevocable", "gilbert", "flooding"):
         spec = ExperimentSpec(
             name=name, protocol=name, topologies=topologies, seeds=seeds
         )
-        results[name] = run_experiment(spec, profiles=profiles)
+        results[name] = run_experiment(spec)
     return results
 
 

@@ -85,6 +85,15 @@ def count_file_runner(topology, seed):
     return run_protocol("flooding", topology, seed)
 
 
+def report_memo_keys(topology, seed):
+    """A picklable protocol factory whose runs report what the topology
+    they were handed had already measured."""
+    memo_keys = sorted(topology._memo)
+    result = run_protocol("flooding", topology, seed)
+    result.parameters["memo_keys"] = memo_keys
+    return result
+
+
 def _derive_in_child(args):
     spec_name, topology_name, replicate = args
     return derive_cell_seed(1234, spec_name, topology_name, replicate)
@@ -114,6 +123,32 @@ class TestSerialParallelEquivalence:
         for a, b in zip(serial.cells, parallel.cells):
             assert a.profile == b.profile
             assert a.profile is not None
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_receive_measured_topologies(
+        self, start_method, register_fake_protocol
+    ):
+        register_fake_protocol("memo-probe", report_memo_keys)
+        spec = ExperimentSpec(
+            name="memo-probe",
+            protocol="memo-probe",
+            topologies=[cycle(8), star(8)],
+            seeds=(0, 1),
+            collect_profile=True,
+        )
+        sink = CollectingSink()
+        run_experiments(
+            [spec],
+            config=SweepConfig(workers=2, start_method=start_method),
+            sinks=[sink],
+        )
+        for topology_index in range(len(spec.topologies)):
+            runs = sink.results_for(spec.name, topology_index)
+            assert len(runs) == len(spec.seeds)
+            for run in runs:
+                assert {"mixing_time", "conductance"} <= set(
+                    run.parameters["memo_keys"]
+                )
 
     def test_collecting_sink_returns_individual_runs(self):
         spec = _spec()

@@ -1,10 +1,10 @@
 """Tests for Topology's lean pickling and structure fingerprint.
 
 The parallel engine ships one topology per (topology, seed) task, so the
-pickle payload must stay lean (defining data only — derived tables are
-rebuilt on load) and the structure fingerprint must identify graph
-*instances*: same-named graphs with different structure may never collide
-in profile caches or checkpoint task keys.
+pickle payload must stay lean (defining data plus the measurement memo —
+derived tables are rebuilt on load) and the structure fingerprint must
+identify graph *instances*: same-named graphs with different structure
+may never collide in checkpoint task keys or derived seeds.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from repro.parallel import expand_run_tasks
 
 
 class TestLeanPickling:
-    def test_state_carries_only_defining_data(self):
+    def test_state_carries_defining_data_and_memo(self):
         topology = torus_2d(4, 4)
         state = topology.__getstate__()
-        assert set(state) == {"n", "name", "edges", "port_order"}
+        assert set(state) == {"n", "name", "edges", "port_order", "memo"}
 
     def test_round_trip_preserves_structure_and_ports(self):
         topology = random_regular(16, 4, seed=3).with_port_seed(11)
