@@ -56,7 +56,7 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from .analysis import render_kv, render_table
 from .core.errors import ReproError
@@ -80,14 +80,22 @@ def parse_topology(spec: str, *, seed: int = 0) -> Topology:
         raise ReproError(
             f"unknown topology family {family!r}; available: {sorted(GENERATORS)}"
         )
-    args = [int(part) for part in parts[1:]]
     generator = GENERATORS[family]
     try:
+        args = [_parse_number(part) for part in parts[1:]]
         if family in ("random_regular", "erdos_renyi"):
             return generator(*args, seed=seed)
         return generator(*args)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise ReproError(f"bad arguments for {family}: {error}") from error
+
+
+def _parse_number(text: str) -> Union[int, float]:
+    """``text`` as an ``int`` if it spells one, else as a ``float``."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 # --------------------------------------------------------------------------- #

@@ -23,8 +23,6 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.errors import TopologyError
 from .topology import Topology
 
@@ -165,6 +163,8 @@ def random_regular(
         raise TopologyError(f"need 2 <= degree < n, got degree={degree}, n={n}")
     if (n * degree) % 2 != 0:
         raise TopologyError(f"n*degree must be even, got n={n}, degree={degree}")
+    import networkx as nx
+
     rng = random.Random(seed)
     for attempt in range(max_attempts):
         graph = nx.random_regular_graph(degree, n, seed=rng.randrange(2 ** 31))

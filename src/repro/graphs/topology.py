@@ -26,14 +26,16 @@ from typing import (
     List,
     Optional,
     Sequence,
+    TYPE_CHECKING,
     Tuple,
     TypeVar,
 )
 
-import networkx as nx
-
 from ..core.errors import TopologyError
 from ..core.rng import derive_seed
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology"]
 
@@ -172,8 +174,10 @@ class Topology:
     ) -> "Topology":
         """Build a topology from a :class:`networkx.Graph`.
 
-        Node labels may be arbitrary hashables; they are relabelled to
-        ``0..n-1`` in sorted-by-insertion order.
+        Any object with networkx's ``nodes()`` and ``edges()`` (and,
+        optionally, ``name``) will do; this method imports nothing.  Node
+        labels may be arbitrary hashables; they are relabelled to
+        ``0..n-1`` in insertion order.
         """
         nodes = list(graph.nodes())
         index = {node: i for i, node in enumerate(nodes)}
@@ -323,6 +327,8 @@ class Topology:
     # conversions / analysis helpers
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> "nx.Graph":
+        import networkx as nx
+
         graph = nx.Graph(name=self._name)
         graph.add_nodes_from(range(self._n))
         graph.add_edges_from(self._edges)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main, parse_topology
 from repro.core.errors import ReproError
+from repro.graphs.generators import cycle, erdos_renyi, random_regular
 
 
 class TestParseTopology:
@@ -34,6 +35,21 @@ class TestParseTopology:
     def test_bad_arguments(self):
         with pytest.raises(ReproError):
             parse_topology("cycle:3:4:5:6")
+
+    def test_float_argument(self):
+        topology = parse_topology("erdos_renyi:12:0.5")
+        assert topology.name == "erdos_renyi(n=12,p=0.500)"
+        assert topology.fingerprint() == erdos_renyi(12, 0.5, seed=0).fingerprint()
+
+    def test_integer_arguments_parse_as_before(self):
+        assert parse_topology("cycle:32").fingerprint() == cycle(32).fingerprint()
+        topology = parse_topology("random_regular:128:8")
+        assert topology.fingerprint() == random_regular(128, 8, seed=0).fingerprint()
+
+    @pytest.mark.parametrize("spec", ["cycle:abc", "random_regular:16:x", "grid_2d:3:"])
+    def test_non_numeric_argument(self, spec):
+        with pytest.raises(ReproError, match="bad arguments for"):
+            parse_topology(spec)
 
 
 class TestParser:
@@ -91,6 +107,17 @@ class TestCommands:
         code = main(["elect", "--algorithm", "flooding", "--topology", "moebius:3"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_elect_non_numeric_argument_returns_error_code(self, capsys):
+        code = main(["elect", "--algorithm", "flooding", "--topology", "cycle:abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad arguments for cycle")
+        assert "Traceback" not in err
+
+    def test_analyze_float_argument(self, capsys):
+        assert main(["analyze", "--topology", "erdos_renyi:12:0.5"]) == 0
+        assert "expansion profile: erdos_renyi(n=12,p=0.500)" in capsys.readouterr().out
 
     def test_elect_trace_under_adversary_exports_fault_events(self, tmp_path, capsys):
         import json

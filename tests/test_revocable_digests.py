@@ -1,0 +1,57 @@
+"""Revocable election results pinned at the values of today's kernel.
+
+These digests are the bit-identity oracle for later cuts of the revocable
+kernel: every leader, round, message, bit, delivery and CONGEST-violation
+count, and a hash of the per-node results, must stay the same under both
+simulator backends.  Covered: ``complete(4)``, ``cycle(5)`` and ``star(5)``
+x seeds 0-1, fault-free; each election takes about 0.3-1 s.  Larger
+instances (``complete(6)`` about 2.6 s, ``grid(2x3)`` about 5 s,
+``cycle:8`` about 13 s) wait until the revocable kernel is cut, so tier-1
+does not pay for them now.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro import api
+from repro.graphs import complete, cycle, star
+
+#: (topology name, seed) -> (leaders, rounds, messages, bits, sent,
+#: delivered, dropped, congest violations, node-results hash)
+DIGESTS = {
+    ('complete(n=4)', 0): ((3,), 4270, 51240, 3948564, 51240, 51240, 0, 49368, '181fdecd31fdab32'),
+    ('complete(n=4)', 1): ((0,), 4270, 51240, 3948567, 51240, 51240, 0, 49368, 'a35b70025b6cab41'),
+    ('cycle(n=5)', 0): ((3,), 10173, 101730, 8377006, 101730, 101730, 0, 100170, 'fdcabf1bcaa16e44'),
+    ('cycle(n=5)', 1): ((0,), 10173, 101730, 8377010, 101730, 101730, 0, 100170, '07ff9b76de7168c9'),
+    ('star(n=5)', 0): ((3,), 13620, 108960, 9076092, 108960, 108960, 0, 107712, 'fdcabf1bcaa16e44'),
+    ('star(n=5)', 1): ((0,), 13620, 108960, 9076087, 108960, 108960, 0, 107712, '07ff9b76de7168c9'),
+}
+
+TOPOLOGIES = {topology.name: topology for topology in (complete(4), cycle(5), star(5))}
+
+
+def _digest(result):
+    metrics = result.metrics
+    nodes = json.dumps(result.node_results, sort_keys=True).encode()
+    return (
+        tuple(result.outcome.leader_indices),
+        metrics.rounds,
+        metrics.messages,
+        metrics.bits,
+        metrics.sent_messages,
+        metrics.delivered_messages,
+        metrics.dropped_messages,
+        metrics.congest_violations,
+        hashlib.sha256(nodes).hexdigest()[:16],
+    )
+
+
+@pytest.mark.parametrize("backend", ["event", "round"])
+@pytest.mark.parametrize("name, seed", sorted(DIGESTS), ids=repr)
+def test_revocable_election_matches_pinned_digest(name, seed, backend):
+    result = api.run("revocable", TOPOLOGIES[name], seed=seed, backend=backend)
+    assert _digest(result) == DIGESTS[(name, seed)]
