@@ -16,8 +16,8 @@ Two guarantees are asserted on every run:
 
 * **bit-equivalence** — the curves folded from a 2-worker pool and from
   a 2-way sharded split are byte-identical to the serially folded ones
-  (the streaming curve sink uses exact accumulators, so scheduling can
-  never leak into the committed trajectory);
+  (``fold_experiments`` merges the cells' exact aggregates, so
+  scheduling can never leak into the committed trajectory);
 * **coverage** — every (protocol, scenario) pair yields a curve whose
   points cover the ladder's full ``p`` grid in strictly increasing
   order, baseline (``p = 0``) first.
@@ -37,7 +37,12 @@ import time
 
 import pytest
 
-from repro.analysis.robustness import RobustnessCurveSink, classify_adversary, curve_rows, curves_as_dicts
+from repro.analysis.robustness import (
+    classify_adversary,
+    curve_rows,
+    curves_as_dicts,
+    fold_experiments,
+)
 from repro.dynamics import robustness_specs
 from repro.graphs import complete, cycle, star
 from repro.parallel import SweepConfig, run_experiments
@@ -115,21 +120,20 @@ def test_robustness_curves(benchmark, tmp_path):
         # Every ladder shares the unperturbed baseline rung (the p=0
         # calibration point), and `revocable` baseline runs cost seconds
         # each: execute the baseline sweep once and fold it into every
-        # scenario's sink instead of re-running it per ladder.
-        sinks = {scenario: RobustnessCurveSink() for scenario in SCENARIOS}
-        run_experiments(
-            _ladder_specs([None]),
-            config=SweepConfig(workers=1),
-            sinks=list(sinks.values()),
+        # scenario's curves instead of re-running it per ladder.
+        baseline_specs = _ladder_specs([None])
+        baseline_results = run_experiments(
+            baseline_specs, config=SweepConfig(workers=1)
         )
+        curves = {}
         for scenario in SCENARIOS:
             rungs = [r for r in dynamic_scenario(scenario) if r is not None]
-            run_experiments(
-                _ladder_specs(rungs),
-                config=SweepConfig(workers=1),
-                sinks=[sinks[scenario]],
+            specs = _ladder_specs(rungs)
+            results = run_experiments(specs, config=SweepConfig(workers=1))
+            curves[scenario] = fold_experiments(
+                baseline_specs + specs, baseline_results + results
             )
-        return {scenario: sinks[scenario].curves() for scenario in SCENARIOS}
+        return curves
 
     # repro: disable=REP102 — benchmark wall clock is the measurand
     started = time.perf_counter()
@@ -148,35 +152,29 @@ def test_robustness_curves(benchmark, tmp_path):
         seeds=SEEDS,
         collect_profile=False,
     )
-    serial_sink = RobustnessCurveSink()
-    run_experiments(
-        equivalence_specs(),
-        config=SweepConfig(workers=1),
-        sinks=[serial_sink],
-    )
-    parallel_sink = RobustnessCurveSink()
-    run_experiments(
-        equivalence_specs(),
-        config=SweepConfig(workers=2),
-        sinks=[parallel_sink],
-    )
-    sharded_sink = RobustnessCurveSink()
-    for shard_index in (0, 1):
-        run_experiments(
-            equivalence_specs(),
-            config=SweepConfig(
-                checkpoint=tmp_path / "bench-shards" / "sweep.json",
-                shard=(shard_index, 2),
-            ),
-            sinks=[sharded_sink],
-        )
-    serial_curves = curves_as_dicts(serial_sink.curves())
-    assert curves_as_dicts(parallel_sink.curves()) == serial_curves, (
+    def fold(*configs):
+        """Run the grid once per config; fold all the results together."""
+        specs, results = [], []
+        for config in configs:
+            run_specs = equivalence_specs()
+            specs += run_specs
+            results += run_experiments(run_specs, config=config)
+        return curves_as_dicts(fold_experiments(specs, results))
+
+    serial_curves = fold(SweepConfig(workers=1))
+    assert fold(SweepConfig(workers=2)) == serial_curves, (
         "parallel curve fold diverged from serial"
     )
-    assert curves_as_dicts(sharded_sink.curves()) == serial_curves, (
-        "sharded curve fold diverged from serial"
+    sharded_curves = fold(
+        *(
+            SweepConfig(
+                checkpoint=tmp_path / "bench-shards" / "sweep.json",
+                shard=(shard_index, 2),
+            )
+            for shard_index in (0, 1)
+        )
     )
+    assert sharded_curves == serial_curves, "sharded curve fold diverged from serial"
 
     # --- coverage + report + BENCH JSON ----------------------------------- #
     sections = []

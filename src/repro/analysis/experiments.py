@@ -184,6 +184,12 @@ class ExperimentCell:
     #: cells built by the drivers; kept optional for hand-built cells).
     safety: Optional[SafetyTally] = None
     profile: Optional[ExpansionProfile] = None
+    #: The exact accumulators the cell was assembled from, so folds over
+    #: cells (robustness curves) merge sums instead of rounded means.
+    #: Not a reported column: kept out of ``as_dict``, ``==`` and ``repr``.
+    aggregate: Optional[CellAggregate] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def success_rate(self) -> float:
@@ -316,6 +322,7 @@ def cell_from_aggregate(
         protocol=protocol,
         safety=aggregate.safety,
         profile=profile,
+        aggregate=aggregate,
     )
 
 

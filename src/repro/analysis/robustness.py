@@ -8,24 +8,15 @@ each (protocol configuration, adversary family), how do the success rate
 (a unique leader was elected), the safety rate (never more than one
 leader), and the cost degrade as the fault dial ``p`` is turned up?
 
-Two folding paths produce the same :class:`RobustnessCurve` shape:
-
-* :class:`RobustnessCurveSink` — a streaming
-  :class:`~repro.analysis.streaming.ResultSink`: every completed run is
-  folded into its curve point's
-  :class:`~repro.analysis.streaming.CellAggregate` the moment it
-  finishes.  The aggregates are exact (integer/rational arithmetic), so
-  the assembled curves are **bit-identical no matter how the runs were
-  scheduled** — serial grid order, a pool's completion order, or the
-  union of per-shard slices all fold to the same values.
-* :func:`fold_experiments` — the post-hoc path over finished
-  (:class:`~repro.analysis.experiments.ExperimentSpec`,
-  :class:`~repro.analysis.experiments.ExperimentResult`) pairs, for
-  callers that already hold assembled cells (the CLI).  Counts and rates
-  are integer-derived and agree exactly with the sink path; the cost
-  means are reconstructed from the cells' (already rounded) float means,
-  so across the *two paths* they agree only to float rounding — each
-  path on its own is deterministic and backend-independent.
+:func:`fold_experiments` folds finished
+(:class:`~repro.analysis.experiments.ExperimentSpec`,
+:class:`~repro.analysis.experiments.ExperimentResult`) pairs into
+:class:`RobustnessCurve` records.  Every cell carries the exact
+:class:`~repro.analysis.streaming.CellAggregate` it was assembled from,
+and the fold merges those aggregates per curve point, so the curves are
+**bit-identical no matter how the runs were scheduled** — serial grid
+order, any pool worker count, or the concatenated results of a sharded
+split all fold to the same values.
 
 The fault dial
 --------------
@@ -40,20 +31,18 @@ dials — a scalar proxy good enough to order the rungs of one ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..dynamics.spec import AdversarySpec, make_adversary
 from .experiments import ExperimentResult, ExperimentSpec
-from .streaming import CellAggregate, ResultSink
+from .streaming import CellAggregate
 
 __all__ = [
     "DIAL_PARAMETERS",
     "CurvePoint",
     "RobustnessCurve",
-    "RobustnessCurveSink",
     "classify_adversary",
     "curve_rows",
     "curves_as_dicts",
@@ -218,91 +207,18 @@ def _assemble_curves(points: Dict[_Key, CurvePoint]) -> List[RobustnessCurve]:
     return curves
 
 
-class RobustnessCurveSink(ResultSink):
-    """Fold streamed runs into robustness-curve buckets, exactly.
-
-    One :class:`~repro.analysis.streaming.CellAggregate` accumulates per
-    (protocol, adversary family, dial value); exact addition is
-    associative and commutative, so the curves are bit-identical for any
-    completion order — the serial driver, any pool worker count, or
-    several sharded jobs sharing one sink instance.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: Dict[_Key, CellAggregate] = {}
-
-    def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
-        protocol = str(result.parameters.get("protocol") or result.algorithm)
-        family, p = classify_adversary(result.parameters.get("adversary"))
-        bucket = self._buckets.get((protocol, family, p))
-        if bucket is None:
-            bucket = self._buckets[(protocol, family, p)] = CellAggregate()
-        bucket.add(result, wall_clock_seconds)
-
-    def curves(self) -> List[RobustnessCurve]:
-        """Assemble the curves folded so far (callable mid-stream)."""
-        points = {
-            (protocol, family, p): CurvePoint(
-                p=p,
-                runs=aggregate.count,
-                successes=aggregate.successes,
-                safe_runs=aggregate.safety.safe_runs,
-                mean_messages=aggregate.mean_messages,
-                mean_rounds=aggregate.mean_rounds,
-                mean_dropped_messages=aggregate.mean_dropped_messages,
-                mean_delayed_messages=aggregate.mean_delayed_messages,
-            )
-            for (protocol, family, p), aggregate in self._buckets.items()
-        }
-        return _assemble_curves(points)
-
-
-@dataclass
-class _CellFold:
-    """Exact accumulator over already-assembled cells (the post-hoc path).
-
-    Rates come from integer counts; cost sums promote the cells' float
-    means to :class:`~fractions.Fraction` (an exact conversion), so the
-    fold is order-independent even though the inputs were rounded once
-    at cell assembly.
-    """
-
-    runs: int = 0
-    successes: int = 0
-    safe_runs: int = 0
-    sum_messages: Fraction = field(default_factory=Fraction)
-    sum_rounds: Fraction = field(default_factory=Fraction)
-    sum_dropped: Fraction = field(default_factory=Fraction)
-    sum_delayed: Fraction = field(default_factory=Fraction)
-
-    def add_cell(self, cell) -> None:
-        self.runs += cell.runs
-        self.successes += cell.successes
-        # Cells built by the drivers always carry a tally; hand-built
-        # cells without one contribute their runs as safe (no violation
-        # was recorded).
-        self.safe_runs += (
-            cell.safety.safe_runs if cell.safety is not None else cell.runs
-        )
-        # int() asserts the run count is integral, so Fraction * int stays
-        # a Fraction and the accumulation is exact (REP106's contract).
-        self.sum_messages += Fraction(cell.mean_messages) * int(cell.runs)
-        self.sum_rounds += Fraction(cell.mean_rounds) * int(cell.runs)
-        self.sum_dropped += Fraction(cell.mean_dropped_messages) * int(cell.runs)
-        self.sum_delayed += Fraction(cell.mean_delayed_messages) * int(cell.runs)
-
-    def point(self, p: float) -> CurvePoint:
-        runs = self.runs or 1
-        return CurvePoint(
-            p=p,
-            runs=self.runs,
-            successes=self.successes,
-            safe_runs=self.safe_runs,
-            mean_messages=float(self.sum_messages / runs),
-            mean_rounds=float(self.sum_rounds / runs),
-            mean_dropped_messages=float(self.sum_dropped / runs),
-            mean_delayed_messages=float(self.sum_delayed / runs),
-        )
+def _point(p: float, aggregate: CellAggregate) -> CurvePoint:
+    """The curve point of one bucket's merged aggregate."""
+    return CurvePoint(
+        p=p,
+        runs=aggregate.count,
+        successes=aggregate.successes,
+        safe_runs=aggregate.safety.safe_runs,
+        mean_messages=aggregate.mean_messages,
+        mean_rounds=aggregate.mean_rounds,
+        mean_dropped_messages=aggregate.mean_dropped_messages,
+        mean_delayed_messages=aggregate.mean_delayed_messages,
+    )
 
 
 def fold_experiments(
@@ -313,27 +229,33 @@ def fold_experiments(
 
     ``specs`` and ``results`` are matched positionally (the order
     :func:`repro.parallel.run_experiments` returns them in); each spec's
-    adversary classifies all of its cells onto one rung.  Sharded
+    adversary classifies all of its cells onto one rung, and the cells'
+    exact aggregates merge per (protocol, family, dial) bucket.  Sharded
     results fold too — a shard's slice simply contributes fewer runs per
-    point, and merging shards before folding or folding per-shard
-    results of every shard yields identical curves.
+    point, and folding the concatenated (spec, result) lists of every
+    shard yields the serial sweep's curves.
     """
     if len(specs) != len(results):
         raise ConfigurationError(
             f"fold_experiments needs one result per spec, got "
             f"{len(specs)} specs and {len(results)} results"
         )
-    buckets: Dict[_Key, _CellFold] = {}
+    buckets: Dict[_Key, CellAggregate] = {}
     for spec, result in zip(specs, results):
         family, p = classify_adversary(spec.adversary)
         for cell in result.cells:
+            if cell.aggregate is None:
+                raise ConfigurationError(
+                    f"cell {cell.topology_name!r} of {result.name!r} carries "
+                    f"no aggregate to fold (build cells with cell_from_aggregate)"
+                )
             protocol = str(cell.protocol or cell.algorithm)
-            fold = buckets.get((protocol, family, p))
-            if fold is None:
-                fold = buckets[(protocol, family, p)] = _CellFold()
-            fold.add_cell(cell)
+            bucket = buckets.get((protocol, family, p))
+            if bucket is None:
+                bucket = buckets[(protocol, family, p)] = CellAggregate()
+            bucket.merge(cell.aggregate)
     return _assemble_curves(
-        {key: fold.point(key[2]) for key, fold in buckets.items()}
+        {key: _point(key[2], aggregate) for key, aggregate in buckets.items()}
     )
 
 

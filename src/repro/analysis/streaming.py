@@ -43,10 +43,7 @@ Sinks
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +51,7 @@ from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
 
 from ..election.base import LeaderElectionResult, SafetyTally
 from ..obs import Stopwatch
+from ..obs.staged import StagedJsonl
 
 __all__ = [
     "CellAggregate",
@@ -84,9 +82,9 @@ class CellAggregate:
 
     Everything :class:`~repro.analysis.experiments.ExperimentCell` reports
     is derivable from these accumulators, so a sweep never needs to retain
-    its runs.  ``merge`` combines two aggregates of the same cell (used
-    when folding shard results); because the accumulators are exact, a
-    merge of partial aggregates equals the aggregate of the union.
+    its runs.  ``merge`` combines aggregates (a robustness curve point
+    merges its cells'); because the accumulators are exact, a merge of
+    partial aggregates equals the aggregate of the union.
     """
 
     __slots__ = (
@@ -150,7 +148,13 @@ class CellAggregate:
         self.safety.add(result)
 
     def merge(self, other: "CellAggregate") -> None:
-        """Fold another partial aggregate of the *same* cell into this one."""
+        """Fold another aggregate into this one.
+
+        The sum is exact, so merging partial aggregates equals aggregating
+        the union of their runs.  A robustness curve point merges the
+        aggregates of every cell at its dial value
+        (:func:`repro.analysis.robustness.fold_experiments`).
+        """
         if self.algorithm is None:
             self.algorithm = other.algorithm
         self.count += other.count
@@ -407,28 +411,9 @@ class JsonlSink(ResultSink):
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(path)
-        self._staging = self._path.with_name(self._path.name + ".partial")
-        self._handle = None
-        self._closed = False
-        self._was_closed = False
-
-    def _open(self):
-        if self._handle is None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self._staging.open("w", encoding="utf-8")
-            if self._was_closed and self._path.exists():
-                # One instance shared by sequential driver calls: seed the
-                # new staging file with the previous calls' published
-                # records (streamed, not slurped — exports can be large),
-                # so the final rename accumulates instead of replacing.
-                with self._path.open("r", encoding="utf-8") as published:
-                    shutil.copyfileobj(published, self._handle)
-        self._closed = False
-        return self._handle
+        self._export = StagedJsonl(path, accumulate=True)
 
     def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
-        handle = self._open()
         record: Dict[str, object] = {
             "experiment": spec_name,
             "topology_index": topology_index,
@@ -451,33 +436,20 @@ class JsonlSink(ResultSink):
         adversary = result.parameters.get("adversary")
         if adversary is not None:
             record["adversary"] = adversary
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._export.write(record)
 
     def close(self) -> None:
         # Idempotent: the drivers close caller-supplied sinks, and a
         # caller closing again defensively must not republish (or
-        # truncate) the finished file.
-        if self._closed:
-            return
-        # A sweep with zero local runs (an empty shard slice) still
-        # publishes an (empty) file, so downstream collectors see the job
-        # ran.
-        self._open()
-        self._handle.close()
-        self._handle = None
-        self._closed = True
-        self._was_closed = True
-        os.replace(self._staging, self._path)
+        # truncate) the finished file.  A sweep with zero local runs (an
+        # empty shard slice) still publishes an (empty) file, so
+        # downstream collectors see the job ran.
+        self._export.publish()
 
     def abort(self) -> None:
-        # The sweep failed mid-grid: flush the completed runs' records to
+        # The sweep failed mid-grid: the completed runs' records stay in
         # the ``.partial`` staging file (they help debug the failure), but
-        # publish nothing — the export path keeps its previous complete
-        # sweep, and a crash before the first run forges no empty
-        # "completed with zero runs" marker.
-        if self._closed:
-            return
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._closed = True
+        # nothing is published — the export path keeps its previous
+        # complete sweep, and a crash before the first run forges no
+        # empty "completed with zero runs" marker.
+        self._export.abort()

@@ -520,6 +520,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         derive_seeds=args.derive_seeds,
         base_seed=args.base_seed,
     )
+    if args.json:
+        # Up front, like the --jsonl/--telemetry/--checkpoint writers'
+        # directories: a path that cannot exist fails before the query.
+        try:
+            Path(args.json).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            raise ReproError(
+                f"cannot create the directory of {args.json}: {error}"
+            ) from error
     answer = run_query(specs, archive=args.archive, config=config)
     rows = summarize_results(answer.results)
     print(render_table(rows, title=f"query over suite {args.suite!r}"))
@@ -542,9 +551,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "cells": rows,
             "curves": curves_as_dicts(curves),
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                json_module.dump(payload, handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        except OSError as error:
+            raise ReproError(
+                f"cannot write query JSON to {args.json}: {error}"
+            ) from error
         print(f"\nwrote query JSON to {args.json}")
     return 0
 

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.errors import ConfigurationError
+from .staged import StagedJsonl
 
 __all__ = [
     "TASK_RECORD_FIELDS",
@@ -352,30 +352,25 @@ class TelemetrySink:
     arrives through :meth:`emit_telemetry`, which only the drivers call,
     so the summary stays derivable from the JSONL alone.
 
-    File handling mirrors :class:`repro.analysis.streaming.JsonlSink`:
-    records go to a ``<path>.partial`` staging file that atomically
-    replaces ``<path>`` on a clean close, so a published telemetry file
-    always describes a *complete* sweep and a crash leaves the previous
-    export untouched (with the partial records on the side for debugging).
+    File handling is :class:`repro.obs.staged.StagedJsonl`'s, as for
+    :class:`repro.analysis.streaming.JsonlSink`: records go to a
+    ``<path>.partial`` staging file that atomically replaces ``<path>`` on
+    a clean close, so a published telemetry file always describes a
+    *complete* sweep and a crash leaves the previous export untouched
+    (with the partial records on the side for debugging).  A sink reused
+    for another sweep replaces its file.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(path)
-        self._staging = self._path.with_name(self._path.name + ".partial")
-        self._handle = None
-        self._closed = False
+        self._export = StagedJsonl(path)
         self.aggregator = TelemetryAggregator()
 
     @property
     def path(self) -> Path:
-        return self._path
+        return self._export.path
 
     def _write(self, record: Dict[str, object]) -> None:
-        if self._handle is None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self._staging.open("w", encoding="utf-8")
-            self._closed = False
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._export.write(record)
         self.aggregator.add(record)
 
     def begin_sweep(
@@ -436,26 +431,13 @@ class TelemetrySink:
         """Per-run results are observed but not recorded (see class doc)."""
 
     def close(self) -> None:
-        if self._closed:
-            return
-        if self._handle is None:
-            # Telemetry on a sweep with zero records (nothing pending and
-            # nothing restored) still publishes a file: "the sweep ran and
-            # measured nothing" must be distinguishable from "no export".
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self._staging.open("w", encoding="utf-8")
-        self._handle.close()
-        self._handle = None
-        self._closed = True
-        os.replace(self._staging, self._path)
+        # Telemetry on a sweep with zero records (nothing pending and
+        # nothing restored) still publishes a file: "the sweep ran and
+        # measured nothing" must be distinguishable from "no export".
+        self._export.publish()
 
     def abort(self) -> None:
-        if self._closed:
-            return
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._closed = True
+        self._export.abort()
 
 
 def read_telemetry(path: Union[str, Path]) -> List[Dict[str, object]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main, parse_topology
@@ -399,6 +401,28 @@ class TestSweepDynamics:
         assert code == 2
         assert "requires adversary" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_query_json_creates_its_parent_directory(self, capsys, tmp_path):
+        out = tmp_path / "nodir" / "q.json"
+        code = main(
+            ["query", "--archive", str(tmp_path / "a.sqlite")]
+            + self.BASE[1:]
+            + ["--json", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["cells"]
+        assert f"wrote query JSON to {out}" in capsys.readouterr().out
+
+    def test_query_json_write_error_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "q.json"
+        out.mkdir()  # a directory where the JSON file should go
+        code = main(
+            ["query", "--archive", str(tmp_path / "a.sqlite")]
+            + self.BASE[1:]
+            + ["--json", str(out)]
+        )
+        assert code == 2
+        assert f"cannot write query JSON to {out}" in capsys.readouterr().err
 
     def test_sweep_config_error_leaves_no_archive(self, capsys, tmp_path):
         archive = tmp_path / "a.sqlite"

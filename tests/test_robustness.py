@@ -5,10 +5,10 @@ The contract under test:
 * classification: every adversary rung maps to a (family, dial) pair —
   model defaults resolve, churn dials ``p_down``, composed rungs take the
   maximum of their parts, the baseline sits at ``("", 0.0)``;
-* folding: the streaming curve sink and the post-hoc cell fold agree,
-  and both are independent of scheduling — serial, any worker count, or
-  a sharded split folding through one shared sink produce bit-identical
-  curves;
+* folding: ``fold_experiments`` merges the cells' exact aggregates, so
+  its means equal the exact means of the runs, and it is independent of
+  scheduling — serial, any worker count, or the concatenated results of
+  a sharded split produce bit-identical curves;
 * assembly: points are sorted by strictly increasing ``p``, the shared
   baseline rung is prepended to every family curve of its protocol;
 * the ``robustness_curves`` workload helper crosses protocol parameter
@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import io
 import os
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from repro.analysis import run_experiment
 from repro.analysis.robustness import (
     DIAL_PARAMETERS,
-    RobustnessCurveSink,
     classify_adversary,
     curve_rows,
     curves_as_dicts,
     fold_experiments,
 )
-from repro.analysis.streaming import ProgressSink
+from repro.analysis.streaming import CollectingSink, ProgressSink
 from repro.core.errors import ConfigurationError
 from repro.dynamics import AdversarySpec, composed_spec, robustness_specs
 from repro.graphs import complete, cycle, star
@@ -57,10 +58,8 @@ def _flooding_c3(topology, seed):
     return run_protocol("flooding", topology, seed, c=3.0)
 
 
-def _sink_for(specs, config=None):
-    sink = RobustnessCurveSink()
-    results = run_experiments(specs, config=config, sinks=[sink])
-    return sink, results
+def _curves_for(specs, config=None):
+    return fold_experiments(specs, run_experiments(specs, config=config))
 
 
 # --------------------------------------------------------------------------- #
@@ -107,15 +106,13 @@ class TestClassifyAdversary:
 
 
 # --------------------------------------------------------------------------- #
-# folding: sink, cell fold, and their equivalence
+# folding
 # --------------------------------------------------------------------------- #
 
 
 class TestCurveFolding:
-    def test_sink_builds_one_curve_per_family_with_baseline_first(self):
-        specs = _lossy_specs()
-        sink, _ = _sink_for(specs)
-        curves = sink.curves()
+    def test_fold_builds_one_curve_per_family_with_baseline_first(self):
+        curves = _curves_for(_lossy_specs())
         assert len(curves) == 1
         curve = curves[0]
         assert curve.adversary == "loss"
@@ -126,8 +123,7 @@ class TestCurveFolding:
         assert curve.points[0].safety_rate == 1.0
 
     def test_series_and_rows_and_dicts(self):
-        sink, _ = _sink_for(_lossy_specs())
-        (curve,) = sink.curves()
+        (curve,) = _curves_for(_lossy_specs())
         series = curve.series("success_rate")
         assert [p for p, _ in series] == [0.0, 0.01, 0.05, 0.1]
         rows = curve_rows([curve])
@@ -139,30 +135,26 @@ class TestCurveFolding:
         assert len(record["points"]) == 4
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_sink_curves_identical_for_any_worker_count(self, workers):
+    def test_curves_identical_for_any_worker_count(self, workers):
         specs = _lossy_specs()
-        serial_sink, _ = _sink_for(specs)
-        parallel_sink, _ = _sink_for(specs, config=SweepConfig(workers=workers))
-        assert curves_as_dicts(parallel_sink.curves()) == curves_as_dicts(
-            serial_sink.curves()
-        )
+        serial = _curves_for(specs)
+        parallel = _curves_for(specs, config=SweepConfig(workers=workers))
+        assert curves_as_dicts(parallel) == curves_as_dicts(serial)
 
-    def test_sharded_split_through_one_sink_matches_serial(self, tmp_path):
+    def test_sharded_split_folds_to_serial_curves(self, tmp_path):
         specs = _lossy_specs()
-        serial_sink, _ = _sink_for(specs)
-        sharded_sink = RobustnessCurveSink()
+        serial = _curves_for(specs)
+        shard_results = []
         for shard_index in (0, 1, 2):
-            run_experiments(
+            shard_results += run_experiments(
                 specs,
                 config=SweepConfig(
                     checkpoint=tmp_path / "sweep.json",
                     shard=(shard_index, 3),
                 ),
-                sinks=[sharded_sink],
             )
-        assert curves_as_dicts(sharded_sink.curves()) == curves_as_dicts(
-            serial_sink.curves()
-        )
+        sharded = fold_experiments(specs * 3, shard_results)
+        assert curves_as_dicts(sharded) == curves_as_dicts(serial)
 
     def test_wrapper_of_a_builtin_gets_its_own_curve(self, register_fake_protocol):
         # The wrapper's runs say "flooding-max-id" like flooding's own; the
@@ -174,41 +166,49 @@ class TestCurveFolding:
             [None, AdversarySpec.create("loss", p=0.1)],
             seeds=(0, 1),
         )
-        sink, results = _sink_for(specs)
-        for curves in (sink.curves(), fold_experiments(specs, results)):
-            assert [(c.protocol, c.adversary) for c in curves] == [
-                ("flooding-max-id", "loss"),
-                ("flooding-wrapper", "loss"),
+        curves = _curves_for(specs)
+        assert [(c.protocol, c.adversary) for c in curves] == [
+            ("flooding-max-id", "loss"),
+            ("flooding-wrapper", "loss"),
+        ]
+        for curve in curves:
+            assert [(point.p, point.runs) for point in curve.points] == [
+                (0.0, 2),
+                (0.1, 2),
             ]
-            for curve in curves:
-                assert [(point.p, point.runs) for point in curve.points] == [
-                    (0.0, 2),
-                    (0.1, 2),
-                ]
 
-    def test_fold_experiments_agrees_with_sink(self):
-        specs = _lossy_specs()
-        sink, results = _sink_for(specs)
-        folded = fold_experiments(specs, results)
-        streamed = sink.curves()
-        assert len(folded) == len(streamed)
-        for fold_curve, sink_curve in zip(folded, streamed):
-            assert fold_curve.protocol == sink_curve.protocol
-            assert fold_curve.adversary == sink_curve.adversary
-            for fold_point, sink_point in zip(fold_curve.points, sink_curve.points):
-                # Counts and rates are integer-derived: exactly equal.
-                assert fold_point.p == sink_point.p
-                assert fold_point.runs == sink_point.runs
-                assert fold_point.successes == sink_point.successes
-                assert fold_point.safe_runs == sink_point.safe_runs
-                # Means are reconstructed from the cells' rounded floats:
-                # equal to float rounding across the two paths.
-                assert fold_point.mean_messages == pytest.approx(
-                    sink_point.mean_messages, rel=1e-12
-                )
-                assert fold_point.mean_rounds == pytest.approx(
-                    sink_point.mean_rounds, rel=1e-12
-                )
+    def test_fold_means_are_exact_means_of_the_runs(self):
+        # 3952/15 messages at p = 0: a fold of the cells' rounded means
+        # lands one ulp off; merging their exact aggregates does not.
+        specs = robustness_specs(
+            ["gilbert"],
+            tiny_suite(),
+            [None, AdversarySpec.create("loss", p=0.1)],
+            seeds=(0, 1, 2),
+        )
+        collected = CollectingSink()
+        results = run_experiments(specs, sinks=[collected])
+        (curve,) = fold_experiments(specs, results)
+        for spec, point in zip(specs, curve.points):
+            runs = [
+                run
+                for index in range(len(spec.topologies))
+                for run in collected.results_for(spec.name, index)
+            ]
+            assert point.runs == len(runs)
+            for mean, values in (
+                (point.mean_messages, [run.messages for run in runs]),
+                (point.mean_rounds, [run.rounds_executed for run in runs]),
+                (
+                    point.mean_dropped_messages,
+                    [run.metrics.dropped_messages for run in runs],
+                ),
+                (
+                    point.mean_delayed_messages,
+                    [run.metrics.delayed_messages for run in runs],
+                ),
+            ):
+                assert mean == float(Fraction(sum(values), len(values)))
 
     def test_fold_experiments_is_shard_transparent(self, tmp_path):
         specs = _lossy_specs()
@@ -236,6 +236,13 @@ class TestCurveFolding:
         with pytest.raises(ConfigurationError):
             fold_experiments(specs, [])
 
+    def test_fold_experiments_rejects_a_cell_without_its_aggregate(self):
+        specs = _lossy_specs(seeds=(0,))[:1]
+        (result,) = run_experiments(specs)
+        result.cells[0] = replace(result.cells[0], aggregate=None)
+        with pytest.raises(ConfigurationError, match="no aggregate"):
+            fold_experiments(specs, [result])
+
     def test_explicit_zero_rung_shadows_baseline(self):
         specs = robustness_specs(
             ["flooding"],
@@ -244,8 +251,7 @@ class TestCurveFolding:
             seeds=(0,),
             collect_profile=False,
         )
-        sink, _ = _sink_for(specs)
-        (curve,) = sink.curves()
+        (curve,) = _curves_for(specs)
         ps = [point.p for point in curve.points]
         assert ps == [0.0, 0.1]  # explicit p=0 rung wins; no duplicate point
         assert curve.points[0].runs == 1
@@ -259,8 +265,7 @@ class TestCurveFolding:
         specs = robustness_specs(
             ["flooding"], [cycle(8)], ladder, seeds=(0,), collect_profile=False
         )
-        sink, _ = _sink_for(specs)
-        curves = sink.curves()
+        curves = _curves_for(specs)
         assert [curve.adversary for curve in curves] == ["loss", "skew"]
         # The single baseline rung calibrates both curves.
         for curve in curves:
@@ -313,9 +318,7 @@ class TestRobustnessCurvesHelper:
             seeds=(0,),
             c=[2.0, 3.0],
         )
-        sink = RobustnessCurveSink()
-        run_experiments(specs, sinks=[sink])
-        curves = sink.curves()
+        curves = _curves_for(specs)
         # One curve per protocol variant, each covering the full ladder.
         assert [curve.protocol for curve in curves] == [
             "irrevocable:c=2.0",
