@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..analysis.experiments import ExperimentResult, ExperimentSpec
+from ..analysis import robustness
+from ..analysis.experiments import ExperimentResult, ExperimentSpec, summarize_results
 from ..analysis.streaming import ResultSink
 from ..core.errors import ConfigurationError
 from ..parallel.runner import SweepConfig, run_experiments
@@ -79,6 +80,26 @@ class QueryResult:
 
     results: List[ExperimentResult]
     report: QueryReport
+
+    def payload(
+        self, specs: Sequence[ExperimentSpec], adversarial: bool
+    ) -> Dict[str, object]:
+        """The JSON answer of ``repro-le query --json`` and HTTP ``/query``.
+
+        ``specs`` and ``adversarial`` are what
+        :func:`repro.api.plan_sweep` returned for the grid this result
+        answers: the cache accounting (``report``), the per-cell rows
+        (``cells``) and the robustness curves folded from them
+        (``curves``).
+        """
+        return {
+            "report": self.report.as_dict(),
+            "adversarial": adversarial,
+            "cells": summarize_results(self.results),
+            "curves": robustness.curves_as_dicts(
+                robustness.fold_experiments(specs, self.results)
+            ),
+        }
 
 
 def query_config(config: Optional[SweepConfig]) -> SweepConfig:

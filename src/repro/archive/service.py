@@ -9,10 +9,14 @@ with JSON:
 * ``/query`` — the memoized query surface.  Parameters mirror the
   ``sweep``/``query`` CLI spelling: ``suite``, ``algorithms``
   (comma-separated), ``scenario``, ``adversary``, ``adversary_param``
-  (repeatable), ``seeds``.  The response carries the cache accounting
-  (``report``), the per-cell measurement rows (``cells``) and the
-  robustness curves (``curves``); a repeated query is served entirely
-  from the archive (``report.simulated_cells == 0``).
+  (repeatable), ``seeds`` and ``profile`` (``1``/``true`` computes the
+  suite's expansion profiles; off by default, where the CLI's default
+  is on).  Any other parameter is answered with a 400.  The response is
+  the payload ``repro-le query --json`` writes
+  (:meth:`repro.archive.query.QueryResult.payload`): the cache
+  accounting (``report``), the per-cell measurement rows (``cells``)
+  and the robustness curves (``curves``); a repeated query is served
+  entirely from the archive (``report.simulated_cells == 0``).
 
 ``ThreadingHTTPServer`` + per-request SQLite connections keep this
 dependency-free and safe for concurrent readers; it is an operational
@@ -25,7 +29,7 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Union
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, parse_qsl, urlsplit
 
 from ..core.errors import ReproError
 from ..parallel.runner import SweepConfig
@@ -33,6 +37,12 @@ from .query import query_config
 from .store import ResultArchive
 
 __all__ = ["ArchiveHTTPServer", "make_server"]
+
+#: the ``/query`` parameters; any other name is a client error, not a
+#: default silently planned, simulated and archived
+_QUERY_PARAMETERS = (
+    "suite", "algorithms", "scenario", "adversary", "adversary_param", "seeds", "profile"
+)
 
 
 class ArchiveHTTPServer(ThreadingHTTPServer):
@@ -56,14 +66,13 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
         url = urlsplit(self.path)
-        params = parse_qs(url.query)
         try:
             if url.path == "/health":
                 self._respond(200, self._health())
             elif url.path == "/stats":
                 self._respond(200, self._stats())
             elif url.path == "/query":
-                self._respond(200, self._query(params))
+                self._respond(200, self._query(url.query))
             else:
                 self._respond(
                     404,
@@ -93,11 +102,24 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
         with ResultArchive(self.server.archive_path) as archive:
             return archive.stats()
 
-    def _query(self, params: Dict[str, list]) -> Dict[str, object]:
+    def _query(self, query: str) -> Dict[str, object]:
         from .. import api
-        from ..analysis.experiments import summarize_results
-        from ..analysis.robustness import curves_as_dicts, fold_experiments
 
+        # Names are checked with blank values kept: ``parse_qs`` drops
+        # ``seed=``, which would otherwise slip past as a default grid.
+        names = {name for name, _ in parse_qsl(query, keep_blank_values=True)}
+        unknown = sorted(names - set(_QUERY_PARAMETERS))
+        if unknown:
+            raise ReproError(
+                f"unknown /query parameter(s) {', '.join(unknown)}; accepted: "
+                f"{', '.join(_QUERY_PARAMETERS)}"
+            )
+        params = parse_qs(query)
+        profile = _single(params, "profile", "0")
+        if profile not in ("0", "1", "true", "false"):
+            raise ReproError(
+                f"parameter 'profile' must be 0, 1, true or false, got {profile!r}"
+            )
         algorithms = None
         if "algorithms" in params:
             algorithms = [
@@ -114,17 +136,12 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
             adversary=_single(params, "adversary", None),
             adversary_params=params.get("adversary_param"),
             seeds=seeds,
-            collect_profile=_single(params, "profile", "0") in ("1", "true"),
+            collect_profile=profile in ("1", "true"),
         )
         answer = api.query(
             specs, archive=self.server.archive_path, config=self.server.config
         )
-        return {
-            "report": answer.report.as_dict(),
-            "adversarial": adversarial,
-            "cells": summarize_results(answer.results),
-            "curves": curves_as_dicts(fold_experiments(specs, answer.results)),
-        }
+        return answer.payload(specs, adversarial)
 
     # ------------------------------------------------------------------ #
     # plumbing

@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from .analysis import render_kv, render_table
-from .core.errors import ReproError
+from .core.errors import ConfigurationError, ReproError
 from .election.explicit import extend_to_explicit
 from .graphs import Topology, expansion_profile
 from .graphs.generators import GENERATORS
@@ -187,6 +187,8 @@ def _cmd_elect(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .api import run as run_election
 
+    if args.seeds < 1:
+        raise ConfigurationError(f"seeds must be >= 1, got {args.seeds}")
     topology = parse_topology(args.topology, seed=args.topology_seed)
     rows: List[dict] = []
     for name in args.algorithms:
@@ -228,6 +230,37 @@ def build_sweep_specs(args: argparse.Namespace, topologies: Sequence[Topology]):
         seeds=args.seeds,
         collect_profile=not args.no_profile,
     )
+
+
+def _sweep_config(args: argparse.Namespace, *, grid: bool = True, **fields):
+    """The engine config of a command's parsed engine options.
+
+    ``grid`` adds the grid's seed options (``serve`` parses none: its
+    queries use the default seeds); ``fields`` are the command's own
+    extra :class:`~repro.api.SweepConfig` fields.
+    """
+    from .api import SweepConfig
+
+    if grid:
+        fields.update(derive_seeds=args.derive_seeds, base_seed=args.base_seed)
+    return SweepConfig(
+        workers=args.workers,
+        backend=args.backend,
+        start_method=args.start_method,
+        **fields,
+    )
+
+
+def _print_curves(curves: Sequence[Dict[str, object]]) -> None:
+    """Print robustness curves (``curves_as_dicts`` records) as one table."""
+    rows = [
+        {"protocol": curve["protocol"], "adversary": curve["adversary"], **point}
+        for curve in curves
+        for point in curve["points"]
+    ]
+    if rows:
+        print()
+        print(render_table(rows, title="robustness curves (success/safety vs p)"))
 
 
 def _print_telemetry_summary(summary: Dict[str, object], *, title: str) -> None:
@@ -291,7 +324,7 @@ def _print_telemetry_summary(summary: Dict[str, object], *, title: str) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import summarize_results
     from .analysis.streaming import JsonlSink, ProgressSink
-    from .api import SweepConfig, sweep as run_sweep
+    from .api import sweep as run_sweep
     from .election.base import SafetyTally
     from .obs import TelemetrySink
     from .parallel import parse_shard, shard_checkpoint_path
@@ -300,42 +333,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     shard = parse_shard(args.shard) if args.shard is not None else None
     shard_label = f"shard {shard[0]}/{shard[1]}" if shard is not None else ""
 
-    def slice_path(base: str, default_suffix: str):
+    def slice_path(base: Optional[str]):
         # Same naming as the per-shard checkpoints: k jobs sharing one
         # --jsonl/--telemetry spelling must not publish over each other's
         # slices.
-        return shard_checkpoint_path(
-            base, shard[0], shard[1], default_suffix=default_suffix
-        )
+        if not base or shard is None:
+            return base
+        return shard_checkpoint_path(base, shard[0], shard[1], default_suffix=".jsonl")
 
-    jsonl = args.jsonl
-    if jsonl and shard is not None:
-        jsonl = slice_path(jsonl, ".jsonl")
-    telemetry_path = args.telemetry
-    if telemetry_path and shard is not None:
-        telemetry_path = slice_path(telemetry_path, ".jsonl")
+    jsonl = slice_path(args.jsonl)
+    telemetry_path = slice_path(args.telemetry)
     telemetry = TelemetrySink(telemetry_path) if telemetry_path else None
     # Every check runs here, before a sink creates any file (the archive
     # sink creates its database when it is built); the telemetry sink
     # opens its file lazily.
-    config = SweepConfig(
-        workers=args.workers,
+    config = _sweep_config(
+        args,
         checkpoint=args.checkpoint,
-        start_method=args.start_method,
-        derive_seeds=args.derive_seeds,
-        base_seed=args.base_seed,
         shard=shard,
-        backend=args.backend,
         telemetry=telemetry,
         profile=args.profile,
         task_timeout=args.task_timeout,
     )
     topologies = suite_by_name(args.suite)
     specs, adversarial = build_sweep_specs(args, topologies)
-    if jsonl and shard is not None:
-        print(f"{shard_label}: writing JSONL export to {jsonl}")
-    if telemetry_path and shard is not None:
-        print(f"{shard_label}: writing telemetry to {telemetry_path}")
+    for export, path in (("JSONL export", jsonl), ("telemetry", telemetry_path)):
+        if path and shard is not None:
+            print(f"{shard_label}: writing {export} to {path}")
     sinks: List[object] = [JsonlSink(jsonl)] if jsonl else []
     if args.archive:
         from .archive import ArchiveSink
@@ -399,16 +423,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # A scenario ladder has a dial axis: fold the cells into the
             # success/safety-vs-p curves the ladder exists to measure
             # (the same curves benchmarks/bench_robustness.py tracks).
-            from .analysis.robustness import curve_rows, fold_experiments
+            from .analysis.robustness import curves_as_dicts, fold_experiments
 
-            rows = curve_rows(fold_experiments(specs, results))
-            if rows:
-                print()
-                print(
-                    render_table(
-                        rows, title="robustness curves (success/safety vs p)"
-                    )
-                )
+            _print_curves(curves_as_dicts(fold_experiments(specs, results)))
         for violation in safety["violations"]:
             print(f"SAFETY VIOLATION: {violation}", file=sys.stderr)
         return 0 if not safety["violations"] else 1
@@ -467,8 +484,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     # Exit contract (lint's 0/1/2 convention): 0 = full-coverage merge,
     # 1 = merge completed but partial (--allow-partial with shards or
     # tasks missing), 2 = usage/configuration errors.
-    from pathlib import Path
-
     from .parallel import merge_shard_checkpoints
 
     manifest = args.manifest
@@ -506,20 +521,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from .analysis import summarize_results
-    from .analysis.robustness import curve_rows, curves_as_dicts, fold_experiments
-    from .api import SweepConfig, query as run_query
+    from .api import query as run_query
     from .workloads import DYNAMIC_SCENARIOS, suite_by_name
 
-    topologies = suite_by_name(args.suite)
-    specs, adversarial = build_sweep_specs(args, topologies)
-    config = SweepConfig(
-        workers=args.workers,
-        backend=args.backend,
-        start_method=args.start_method,
-        derive_seeds=args.derive_seeds,
-        base_seed=args.base_seed,
-    )
+    specs, adversarial = build_sweep_specs(args, suite_by_name(args.suite))
+    config = _sweep_config(args)
     if args.json:
         # Up front, like the --jsonl/--telemetry/--checkpoint writers'
         # directories: a path that cannot exist fails before the query.
@@ -530,27 +536,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"cannot create the directory of {args.json}: {error}"
             ) from error
     answer = run_query(specs, archive=args.archive, config=config)
-    rows = summarize_results(answer.results)
-    print(render_table(rows, title=f"query over suite {args.suite!r}"))
+    payload = answer.payload(specs, adversarial)
+    print(render_table(payload["cells"], title=f"query over suite {args.suite!r}"))
     print()
-    print(render_kv(answer.report.as_dict(), title=f"archive {args.archive}"))
-    curves = fold_experiments(specs, answer.results)
+    print(render_kv(payload["report"], title=f"archive {args.archive}"))
     if adversarial and args.scenario in DYNAMIC_SCENARIOS:
-        curve_table = curve_rows(curves)
-        if curve_table:
-            print()
-            print(
-                render_table(
-                    curve_table, title="robustness curves (success/safety vs p)"
-                )
-            )
+        _print_curves(payload["curves"])
     if args.json:
-        payload = {
-            "report": answer.report.as_dict(),
-            "adversarial": adversarial,
-            "cells": rows,
-            "curves": curves_as_dicts(curves),
-        }
         try:
             with open(args.json, "w", encoding="utf-8") as handle:
                 json_module.dump(payload, handle, sort_keys=True, indent=2)
@@ -564,18 +556,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .api import SweepConfig, serve as run_serve
+    from .api import serve as run_serve
 
-    config = SweepConfig(
-        workers=args.workers,
-        backend=args.backend,
-        start_method=args.start_method,
-    )
     server = run_serve(
         archive=args.archive,
         host=args.host,
         port=args.port,
-        config=config,
+        config=_sweep_config(args, grid=False),
         block=False,
     )
     host, port = server.server_address[:2]
@@ -685,6 +672,103 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
     return 0
 
 
+# --------------------------------------------------------------------------- #
+# option groups: each flag shared by several commands is declared once
+# --------------------------------------------------------------------------- #
+
+
+def _add_topology_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--topology", required=True, help="family:arg[:arg...] spec")
+    parser.add_argument("--topology-seed", type=int, default=0)
+
+
+def _add_adversary_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--adversary",
+        default=None,
+        help="fault model to inject, deterministic per run seed: loss, "
+        "delay, churn, crash, skew (repro.dynamics.ADVERSARIES), or "
+        "composed:<m1>+<m2> to stack several; its parameters go in "
+        "--adversary-param, e.g. --adversary loss --adversary-param "
+        "p=0.1, or --adversary composed:loss+delay --adversary-param "
+        "loss.p=0.1 --adversary-param delay.p=0.2",
+    )
+    parser.add_argument(
+        "--adversary-param",
+        action="append",
+        metavar="K=V",
+        help="adversary parameter, e.g. p=0.05 or max_delay=3; dotted "
+        "(loss.p=0.05) for a composed adversary (repeatable)",
+    )
+
+
+def _add_grid_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--suite",
+        default="mixed",
+        help="topology suite name (see repro.workloads.SUITES)",
+    )
+    parser.add_argument(
+        "--algorithms",
+        nargs="+",
+        # None (not the default list) so the protocol-scenario path can
+        # tell "user asked for these algorithms" from "defaulted".
+        default=None,
+        metavar="NAME[:K=V,...]",
+        help="protocol specs (repeatable variants sweep a parameter grid, "
+        "e.g. irrevocable:c=2 irrevocable:c=3); see `repro-le protocols` "
+        "(default: flooding gilbert)",
+    )
+    parser.add_argument(
+        "--seeds", type=int, default=3, help="number of seeds per cell (0..N-1)"
+    )
+    parser.add_argument(
+        "--scenario",
+        default=None,
+        help="named scenario ladder: dynamic (repro.workloads."
+        "DYNAMIC_SCENARIOS: lossy, laggy, flaky-links, crashy, stormy) "
+        "runs every algorithm under each adversary rung; protocol "
+        "(repro.workloads.PROTOCOL_SCENARIOS: paper-constants) sweeps a "
+        "ladder of parameterised protocol variants",
+    )
+    parser.add_argument(
+        "--no-profile",
+        action="store_true",
+        help="skip expansion-profile computation for the suite",
+    )
+    parser.add_argument(
+        "--derive-seeds",
+        action="store_true",
+        help="derive an independent deterministic seed per cell from "
+        "--base-seed instead of reusing 0..N-1 everywhere",
+    )
+    parser.add_argument("--base-seed", type=int, default=None)
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for the runs that simulate; >1 shards them "
+        "over a multiprocessing pool (results identical to --workers 1)",
+    )
+    parser.add_argument(
+        "--backend",
+        default="auto",
+        choices=["auto", "round", "event"],
+        help="simulator core: the event-driven core skips quiescent nodes "
+        "and rounds, the round core steps every node every round; both "
+        "produce bit-identical results (auto picks event)",
+    )
+    parser.add_argument(
+        "--start-method",
+        default=None,
+        choices=["fork", "spawn", "forkserver"],
+        help="multiprocessing start method (platform default if omitted)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-le",
@@ -693,8 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     analyze = subparsers.add_parser("analyze", help="print a topology's expansion profile")
-    analyze.add_argument("--topology", required=True, help="family:arg[:arg...] spec")
-    analyze.add_argument("--topology-seed", type=int, default=0)
+    _add_topology_options(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     protocols = subparsers.add_parser(
@@ -711,49 +794,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocol spec, e.g. irrevocable or irrevocable:c=3,"
         "x_multiplier=1.5 (see `repro-le protocols` for names and schemas)",
     )
-    elect.add_argument("--topology", required=True)
-    elect.add_argument("--topology-seed", type=int, default=0)
+    _add_topology_options(elect)
     elect.add_argument("--seed", type=int, default=0)
     elect.add_argument(
         "--explicit",
         action="store_true",
         help="after the implicit election, announce the leader and build a BFS tree",
     )
-    elect.add_argument(
-        "--adversary",
-        default=None,
-        metavar="NAME[:K=V,...]",
-        help="run the election under a fault adversary, e.g. loss:p=0.1 "
-        "(same families as sweep --adversary; fault injections show up "
-        "in --trace exports)",
-    )
-    elect.add_argument(
-        "--adversary-param",
-        action="append",
-        metavar="K=V",
-        help="adversary parameter, e.g. p=0.05 or max_delay=3 (repeatable)",
-    )
+    _add_adversary_options(elect)
     elect.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
         help="record the run's execution trace and export it to PATH as "
         "JSONL (header line with event/dropped counts, then one event "
-        "per line); the result output reports the counts",
+        "per line, fault injections included); the result output "
+        "reports the counts",
     )
     elect.add_argument(
         "--trace-max-events",
         type=int,
         default=None,
         metavar="N",
-        help="cap the trace at N events (excess events are counted as "
-        "dropped, and the drop count is surfaced in the output)",
+        help="cap the trace at N >= 0 events (excess events are counted "
+        "as dropped, and the drop count is surfaced in the output)",
     )
     elect.set_defaults(func=_cmd_elect)
 
     compare = subparsers.add_parser("compare", help="compare algorithms on one topology")
-    compare.add_argument("--topology", required=True)
-    compare.add_argument("--topology-seed", type=int, default=0)
+    _add_topology_options(compare)
     compare.add_argument("--seeds", type=int, default=2)
     compare.add_argument(
         "--algorithms",
@@ -769,32 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run an experiment grid over a topology suite, optionally in parallel",
     )
-    sweep.add_argument(
-        "--suite",
-        default="mixed",
-        help="topology suite name (see repro.workloads.SUITES)",
-    )
-    sweep.add_argument(
-        "--algorithms",
-        nargs="+",
-        # None (not the default list) so the protocol-scenario path can
-        # tell "user asked for these algorithms" from "defaulted".
-        default=None,
-        metavar="NAME[:K=V,...]",
-        help="protocol specs (repeatable variants sweep a parameter grid, "
-        "e.g. irrevocable:c=2 irrevocable:c=3); see `repro-le protocols` "
-        "(default: flooding gilbert)",
-    )
-    sweep.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds per cell (0..N-1)"
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes; >1 shards runs over a multiprocessing pool "
-        "(results identical to --workers 1)",
-    )
+    _add_grid_options(sweep)
+    _add_adversary_options(sweep)
+    _add_engine_options(sweep)
     sweep.add_argument(
         "--checkpoint",
         default=None,
@@ -819,28 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-dispatch a task whose worker has not reported for this "
         "many seconds; re-runs are deterministic, so duplicated "
         "completions are dropped without changing results",
-    )
-    sweep.add_argument(
-        "--adversary",
-        default=None,
-        help="fault model to inject (see repro.dynamics.ADVERSARIES: "
-        "loss, delay, churn, crash, composed:<m1>+<m2> with dotted "
-        "params like loss.p=0.05); deterministic per run seed",
-    )
-    sweep.add_argument(
-        "--adversary-param",
-        action="append",
-        metavar="K=V",
-        help="adversary parameter, e.g. p=0.05 or max_delay=3 (repeatable)",
-    )
-    sweep.add_argument(
-        "--scenario",
-        default=None,
-        help="named scenario ladder: dynamic (repro.workloads."
-        "DYNAMIC_SCENARIOS: lossy, laggy, flaky-links, crashy, stormy) "
-        "runs every algorithm under each adversary rung; protocol "
-        "(repro.workloads.PROTOCOL_SCENARIOS: paper-constants) sweeps a "
-        "ladder of parameterised protocol variants",
     )
     sweep.add_argument(
         "--jsonl",
@@ -878,32 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         "observable from their job logs)",
     )
     sweep.add_argument(
-        "--start-method",
-        default=None,
-        choices=["fork", "spawn", "forkserver"],
-        help="multiprocessing start method (platform default if omitted)",
-    )
-    sweep.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "round", "event"],
-        help="simulator core: the event-driven core skips quiescent nodes "
-        "and rounds, the round core steps every node every round; both "
-        "produce bit-identical results (auto picks event)",
-    )
-    sweep.add_argument(
-        "--derive-seeds",
-        action="store_true",
-        help="derive an independent deterministic seed per cell from "
-        "--base-seed instead of reusing 0..N-1 everywhere",
-    )
-    sweep.add_argument("--base-seed", type=int, default=None)
-    sweep.add_argument(
-        "--no-profile",
-        action="store_true",
-        help="skip expansion-profile computation for the suite",
-    )
-    sweep.add_argument(
         "--archive",
         default=None,
         metavar="DB",
@@ -927,68 +925,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="result archive (SQLite) to answer from and write new runs "
         "back to; populate with `sweep --archive` or `archive add`",
     )
-    query.add_argument("--suite", default="mixed", help="topology suite name")
-    query.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=None,
-        metavar="NAME[:K=V,...]",
-        help="protocol specs, as in `sweep` (default: flooding gilbert)",
-    )
-    query.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds per cell (0..N-1)"
-    )
-    query.add_argument(
-        "--scenario",
-        default=None,
-        help="named scenario ladder, as in `sweep --scenario`",
-    )
-    query.add_argument(
-        "--adversary",
-        default=None,
-        help="fault model to inject, as in `sweep --adversary`",
-    )
-    query.add_argument(
-        "--adversary-param",
-        action="append",
-        metavar="K=V",
-        help="adversary parameter (repeatable)",
-    )
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the runs that do simulate",
-    )
-    query.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "round", "event"],
-        help="simulator core for cache misses (results are bit-identical "
-        "either way)",
-    )
-    query.add_argument(
-        "--start-method",
-        default=None,
-        choices=["fork", "spawn", "forkserver"],
-    )
-    query.add_argument(
-        "--derive-seeds",
-        action="store_true",
-        help="derive per-cell seeds from --base-seed, as in `sweep`",
-    )
-    query.add_argument("--base-seed", type=int, default=None)
-    query.add_argument(
-        "--no-profile",
-        action="store_true",
-        help="skip expansion-profile computation for the suite",
-    )
+    _add_grid_options(query)
+    _add_adversary_options(query)
+    _add_engine_options(query)
     query.add_argument(
         "--json",
         default=None,
         metavar="PATH",
-        help="also write the answer (report + cells + curves) to PATH as "
-        "deterministic sorted-key JSON",
+        help="also write the answer (report + cells + curves, the /query "
+        "payload) to PATH as deterministic sorted-key JSON",
     )
     query.set_defaults(func=_cmd_query)
 
@@ -1011,22 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8765,
         help="TCP port (0 binds an ephemeral port, printed on startup)",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for queries that must simulate",
-    )
-    serve.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "round", "event"],
-    )
-    serve.add_argument(
-        "--start-method",
-        default=None,
-        choices=["fork", "spawn", "forkserver"],
-    )
+    _add_engine_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
     archive = subparsers.add_parser(

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from .errors import ConfigurationError
+
 __all__ = [
     "TraceEvent",
     "TraceRecorder",
@@ -59,6 +61,9 @@ class TraceRecorder:
     """Collects :class:`TraceEvent` records during a simulation."""
 
     def __init__(self, enabled: bool = True, max_events: Optional[int] = None) -> None:
+        # A cap of 0 is valid: the trace then only counts what it drops.
+        if max_events is not None and max_events < 0:
+            raise ConfigurationError(f"max_events must be >= 0, got {max_events}")
         self.enabled = enabled
         self.max_events = max_events
         self._events: List[TraceEvent] = []

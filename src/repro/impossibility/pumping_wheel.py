@@ -333,6 +333,8 @@ def demonstrate_impossibility(
     """
     if n < 3:
         raise ConfigurationError(f"n must be at least 3 for a cycle, got {n}")
+    if not seeds:
+        raise ConfigurationError("seeds must not be empty: no trial would run")
     horizon = 2 * n
     layout = WitnessLayout(n=n, horizon=horizon)
     wheel = build_pumping_wheel(layout, num_witnesses)

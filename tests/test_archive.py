@@ -490,6 +490,15 @@ def get_json(url):
         return json.loads(response.read().decode("utf-8"))
 
 
+def without_wall_clock(payload):
+    """A query payload without the one nondeterministic cell column."""
+    cells = [
+        {k: v for k, v in cell.items() if k != "mean_wall_clock_seconds"}
+        for cell in payload["cells"]
+    ]
+    return {**payload, "cells": cells}
+
+
 class TestArchiveService:
     QUERY = "/query?suite=tiny&algorithms=flooding&seeds=1"
 
@@ -522,6 +531,67 @@ class TestArchiveService:
         assert excinfo.value.code == 400
         body = json.loads(excinfo.value.read().decode("utf-8"))
         assert "unknown scenario" in body["error"]
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("suit=tiny", "unknown /query parameter(s) suit"),
+            ("suite=tiny&seed=", "unknown /query parameter(s) seed"),
+            ("suite=tiny&profile=yes", "must be 0, 1, true or false"),
+        ],
+        ids=["unknown-name", "unknown-blank-name", "bad-profile"],
+    )
+    def test_unknown_parameter_returns_400_and_runs_nothing(
+        self, archive_server, query, message
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get_json(archive_server + "/query?" + query)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert message in error
+        if "suit=" in query:
+            for name in (
+                "suite", "algorithms", "scenario", "adversary",
+                "adversary_param", "seeds", "profile",
+            ):  # fmt: skip
+                assert name in error
+        # Nothing was planned, simulated or archived.
+        assert get_json(archive_server + "/health")["runs"] == 0
+
+    @pytest.mark.parametrize(
+        "cli_args, url_args",
+        [
+            (["--no-profile"], ""),
+            ([], "&profile=1"),
+            (
+                ["--no-profile", "--adversary", "loss", "--adversary-param", "p=0.2"],
+                "&adversary=loss&adversary_param=p=0.2",
+            ),
+        ],
+        ids=["unprofiled", "profiled", "loss"],
+    )
+    def test_query_json_and_http_query_give_one_answer(
+        self, archive_server, tmp_path, capsys, cli_args, url_args
+    ):
+        out = tmp_path / "answer.json"
+        argv = [
+            "query", "--suite", "tiny", "--algorithms", "flooding", "gilbert",
+            "--seeds", "2", *cli_args,
+            "--archive", str(tmp_path / "served.sqlite"), "--json", str(out),
+        ]  # fmt: skip
+        # The first pass fills the archive; the warm passes compare, so
+        # both reports read "everything archived".
+        assert main(argv) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        cli = json.loads(out.read_text(encoding="utf-8"))
+        http = get_json(
+            archive_server + "/query?suite=tiny&algorithms=flooding,gilbert&seeds=2"
+            + url_args
+        )
+        assert cli["report"]["simulated_runs"] == 0
+        assert cli["report"]["archived_runs"] == 20
+        assert without_wall_clock(http) == without_wall_clock(cli)
 
     def test_unknown_path_returns_404(self, archive_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

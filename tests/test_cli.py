@@ -185,6 +185,51 @@ class TestCommands:
         assert code == 2
         assert "requires adversary" in capsys.readouterr().err
 
+    LOSSY_ELECT = [
+        "elect", "--algorithm", "flooding", "--topology", "cycle:6",
+        "--adversary", "loss", "--adversary-param", "p=0.3",
+    ]  # fmt: skip
+
+    def test_elect_rejects_negative_trace_cap(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            self.LOSSY_ELECT + ["--trace", str(trace), "--trace-max-events", "-3"]
+        )
+        assert code == 2
+        assert "max_events must be >= 0, got -3" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_elect_zero_trace_cap_only_counts(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            self.LOSSY_ELECT + ["--trace", str(trace), "--trace-max-events", "0"]
+        )
+        assert code != 2  # a valid cap (lossy runs may elect nobody: exit 1)
+        out = capsys.readouterr().out
+        assert "trace events         : 0" in out
+        assert "trace events dropped : 0" not in out
+        header = json.loads(trace.read_text(encoding="utf-8").splitlines()[0])
+        assert header["events"] == 0 < header["dropped"]
+
+    @pytest.mark.parametrize("command", ["elect", "sweep", "query"])
+    def test_adversary_help_spells_what_parses(self, command):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        (action,) = [
+            action
+            for action in subparsers[command]._actions
+            if "--adversary" in action.option_strings
+        ]
+        # The help's example spellings are the ones the registry accepts,
+        # not a NAME:K=V form that exits 2.
+        assert "--adversary loss --adversary-param p=0.1" in action.help
+        assert "composed:loss+delay" in action.help
+        assert "loss:p=" not in action.help
+
+    def test_compare_rejects_zero_seeds(self, capsys):
+        code = main(["compare", "--topology", "cycle:6", "--seeds", "0"])
+        assert code == 2
+        assert "seeds must be >= 1, got 0" in capsys.readouterr().err
+
     def test_compare(self, capsys):
         code = main(
             [
@@ -296,6 +341,11 @@ class TestCommands:
         )
         assert code == 0
         assert "uniform-id" in capsys.readouterr().out
+
+    def test_impossibility_rejects_zero_trials(self, capsys):
+        code = main(["impossibility", "--n", "4", "--trials", "0"])
+        assert code == 2
+        assert "seeds must not be empty" in capsys.readouterr().err
 
     def test_impossibility(self, capsys):
         code = main(["impossibility", "--n", "4", "--witnesses", "2", "--trials", "3"])

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core import (
+    ConfigurationError,
     NullTraceRecorder,
     TraceEvent,
     TraceRecorder,
@@ -42,6 +45,16 @@ class TestTraceRecorder:
             trace.record(i, "tick")
         assert len(trace) == 2
         assert trace.dropped == 3
+
+    def test_negative_max_events_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_events must be >= 0"):
+            TraceRecorder(max_events=-3)
+
+    def test_zero_max_events_only_counts(self):
+        trace = TraceRecorder(max_events=0)
+        trace.record(0, "tick")
+        assert len(trace) == 0
+        assert trace.dropped == 1
 
     def test_clear(self):
         trace = TraceRecorder(max_events=1)

@@ -119,6 +119,11 @@ class TestDemonstration:
         with pytest.raises(ConfigurationError):
             demonstrate_impossibility(2)
 
+    def test_rejects_empty_seeds(self):
+        # No trial would run, and the report's rates would read 0.
+        with pytest.raises(ConfigurationError, match="seeds must not be empty"):
+            demonstrate_impossibility(4, seeds=range(0))
+
     def test_trial_records_are_consistent(self):
         report = demonstrate_impossibility(4, num_witnesses=2, seeds=range(3))
         for trial in report.trials:
