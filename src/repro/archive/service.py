@@ -11,7 +11,9 @@ with JSON:
   (comma-separated), ``scenario``, ``adversary``, ``adversary_param``
   (repeatable), ``seeds`` and ``profile`` (``1``/``true`` computes the
   suite's expansion profiles; off by default, where the CLI's default
-  is on).  Any other parameter is answered with a 400.  The response is
+  is on).  Any other parameter, and a blank value of any of these
+  (``algorithms=``), is answered with a 400 before anything is planned
+  or run.  The response is
   the payload ``repro-le query --json`` writes
   (:meth:`repro.archive.query.QueryResult.payload`): the cache
   accounting (``report``), the per-cell measurement rows (``cells``)
@@ -19,8 +21,13 @@ with JSON:
   entirely from the archive (``report.simulated_cells == 0``).
 
 ``ThreadingHTTPServer`` + per-request SQLite connections keep this
-dependency-free and safe for concurrent readers; it is an operational
-convenience for sharing an archive, not a hardened public frontend.
+dependency-free and safe for concurrent readers.  Concurrent requests
+run in isolation: each request thread simulates its misses under its
+own adversary, backend and span scopes (context-local, see
+:func:`repro.core.faults.fault_scope`), so one client's fault model
+never reaches another's runs or the archive records they write.  It is
+an operational convenience for sharing an archive, not a hardened
+public frontend.
 """
 
 from __future__ import annotations
@@ -106,14 +113,18 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
         from .. import api
 
         # Names are checked with blank values kept: ``parse_qs`` drops
-        # ``seed=``, which would otherwise slip past as a default grid.
-        names = {name for name, _ in parse_qsl(query, keep_blank_values=True)}
-        unknown = sorted(names - set(_QUERY_PARAMETERS))
+        # ``seed=`` and ``algorithms=``, which would otherwise slip past
+        # as a default grid.
+        pairs = parse_qsl(query, keep_blank_values=True)
+        unknown = sorted({name for name, _ in pairs} - set(_QUERY_PARAMETERS))
         if unknown:
             raise ReproError(
                 f"unknown /query parameter(s) {', '.join(unknown)}; accepted: "
                 f"{', '.join(_QUERY_PARAMETERS)}"
             )
+        blank = sorted({name for name, value in pairs if not value})
+        if blank:
+            raise ReproError(f"blank /query parameter(s) {', '.join(blank)}")
         params = parse_qs(query)
         profile = _single(params, "profile", "0")
         if profile not in ("0", "1", "true", "false"):

@@ -48,7 +48,8 @@ without an explicit ``adversary`` asks ``factory()`` for one.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..graphs.topology import Topology
@@ -169,14 +170,16 @@ class FaultAdversary:
         return {"name": self.name}
 
 
-#: Zero-arg factories producing a fresh adversary per simulator; a stack so
-#: scopes nest (the innermost wins).
-_AMBIENT_FACTORIES: List[Callable[[], FaultAdversary]] = []
+#: The zero-arg factory producing a fresh adversary per simulator built
+#: in the current context, or ``None`` (see ``fault_scope``).
+_FAULT_FACTORY: ContextVar[Optional[Callable[[], FaultAdversary]]] = ContextVar(
+    "fault_factory", default=None
+)
 
 
 def active_fault_factory() -> Optional[Callable[[], FaultAdversary]]:
     """The innermost ambient adversary factory, or ``None``."""
-    return _AMBIENT_FACTORIES[-1] if _AMBIENT_FACTORIES else None
+    return _FAULT_FACTORY.get()
 
 
 @contextmanager
@@ -185,10 +188,13 @@ def fault_scope(factory: Callable[[], FaultAdversary]) -> Iterator[None]:
 
     Each simulator calls ``factory()`` once, so phase-structured protocols
     that build several simulators per run get a fresh adversary instance
-    (with the same seed-derived schedule) per phase.
+    (with the same seed-derived schedule) per phase.  Scopes nest and the
+    innermost wins.  A scope is context-local: the thread that opened it
+    sees it, and no other thread does, so concurrent runs never share an
+    adversary.
     """
-    _AMBIENT_FACTORIES.append(factory)
+    token = _FAULT_FACTORY.set(factory)
     try:
         yield
     finally:
-        _AMBIENT_FACTORIES.pop()
+        _FAULT_FACTORY.reset(token)

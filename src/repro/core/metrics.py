@@ -11,7 +11,7 @@ paper analyses separately (Lemma 1, Lemma 2, Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 __all__ = ["PhaseMetrics", "Metrics", "MetricsCollector"]
 
@@ -221,9 +221,6 @@ class MetricsCollector:
 
     def event_count(self, name: str) -> int:
         return self._events.get(name, 0)
-
-    def phase_names(self) -> Iterator[str]:
-        return iter(self._phases)
 
     def phase_metrics(self, name: str) -> PhaseMetrics:
         return self._phases[name]

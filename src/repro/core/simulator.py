@@ -52,6 +52,7 @@ import functools
 import heapq
 import random
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -81,11 +82,9 @@ NodeFactory = Callable[[int, int, random.Random], ProtocolNode]
 #: Valid values for the ``backend`` argument / ambient backend default.
 BACKENDS = ("auto", "round", "event")
 
-#: Innermost-wins stack of scoped backend overrides (see ``backend_scope``).
-_BACKEND_SCOPES: List[str] = []
-
-#: Process-wide default, settable once per worker (see ``set_default_backend``).
-_PROCESS_BACKEND = "auto"
+#: The backend ``"auto"`` resolves to in the current context (see
+#: ``backend_scope`` and ``set_default_backend``).
+_BACKEND: ContextVar[str] = ContextVar("backend", default="auto")
 
 
 def _check_backend(backend: str) -> str:
@@ -97,19 +96,20 @@ def _check_backend(backend: str) -> str:
 
 
 def set_default_backend(backend: str) -> None:
-    """Set the process-wide backend used when simulators pass ``"auto"``.
+    """Set the backend used when simulators in this context pass ``"auto"``.
 
     The parallel experiment engine calls this in its pool initializer so
-    a ``--backend`` choice reaches worker processes; ``"auto"`` restores
-    the built-in resolution (event core).
+    a ``--backend`` choice reaches worker processes, whose initializer
+    and tasks run in the same (main) thread; ``"auto"`` restores the
+    built-in resolution (event core).  The setting is context-local:
+    threads started elsewhere do not see it.
     """
-    global _PROCESS_BACKEND
-    _PROCESS_BACKEND = _check_backend(backend)
+    _BACKEND.set(_check_backend(backend))
 
 
 def default_backend() -> str:
     """The backend an ``"auto"`` simulator would resolve to right now."""
-    backend = _BACKEND_SCOPES[-1] if _BACKEND_SCOPES else _PROCESS_BACKEND
+    backend = _BACKEND.get()
     return "event" if backend == "auto" else backend
 
 
@@ -120,16 +120,17 @@ def backend_scope(backend: str) -> Iterator[None]:
     Mirrors :func:`~repro.core.faults.fault_scope`: protocol entry points
     construct their own simulators internally, so experiment drivers select
     a backend ambiently rather than threading an argument through every
-    protocol signature.  Scopes nest; the innermost wins.  Checkpoint task
-    keys never include the backend — both cores produce bit-identical
-    results, so records are interchangeable between them.
+    protocol signature.  Scopes nest; the innermost wins.  A scope is
+    context-local: the thread that opened it sees it, and no other thread
+    does.  Checkpoint task keys never include the backend — both cores
+    produce bit-identical results, so records are interchangeable between
+    them.
     """
-    _check_backend(backend)
-    _BACKEND_SCOPES.append(backend)
+    token = _BACKEND.set(_check_backend(backend))
     try:
         yield
     finally:
-        _BACKEND_SCOPES.pop()
+        _BACKEND.reset(token)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
@@ -165,14 +166,14 @@ class NullTraceRecorder(TraceRecorder):
         return
 
 
-#: Innermost-wins stack of ambient trace recorders (the backend/fault
-#: scope idiom of this package).
-_TRACE_SCOPES: List[TraceRecorder] = []
+#: The ambient recorder of the current context, or ``None`` (see
+#: ``trace_scope``).
+_TRACE: ContextVar[Optional[TraceRecorder]] = ContextVar("trace", default=None)
 
 
 def active_trace() -> Optional[TraceRecorder]:
     """The recorder simulators should default to in this scope, if any."""
-    return _TRACE_SCOPES[-1] if _TRACE_SCOPES else None
+    return _TRACE.get()
 
 
 @contextmanager
@@ -184,10 +185,11 @@ def trace_scope(recorder: TraceRecorder) -> Iterator[TraceRecorder]:
     wants a trace of a registry-driven run (``repro-le elect --trace``)
     attaches the recorder ambiently.  An explicit ``trace=`` argument to
     a simulator still wins over the ambient scope; scopes nest and the
-    innermost wins.
+    innermost wins.  A scope is context-local: the thread that opened it
+    sees it, and no other thread does.
     """
-    _TRACE_SCOPES.append(recorder)
+    token = _TRACE.set(recorder)
     try:
         yield recorder
     finally:
-        _TRACE_SCOPES.pop()
+        _TRACE.reset(token)

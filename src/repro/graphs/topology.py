@@ -334,9 +334,6 @@ class Topology:
         graph.add_edges_from(self._edges)
         return graph
 
-    def adjacency_sets(self) -> List[frozenset]:
-        return [frozenset(neighbors) for neighbors in self._adjacency]
-
     def edge_boundary(self, subset: Iterable[int]) -> int:
         """Number of edges with exactly one endpoint in ``subset`` (``|∂S|``)."""
         inside = set(subset)

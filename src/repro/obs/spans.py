@@ -9,7 +9,7 @@ dies by; the span API makes it observable without perturbing anything:
   — a parent span's total includes its children's);
 * spans record into the innermost active :class:`SpanCollector`
   (:func:`collect_spans`); with **no collector active, ``span`` returns a
-  shared no-op and costs one list truthiness check** — the hot paths of
+  shared no-op and costs one context-variable read** — the hot paths of
   the simulator and the drivers stay unperturbed when telemetry is off;
 * :class:`SpanStats` aggregates per name (count/total/min/max seconds),
   not per event, so collectors stay O(distinct span names) no matter how
@@ -21,16 +21,19 @@ checkpoint store wraps its file I/O in ``span("checkpoint.flush")`` /
 ``span("checkpoint.load")`` — so a sweep can always answer "how much of
 my time was simulation vs folding vs checkpoint I/O".
 
-Collectors are intentionally process-local module state, mirroring
+Collectors are ambient, mirroring
 :func:`repro.core.simulator.backend_scope`: protocol entry points build
 their own simulators, so instrumentation has to be ambient to reach them.
+Like that scope, a collector is context-local: spans closed in another
+thread never land in it.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
+from typing import Callable, Dict, Iterator, Optional
 
 __all__ = [
     "SpanCollector",
@@ -114,14 +117,13 @@ class SpanCollector:
         return len(self._stats)
 
 
-#: Innermost-wins stack of active collectors (mirrors the backend/fault
-#: scope idiom of :mod:`repro.core`).
-_COLLECTORS: List[SpanCollector] = []
+#: The collector spans of the current context record into, or ``None``.
+_COLLECTOR: ContextVar[Optional[SpanCollector]] = ContextVar("spans", default=None)
 
 
 def active_collector() -> Optional[SpanCollector]:
     """The collector spans currently record into, or ``None``."""
-    return _COLLECTORS[-1] if _COLLECTORS else None
+    return _COLLECTOR.get()
 
 
 @contextmanager
@@ -131,13 +133,15 @@ def collect_spans() -> Iterator[SpanCollector]:
     Scopes nest and the innermost wins — a pool worker opening a per-task
     collector inside an instrumented sweep isolates its task's spans from
     the driver's, exactly like nested :func:`~repro.core.simulator.backend_scope`.
+    A scope is context-local: the thread that opened it sees it, and no
+    other thread does.
     """
     collector = SpanCollector()
-    _COLLECTORS.append(collector)
+    token = _COLLECTOR.set(collector)
     try:
         yield collector
     finally:
-        _COLLECTORS.pop()
+        _COLLECTOR.reset(token)
 
 
 class _Span:
@@ -160,19 +164,8 @@ class _Span:
         self._collector.record(self._name, time.perf_counter() - self._started)
 
 
-class _NullSpan:
-    """Shared do-nothing span handed out when no collector is active."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
+#: The shared do-nothing span handed out when no collector is active.
+_NULL_SPAN = nullcontext()
 
 
 def span(name: str):
@@ -180,12 +173,13 @@ def span(name: str):
 
     With no collector active (telemetry off) this returns a shared no-op
     object without allocating — the instrumented call sites in the
-    drivers, the checkpoint store and the workers cost one truthiness
-    check per entry.
+    drivers, the checkpoint store and the workers cost one context-variable
+    read per entry.  Spans record into the collector of the context that
+    opened them: another thread's :func:`collect_spans` scope never sees
+    them.
     """
-    if not _COLLECTORS:
-        return _NULL_SPAN
-    return _Span(name, _COLLECTORS[-1])
+    collector = _COLLECTOR.get()
+    return _NULL_SPAN if collector is None else _Span(name, collector)
 
 
 class Stopwatch:

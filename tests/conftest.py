@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -43,6 +45,50 @@ def register_fake_protocol():
             PROTOCOLS.pop(name, None)
         else:
             PROTOCOLS[name] = previous
+
+
+@pytest.fixture
+def scope_in_other_thread():
+    """Hold a scope open in a helper thread while the test runs.
+
+    ``with scope_in_other_thread(scope) as leave:`` enters the context
+    manager ``scope`` in a new thread and returns once it is open;
+    ``leave()`` makes the helper close it and waits until it has (the
+    ``with`` exit does the same if the test never called it).  The two
+    threads synchronise on events only, so the interleaving is forced,
+    not timed.
+    """
+
+    @contextmanager
+    def hold(scope):
+        opened, release = threading.Event(), threading.Event()
+        errors = []
+
+        def helper():
+            try:
+                with scope:
+                    opened.set()
+                    release.wait()
+            except BaseException as error:  # surfaced in the test thread
+                errors.append(error)
+                opened.set()
+
+        thread = threading.Thread(target=helper, daemon=True)
+        thread.start()
+        opened.wait()
+
+        def leave():
+            release.set()
+            thread.join()
+
+        try:
+            yield leave
+        finally:
+            leave()
+        if errors:
+            raise errors[0]
+
+    return hold
 
 
 @pytest.fixture

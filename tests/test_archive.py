@@ -31,6 +31,7 @@ from repro.archive import (
     parse_task_key,
     query_experiments,
 )
+from repro.baselines import run_flooding_election
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, path
@@ -485,6 +486,19 @@ def archive_server(tmp_path):
         thread.join(timeout=5)
 
 
+#: The gated protocol signals ``entered`` from inside its run (and so
+#: inside any fault scope around it) and finishes once ``release`` is set.
+_GATE_ENTERED = threading.Event()
+_GATE_RELEASE = threading.Event()
+
+
+def gated_flooding(topology, seed):
+    """Flooding that holds its run open until the test releases it."""
+    _GATE_ENTERED.set()
+    _GATE_RELEASE.wait(timeout=60)
+    return run_flooding_election(topology, seed=seed)
+
+
 def get_json(url):
     with urllib.request.urlopen(url) as response:
         return json.loads(response.read().decode("utf-8"))
@@ -538,8 +552,14 @@ class TestArchiveService:
             ("suit=tiny", "unknown /query parameter(s) suit"),
             ("suite=tiny&seed=", "unknown /query parameter(s) seed"),
             ("suite=tiny&profile=yes", "must be 0, 1, true or false"),
+            ("suite=tiny&algorithms=&seeds=2", "blank /query parameter(s) algorithms"),
+            ("suite=&algorithms=flooding&seeds=1", "blank /query parameter(s) suite"),
+            ("suite=tiny&algorithms=flooding&profile=", "blank /query parameter(s) profile"),
         ],
-        ids=["unknown-name", "unknown-blank-name", "bad-profile"],
+        ids=[
+            "unknown-name", "unknown-blank-name", "bad-profile",
+            "blank-algorithms", "blank-suite", "blank-profile",
+        ],  # fmt: skip
     )
     def test_unknown_parameter_returns_400_and_runs_nothing(
         self, archive_server, query, message
@@ -592,6 +612,45 @@ class TestArchiveService:
         assert cli["report"]["simulated_runs"] == 0
         assert cli["report"]["archived_runs"] == 20
         assert without_wall_clock(http) == without_wall_clock(cli)
+
+    def test_concurrent_queries_run_under_their_own_adversaries(
+        self, archive_server, tmp_path, register_fake_protocol
+    ):
+        register_fake_protocol("gated-flooding", gated_flooding)
+        _GATE_ENTERED.clear()
+        _GATE_RELEASE.clear()
+        lossy = {}
+        request_a = threading.Thread(
+            target=lambda: lossy.update(
+                get_json(
+                    archive_server + "/query?suite=tiny&seeds=2"
+                    "&algorithms=gated-flooding&adversary=loss&adversary_param=p%3D0.5"
+                )
+            )
+        )
+        request_a.start()
+        try:
+            # Request A now holds a run open inside its fault scope while
+            # request B simulates its fault-free grid.
+            assert _GATE_ENTERED.wait(timeout=60)
+            clean = get_json(archive_server + "/query?suite=tiny&seeds=2&algorithms=flooding")
+        finally:
+            _GATE_RELEASE.set()
+            request_a.join(timeout=60)
+        assert lossy["report"]["simulated_runs"] == 10
+
+        specs, _ = api.plan_sweep(
+            suite="tiny", algorithms=["flooding"], seeds=2, collect_profile=False
+        )
+        expected = {"cells": summarize_results(api.sweep(specs))}
+        assert without_wall_clock(clean)["cells"] == without_wall_clock(expected)["cells"]
+        conn = sqlite3.connect(str(tmp_path / "served.sqlite"))
+        try:
+            rows = conn.execute("SELECT record FROM runs WHERE adversary = ''").fetchall()
+        finally:
+            conn.close()
+        assert len(rows) == 10
+        assert all(json.loads(record)["metrics"]["dropped_messages"] == 0 for (record,) in rows)
 
     def test_unknown_path_returns_404(self, archive_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

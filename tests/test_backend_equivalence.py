@@ -499,6 +499,15 @@ class TestBackendSelection:
             set_default_backend("auto")
         assert default_backend() == "event"
 
+    def test_scope_is_invisible_to_other_threads(self, scope_in_other_thread):
+        with scope_in_other_thread(backend_scope("round")) as leave:
+            assert default_backend() == "event"
+            with backend_scope("round"):
+                leave()
+                # The helper closing its scope leaves this thread's alone.
+                assert default_backend() == "round"
+            assert default_backend() == "event"
+
     def test_invalid_backend_rejected_everywhere(self):
         topology = cycle(4)
         nodes = build_nodes(topology, lambda i, p, rng: ChatterNode(p, rng), seed=0)

@@ -140,6 +140,16 @@ class TestTraceScope:
             assert active_trace() is outer
         assert active_trace() is None
 
+    def test_scope_is_invisible_to_other_threads(self, scope_in_other_thread):
+        mine = TraceRecorder()
+        with scope_in_other_thread(trace_scope(TraceRecorder())) as leave:
+            assert active_trace() is None
+            with trace_scope(mine):
+                leave()
+                # The helper closing its scope leaves this thread's alone.
+                assert active_trace() is mine
+            assert active_trace() is None
+
     def test_simulator_picks_up_ambient_recorder(self):
         from repro.core import build_nodes, PassiveNode
         from repro.graphs import cycle

@@ -165,6 +165,18 @@ class TestFaultHook:
         assert active_fault_factory() is None
         assert _chatter_simulator(cycle(4)).adversary is None
 
+    def test_fault_scope_is_invisible_to_other_threads(self, scope_in_other_thread):
+        with scope_in_other_thread(fault_scope(FaultAdversary)) as leave:
+            assert active_fault_factory() is None
+            assert _chatter_simulator(cycle(4)).adversary is None
+            adversary = FaultAdversary()
+            with fault_scope(lambda: adversary):
+                leave()
+                # The helper closing its scope leaves this thread's alone.
+                assert active_fault_factory() is not None
+                assert _chatter_simulator(cycle(4)).adversary is adversary
+            assert active_fault_factory() is None
+
     def test_explicit_adversary_wins_over_ambient(self):
         explicit = FaultAdversary()
         with fault_scope(FaultAdversary):

@@ -71,6 +71,18 @@ class TestSpanApi:
         # No allocation on the off path: the same object every time.
         assert span("simulate") is span("anything")
 
+    def test_collector_is_invisible_to_other_threads(self, scope_in_other_thread):
+        with scope_in_other_thread(collect_spans()) as leave:
+            assert active_collector() is None
+            with collect_spans() as mine:
+                leave()
+                # The helper closing its scope leaves this thread's alone.
+                assert active_collector() is mine
+                with span("work"):
+                    pass
+            assert active_collector() is None
+        assert mine.totals()["work"]["count"] == 1
+
     def test_spans_record_into_active_collector(self):
         with collect_spans() as spans:
             with span("work"):
