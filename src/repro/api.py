@@ -106,6 +106,8 @@ def plan_sweep(
         raise ConfigurationError("pass either suite= or topologies=, not both")
 
     chosen = list(algorithms) if algorithms is not None else ["flooding", "gilbert"]
+    if not chosen:
+        raise ConfigurationError("algorithms must name at least one algorithm, got []")
     adversarial = bool(adversary or scenario in DYNAMIC_SCENARIOS)
     if scenario is not None and scenario in PROTOCOL_SCENARIOS:
         # A protocol scenario fixes the algorithm list itself: a ladder of

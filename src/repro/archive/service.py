@@ -139,7 +139,13 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
                 for name in raw.split(",")
                 if name
             ]
-        seeds = int(_single(params, "seeds", "3"))
+        raw_seeds = _single(params, "seeds", "3")
+        try:
+            seeds = int(raw_seeds)
+        except ValueError:
+            raise ReproError(
+                f"parameter 'seeds' must be an integer, got {raw_seeds!r}"
+            ) from None
         specs, adversarial = api.plan_sweep(
             suite=_single(params, "suite", None),
             algorithms=algorithms,

@@ -124,10 +124,9 @@ class FloodingMaxIdNode(ProtocolNode):
         if self.max_seen > 0 and self._announced != self.max_seen:
             # Forward the new maximum exactly once per improvement.
             self._announced = self.max_seen
-            return {
-                port: FloodAnnouncement(candidate_id=self.max_seen)
-                for port in self.ports()
-            }
+            return dict.fromkeys(
+                self.ports(), FloodAnnouncement(candidate_id=self.max_seen)
+            )
         return {}
 
     def result(self) -> Dict[str, object]:

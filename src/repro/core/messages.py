@@ -102,10 +102,11 @@ class Message:
     several message kinds over the same link).
 
     Instances are immutable values: a protocol may send one instance
-    through several ports and in several rounds, and the simulator never
-    relies on message identity.  Delivery sizes classes that keep the base
-    :meth:`size_bits`, :meth:`congest_units` and ``TYPE_TAG_BITS`` inline,
-    with the same result as calling :meth:`size_bits`.
+    through several ports and in several rounds.  The simulator relies on
+    that immutability to size an instance once: its first send calls
+    :meth:`size_bits` and :meth:`congest_units` and stores the pair on the
+    instance, and every later send reuses it.  A subclass must therefore
+    keep both methods functions of its fields alone.
     """
 
     #: bits charged for the message-type tag.

@@ -48,7 +48,6 @@ the event core.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import random
 from contextlib import contextmanager
@@ -59,7 +58,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..graphs.topology import Topology
 from .errors import CongestViolationError, SimulationError
 from .faults import DELIVER, QUIET_FOREVER, FaultAdversary, active_fault_factory
-from .messages import Message, _field_names, bits_for_value, congest_budget_bits
+from .messages import Message, congest_budget_bits
 from .metrics import Metrics, MetricsCollector
 from .node import Outbox, ProtocolNode
 from .rng import spawn_child_rngs
@@ -157,28 +156,6 @@ class SimulationResult:
         if not self.node_results:
             self.node_results = [node.result() for node in self.nodes]
         return self.node_results
-
-
-@functools.lru_cache(maxsize=None)
-def _sizing(cls: type) -> Optional[Tuple[str, ...]]:
-    """The field names delivery sizes ``cls`` by inline, or ``None``.
-
-    A :class:`Message` subclass that keeps the base
-    :meth:`~Message.size_bits`, :meth:`~Message.congest_units` and
-    ``TYPE_TAG_BITS`` costs ``TYPE_TAG_BITS`` plus its field encodings and
-    one CONGEST unit, so the delivery loops charge it without a call.
-    Overriding classes (batched tokens) and foreign objects resolve to
-    ``None`` and are charged through
-    :meth:`SynchronousSimulator._message_cost`.
-    """
-    if (
-        issubclass(cls, Message)
-        and cls.size_bits is Message.size_bits
-        and cls.congest_units is Message.congest_units
-        and cls.TYPE_TAG_BITS == Message.TYPE_TAG_BITS
-    ):
-        return _field_names(cls)
-    return None
 
 
 def build_nodes(
@@ -365,8 +342,6 @@ class SynchronousSimulator:
         congest_budget = self._congest_bits
         message_cost = self._message_cost
         count_bits = self.count_bits
-        tag_bits = Message.TYPE_TAG_BITS
-        sizing = _sizing
         enforce = self.enforce_congest
         total_count = 0
         total_bits = 0
@@ -376,23 +351,10 @@ class SynchronousSimulator:
         for index, outbox in senders:
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
-                names = sizing(type(message))
-                if names is None:
-                    bits, units = message_cost(message)
-                    total_count += units
-                elif count_bits:
-                    # Message.size_bits, inline.
-                    bits = tag_bits
-                    for name in names:
-                        value = getattr(message, name)
-                        if type(value) is int and value > 0:
-                            bits += value.bit_length()
-                        else:
-                            bits += bits_for_value(value)
-                    total_count += 1
-                else:
+                bits, units = getattr(message, "_wire_cost", None) or message_cost(message)
+                if not count_bits:
                     bits = 0
-                    total_count += 1
+                total_count += units
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
@@ -440,8 +402,6 @@ class SynchronousSimulator:
         congest_budget = self._congest_bits
         message_cost = self._message_cost
         count_bits = self.count_bits
-        tag_bits = Message.TYPE_TAG_BITS
-        sizing = _sizing
         enforce = self.enforce_congest
         trace = self.trace
         total_count = 0
@@ -455,23 +415,10 @@ class SynchronousSimulator:
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
                 neighbor, neighbor_port = node_endpoints[port - 1]
-                names = sizing(type(message))
-                if names is None:
-                    bits, units = message_cost(message)
-                    total_count += units
-                elif count_bits:
-                    # Message.size_bits, inline (as in _deliver_plain).
-                    bits = tag_bits
-                    for name in names:
-                        value = getattr(message, name)
-                        if type(value) is int and value > 0:
-                            bits += value.bit_length()
-                        else:
-                            bits += bits_for_value(value)
-                    total_count += 1
-                else:
+                bits, units = getattr(message, "_wire_cost", None) or message_cost(message)
+                if not count_bits:
                     bits = 0
-                    total_count += 1
+                total_count += units
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
@@ -726,22 +673,25 @@ class SynchronousSimulator:
                 )
 
     def _message_cost(self, message: Message) -> Tuple[int, int]:
-        """``(bits, CONGEST units)`` charged for one sent message.
+        """``(bits, CONGEST units)`` of one message, sized on its first send.
 
-        The fallback of the delivery loops for classes :func:`_sizing`
-        does not resolve: a :class:`Message` subclass that overrides its
-        sizing (batched tokens) is asked directly, a foreign object only
-        for the methods it has.  Units are at least 1.
+        A :class:`Message` is asked for :meth:`~Message.size_bits` and
+        :meth:`~Message.congest_units` once; the pair is stored on the
+        instance as ``_wire_cost``, which the delivery loops read on every
+        later send.  That is sound because messages are immutable and no
+        size in the package depends on the network size.  A foreign object
+        is asked for the methods it has, on every send.  Units are at least
+        1; the delivery loops charge 0 bits under ``count_bits=False``.
         """
         if isinstance(message, Message):
-            units = max(1, int(message.congest_units()))
-            if not self.count_bits:
-                return 0, units
-            return int(message.size_bits(self.topology.num_nodes)), units
+            cost = (
+                int(message.size_bits(self.topology.num_nodes)),
+                max(1, int(message.congest_units())),
+            )
+            object.__setattr__(message, "_wire_cost", cost)
+            return cost
         congest_units = getattr(message, "congest_units", None)
         units = max(1, int(congest_units())) if callable(congest_units) else 1
-        if not self.count_bits:
-            return 0, units
         size = getattr(message, "size_bits", None)
         if callable(size):
             return int(size(self.topology.num_nodes)), units

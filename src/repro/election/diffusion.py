@@ -105,12 +105,12 @@ class DiffusionAveragingNode(GeneratorNode):
 
     def run(self):
         for _ in range(self.rounds):
-            outbox = {
-                port: DiffusionMessage(
+            outbox = dict.fromkeys(
+                self.ports(),
+                DiffusionMessage(
                     potential=self.potential, status_low=False, white_seen=False
-                )
-                for port in self.ports()
-            }
+                ),
+            )
             sent_potential = self.potential
             inbox = yield outbox
             incoming = sum(

@@ -205,6 +205,10 @@ class IrrevocableConfig:
 class IrrevocableLeaderElectionNode(ProtocolNode):
     """One anonymous node running Algorithm 1."""
 
+    #: A plain attribute rather than the base property: the simulator
+    #: reads it after every step.  Set once, by the decision step.
+    halted = False
+
     def __init__(
         self,
         num_ports: int,
@@ -228,7 +232,6 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         self._walk: Optional[RandomWalkProbeState] = None
         self._convergecast: Optional[ConvergecastState] = None
         self.leader = False
-        self._halted = False
 
         # Phase boundaries (identical at every node).
         self._broadcast_end = config.broadcast_phase_rounds
@@ -236,10 +239,6 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         self._convergecast_end = self._walk_end + config.convergecast_phase_rounds
 
     # ------------------------------------------------------------------ #
-    @property
-    def halted(self) -> bool:
-        return self._halted
-
     def step(self, round_index: int, inbox: Inbox) -> Outbox:
         if round_index < self._broadcast_end:
             return self._broadcast_step(round_index, inbox)
@@ -299,7 +298,7 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
             id_max = self.node_id if self.candidate else 0
         # Deviation 2 (DESIGN.md): only candidates may raise the flag.
         self.leader = self.candidate and id_max == self.node_id
-        self._halted = True
+        self.halted = True
         return {}
 
     # ------------------------------------------------------------------ #
@@ -307,13 +306,14 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         """Declare quiescence to the event-driven simulator backend.
 
         Each phase's state machine knows when stepping it with an empty
-        inbox is a no-op (see the ``quiescent`` methods of the broadcast,
-        walk and convergecast states); while that holds, the node may
-        sleep until the next phase boundary — any reception wakes it, and
-        the first round of a phase always wakes it to build that phase's
-        state.  In the broadcast phase a round only serves the instance
-        owning its slot, so the node sleeps until the first slot of a
-        non-quiescent instance (:meth:`CautiousBroadcastManager.next_busy_round`).
+        inbox is a no-op (the ``quiescent`` methods of the broadcast and
+        convergecast states; a scattered walk state holding no tokens);
+        while that holds, the node may sleep until the next phase
+        boundary — any reception wakes it, and the first round of a phase
+        always wakes it to build that phase's state.  In the broadcast
+        phase a round only serves the instance owning its slot, so the node
+        sleeps until the first slot of a non-quiescent instance
+        (:meth:`CautiousBroadcastManager.next_busy_round`).
         The declaration makes the event backend bit-identical to the round
         backend on this protocol: skipped steps would have sent nothing,
         drawn nothing and decided nothing.
@@ -324,7 +324,8 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
                 return self._broadcast_end
             return min(busy, self._broadcast_end)
         if round_index < self._walk_end:
-            if self._walk is not None and self._walk.quiescent():
+            walk = self._walk
+            if walk is not None and walk.scattered and not walk.tokens:
                 return self._walk_end
             return round_index
         if round_index < self._convergecast_end:
@@ -347,7 +348,7 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
             "joined_territories": sorted(self._broadcast.joined_instances()),
             "parallel_broadcasts": self._broadcast.instance_count(),
             "broadcast_overflow": self._broadcast.overflow_instances,
-            "halted": self._halted,
+            "halted": self.halted,
         }
 
 

@@ -100,7 +100,10 @@ class RandomWalkProbeState:
         self.tokens = 0
         self.tokens_seen = 0
         self.rounds_executed = 0
-        self._initial_scatter_done = False
+        #: Whether the initial scatter has run (the first walk round).  Once
+        #: it has, a node holding no tokens is quiescent: a step with an
+        #: empty inbox draws nothing, sends nothing and decides nothing.
+        self.scattered = False
         #: Sent messages by token count, all carrying ``_messages_id``;
         #: reused across ports and rounds until ``max_walk_id`` changes.
         self._messages: Dict[int, WalkMessage] = {}
@@ -112,7 +115,7 @@ class RandomWalkProbeState:
 
         Non-candidates scatter nothing.  Returns per-port token counts.
         """
-        self._initial_scatter_done = True
+        self.scattered = True
         counts: Dict[int, int] = {}
         if not self.candidate or self.num_ports == 0:
             return counts
@@ -131,37 +134,14 @@ class RandomWalkProbeState:
             if message.walk_id > self.max_walk_id:
                 self.max_walk_id = message.walk_id
 
-    def move_tokens(self, rng: random.Random) -> Dict[int, int]:
-        """Advance the lazy walk for every held token; return per-port counts.
-
-        A mover's port is ``randint(1, n)`` drawn inline: the body of the
-        stdlib's ``_randbelow`` for a ``random.Random``, so the RNG stream
-        is the same (see the module's RNG contract).
-        """
-        counts: Dict[int, int] = {}
-        n = self.num_ports
-        if n == 0:
-            return counts
-        k = n.bit_length()
-        coin = rng.random
-        getrandbits = rng.getrandbits
-        staying = 0
-        for _ in range(self.tokens):
-            if coin() < 0.5:
-                staying += 1
-            else:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                port = r + 1
-                counts[port] = counts.get(port, 0) + 1
-        self.tokens = staying
-        return counts
-
     def step(self, rng: random.Random, inbox: Inbox) -> Outbox:
         """One walk round: absorb, move, and emit the per-port messages.
 
-        The inbox is merged inline with :meth:`absorb`'s semantics.
+        The inbox is merged inline with :meth:`absorb`'s semantics.  Then
+        every held token flips its lazy coin; a mover's port is
+        ``randint(1, n)`` drawn inline: the body of the stdlib's
+        ``_randbelow`` for a ``random.Random``, so the RNG stream is the
+        same (see the module's RNG contract).
         """
         if inbox:
             received = 0
@@ -175,10 +155,26 @@ class RandomWalkProbeState:
             self.tokens_seen += received
             self.max_walk_id = max_walk_id
         self.rounds_executed += 1
-        if not self._initial_scatter_done:
+        held = self.tokens
+        n = self.num_ports
+        if not self.scattered:
             counts = self.initial_scatter(rng)
-        elif self.tokens:
-            counts = self.move_tokens(rng)
+        elif held and n:
+            counts = {}
+            k = n.bit_length()
+            coin = rng.random
+            getrandbits = rng.getrandbits
+            staying = 0
+            for _ in range(held):
+                if coin() < 0.5:
+                    staying += 1
+                else:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    port = r + 1
+                    counts[port] = counts.get(port, 0) + 1
+            self.tokens = staying
         else:
             return {}
         walk_id = self.max_walk_id
@@ -193,18 +189,6 @@ class RandomWalkProbeState:
                 message = messages[count] = WalkMessage(walk_id, count)
             outbox[port] = message
         return outbox
-
-    def quiescent(self) -> bool:
-        """Whether :meth:`step` with an empty inbox is a guaranteed no-op.
-
-        True once the initial scatter is done and the node holds no
-        tokens: absorbing an empty inbox changes nothing, moving zero
-        tokens draws no randomness and sends nothing.  Only
-        ``rounds_executed`` would advance, which feeds no decision.  The
-        event-driven backend uses this to park nodes no walk currently
-        visits; an arriving token always wakes them.
-        """
-        return self._initial_scatter_done and self.tokens == 0
 
     def summary(self) -> Dict[str, object]:
         return {

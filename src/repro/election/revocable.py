@@ -143,8 +143,9 @@ class RevocableLeaderElectionNode(GeneratorNode):
 
         # --- diffusion phase -------------------------------------------- #
         for _ in range(self.schedule.diffusion_rounds(k)):
-            outbox: Outbox = {
-                port: DiffusionMessage(
+            outbox: Outbox = dict.fromkeys(
+                self.ports(),
+                DiffusionMessage(
                     potential=potential,
                     status_low=(status == LOW),
                     white_seen=white_seen,
@@ -158,9 +159,8 @@ class RevocableLeaderElectionNode(GeneratorNode):
                         if self.leader_certificate
                         else None
                     ),
-                )
-                for port in self.ports()
-            }
+                ),
+            )
             sent_potential = potential
             inbox = yield outbox
 
@@ -196,8 +196,9 @@ class RevocableLeaderElectionNode(GeneratorNode):
 
         # --- dissemination phase ---------------------------------------- #
         for _ in range(self.schedule.dissemination_rounds(k)):
-            outbox = {
-                port: DisseminationMessage(
+            outbox = dict.fromkeys(
+                self.ports(),
+                DisseminationMessage(
                     status_low=(status == LOW),
                     white_seen=white_seen,
                     leader_id=(
@@ -210,9 +211,8 @@ class RevocableLeaderElectionNode(GeneratorNode):
                         if self.leader_certificate
                         else None
                     ),
-                )
-                for port in self.ports()
-            }
+                ),
+            )
             inbox = yield outbox
             for message in inbox.values():
                 if isinstance(message, (DiffusionMessage, DisseminationMessage)):

@@ -209,9 +209,7 @@ class BoundedUnknownSizeElectionNode(ProtocolNode):
             return {}
         if self._announced != self.max_seen:
             self._announced = self.max_seen
-            return {
-                port: WheelAnnouncement(node_id=self.max_seen) for port in self.ports()
-            }
+            return dict.fromkeys(self.ports(), WheelAnnouncement(node_id=self.max_seen))
         return {}
 
     def result(self) -> Dict[str, object]:

@@ -20,7 +20,7 @@ Determinism is anchored here, *before* any process is spawned:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from ..analysis.experiments import ElectionRunner, ExperimentSpec, effective_runner
@@ -68,10 +68,12 @@ class RunTask:
     #: ("" for bare-name specs); part of the task identity so checkpoints
     #: never mix runs measured under different protocol constants.
     protocol: str = ""
+    #: the :func:`task_key` of the fields above, computed once per task
+    #: (the engine, scheduler, archive and sinks read it many times).
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        return task_key(
+    def __post_init__(self) -> None:
+        key = task_key(
             self.spec_name,
             self.topology_index,
             self.topology.name,
@@ -81,6 +83,7 @@ class RunTask:
             self.adversary,
             self.protocol,
         )
+        object.__setattr__(self, "key", key)
 
 
 def topology_fingerprint(topology: Topology) -> str:

@@ -555,10 +555,13 @@ class TestArchiveService:
             ("suite=tiny&algorithms=&seeds=2", "blank /query parameter(s) algorithms"),
             ("suite=&algorithms=flooding&seeds=1", "blank /query parameter(s) suite"),
             ("suite=tiny&algorithms=flooding&profile=", "blank /query parameter(s) profile"),
+            ("suite=tiny&algorithms=,&seeds=1", "algorithms must name at least one"),
+            ("suite=tiny&algorithms=flooding&seeds=x", "parameter 'seeds' must be an integer, got 'x'"),
         ],
         ids=[
             "unknown-name", "unknown-blank-name", "bad-profile",
             "blank-algorithms", "blank-suite", "blank-profile",
+            "no-algorithm", "non-integer-seeds",
         ],  # fmt: skip
     )
     def test_unknown_parameter_returns_400_and_runs_nothing(
@@ -577,6 +580,10 @@ class TestArchiveService:
                 assert name in error
         # Nothing was planned, simulated or archived.
         assert get_json(archive_server + "/health")["runs"] == 0
+
+    def test_planner_rejects_an_algorithm_list_naming_none(self):
+        with pytest.raises(ConfigurationError, match="algorithms must name"):
+            api.plan_sweep(suite="tiny", algorithms=[], seeds=1)
 
     @pytest.mark.parametrize(
         "cli_args, url_args",

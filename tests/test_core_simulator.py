@@ -526,8 +526,8 @@ class WideTag(Message):
 
 
 @pytest.fixture
-def fallback_calls(monkeypatch):
-    """Records the message types charged through ``_message_cost``."""
+def sizing_calls(monkeypatch):
+    """Records the message types sized through ``_message_cost``."""
     calls = []
     original = SynchronousSimulator._message_cost
 
@@ -539,12 +539,40 @@ def fallback_calls(monkeypatch):
     return calls
 
 
-class TestInlineSizing:
-    """Delivery sizes base-sized classes inline, exactly like ``size_bits``."""
+@dataclass(frozen=True)
+class CountedPing(Message):
+    """A base-sized message that counts every call of its sizing methods."""
 
-    def _deliver_one(self, message, fallback_calls, *, adversary=None, **options):
-        """One delivered round; returns the simulator and whether it fell back."""
-        fallback_calls.clear()
+    payload: int
+
+    calls = []
+
+    def size_bits(self, network_size=None) -> int:
+        self.calls.append("size_bits")
+        return super().size_bits(network_size)
+
+    def congest_units(self) -> int:
+        self.calls.append("congest_units")
+        return super().congest_units()
+
+
+class SameInstanceSender(ProtocolNode):
+    """Sends one shared ``message`` through every port in every round."""
+
+    def __init__(self, num_ports, rng, message) -> None:
+        super().__init__(num_ports, rng)
+        self.message = message
+
+    def step(self, round_index, inbox):
+        return dict.fromkeys(self.ports(), self.message)
+
+
+class TestWireCost:
+    """Delivery sizes each message instance once, exactly like ``size_bits``."""
+
+    def _deliver_one(self, message, sizing_calls, *, adversary=None, **options):
+        """One delivered round; returns the simulator and the types it sized."""
+        sizing_calls.clear()
         topology = path(2)
         nodes = [
             OneShotSender(1, random.Random(0), message),
@@ -554,7 +582,7 @@ class TestInlineSizing:
             topology, nodes, adversary=adversary, **options
         )
         simulator.run_round()
-        return simulator, bool(fallback_calls)
+        return simulator, list(sizing_calls)
 
     def test_every_repro_message_class_is_found(self):
         names = {cls.__name__ for cls in REPRO_MESSAGE_CLASSES}
@@ -567,14 +595,8 @@ class TestInlineSizing:
         "adversary", [None, FaultAdversary()], ids=["plain", "adversary"]
     )
     def test_charges_size_bits_and_congest_units(
-        self, cls, adversary, fallback_calls
+        self, cls, adversary, sizing_calls
     ):
-        overrides = (
-            cls.size_bits is not Message.size_bits
-            or cls.congest_units is not Message.congest_units
-            or cls.TYPE_TAG_BITS != Message.TYPE_TAG_BITS
-        )
-
         @settings(
             max_examples=25,
             deadline=None,
@@ -582,48 +604,78 @@ class TestInlineSizing:
         )
         @given(st.builds(cls))
         def check(message):
-            simulator, fell_back = self._deliver_one(
-                message, fallback_calls, adversary=adversary
+            simulator, sized = self._deliver_one(
+                message, sizing_calls, adversary=adversary
             )
             metrics = simulator.metrics
             assert metrics.bits == message.size_bits(2)
             assert metrics.messages == max(1, message.congest_units())
             assert metrics.delivered_messages == 1
-            assert fell_back == overrides
+            assert sized == [cls]  # the first send sizes the instance once
 
-            unsized, _ = self._deliver_one(
-                message, fallback_calls, adversary=adversary, count_bits=False
+            unsized, sized = self._deliver_one(
+                message, sizing_calls, adversary=adversary, count_bits=False
             )
             assert unsized.metrics.bits == 0
             assert unsized.metrics.messages == metrics.messages
+            assert sized == []  # a later send reuses the stored size
 
         check()
 
-    def test_gilbert_token_bundle_takes_the_fallback(self, fallback_calls):
+    def test_gilbert_token_bundle_is_charged_by_its_own_methods(self, sizing_calls):
         from repro.baselines.gilbert import TokenBundle, WalkToken
 
         bundle = TokenBundle(
             tokens=(WalkToken(5, "walk", 3, 7), WalkToken(9, "walk", 1, 9))
         )
-        simulator, fell_back = self._deliver_one(bundle, fallback_calls)
-        assert fell_back
+        simulator, sized = self._deliver_one(bundle, sizing_calls)
+        assert sized == [TokenBundle]
         assert simulator.metrics.messages == 2
         assert simulator.metrics.bits == bundle.size_bits(2)
 
-    def test_type_tag_override_takes_the_fallback(self, fallback_calls):
-        simulator, fell_back = self._deliver_one(WideTag(value=5), fallback_calls)
-        assert fell_back
+    def test_type_tag_override_is_charged(self, sizing_calls):
+        simulator, sized = self._deliver_one(WideTag(value=5), sizing_calls)
+        assert sized == [WideTag]
         assert simulator.metrics.bits == 9 + 3
-
-    def test_base_sized_message_skips_the_fallback(self, fallback_calls):
-        simulator, fell_back = self._deliver_one(Ping(payload=6), fallback_calls)
-        assert not fell_back
-        assert simulator.metrics.bits == Message.TYPE_TAG_BITS + 3
 
     @pytest.mark.parametrize(
         "adversary", [None, FaultAdversary()], ids=["plain", "adversary"]
     )
-    def test_enforced_congest_withholds_an_inline_sized_message(self, adversary):
+    def test_an_instance_is_sized_once_across_ports_and_rounds(
+        self, adversary, sizing_calls
+    ):
+        # Every node of cycle(4) sends one shared instance through both
+        # ports for three rounds: 24 sends, one sizing.
+        message = CountedPing(payload=6)
+        CountedPing.calls.clear()
+        topology = cycle(4)
+        nodes = build_nodes(
+            topology, lambda i, p, r: SameInstanceSender(p, r, message), seed=0
+        )
+        simulator = SynchronousSimulator(topology, nodes, adversary=adversary)
+        simulator.run(3)
+        assert sizing_calls == [CountedPing]
+        assert sorted(CountedPing.calls) == ["congest_units", "size_bits"]
+        metrics = simulator.metrics
+        assert metrics.messages == 24
+        assert metrics.bits == 24 * (Message.TYPE_TAG_BITS + 3)
+        assert metrics.delivered_messages == 24
+
+    def test_a_first_send_without_bit_counting_stores_the_true_size(
+        self, sizing_calls
+    ):
+        message = Ping(payload=6)
+        unsized, sized = self._deliver_one(message, sizing_calls, count_bits=False)
+        assert unsized.metrics.bits == 0
+        assert sized == [Ping]
+        simulator, sized = self._deliver_one(message, sizing_calls)
+        assert simulator.metrics.bits == Message.TYPE_TAG_BITS + 3
+        assert sized == []
+
+    @pytest.mark.parametrize(
+        "adversary", [None, FaultAdversary()], ids=["plain", "adversary"]
+    )
+    def test_enforced_congest_withholds_an_oversized_message(self, adversary):
         message = Ping(payload=2**40)
         nodes = [
             OneShotSender(1, random.Random(0), message),

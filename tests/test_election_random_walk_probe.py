@@ -52,6 +52,23 @@ def reference_move(held: int, num_ports: int, rng: random.Random):
     return counts, staying
 
 
+def holding(*, num_ports: int, tokens: int) -> RandomWalkProbeState:
+    """A scattered non-candidate walk state holding ``tokens`` tokens."""
+    config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
+    state = RandomWalkProbeState(
+        num_ports=num_ports, config=config, candidate=False, node_id=0
+    )
+    state.initial_scatter(random.Random(0))  # a non-candidate draws nothing
+    state.tokens = tokens
+    return state
+
+
+def sent_counts(outbox) -> dict:
+    """Per-port token counts of a walk outbox, in its insertion order."""
+    assert all(isinstance(message, WalkMessage) for message in outbox.values())
+    return {port: message.count for port, message in outbox.items()}
+
+
 @dataclass(frozen=True)
 class ForeignMessage(Message):
     """Not a walk message, though it has the same fields."""
@@ -101,27 +118,21 @@ class TestState:
         assert state.max_walk_id == 7
         assert state.tokens_seen == 5
 
-    def test_move_tokens_conserves_count(self):
-        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
-        state = RandomWalkProbeState(num_ports=4, config=config, candidate=False, node_id=0)
-        state.tokens = 50
-        moved = state.move_tokens(random.Random(1))
+    def test_step_conserves_the_token_count(self):
+        state = holding(num_ports=4, tokens=50)
+        moved = sent_counts(state.step(random.Random(1), {}))
         assert sum(moved.values()) + state.tokens == 50
 
     @pytest.mark.parametrize("tokens", [0, 1, 50])
     @pytest.mark.parametrize("num_ports", [1, 2, 3, 8])
-    def test_move_tokens_keeps_the_reference_rng_stream(self, num_ports, tokens):
-        # The reference loop draws ports with randint(1, n); the kernel must
-        # return the same counts and leave the RNG in the same state.
-        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
+    def test_step_keeps_the_reference_rng_stream(self, num_ports, tokens):
+        # The reference loop draws ports with randint(1, n); the walk step
+        # must send the same counts and leave the RNG in the same state.
         for seed in range(5):
-            state = RandomWalkProbeState(
-                num_ports=num_ports, config=config, candidate=False, node_id=0
-            )
-            state.tokens = tokens
+            state = holding(num_ports=num_ports, tokens=tokens)
             rng, reference_rng = random.Random(seed), random.Random(seed)
             counts, staying = reference_move(tokens, num_ports, reference_rng)
-            assert state.move_tokens(rng) == counts
+            assert sent_counts(state.step(rng, {})) == counts
             assert state.tokens == staying
             assert rng.getstate() == reference_rng.getstate()
 
@@ -131,18 +142,14 @@ class TestState:
         tokens=st.integers(0, 200),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_move_tokens_matches_randint_stream(self, num_ports, tokens, seed):
+    def test_step_matches_randint_stream(self, num_ports, tokens, seed):
         # The inline getrandbits draw must be randint(1, n), port for port:
         # same counts in the same insertion order, same staying tokens, and
         # the same RNG state afterwards.
-        config = RandomWalkProbeConfig(walk_rounds=5, walks_per_candidate=1)
-        state = RandomWalkProbeState(
-            num_ports=num_ports, config=config, candidate=False, node_id=0
-        )
-        state.tokens = tokens
+        state = holding(num_ports=num_ports, tokens=tokens)
         rng, reference_rng = random.Random(seed), random.Random(seed)
         counts, staying = reference_move(tokens, num_ports, reference_rng)
-        assert list(state.move_tokens(rng).items()) == list(counts.items())
+        assert list(sent_counts(state.step(rng, {})).items()) == list(counts.items())
         assert state.tokens == staying
         assert rng.getstate() == reference_rng.getstate()
 
@@ -150,8 +157,8 @@ class TestState:
     @given(data=st.data())
     def test_step_merges_inbox_like_absorb(self, data):
         # step merges its inbox inline; it must act exactly as absorb
-        # followed by move_tokens on a twin state with a twin RNG, foreign
-        # messages ignored.
+        # followed by the reference move on a twin state with a twin RNG,
+        # foreign messages ignored.
         num_ports = data.draw(st.sampled_from(PORT_COUNTS), label="num_ports")
         candidate = data.draw(st.booleans(), label="candidate")
         node_id = data.draw(st.integers(1, 10_000), label="node_id")
@@ -181,7 +188,7 @@ class TestState:
 
         outbox = state.step(rng, inbox)
         twin.absorb(inbox)
-        counts = twin.move_tokens(twin_rng)
+        counts, twin.tokens = reference_move(twin.tokens, num_ports, twin_rng)
         expected = {port: WalkMessage(twin.max_walk_id, count) for port, count in counts.items()}
         assert list(outbox.items()) == list(expected.items())
         assert state.tokens == twin.tokens

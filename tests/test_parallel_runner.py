@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
 from repro.analysis import CollectingSink, ExperimentSpec, run_experiment
 from repro.core.errors import ConfigurationError
+from repro.dynamics.spec import AdversarySpec
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import (
     JsonlCheckpointStore,
@@ -248,6 +250,33 @@ class TestSeedDerivation:
         ]
         assert [(t.topology_index, t.seed_index) for t in tasks] == expected
         assert [t.seed for t in tasks[: len(SEEDS)]] == list(SEEDS)
+
+    def test_task_key_is_stored_from_the_fields_and_survives_pickling(self):
+        spec = ExperimentSpec(
+            name="tuned",
+            protocol="irrevocable:c=3",
+            topologies=[cycle(8), star(8)],
+            seeds=SEEDS,
+            collect_profile=False,
+            adversary=AdversarySpec.create("loss", p=0.1),
+        )
+        tasks = expand_run_tasks(spec, derive_seeds=True, base_seed=7)
+        for task in tasks + expand_run_tasks(_spec()):
+            expected = task_key(
+                task.spec_name,
+                task.topology_index,
+                task.topology.name,
+                task.fingerprint,
+                task.seed_index,
+                task.seed,
+                task.adversary,
+                task.protocol,
+            )
+            assert task.key == expected
+            clone = pickle.loads(pickle.dumps(task))
+            assert clone.key == expected
+            assert clone == task
+        assert all(task.adversary and task.protocol for task in tasks)
 
 
 class TestSharding:
