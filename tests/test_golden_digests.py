@@ -7,10 +7,17 @@ irrevocable election.  Kernel optimisations must leave every one of those
 figures bit-identical; these tests replay two seeds of each pool under
 both simulator backends so a drift shows in the test suite and not only
 in a benchmark run.  The reference file is only read here.
+
+The reference digests pin totals only, so one more pin, recorded before
+the cautious-broadcast node-step was cut, holds the node-level outcome of
+one ``elect-expander`` election: each phase's rounds and messages and a
+hash of the per-node results (joined territories, parallel broadcasts,
+overflow and the largest walk ID seen).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -54,3 +61,33 @@ def test_election_matches_reference_digest(workload, seed, backend):
     topology = parse_topology(reference["topology"], seed=TOPOLOGY_SEED)
     result = api.run(reference["algorithm"], topology, seed=seed, backend=backend)
     assert _digest(result) == reference["digests"][str(seed)]
+
+
+#: Election seed 0 of ``elect-expander``: leaders, per-phase
+#: ``(rounds, messages)`` and the node-results hash.
+BROADCAST_PIN = (
+    [93],
+    {
+        "cautious-broadcast": (6084, 9857),
+        "random-walk": (156, 16800),
+        "convergecast": (157, 615),
+    },
+    "0fc78af9ea1ab8ad",
+)
+
+
+@pytest.mark.parametrize("backend", ["event", "round"])
+def test_expander_election_matches_node_level_pin(backend):
+    reference = _reference("elect-expander")
+    topology = parse_topology(reference["topology"], seed=TOPOLOGY_SEED)
+    result = api.run(reference["algorithm"], topology, seed=0, backend=backend)
+    phases = {
+        name: (phase.rounds, phase.messages)
+        for name, phase in result.metrics.phases.items()
+    }
+    nodes = json.dumps(result.node_results, sort_keys=True).encode()
+    assert (
+        list(result.outcome.leader_indices),
+        phases,
+        hashlib.sha256(nodes).hexdigest()[:16],
+    ) == BROADCAST_PIN
