@@ -194,17 +194,23 @@ class CautiousBroadcastState:
         self.stop_notified = False
         self._size_reported = 0  # last size value sent to the parent
         self._confirmed = 1  # running 1 + sum(child_size.values())
-        self._quiescent: Optional[bool] = None  # cached quiescent() result
 
     # -------------------------------------------------------------- #
     # receptions (Algorithm 3)
     # -------------------------------------------------------------- #
     def handle_message(self, port: int, message: Message) -> None:
         """Process one received message belonging to this instance."""
-        self._quiescent = None
         # A port we heard from is no longer available for fresh offers.
         self.avail.discard(port)
 
+        # Offers, the most common kind, are tested first.  The source is
+        # joined from the start, so it ignores them.
+        if isinstance(message, OfferMessage):
+            if not self.joined:
+                self.joined = True
+                self.parent_port = port
+                self.status = ACTIVE
+            return
         if isinstance(message, StopMessage):
             self.status = STOPPED
             return
@@ -218,7 +224,7 @@ class CautiousBroadcastState:
             self.children.add(port)
             return
         if self.is_source:
-            # The source ignores offers and activation prompts.
+            # The source ignores activation prompts.
             return
         if isinstance(message, ActivateMessage):
             if self.status != STOPPED:
@@ -227,12 +233,6 @@ class CautiousBroadcastState:
         if isinstance(message, DeactivateMessage):
             if self.status != STOPPED:
                 self.status = PASSIVE
-            return
-        if isinstance(message, OfferMessage):
-            if not self.joined:
-                self.joined = True
-                self.parent_port = port
-                self.status = ACTIVE
             return
         raise ProtocolError(
             f"unexpected cautious-broadcast message {type(message).__name__}"
@@ -252,8 +252,7 @@ class CautiousBroadcastState:
 
     def prepare_transmissions(self, rng: random.Random) -> Outbox:
         """One protocol round of Algorithm 4 for this instance."""
-        self._quiescent = None
-        if not self.joined or self.exhausted:
+        if not self.joined or self.rounds_executed >= self.config.protocol_rounds:
             return {}
         self.rounds_executed += 1
         outbox: Outbox = {}
@@ -279,7 +278,7 @@ class CautiousBroadcastState:
                 if not self.child_active.get(port, False):
                     outbox[port] = _instance_message(ActivateMessage, self.source_id)
                     self.child_active[port] = True
-            fresh = self._pick_available_port(rng, exclude=set(outbox))
+            fresh = self._pick_available_port(rng, exclude=outbox)
             if fresh is not None:
                 outbox[fresh] = _instance_message(OfferMessage, self.source_id)
         elif subtree >= self.threshold:
@@ -300,13 +299,14 @@ class CautiousBroadcastState:
         return outbox
 
     def _pick_available_port(
-        self, rng: random.Random, *, exclude: Set[int]
+        self, rng: random.Random, *, exclude: Outbox
     ) -> Optional[int]:
-        candidates = sorted(self.avail - exclude)
+        avail = self.avail
+        candidates = sorted(avail.difference(exclude) if exclude else avail)
         if not candidates:
             return None
         port = rng.choice(candidates)
-        self.avail.discard(port)
+        avail.discard(port)
         return port
 
     def quiescent(self) -> bool:
@@ -324,16 +324,11 @@ class CautiousBroadcastState:
         earlier than the instance's final in-phase slot, after which it is
         never served again.
 
-        The result is cached until :meth:`handle_message` or
-        :meth:`prepare_transmissions` runs again — the only entry points
-        that change the instance's state.
+        Computed afresh on each call: the manager's busy-slot index asks
+        only after :meth:`handle_message` or :meth:`prepare_transmissions`
+        changed the instance, so a stored answer would never be read twice.
         """
-        if self._quiescent is None:
-            self._quiescent = self._compute_quiescent()
-        return self._quiescent
-
-    def _compute_quiescent(self) -> bool:
-        if not self.joined or self.exhausted:
+        if not self.joined or self.rounds_executed >= self.config.protocol_rounds:
             return True
         if self.threshold >= self.config.territory_cap and self.status != STOPPED:
             return False  # next step transitions to STOPPED and notifies
@@ -343,8 +338,10 @@ class CautiousBroadcastState:
             return False  # next step reports upward and doubles the threshold
         if self.status != ACTIVE:
             return True  # passive below threshold: nothing to do
-        if any(not self.child_active.get(port, False) for port in self.children):
-            return False  # next step re-activates children
+        child_active = self.child_active
+        for port in self.children:
+            if not child_active.get(port, False):
+                return False  # next step re-activates children
         return not self.avail  # growth only possible with a fresh port left
 
     # -------------------------------------------------------------- #
@@ -431,7 +428,8 @@ class CautiousBroadcastManager:
     A busy-slot index keeps :meth:`next_busy_round` from scanning every
     slot: it holds the positions whose instance was not quiescent when last
     checked, and only the positions that :meth:`handle_inbox` or
-    :meth:`transmissions_for_slot` touched since are checked again.
+    :meth:`transmissions_for_slot` touched since are checked again, each by
+    one fresh :meth:`CautiousBroadcastState.quiescent` call.
     """
 
     def __init__(
@@ -461,19 +459,18 @@ class CautiousBroadcastManager:
     # -------------------------------------------------------------- #
     def add_source_instance(self, source_id: int) -> CautiousBroadcastState:
         """Register this node as the source (candidate) of an instance."""
-        state = CautiousBroadcastState(
+        return self._register(source_id, is_source=True)
+
+    def _register(self, source_id: int, *, is_source: bool) -> CautiousBroadcastState:
+        """Create this node's state in instance ``source_id``; give it a slot."""
+        if source_id in self._states:
+            raise ProtocolError(f"instance {source_id} registered twice")
+        state = self._states[source_id] = CautiousBroadcastState(
             num_ports=self.num_ports,
             config=self.config,
             source_id=source_id,
-            is_source=True,
+            is_source=is_source,
         )
-        self._register(source_id, state)
-        return state
-
-    def _register(self, source_id: int, state: CautiousBroadcastState) -> None:
-        if source_id in self._states:
-            raise ProtocolError(f"instance {source_id} registered twice")
-        self._states[source_id] = state
         if len(self._slots) < self.num_slots:
             position = len(self._slots)
             self._slots.append(state)
@@ -484,22 +481,14 @@ class CautiousBroadcastManager:
             # not happen w.h.p.; we keep counting so experiments can verify.
             # An overflow instance is never served.
             self.overflow_instances += 1
-
-    def _state_for(self, source_id: int) -> CautiousBroadcastState:
-        state = self._states.get(source_id)
-        if state is None:
-            state = CautiousBroadcastState(
-                num_ports=self.num_ports,
-                config=self.config,
-                source_id=source_id,
-                is_source=False,
-            )
-            self._register(source_id, state)
         return state
 
     # -------------------------------------------------------------- #
     def handle_inbox(self, inbox: Inbox) -> None:
         """Route received broadcast messages to their instances."""
+        states = self._states
+        positions = self._position
+        touched = self._touched
         for port, message in inbox.items():
             source_id = getattr(message, "source_id", None)
             if source_id is None:
@@ -507,10 +496,13 @@ class CautiousBroadcastManager:
                     f"cautious-broadcast manager received foreign message "
                     f"{type(message).__name__}"
                 )
-            self._state_for(source_id).handle_message(port, message)
-            position = self._position.get(source_id)
+            state = states.get(source_id)
+            if state is None:  # the first message of an unknown instance
+                state = self._register(source_id, is_source=False)
+            state.handle_message(port, message)
+            position = positions.get(source_id)
             if position is not None:
-                self._touched.add(position)
+                touched.add(position)
 
     def transmissions_for_slot(self, slot: int, rng: random.Random) -> Outbox:
         """Transmissions of the instance assigned to ``slot`` (may be empty)."""
@@ -546,7 +538,12 @@ class CautiousBroadcastManager:
             return None
         num_slots = self.num_slots
         slot = round_index % num_slots
-        return round_index + min((position - slot) % num_slots for position in busy)
+        wait = num_slots
+        for position in busy:
+            gap = (position - slot) % num_slots
+            if gap < wait:
+                wait = gap
+        return round_index + wait
 
     # -------------------------------------------------------------- #
     # inspection used by the later election phases and by analysis

@@ -241,7 +241,11 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
     # ------------------------------------------------------------------ #
     def step(self, round_index: int, inbox: Inbox) -> Outbox:
         if round_index < self._broadcast_end:
-            return self._broadcast_step(round_index, inbox)
+            broadcast = self._broadcast
+            if inbox:
+                broadcast.handle_inbox(inbox)
+            slot = round_index % broadcast.num_slots
+            return broadcast.transmissions_for_slot(slot, self.rng)
         if round_index < self._walk_end:
             walk = self._walk
             if walk is None:
@@ -252,12 +256,6 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         return self._decision_step(inbox)
 
     # ------------------------------------------------------------------ #
-    def _broadcast_step(self, round_index: int, inbox: Inbox) -> Outbox:
-        if inbox:
-            self._broadcast.handle_inbox(inbox)
-        slot = round_index % self._broadcast.num_slots
-        return self._broadcast.transmissions_for_slot(slot, self.rng)
-
     def _walk_step(self, inbox: Inbox) -> Outbox:
         """First walk round: build the walk state, then take its first step.
 
@@ -320,9 +318,8 @@ class IrrevocableLeaderElectionNode(ProtocolNode):
         """
         if round_index < self._broadcast_end:
             busy = self._broadcast.next_busy_round(round_index)
-            if busy is None:
-                return self._broadcast_end
-            return min(busy, self._broadcast_end)
+            end = self._broadcast_end
+            return end if busy is None or busy > end else busy
         if round_index < self._walk_end:
             walk = self._walk
             if walk is not None and walk.scattered and not walk.tokens:

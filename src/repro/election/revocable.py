@@ -226,15 +226,20 @@ class RevocableLeaderElectionNode(GeneratorNode):
         return status, white_seen
 
     def _absorb_leader_info(self, message) -> None:
-        if message.leader_id is None or message.leader_estimate is None:
+        estimate, leader_id = message.leader_estimate, message.leader_id
+        if leader_id is None or estimate is None:
             return
-        candidate = Certificate(
-            estimate=message.leader_estimate, node_id=message.leader_id
-        )
-        if candidate.beats(self.leader_certificate):
-            self.leader_certificate = candidate
-            # Revocation happens the moment a stronger certificate is heard.
-            self._refresh_leader_flag()
+        # Compare keys before building a Certificate: a message that cannot
+        # beat the current certificate is dropped unvalidated.  Honest nodes
+        # only send certificates that passed Certificate.__post_init__, so
+        # skipping that check on a losing message changes no reachable
+        # outcome.
+        current = self.leader_certificate
+        if current is not None and (estimate, -leader_id) <= current.sort_key():
+            return
+        self.leader_certificate = Certificate(estimate=estimate, node_id=leader_id)
+        # Revocation happens the moment a stronger certificate is heard.
+        self._refresh_leader_flag()
 
     # ------------------------------------------------------------------ #
     def result(self) -> Dict[str, object]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import List
 
@@ -385,3 +386,45 @@ class TestBusySlotIndex:
                 )
         assert len(manager._slots) <= num_slots
         assert manager.instance_count() == len(manager._slots) + manager.overflow_instances
+
+
+class TestQuiescenceContract:
+    """A quiescent instance's transmission step does nothing.
+
+    The event backend skips the steps of a quiescent instance, so each such
+    step must send nothing, draw nothing and change nothing observable but
+    ``rounds_executed`` — and the instance must stay quiescent.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_manager_scripts(), st.integers(0, 2**16))
+    def test_quiescent_steps_are_no_ops(self, script, seed):
+        num_ports, num_slots, config, own_source, operations = script
+        manager = CautiousBroadcastManager(
+            num_ports=num_ports, config=config, num_slots=num_slots
+        )
+        if own_source is not None:
+            manager.add_source_instance(own_source)
+        rng = random.Random(seed)
+        for kind, argument in operations:
+            if kind == "inbox":
+                manager.handle_inbox(argument)
+            else:
+                manager.transmissions_for_slot(argument % num_slots, rng)
+            for source_id in list(manager._states):
+                state = manager.state(source_id)
+                if not state.quiescent():
+                    continue
+                twin = copy.deepcopy(state)
+                twin_rng = random.Random()
+                twin_rng.setstate(rng.getstate())
+                before = _without_round_count(twin.summary())
+                for _ in range(config.protocol_rounds + 1):
+                    assert twin.prepare_transmissions(twin_rng) == {}
+                    assert twin_rng.getstate() == rng.getstate()
+                    assert _without_round_count(twin.summary()) == before
+                    assert twin.quiescent()
+
+
+def _without_round_count(summary):
+    return {key: value for key, value in summary.items() if key != "rounds_executed"}
