@@ -68,6 +68,10 @@ class ArchiveHTTPServer(ThreadingHTTPServer):
 class _ArchiveRequestHandler(BaseHTTPRequestHandler):
     server: ArchiveHTTPServer
 
+    # Keep-alive; no Nagle, so a body written after its headers is not held back.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #

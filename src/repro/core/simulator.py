@@ -222,9 +222,9 @@ class SynchronousSimulator:
             else congest_budget_bits(topology.num_nodes)
         )
         self._round = 0
-        # endpoint_table[u][p - 1] == (neighbour, neighbour_port); resolved
-        # once here so the per-message delivery loop is pure indexing.
-        self._endpoints = topology.endpoint_table()
+        # _endpoints[u][p] == (neighbour, neighbour_port), built once; the
+        # delivery lookup is the port check (a bad port raises KeyError).
+        self._endpoints = [dict(enumerate(row, 1)) for row in topology.endpoint_table()]
         # Inboxes are reused: after a round's steps the receivers' inboxes
         # are cleared and refilled with that round's traffic instead of
         # allocating n fresh dicts per round.  Consequently an inbox dict
@@ -295,26 +295,32 @@ class SynchronousSimulator:
         self,
         round_index: int,
         senders: List[Tuple[int, Outbox]],
+        tally: List[int],
     ) -> None:
         """Deliver this round's outboxes and close the round.
 
         The inboxes consumed this round are cleared first, then refilled
-        with this round's traffic.  Round state is committed *before* any
-        CONGEST enforcement error is raised: the violating message is
-        withheld (never placed in an inbox), everything else delivers and
-        the round counter advances — so a caller that catches
-        :class:`CongestViolationError` observes a consistent simulator.
+        with this round's traffic, which is added to ``tally``.  A bad port
+        raises :class:`SimulationError` before the round commits.  Round
+        state is committed *before* any CONGEST enforcement error is raised:
+        the violating message is withheld (never placed in an inbox),
+        everything else delivers and the round counter advances — so a
+        caller that catches :class:`CongestViolationError` observes a
+        consistent simulator.
         """
         inboxes = self._inboxes
         for index in self._receivers:
             inboxes[index].clear()
         receivers: List[int] = []
-        if self._adversary is not None:
-            violation = self._deliver_with_adversary(round_index, senders, receivers)
-        else:
-            violation = self._deliver_plain(round_index, senders, receivers)
+        plain = self._adversary is None
+        deliver = self._deliver_plain if plain else self._deliver_with_adversary
+        try:
+            violation = deliver(round_index, senders, receivers, tally)
+        except KeyError:  # an endpoint lookup missed: name the bad port
+            for index, outbox in senders:
+                self._validate_outbox(index, outbox)
+            raise
         self._receivers = receivers
-        self.metrics.record_round()
         self._round += 1
         if violation is not None:
             index, port, bits = violation
@@ -328,6 +334,7 @@ class SynchronousSimulator:
         round_index: int,
         senders: List[Tuple[int, Outbox]],
         receivers: List[int],
+        tally: List[int],
     ) -> Optional[Tuple[int, int, int]]:
         """Unperturbed delivery hot path: kept free of per-message branches.
 
@@ -346,11 +353,12 @@ class SynchronousSimulator:
         total_count = 0
         total_bits = 0
         physical = 0
-        rejected = 0
+        violations = 0
         violation: Optional[Tuple[int, int, int]] = None
         for index, outbox in senders:
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
+                neighbor, neighbor_port = node_endpoints[port]
                 bits, units = getattr(message, "_wire_cost", None) or message_cost(message)
                 if not count_bits:
                     bits = 0
@@ -358,23 +366,22 @@ class SynchronousSimulator:
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
-                    self.metrics.record_congest_violation()
+                    violations += 1
                     if enforce:
-                        rejected += 1
                         if violation is None:
                             violation = (index, port, bits)
                         continue
-                neighbor, neighbor_port = node_endpoints[port - 1]
                 inbox = inboxes[neighbor]
                 if not inbox:
                     receivers.append(neighbor)
                 inbox[neighbor_port] = message
-        if physical:
-            self.metrics.record_message(bits=total_bits, count=total_count)
-            self.metrics.record_sent(physical)
-            self.metrics.record_delivered(physical - rejected)
-        if rejected:
-            self.metrics.record_dropped(rejected)
+        rejected = violations if enforce else 0
+        tally[0] += total_count
+        tally[1] += total_bits
+        tally[2] += physical
+        tally[3] += physical - rejected
+        tally[4] += rejected
+        tally[6] += violations
         return violation
 
     def _deliver_with_adversary(
@@ -382,6 +389,7 @@ class SynchronousSimulator:
         round_index: int,
         senders: List[Tuple[int, Outbox]],
         receivers: List[int],
+        tally: List[int],
     ) -> Optional[Tuple[int, int, int]]:
         """Adversary-mediated delivery of this round's outboxes.
 
@@ -410,11 +418,12 @@ class SynchronousSimulator:
         delivered = 0
         dropped = 0
         delayed = 0
+        violations = 0
         violation: Optional[Tuple[int, int, int]] = None
         for index, outbox in senders:
             node_endpoints = endpoints[index]
             for port, message in outbox.items():
-                neighbor, neighbor_port = node_endpoints[port - 1]
+                neighbor, neighbor_port = node_endpoints[port]
                 bits, units = getattr(message, "_wire_cost", None) or message_cost(message)
                 if not count_bits:
                     bits = 0
@@ -422,7 +431,7 @@ class SynchronousSimulator:
                 total_bits += bits
                 physical += 1
                 if bits > congest_budget:
-                    self.metrics.record_congest_violation()
+                    violations += 1
                     if enforce:
                         dropped += 1
                         if violation is None:
@@ -479,15 +488,13 @@ class SynchronousSimulator:
                 inbox[neighbor_port] = message
                 delivered += 1
 
-        if physical:
-            self.metrics.record_message(bits=total_bits, count=total_count)
-            self.metrics.record_sent(physical)
-        if delivered:
-            self.metrics.record_delivered(delivered)
-        if dropped:
-            self.metrics.record_dropped(dropped)
-        if delayed:
-            self.metrics.record_delayed(delayed)
+        tally[0] += total_count
+        tally[1] += total_bits
+        tally[2] += physical
+        tally[3] += delivered
+        tally[4] += dropped
+        tally[5] += delayed
+        tally[6] += violations
         return violation
 
     def run(
@@ -544,23 +551,22 @@ class SynchronousSimulator:
         no adversary or one whose
         :meth:`~repro.core.faults.FaultAdversary.quiescent_until` horizon
         lies beyond the round), the loop fast-forwards to the earliest
-        wakeup or that horizon, whichever is first, in O(1), recording
-        the skipped rounds in one batch.  The adversary is asked only in
-        such idle rounds, so busy rounds pay nothing for it.
-        A live-node counter ends the run once every node has halted.
-        Since a node's ``halted`` flag changes only inside its ``step``,
-        the loop reads it once per run and after each step.  ``num_ports``
-        is fixed after construction, so it is read once per run for the
-        outbox port check.  ``step`` and ``quiescent_until`` are looked up
-        on the node at every call, so instance-level wrappers (tracers,
-        counters) still see every call.
+        wakeup or that horizon, whichever is first, in O(1).  The
+        adversary is asked only in such idle rounds, so busy rounds pay
+        nothing for it.  A live-node counter ends the run once every node
+        has halted.  Since a node's ``halted`` flag changes only inside its
+        ``step``, the loop reads it once per run and after each step.
+        Delivery's endpoint lookup checks outbox ports.  ``step`` and
+        ``quiescent_until`` are looked up on the node at every call, so
+        instance-level wrappers (tracers, counters) still see every call.
+        Rounds (skipped ones included) and traffic are tallied in locals
+        and written to the collector once, when the run returns or raises.
         """
         nodes = self.nodes
         inboxes = self._inboxes
         adversary = self._adversary
         faulty = adversary is not None
         node_active = adversary.node_active if faulty else None
-        num_ports = [node.num_ports for node in nodes]
         heappush = heapq.heappush
         event = self.backend == "event"
         halted = [node.halted for node in nodes]
@@ -576,87 +582,94 @@ class SynchronousSimulator:
                 wake[index] = node.quiescent_until(self._round)
                 heap.append((wake[index], index))
         heapq.heapify(heap)
-        executed = 0
-        while executed < max_rounds and live:
-            round_index = self._round
-            due: Iterable[int]
-            if event:
-                due_set = set(self._receivers)
-                due_set.update(ready)
-                ready = []
-                while heap and heap[0][0] <= round_index:
-                    at, index = heapq.heappop(heap)
-                    if wake[index] == at:
-                        wake[index] = -1
-                        due_set.add(index)
-                if not due_set and not self._delayed:
-                    quiet = (
-                        QUIET_FOREVER
-                        if adversary is None
-                        else adversary.quiescent_until(round_index)
-                    )
-                    if quiet > round_index:
-                        while heap and wake[heap[0][1]] != heap[0][0]:
-                            heapq.heappop(heap)
-                        if not heap:  # pragma: no cover - live nodes keep an entry
-                            break
-                        end = round_index + max_rounds - executed
-                        jump = min(heap[0][0], quiet, end) - round_index
-                        self.metrics.record_round(jump)
-                        self._round += jump
-                        executed += jump
+        start = self._round
+        stop = start + max_rounds
+        # messages, bits, sent, delivered, dropped, delayed, violations
+        tally = [0] * 7
+        try:
+            while self._round < stop and live:
+                round_index = self._round
+                due: Iterable[int]
+                if event:
+                    due_set = set(self._receivers)
+                    due_set.update(ready)
+                    ready = []
+                    while heap and heap[0][0] <= round_index:
+                        at, index = heapq.heappop(heap)
+                        if wake[index] == at:
+                            wake[index] = -1
+                            due_set.add(index)
+                    if not due_set and not self._delayed:
+                        quiet = (
+                            QUIET_FOREVER
+                            if adversary is None
+                            else adversary.quiescent_until(round_index)
+                        )
+                        if quiet > round_index:
+                            while heap and wake[heap[0][1]] != heap[0][0]:
+                                heapq.heappop(heap)
+                            if not heap:  # pragma: no cover - live nodes keep an entry
+                                break
+                            self._round = min(heap[0][0], quiet, stop)
+                            continue
+                    due = sorted(due_set)
+                else:
+                    due = range(len(nodes))
+                if faulty:
+                    adversary.begin_round(round_index)
+                next_round = round_index + 1
+                senders: List[Tuple[int, Outbox]] = []
+                for index in due:
+                    if halted[index]:
                         continue
-                due = sorted(due_set)
-            else:
-                due = range(len(nodes))
-            if faulty:
-                adversary.begin_round(round_index)
-            next_round = round_index + 1
-            senders: List[Tuple[int, Outbox]] = []
-            for index in due:
-                if halted[index]:
-                    continue
-                if faulty and not node_active(round_index, index):
-                    if event and wake[index] < 0:
-                        ready.append(index)  # its horizon has passed
-                    continue
-                node = nodes[index]
-                outbox = node.step(round_index, inboxes[index])
-                if node.halted:
-                    halted[index] = True
-                    live -= 1
-                elif event:
-                    at = node.quiescent_until(next_round)
-                    if at <= next_round:
-                        wake[index] = -1
-                        ready.append(index)
-                    elif at != wake[index]:
-                        wake[index] = at
-                        heappush(heap, (at, index))
-                if outbox:
-                    if min(outbox) < 1 or max(outbox) > num_ports[index]:
-                        self._validate_outbox(index, node, outbox)
-                    senders.append((index, outbox))
-            if len(heap) > 4 * len(nodes):
-                # Mostly stale entries: rebuild from the live ones.
-                heap = [(at, index) for index, at in enumerate(wake) if at >= 0]
-                heapq.heapify(heap)
-            self._deliver_and_finish(round_index, senders)
-            executed += 1
-            if self._terminated_by_crashes():
-                break
-        return executed
+                    if faulty and not node_active(round_index, index):
+                        if event and wake[index] < 0:
+                            ready.append(index)  # its horizon has passed
+                        continue
+                    node = nodes[index]
+                    outbox = node.step(round_index, inboxes[index])
+                    if node.halted:
+                        halted[index] = True
+                        live -= 1
+                    elif event:
+                        at = node.quiescent_until(next_round)
+                        if at <= next_round:
+                            wake[index] = -1
+                            ready.append(index)
+                        elif at != wake[index]:
+                            wake[index] = at
+                            heappush(heap, (at, index))
+                    if outbox:
+                        senders.append((index, outbox))
+                if len(heap) > 4 * len(nodes):
+                    # Mostly stale entries: rebuild from the live ones.
+                    heap = [(at, index) for index, at in enumerate(wake) if at >= 0]
+                    heapq.heapify(heap)
+                self._deliver_and_finish(round_index, senders, tally)
+                if faulty and self._terminated_by_crashes():
+                    break
+            return self._round - start
+        finally:
+            messages, bits, sent, delivered, dropped, delayed, violations = tally
+            metrics = self.metrics
+            metrics.record_round(self._round - start)
+            metrics.record_message(bits=bits, count=messages)
+            metrics.record_sent(sent)
+            metrics.record_delivered(delivered)
+            metrics.record_dropped(dropped)
+            metrics.record_delayed(delayed)
+            metrics.record_congest_violation(violations)
 
     def _terminated_by_crashes(self) -> bool:
         """Whether the round just executed left nobody able to act again.
 
-        True when an adversary is attached, no delayed message is in
-        flight, and every node has either halted or crashed for good
-        (:meth:`FaultAdversary.node_crashed`) as of the round just run —
-        continuing would only execute empty rounds until ``max_rounds``.
+        Asked only with an adversary attached.  True when no delayed
+        message is in flight and every node has either halted or crashed
+        for good (:meth:`FaultAdversary.node_crashed`) as of the round just
+        run — continuing would only execute empty rounds until ``max_rounds``.
         """
         adversary = self._adversary
-        if adversary is None or self._delayed:
+        if self._delayed:
             return False
         round_index = self._round - 1
         return all(
@@ -664,7 +677,8 @@ class SynchronousSimulator:
             for index, node in enumerate(self.nodes)
         )
 
-    def _validate_outbox(self, index: int, node: ProtocolNode, outbox: Outbox) -> None:
+    def _validate_outbox(self, index: int, outbox: Outbox) -> None:
+        node = self.nodes[index]
         for port in outbox:
             if not (1 <= port <= node.num_ports):
                 raise SimulationError(

@@ -510,6 +510,8 @@ class CautiousBroadcastManager:
             raise ProtocolError(f"slot {slot} out of range 0..{self.num_slots - 1}")
         if slot >= len(self._slots):
             return {}
+        if slot not in self._busy and slot not in self._touched:
+            return {}  # quiescent when checked, unchanged since: not served
         self._touched.add(slot)
         return self._slots[slot].prepare_transmissions(rng)
 

@@ -94,6 +94,7 @@ class RandomWalkProbeState:
     ) -> None:
         self.config = config
         self.num_ports = num_ports
+        self._port_bits = num_ports.bit_length()
         self.candidate = candidate
         self.node_id = node_id
         self.max_walk_id = node_id if candidate else 0
@@ -158,10 +159,10 @@ class RandomWalkProbeState:
         held = self.tokens
         n = self.num_ports
         if not self.scattered:
-            counts = self.initial_scatter(rng)
+            outbox = self.initial_scatter(rng)
         elif held and n:
-            counts = {}
-            k = n.bit_length()
+            outbox = {}
+            k = self._port_bits
             coin = rng.random
             getrandbits = rng.getrandbits
             staying = 0
@@ -173,17 +174,17 @@ class RandomWalkProbeState:
                     while r >= n:
                         r = getrandbits(k)
                     port = r + 1
-                    counts[port] = counts.get(port, 0) + 1
+                    outbox[port] = outbox.get(port, 0) + 1
             self.tokens = staying
         else:
             return {}
+        # Swap each port's token count in place for its reused message.
         walk_id = self.max_walk_id
         messages = self._messages
         if walk_id != self._messages_id:
             messages.clear()
             self._messages_id = walk_id
-        outbox: Outbox = {}
-        for port, count in counts.items():
+        for port, count in outbox.items():
             message = messages.get(count)
             if message is None:
                 message = messages[count] = WalkMessage(walk_id, count)

@@ -14,6 +14,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import http.client
 import json
 import sqlite3
 import threading
@@ -663,3 +664,36 @@ class TestArchiveService:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(archive_server + "/nope")
         assert excinfo.value.code == 404
+
+    def test_queries_keep_one_connection_open(self, tmp_path):
+        server = api.serve(
+            archive=tmp_path / "served.sqlite", host="127.0.0.1", port=0, block=False
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            payloads, sockets = [], []
+            for _ in range(2):
+                connection.request("GET", self.QUERY)
+                response = connection.getresponse()
+                assert response.status == 200
+                assert not response.will_close
+                payloads.append(json.loads(response.read().decode("utf-8")))
+                sockets.append(connection.sock)
+            assert sockets[0] is not None and sockets[0] is sockets[1]
+            assert payloads[0]["report"]["simulated_runs"] == 5
+            assert payloads[1]["report"]["simulated_runs"] == 0
+            fresh = get_json(f"http://{host}:{port}{self.QUERY}")
+            assert without_wall_clock(payloads[1]) == without_wall_clock(fresh)
+            # The open client connection does not hold the shutdown up.
+            closer = threading.Thread(target=server.shutdown, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)

@@ -24,6 +24,7 @@ from repro.core import (
     run_protocol,
 )
 from repro.core.errors import ProtocolError
+from repro.dynamics import MessageLossAdversary
 from repro.graphs import cycle, path, star
 
 
@@ -449,6 +450,92 @@ class TestCongestViolationCoherence:
         echo = nodes[2]  # both neighbours (1 and 3) are echo nodes
         assert len(echo.received) == 5
         assert sorted(echo.received[3].values()) == [2, 2]
+
+
+class EchoUntilNode(EchoNode):
+    """Echoes like :class:`EchoNode`; in round ``at`` it misbehaves.
+
+    With ``port`` set it also sends through that port; without, it raises
+    :class:`ProtocolError`.
+    """
+
+    def __init__(self, num_ports, rng, *, at, port=None) -> None:
+        super().__init__(num_ports, rng)
+        self.at = at
+        self.port = port
+
+    def step(self, round_index, inbox):
+        outbox = super().step(round_index, inbox)
+        if round_index == self.at:
+            if self.port is None:
+                raise ProtocolError(f"gave up in round {round_index}")
+            outbox[self.port] = Ping(payload=round_index)
+        return outbox
+
+
+class TestFailedRoundsDoNotCommit:
+    """A round that fails leaves the simulator and its metrics at the
+    rounds committed before it."""
+
+    @staticmethod
+    def _build(backend, adversary=None, **misbehaviour):
+        topology = cycle(4)
+
+        def factory(i, p, rng):
+            if i == 1 and misbehaviour:
+                return EchoUntilNode(p, rng, **misbehaviour)
+            return EchoNode(p, rng)
+
+        nodes = build_nodes(topology, factory, seed=0)
+        return SynchronousSimulator(
+            topology, nodes, backend=backend, adversary=adversary
+        )
+
+    @pytest.mark.parametrize("backend", ["round", "event"])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "loss"])
+    @pytest.mark.parametrize("port", [0, -1, 3])
+    def test_a_port_outside_the_range_raises(self, backend, faulty, port):
+        adversary = MessageLossAdversary(p=0.0, seed=0) if faulty else None
+        simulator = self._build(backend, adversary, at=2, port=port)
+        with pytest.raises(
+            SimulationError, match=rf"node 1 tried to send through port {port} "
+        ):
+            simulator.run(5)
+        assert simulator.current_round == 2
+        assert simulator.metrics.rounds == 2
+        assert simulator.metrics.sent_messages == 8 * 2
+
+    @pytest.mark.parametrize("backend", ["round", "event"])
+    def test_a_raising_node_leaves_the_committed_rounds(self, backend):
+        simulator = self._build(backend, at=3)
+        reference = self._build(backend)
+        with reference.metrics.phase("echo"):
+            reference.run(3)
+        with pytest.raises(ProtocolError, match="round 3"):
+            with simulator.metrics.phase("echo"):
+                simulator.run(10)
+        assert simulator.current_round == 3
+        assert simulator.metrics.rounds == 3
+        assert simulator.metrics.messages == 8 * 3
+        assert (
+            simulator.metrics.snapshot().as_dict()
+            == reference.metrics.snapshot().as_dict()
+        )
+
+    @pytest.mark.parametrize("backend", ["round", "event"])
+    def test_a_caught_violation_is_counted_with_its_round(self, backend):
+        topology = cycle(4)
+
+        def factory(i, p, rng):
+            return OnePortFatSender(p, rng) if i == 0 else EchoNode(p, rng)
+
+        nodes = build_nodes(topology, factory, seed=0)
+        simulator = SynchronousSimulator(
+            topology, nodes, enforce_congest=True, backend=backend
+        )
+        with pytest.raises(CongestViolationError):
+            simulator.run(5)
+        assert simulator.metrics.rounds == simulator.current_round == 3
 
 
 class TestMessageConservation:

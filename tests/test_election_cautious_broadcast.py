@@ -387,6 +387,25 @@ class TestBusySlotIndex:
         assert len(manager._slots) <= num_slots
         assert manager.instance_count() == len(manager._slots) + manager.overflow_instances
 
+    def test_an_untouched_quiescent_slot_is_not_served(self):
+        manager = CautiousBroadcastManager(
+            num_ports=2,
+            config=CautiousBroadcastConfig(protocol_rounds=8, territory_cap=16),
+            num_slots=2,
+        )
+        manager.handle_inbox({1: OfferMessage(source_id=5)})
+        rng = random.Random(0)
+        # The new member reports its size upward and turns passive.
+        assert manager.transmissions_for_slot(0, rng) == {1: SizeMessage(5, 1)}
+        state = manager.state(5)
+        assert state.quiescent()
+        assert manager.next_busy_round(0) is None  # slot 0 leaves the index
+        before = rng.getstate()
+        assert manager.transmissions_for_slot(0, rng) == {}
+        assert rng.getstate() == before
+        assert state.rounds_executed == 1
+        assert not manager._touched and not manager._busy
+
 
 class TestQuiescenceContract:
     """A quiescent instance's transmission step does nothing.
