@@ -85,6 +85,7 @@ def plan_sweep(
       one fault model to every spec instead.
     """
     from .workloads import (
+        DEFAULT_SUITE,
         DYNAMIC_SCENARIOS,
         PROTOCOL_SCENARIOS,
         dynamic_scenario,
@@ -101,7 +102,7 @@ def plan_sweep(
     if seeds < 1:
         raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
     if topologies is None:
-        topologies = suite_by_name(suite if suite is not None else "mixed")
+        topologies = suite_by_name(suite if suite is not None else DEFAULT_SUITE)
     elif suite is not None:
         raise ConfigurationError("pass either suite= or topologies=, not both")
 

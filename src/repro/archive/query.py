@@ -24,15 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis import robustness
 from ..analysis.experiments import ExperimentResult, ExperimentSpec, summarize_results
 from ..analysis.streaming import ResultSink
 from ..core.errors import ConfigurationError
 from ..parallel.runner import SweepConfig, run_experiments
-from ..parallel.sharding import expand_run_tasks
-from .store import ResultArchive
+from .store import ResultArchive, parse_task_key
 
 __all__ = [
     "QueryReport",
@@ -135,21 +134,13 @@ def query_experiments(
     ``derive_seeds``/``base_seed``, ...; it may not set ``checkpoint``
     or ``shard``.
 
-    The report's hits are the keys the engine's one restore ``fetch``
-    returned, so a run another writer archives while the query starts
-    is counted as what it was: replayed, not simulated.
+    The report comes from the engine's one restore ``fetch``: the keys
+    it asked for are the wanted runs and the keys it returned are the
+    hits, so the grid is expanded into tasks once, and a run another
+    writer archives while the query starts is counted as what it was:
+    replayed, not simulated.
     """
     config = query_config(config)
-
-    wanted: Set[str] = set()
-    cell_of_key: Dict[str, Tuple[str, int]] = {}
-    for spec in specs:
-        for task in expand_run_tasks(
-            spec, derive_seeds=config.derive_seeds, base_seed=config.base_seed
-        ):
-            wanted.add(task.key)
-            cell_of_key[task.key] = (task.spec_name, task.topology_index)
-
     if isinstance(archive, ResultArchive):
         opened = None
         store = archive
@@ -162,17 +153,22 @@ def query_experiments(
             specs, config=replace(config, checkpoint=store), sinks=sinks
         )
         added = store.flushed_new_runs - added_before
-        hits = store.fetched_keys & wanted
+        wanted = store.requested_keys
+        hits = store.fetched_keys
     finally:
         if opened is not None:
             opened.close()
-    missing = wanted - hits
+    missing = set(wanted) - hits
+    simulated_cells = {
+        (coordinates.spec_name, coordinates.topology_index)
+        for coordinates in map(parse_task_key, missing)
+    }
 
     report = QueryReport(
         requested_runs=len(wanted),
         archived_runs=len(hits),
         simulated_runs=len(missing),
-        simulated_cells=len({cell_of_key[key] for key in missing}),
+        simulated_cells=len(simulated_cells),
         archive_added=added,
     )
     return QueryResult(results=results, report=report)

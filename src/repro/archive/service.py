@@ -20,26 +20,38 @@ with JSON:
   and the robustness curves (``curves``); a repeated query is served
   entirely from the archive (``report.simulated_cells == 0``).
 
-``ThreadingHTTPServer`` + per-request SQLite connections keep this
-dependency-free and safe for concurrent readers.  Concurrent requests
-run in isolation: each request thread simulates its misses under its
-own adversary, backend and span scopes (context-local, see
-:func:`repro.core.faults.fault_scope`), so one client's fault model
-never reaches another's runs or the archive records they write.  It is
-an operational convenience for sharing an archive, not a hardened
-public frontend.
+``ThreadingHTTPServer`` keeps this dependency-free.  A request pays for
+its runs, not for set-up: one archive connection per HTTP connection;
+suites planned once per server.  Each keep-alive connection opens its
+own SQLite handle on first use, re-checks the schema version before
+every request, and closes the handle when the connection ends.  A
+handle whose file changed since the connection's last request
+(rewritten in place or replaced) is reopened: SQLite alone keeps
+serving cached pages of a rewrite whose header matches.  Each named
+suite's topologies are built once and shared by every request, so their
+fingerprints and ``t_mix``/Φ memos survive from one request to the
+next.  Concurrent requests run in isolation: each request thread
+simulates its misses under its own adversary, backend and span scopes
+(context-local, see :func:`repro.core.faults.fault_scope`), so one
+client's fault model never reaches another's runs or the archive
+records they write.  It is an operational convenience for sharing an
+archive, not a hardened public frontend.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 from urllib.parse import parse_qs, parse_qsl, urlsplit
 
 from ..core.errors import ReproError
+from ..graphs.topology import Topology
 from ..parallel.runner import SweepConfig
+from ..workloads import DEFAULT_SUITE, suite_by_name
 from .query import query_config
 from .store import ResultArchive
 
@@ -62,7 +74,21 @@ class ArchiveHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, *, archive_path, config):
         self.archive_path = str(archive_path)
         self.config = config
+        #: suite name -> its topologies, built on the first request naming it
+        self.suites: Dict[str, Tuple[Topology, ...]] = {}
         super().__init__(address, _ArchiveRequestHandler)
+
+    def suite(self, name: str) -> Tuple[Topology, ...]:
+        """The topologies of the suite ``name``, built once per server.
+
+        An unknown name raises before anything is stored.  Two requests
+        that miss at once may both build; the first stored is the one
+        every later request plans with.
+        """
+        topologies = self.suites.get(name)
+        if topologies is None:
+            topologies = self.suites.setdefault(name, tuple(suite_by_name(name)))
+        return topologies
 
 
 class _ArchiveRequestHandler(BaseHTTPRequestHandler):
@@ -71,6 +97,11 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
     # Keep-alive; no Nagle, so a body written after its headers is not held back.
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+
+    #: this connection's archive handle, opened on first use
+    _archive: Optional[ResultArchive] = None
+    #: the archive file's state when this connection last used the handle
+    _seen: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------ #
     # routing
@@ -97,11 +128,36 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._respond(400, {"error": f"bad query parameter: {error}"})
 
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            if self._archive is not None:
+                self._archive.close()
+                self._archive = None
+
     # ------------------------------------------------------------------ #
     # handlers
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def _opened_archive(self) -> Iterator[ResultArchive]:
+        """This connection's archive handle, schema-checked for one use."""
+        path = self.server.archive_path
+        if self._archive is not None and _file_state(path) != self._seen:
+            self._archive.close()
+            self._archive = None
+        if self._archive is None:
+            self._archive = ResultArchive(path)
+        else:
+            self._archive.check_schema()
+        try:
+            yield self._archive
+        finally:
+            # The handle's own writes are not a change to reopen for.
+            self._seen = _file_state(path)
+
     def _health(self) -> Dict[str, object]:
-        with ResultArchive(self.server.archive_path) as archive:
+        with self._opened_archive() as archive:
             runs = len(archive)
         return {
             "status": "ok",
@@ -110,7 +166,7 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
         }
 
     def _stats(self) -> Dict[str, object]:
-        with ResultArchive(self.server.archive_path) as archive:
+        with self._opened_archive() as archive:
             return archive.stats()
 
     def _query(self, query: str) -> Dict[str, object]:
@@ -151,7 +207,7 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
                 f"parameter 'seeds' must be an integer, got {raw_seeds!r}"
             ) from None
         specs, adversarial = api.plan_sweep(
-            suite=_single(params, "suite", None),
+            topologies=self.server.suite(_single(params, "suite", DEFAULT_SUITE)),
             algorithms=algorithms,
             scenario=_single(params, "scenario", None),
             adversary=_single(params, "adversary", None),
@@ -159,9 +215,8 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
             seeds=seeds,
             collect_profile=profile in ("1", "true"),
         )
-        answer = api.query(
-            specs, archive=self.server.archive_path, config=self.server.config
-        )
+        with self._opened_archive() as archive:
+            answer = api.query(specs, archive=archive, config=self.server.config)
         return answer.payload(specs, adversarial)
 
     # ------------------------------------------------------------------ #
@@ -180,6 +235,15 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
         # request; a query service embedded in tests and sweep scripts
         # stays quiet instead.
         pass
+
+
+def _file_state(path: str) -> Optional[Tuple[int, ...]]:
+    """What changes whenever ``path`` is written or replaced; ``None`` if absent."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns)
 
 
 def _single(params: Dict[str, list], name: str, default: Optional[str]):

@@ -154,21 +154,44 @@ class ResultArchive:
         self._pending: Dict[str, Mapping[str, object]] = {}
         #: runs that :meth:`flush` newly added (not replaced) since opening
         self.flushed_new_runs = 0
+        #: the keys the most recent :meth:`fetch` asked for — the runs a
+        #: sweep restoring from this archive wants
+        self.requested_keys: List[str] = []
         #: the keys the most recent :meth:`fetch` returned — the runs a
         #: sweep restoring from this archive actually replayed
         self.fetched_keys: Set[str] = set()
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._timeout_seconds = timeout_seconds
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_seconds)
         try:
-            self._init_schema()
-        except sqlite3.DatabaseError as error:
+            self.check_schema()
+        except ConfigurationError:
             self._conn.close()
+            raise
+
+    # ------------------------------------------------------------------ #
+    # schema
+    # ------------------------------------------------------------------ #
+    def check_schema(self) -> None:
+        """Check the stored schema version, creating the tables if absent.
+
+        Opening runs this check, and a caller that keeps the archive open
+        across requests runs it before each one.  Checking an existing
+        archive only reads, so it never queues for the write lock: the
+        tables are created, in a write transaction, only while the
+        version row is missing (a new file, or a writer that died
+        mid-create).  Every failure is a ``ConfigurationError``.
+        """
+        try:
+            self._check_schema()
+        except sqlite3.DatabaseError as error:
             if isinstance(error, sqlite3.OperationalError) and "locked" in str(error):
                 raise ConfigurationError(
                     f"result archive {self.path} is busy ({error}): another "
-                    f"connection held its lock for over {timeout_seconds:g} "
-                    f"s; retry once that writer finishes"
+                    f"connection held its lock for over "
+                    f"{self._timeout_seconds:g} s; retry once that writer "
+                    f"finishes"
                 ) from error
             raise ConfigurationError(
                 f"{self.path} is not a result archive (unreadable as a "
@@ -177,17 +200,7 @@ class ResultArchive:
                 f"add`"
             ) from error
 
-    # ------------------------------------------------------------------ #
-    # schema
-    # ------------------------------------------------------------------ #
-    def _init_schema(self) -> None:
-        """Check the stored schema version, creating the tables if absent.
-
-        Opening an existing archive only reads, so it never queues for the
-        write lock: the tables are created, in a write transaction, only
-        while the version row is missing (a new file, or a writer that
-        died mid-create).
-        """
+    def _check_schema(self) -> None:
         tables = [
             name
             for (name,) in self._conn.execute(
@@ -329,7 +342,7 @@ class ResultArchive:
     # ------------------------------------------------------------------ #
     def fetch(self, keys: Iterable[str]) -> Dict[str, Dict[str, object]]:
         """The archived records of ``keys`` (missing keys simply absent)."""
-        wanted = list(keys)
+        wanted = self.requested_keys = list(keys)
         hits: Dict[str, Dict[str, object]] = {}
         for chunk in _chunks(wanted, _FETCH_CHUNK):
             placeholders = ",".join("?" for _ in chunk)

@@ -50,17 +50,13 @@ def derive_seed(seed: Optional[int], *scope: object) -> int:
     if seed is None:
         seed = DEFAULT_SEED
     material = repr((int(seed),) + tuple(scope)).encode("utf-8")
-    digest = np.frombuffer(
-        np.void(np.frombuffer(material, dtype=np.uint8).tobytes()).tobytes(),
-        dtype=np.uint8,
-    )
     # A small, explicit FNV-1a so the derivation does not depend on numpy
     # internals or on Python's salted string hashing.
     acc = 0xCBF29CE484222325
-    for byte in digest.tolist():
+    for byte in material:
         acc ^= byte
         acc = (acc * 0x100000001B3) % (1 << 64)
-    return int(acc)
+    return acc
 
 
 def spawn_child_rngs(seed: Optional[int], count: int) -> List[random.Random]:

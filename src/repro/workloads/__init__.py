@@ -1,6 +1,7 @@
 """Named topology suites used by the benchmarks and examples."""
 
 from .suites import (
+    DEFAULT_SUITE,
     DYNAMIC_SCENARIOS,
     PROTOCOL_SCENARIOS,
     SUITES,
@@ -18,6 +19,7 @@ from .suites import (
 )
 
 __all__ = [
+    "DEFAULT_SUITE",
     "DYNAMIC_SCENARIOS",
     "PROTOCOL_SCENARIOS",
     "SUITES",

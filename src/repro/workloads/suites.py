@@ -44,6 +44,7 @@ __all__ = [
     "scaling_family",
     "tiny_suite",
     "SUITES",
+    "DEFAULT_SUITE",
     "suite_by_name",
     "sweep_specs",
     "param_grid",
@@ -141,6 +142,9 @@ SUITES: Dict[str, Callable[..., List[Topology]]] = {
     "mixed": mixed_suite,
     "tiny": tiny_suite,
 }
+
+#: the suite a sweep or query plans when it names none
+DEFAULT_SUITE = "mixed"
 
 
 def suite_by_name(name: str, **kwargs) -> List[Topology]:

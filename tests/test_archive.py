@@ -14,10 +14,14 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import os
+import shutil
 import sqlite3
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -25,6 +29,7 @@ import pytest
 
 from repro import api
 from repro.analysis.experiments import summarize_results
+from repro.archive import service as service_module
 from repro.archive import (
     SCHEMA_VERSION,
     ArchiveSink,
@@ -697,3 +702,250 @@ class TestArchiveService:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+# --------------------------------------------------------------------------- #
+# one archive handle per HTTP connection, one plan per suite
+# --------------------------------------------------------------------------- #
+
+
+GRID = "/query?suite=tiny&algorithms=flooding,gilbert&seeds={seeds}"
+
+
+@contextlib.contextmanager
+def serving(archive):
+    """A running server over ``archive``; yields the server."""
+    server = api.serve(archive=archive, host="127.0.0.1", port=0, block=False)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def connect(server):
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=60)
+
+
+def ask(connection, path):
+    """``(status, payload)`` of one GET on a kept-alive connection."""
+    connection.request("GET", path)
+    response = connection.getresponse()
+    payload = json.loads(response.read().decode("utf-8"))
+    assert not response.will_close
+    return response.status, payload
+
+
+def grid_specs(seeds):
+    specs, _ = api.plan_sweep(
+        suite="tiny", algorithms=["flooding", "gilbert"], seeds=seeds,
+        collect_profile=False,
+    )  # fmt: skip
+    return specs
+
+
+@pytest.fixture
+def pristine(tmp_path):
+    """An archive holding the 2-seed tiny flooding/gilbert grid (20 runs)."""
+    archive = tmp_path / "pristine.sqlite"
+    assert api.query(grid_specs(2), archive=archive).report.archive_added == 20
+    return archive
+
+
+def header(path):
+    """The 16 header bytes SQLite compares to tell a changed file from its cache."""
+    with open(path, "rb") as handle:
+        return handle.read(40)[24:]
+
+
+class TestConnectionArchiveHandle:
+    def test_keepalive_connection_sees_every_rewrite_of_the_file(
+        self, tmp_path, pristine
+    ):
+        live = tmp_path / "live.sqlite"
+        shutil.copyfile(pristine, live)
+        with serving(live) as server:
+            connection = connect(server)
+            try:
+                status, cold = ask(connection, GRID.format(seeds=3))
+                assert status == 200 and cold["report"]["simulated_runs"] == 10
+                status, warm = ask(connection, GRID.format(seeds=3))
+                assert status == 200 and warm["report"]["simulated_runs"] == 0
+
+                # A pristine copy written over the live file, as the
+                # repository benchmark does between passes.
+                shutil.copyfile(pristine, live)
+                status, again = ask(connection, GRID.format(seeds=3))
+                assert status == 200
+                assert again["report"]["simulated_runs"] == 10
+                assert again["report"]["archive_added"] == 10
+                direct = summarize_results(api.sweep(grid_specs(3)))
+                assert without_wall_clock(again)["cells"] == without_wall_clock(
+                    {"cells": direct}
+                )["cells"]
+
+                bumped = tmp_path / "bumped.sqlite"
+                shutil.copyfile(pristine, bumped)
+                conn = sqlite3.connect(str(bumped))
+                with conn:
+                    conn.execute(
+                        "UPDATE archive_meta SET value = ? WHERE key = 'schema_version'",
+                        (str(SCHEMA_VERSION + 1),),
+                    )
+                conn.close()
+                shutil.copyfile(bumped, live)
+                status, refused = ask(connection, GRID.format(seeds=3))
+                assert status == 400
+                assert "schema version" in refused["error"]
+                status, _ = ask(connection, "/health")
+                assert status == 400
+            finally:
+                connection.close()
+
+    @pytest.mark.parametrize("replace", ["copyfile", "rename"])
+    def test_file_replaced_under_an_unchanged_header_is_reread(
+        self, tmp_path, pristine, replace
+    ):
+        # SQLite keeps a connection's page cache while the file's change
+        # counter, page count and freelist read the same; a different
+        # archive with the same header must still be read afresh.
+        live = tmp_path / "live.sqlite"
+        other = tmp_path / "other.sqlite"
+        shutil.copyfile(pristine, live)
+        shutil.copyfile(pristine, other)
+        with serving(live) as server:
+            connection = connect(server)
+            try:
+                writer = sqlite3.connect(str(live))
+                with writer:
+                    writer.execute("INSERT INTO archive_meta VALUES ('note', 'kept')")
+                writer.close()
+                assert ask(connection, "/stats")[1]["per_spec"] == [
+                    {"spec": "flooding", "runs": 10},
+                    {"spec": "gilbert", "runs": 10},
+                ]
+                # One write on each file, neither changing its size: the
+                # header SQLite compares reads the same on both.
+                with ResultArchive(other) as archive:
+                    renamed = [key for key in archive.keys() if key.startswith("gilbert|")][0]
+                writer = sqlite3.connect(str(other))
+                with writer:
+                    writer.execute(
+                        "UPDATE runs SET spec_name = 'GILBERT' WHERE task_key = ?",
+                        (renamed,),
+                    )
+                writer.close()
+                assert header(other) == header(live)
+                if replace == "copyfile":
+                    shutil.copyfile(other, live)
+                else:
+                    os.replace(other, live)
+                # A request that never reaches the archive must not mask it.
+                assert ask(connection, "/query?suit=tiny")[0] == 400
+                assert ask(connection, "/stats")[1]["per_spec"] == [
+                    {"spec": "GILBERT", "runs": 1},
+                    {"spec": "flooding", "runs": 10},
+                    {"spec": "gilbert", "runs": 9},
+                ]
+            finally:
+                connection.close()
+
+    def test_cold_queries_share_the_suites_topologies(self, tmp_path, monkeypatch):
+        from repro.graphs import spectral
+
+        measured = []
+        compute = spectral._mixing_time
+
+        def spy(topology, matrix, max_steps):
+            measured.append(topology)
+            return compute(topology, matrix, max_steps)
+
+        monkeypatch.setattr(spectral, "_mixing_time", spy)
+        with serving(tmp_path / "served.sqlite") as server:
+            connection = connect(server)
+            try:
+                for seeds in (1, 2):
+                    status, answer = ask(
+                        connection, f"/query?suite=tiny&algorithms=gilbert&seeds={seeds}"
+                    )
+                    assert status == 200
+                    assert answer["report"]["simulated_runs"] == 5
+            finally:
+                connection.close()
+            # One t_mix per topology of the suite, on the server's instances.
+            assert len(measured) == 5
+            assert [id(t) for t in measured] == [id(t) for t in server.suites["tiny"]]
+
+    def test_racing_first_requests_plan_one_suite(self, tmp_path):
+        import sys
+
+        server = service_module.make_server(archive=tmp_path / "served.sqlite", port=0)
+        seen, barrier = [], threading.Barrier(8)
+
+        def plan():
+            barrier.wait(timeout=30)
+            seen.append(server.suite("tiny"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            server.server_close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(suite is server.suites["tiny"] for suite in seen)
+
+    def test_unknown_suite_is_refused_and_not_cached(self, tmp_path):
+        with serving(tmp_path / "served.sqlite") as server:
+            connection = connect(server)
+            try:
+                status, answer = ask(connection, "/query?suite=nope&algorithms=flooding")
+                assert status == 400
+                assert "unknown suite 'nope'" in answer["error"]
+            finally:
+                connection.close()
+            assert server.suites == {}
+
+    def test_no_archive_handle_outlives_its_connection(self, tmp_path):
+        descriptors = "/proc/self/fd"
+        if not os.path.isdir(descriptors):
+            pytest.skip("no /proc/self/fd on this platform")
+        archive = tmp_path / "served.sqlite"
+
+        def open_on_archive():
+            found = []
+            for name in os.listdir(descriptors):
+                with contextlib.suppress(OSError):
+                    if os.readlink(os.path.join(descriptors, name)).startswith(
+                        str(archive)
+                    ):
+                        found.append(name)
+            return found
+
+        with serving(archive) as server:
+            for seeds in (1, 1, 2):
+                connection = connect(server)
+                try:
+                    for path in (
+                        f"/query?suite=tiny&algorithms=flooding&seeds={seeds}",
+                        "/health",
+                        "/stats",
+                    ):
+                        assert ask(connection, path)[0] == 200
+                finally:
+                    connection.close()
+            # The handler thread closes its handle once it sees the close.
+            deadline = time.monotonic() + 10
+            while open_on_archive() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert open_on_archive() == []

@@ -37,6 +37,23 @@ class TestDeriveSeed:
     def test_none_seed_uses_default(self):
         assert derive_seed(None, "x") == derive_seed(DEFAULT_SEED, "x")
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ((None, "x"), 18137828932930932658),
+            ((0,), 15616008197132516646),
+            ((0, "topology", 5), 15505670827146410790),
+            ((7, "node", 3, "walk"), 9711755304669167709),
+            ((2**64 - 1, "spec", (1, 2), "a|b"), 5506802764530859669),
+            ((-3, "neg", 1.5), 11894857255455467082),
+        ],
+    )
+    def test_pinned_values(self, args, expected):
+        # Task keys, derived seeds and topology fingerprints are built on
+        # these values; checkpoints and archives written by any build must
+        # keep matching them.
+        assert derive_seed(*args) == expected
+
 
 class TestSpawnChildRngs:
     def test_count(self):

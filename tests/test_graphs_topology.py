@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core import ConfigurationError, TopologyError
-from repro.graphs import Topology, cycle, star
+from repro.graphs import Topology, complete, cycle, grid_2d, random_regular, star
 
 
 class TestConstruction:
@@ -302,3 +302,42 @@ class TestMemoizedMeasurements:
         assert len(results) == 4
         assert len(set(results)) == 1
         assert results[0] == (mixing_time(cycle(40)), conductance(cycle(40)))
+
+
+class TestFingerprintPins:
+    """Fingerprints enter every task key: a change orphans archived runs."""
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: cycle(5), "3b59596a7c89cd21"),
+            (lambda: complete(4), "a3397fd3599fcc70"),
+            (lambda: grid_2d(2, 3), "7896b868ebb47377"),
+            (lambda: star(5), "17c4619d83114b2e"),
+            (lambda: random_regular(16, 4, seed=7), "4822862d86e31aa5"),
+        ],
+        ids=["cycle5", "complete4", "grid2x3", "star5", "random_regular16"],
+    )
+    def test_pinned_fingerprint(self, build, expected):
+        assert build().fingerprint() == expected
+
+    def test_pinned_task_keys(self):
+        from repro.parallel.sharding import expand_run_tasks
+        from repro.workloads import sweep_specs
+
+        flooding, gilbert = sweep_specs(
+            ["flooding", "gilbert"],
+            [cycle(5), grid_2d(2, 3)],
+            seeds=(0, 1),
+            collect_profile=False,
+        )
+        assert [task.key for task in expand_run_tasks(flooding)[:2]] == [
+            "flooding|0|cycle(n=5)|3b59596a7c89cd21|0|0|",
+            "flooding|0|cycle(n=5)|3b59596a7c89cd21|1|1|",
+        ]
+        derived = expand_run_tasks(gilbert, derive_seeds=True, base_seed=3)
+        assert [task.key for task in derived[:3]] == [
+            "gilbert|0|cycle(n=5)|3b59596a7c89cd21|0|9208232084834129742|",
+            "gilbert|0|cycle(n=5)|3b59596a7c89cd21|1|9207207339996826315|",
+            "gilbert|1|grid(2x3)|7896b868ebb47377|0|7337718362933784129|",
+        ]
