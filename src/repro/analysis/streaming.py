@@ -73,8 +73,16 @@ def _exact(value) -> Exact:
     return value if isinstance(value, int) else Fraction(value)
 
 
-def _mean(total: Exact, count: int) -> float:
-    return float(Fraction(total) / count)
+def _quotient(numerator: Exact, denominator: int) -> float:
+    """``numerator / denominator`` rounded once, to the nearest float.
+
+    Integer true division is already correctly rounded, so it equals
+    ``float(Fraction(numerator) / denominator)`` without building a
+    :class:`~fractions.Fraction`; rational sums keep the exact path.
+    """
+    if isinstance(numerator, int):
+        return numerator / denominator
+    return float(Fraction(numerator) / denominator)
 
 
 class CellAggregate:
@@ -85,6 +93,11 @@ class CellAggregate:
     its runs.  ``merge`` combines aggregates (a robustness curve point
     merges its cells'); because the accumulators are exact, a merge of
     partial aggregates equals the aggregate of the union.
+
+    Every run goes through one fold body, :meth:`fold`.  A fresh run
+    arrives as a result (:meth:`add`); a run restored from a checkpoint
+    or archive folds straight from its stored record, and the engine
+    rebuilds a result from that record only for a sink that receives it.
     """
 
     __slots__ = (
@@ -124,18 +137,57 @@ class CellAggregate:
 
     def add(self, result: LeaderElectionResult, wall_clock_seconds: float) -> None:
         """Fold one completed run into the cell."""
+        metrics = result.metrics
+        outcome = result.outcome
+        self.fold(
+            result.algorithm,
+            result.topology_name,
+            result.seed,
+            result.rounds_executed,
+            metrics.messages,
+            metrics.bits,
+            metrics.dropped_messages,
+            metrics.delayed_messages,
+            outcome.num_leaders,
+            outcome.unique_leader,
+            result.parameters,
+            wall_clock_seconds,
+        )
+
+    def fold(
+        self,
+        algorithm: str,
+        topology_name: str,
+        seed: Optional[int],
+        rounds: int,
+        messages: int,
+        bits: int,
+        dropped: int,
+        delayed: int,
+        num_leaders: int,
+        unique_leader: bool,
+        parameters: Dict[str, object],
+        wall_clock_seconds: float,
+    ) -> None:
+        """Fold one run, given as the fields a cell reads, into the cell.
+
+        The one fold body: :meth:`add` unpacks a fresh
+        :class:`~repro.election.base.LeaderElectionResult` into it, and
+        the engine's restore path passes a stored record's fields
+        (:func:`repro.parallel.checkpoint.record_fold_fields`) without
+        rebuilding a result.
+        """
         if self.algorithm is None:
-            self.algorithm = result.algorithm
-        messages = result.messages
-        rounds = result.rounds_executed
+            self.algorithm = algorithm
         self.count += 1
-        self.successes += 1 if result.success else 0
+        if unique_leader:
+            self.successes += 1
         self.sum_messages += _exact(messages)
         self.sum_sq_messages += _exact(messages) * _exact(messages)
-        self.sum_bits += _exact(result.bits)
+        self.sum_bits += _exact(bits)
         self.sum_rounds += _exact(rounds)
-        self.sum_dropped += _exact(result.metrics.dropped_messages)
-        self.sum_delayed += _exact(result.metrics.delayed_messages)
+        self.sum_dropped += _exact(dropped)
+        self.sum_delayed += _exact(delayed)
         self.sum_wall_clock += wall_clock_seconds
         if self.min_messages is None or messages < self.min_messages:
             self.min_messages = messages
@@ -145,7 +197,9 @@ class CellAggregate:
             self.min_rounds = rounds
         if self.max_rounds is None or rounds > self.max_rounds:
             self.max_rounds = rounds
-        self.safety.add(result)
+        self.safety.tally(
+            algorithm, topology_name, seed, num_leaders, unique_leader, parameters
+        )
 
     def merge(self, other: "CellAggregate") -> None:
         """Fold another aggregate into this one.
@@ -181,23 +235,23 @@ class CellAggregate:
     # ------------------------------------------------------------------ #
     @property
     def mean_messages(self) -> float:
-        return _mean(self.sum_messages, self.count)
+        return _quotient(self.sum_messages, self.count)
 
     @property
     def mean_bits(self) -> float:
-        return _mean(self.sum_bits, self.count)
+        return _quotient(self.sum_bits, self.count)
 
     @property
     def mean_rounds(self) -> float:
-        return _mean(self.sum_rounds, self.count)
+        return _quotient(self.sum_rounds, self.count)
 
     @property
     def mean_dropped_messages(self) -> float:
-        return _mean(self.sum_dropped, self.count)
+        return _quotient(self.sum_dropped, self.count)
 
     @property
     def mean_delayed_messages(self) -> float:
-        return _mean(self.sum_delayed, self.count)
+        return _quotient(self.sum_delayed, self.count)
 
     @property
     def mean_wall_clock_seconds(self) -> float:
@@ -213,11 +267,11 @@ class CellAggregate:
         if self.count < 2:
             return 0.0
         n = self.count
-        variance = Fraction(
+        variance = _quotient(
             n * self.sum_sq_messages - self.sum_messages * self.sum_messages,
             n * n,
         )
-        return math.sqrt(float(variance))
+        return math.sqrt(variance)
 
 
 class ResultSink:
@@ -274,12 +328,24 @@ class CellAggregatingSink(ResultSink):
     def __init__(self) -> None:
         self._cells: Dict[Tuple[str, int], CellAggregate] = {}
 
-    def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
+    def _cell(self, spec_name: str, topology_index: int) -> CellAggregate:
         key = (spec_name, topology_index)
         aggregate = self._cells.get(key)
         if aggregate is None:
             aggregate = self._cells[key] = CellAggregate()
-        aggregate.add(result, wall_clock_seconds)
+        return aggregate
+
+    def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
+        self._cell(spec_name, topology_index).add(result, wall_clock_seconds)
+
+    def fold(self, spec_name: str, topology_index: int, fields: tuple) -> None:
+        """Fold one run given as :meth:`CellAggregate.fold`'s arguments.
+
+        The engine replays a stored run through here straight from its
+        record (:func:`repro.parallel.checkpoint.record_fold_fields`), so
+        restored runs do not pass through :meth:`emit`.
+        """
+        self._cell(spec_name, topology_index).fold(*fields)
 
     def aggregate_for(
         self, spec_name: str, topology_index: int

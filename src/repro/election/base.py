@@ -175,20 +175,45 @@ class SafetyTally:
 
     def add(self, result: LeaderElectionResult) -> None:
         """Fold one run into the tally."""
+        outcome = result.outcome
+        self.tally(
+            result.algorithm,
+            result.topology_name,
+            result.seed,
+            outcome.num_leaders,
+            outcome.unique_leader,
+            result.parameters,
+        )
+
+    def tally(
+        self,
+        algorithm: str,
+        topology_name: str,
+        seed: Optional[int],
+        num_leaders: int,
+        unique_leader: bool,
+        parameters: Dict[str, object],
+    ) -> None:
+        """Fold one run, given as the fields the tally reads.
+
+        A run is safe when at most one leader raised its flag
+        (:attr:`ElectionOutcome.safe`); a violation records the run's
+        adversary from its ``parameters``.
+        """
         self.runs += 1
-        if result.outcome.safe:
+        if num_leaders <= 1:
             self.safe_runs += 1
         else:
             self.violations.append(
                 {
-                    "algorithm": result.algorithm,
-                    "topology": result.topology_name,
-                    "seed": result.seed,
-                    "num_leaders": result.outcome.num_leaders,
-                    "adversary": result.parameters.get("adversary"),
+                    "algorithm": algorithm,
+                    "topology": topology_name,
+                    "seed": seed,
+                    "num_leaders": num_leaders,
+                    "adversary": parameters.get("adversary"),
                 }
             )
-        if result.outcome.unique_leader:
+        if unique_leader:
             self.elected_runs += 1
 
     def merge(self, other: "SafetyTally") -> None:

@@ -48,6 +48,7 @@ __all__ = [
     "ShardManifest",
     "manifest_path",
     "merge_shard_checkpoints",
+    "record_fold_fields",
     "result_to_record",
     "result_from_record",
     "shard_checkpoint_path",
@@ -56,7 +57,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 MANIFEST_KIND = "shard-manifest"
-
 
 def writer_token() -> str:
     """A fresh name part unique to one writer: pid, thread id, random suffix.
@@ -86,26 +86,70 @@ def result_to_record(
     }
 
 
+def record_fold_fields(record: Dict[str, object]) -> tuple:
+    """The fields of a checkpoint record that a cell fold reads.
+
+    Algorithm, topology name, seed, rounds, messages, bits, dropped and
+    delayed messages, leader count, unique-leader flag, parameters and
+    wall-clock seconds: :meth:`~repro.analysis.streaming.CellAggregate.fold`'s
+    arguments, so a restored run folds into its cell without a
+    :class:`~repro.election.base.LeaderElectionResult` being built.  The
+    one reader of these fields and of the defaults that records written
+    by earlier builds need (no fault counters, no ``parameters``);
+    :func:`result_from_record` builds on it.
+    """
+    metrics = record["metrics"]
+    outcome = record["outcome"]
+    return (
+        record["algorithm"],
+        record["topology_name"],
+        record["seed"],
+        record["rounds_executed"],
+        metrics["messages"],
+        metrics["bits"],
+        metrics.get("dropped_messages", 0),
+        metrics.get("delayed_messages", 0),
+        outcome["num_leaders"],
+        outcome["unique_leader"],
+        record.get("parameters", {}),
+        float(record["wall_clock_seconds"]),
+    )
+
+
 def result_from_record(
     record: Dict[str, object],
 ) -> Tuple[LeaderElectionResult, float]:
     """Rebuild a run (and its wall-clock reading) from a checkpoint record."""
-    outcome_dict = dict(record["outcome"])
+    (
+        algorithm,
+        topology_name,
+        seed,
+        rounds_executed,
+        messages,
+        bits,
+        dropped,
+        delayed,
+        num_leaders,
+        unique_leader,
+        parameters,
+        wall_clock_seconds,
+    ) = record_fold_fields(record)
+    outcome_dict = record["outcome"]
     outcome = ElectionOutcome(
-        num_leaders=outcome_dict["num_leaders"],
+        num_leaders=num_leaders,
         leader_indices=list(outcome_dict["leader_indices"]),
         candidate_indices=list(outcome_dict["candidate_indices"]),
-        unique_leader=outcome_dict["unique_leader"],
+        unique_leader=unique_leader,
         agreement=outcome_dict.get("agreement"),
     )
-    metrics_dict = dict(record["metrics"])
+    metrics_dict = record["metrics"]
     metrics = Metrics(
         rounds=metrics_dict["rounds"],
-        messages=metrics_dict["messages"],
-        bits=metrics_dict["bits"],
+        messages=messages,
+        bits=bits,
         congest_violations=metrics_dict["congest_violations"],
-        dropped_messages=metrics_dict.get("dropped_messages", 0),
-        delayed_messages=metrics_dict.get("delayed_messages", 0),
+        dropped_messages=dropped,
+        delayed_messages=delayed,
         sent_messages=metrics_dict.get("sent_messages", 0),
         delivered_messages=metrics_dict.get("delivered_messages", 0),
         events=dict(metrics_dict.get("events", {})),
@@ -115,17 +159,17 @@ def result_from_record(
         },
     )
     result = LeaderElectionResult(
-        algorithm=record["algorithm"],
-        topology_name=record["topology_name"],
+        algorithm=algorithm,
+        topology_name=topology_name,
         num_nodes=record["num_nodes"],
         num_edges=record["num_edges"],
         outcome=outcome,
         metrics=metrics,
-        rounds_executed=record["rounds_executed"],
-        seed=record["seed"],
-        parameters=dict(record.get("parameters", {})),
+        rounds_executed=rounds_executed,
+        seed=seed,
+        parameters=dict(parameters),
     )
-    return result, float(record["wall_clock_seconds"])
+    return result, wall_clock_seconds
 
 
 # --------------------------------------------------------------------------- #

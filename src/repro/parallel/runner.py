@@ -87,6 +87,7 @@ from ..obs import (
 from .checkpoint import (
     ShardManifest,
     manifest_path,
+    record_fold_fields,
     result_from_record,
     result_to_record,
     shard_checkpoint_path,
@@ -411,11 +412,23 @@ def run_experiments(
         for sink in all_sinks:
             sink.emit(spec_name, topology_index, seed_index, result, elapsed)
 
+    # Only the sinks past the aggregator need a restored run as a result.
+    result_sinks = all_sinks[1:]
+
+    def restore(key: str, record: Dict[str, object]) -> None:
+        spec_name, topology_index, seed_index = route[key]
+        aggregates.fold(spec_name, topology_index, record_fold_fields(record))
+        if result_sinks:
+            result, elapsed = result_from_record(record)
+            for sink in result_sinks:
+                sink.emit(spec_name, topology_index, seed_index, result, elapsed)
+
     def execute():
         return _execute_and_assemble(
             specs,
             my_tasks,
             consume,
+            restore,
             config=config,
             store=store,
             aggregates=aggregates,
@@ -460,6 +473,7 @@ def _execute_and_assemble(
     specs,
     my_tasks,
     consume,
+    restore,
     *,
     config: SweepConfig,
     store,
@@ -467,6 +481,12 @@ def _execute_and_assemble(
     profile_aggregate,
 ) -> Tuple[List[ExperimentResult], int, Optional[Dict[str, int]]]:
     """Run the pending tasks and assemble per-spec results (see caller).
+
+    Stored runs replay first, in sorted key order, through ``restore``:
+    a restored run folds into its cell straight from its record, and a
+    result is rebuilt from the record only for the sinks past the cell
+    aggregator (caller sinks, telemetry) that receive it.  Fresh runs
+    reach every sink through ``consume``.
 
     Returns ``(results, restored, scheduler_stats)`` where ``restored``
     counts the runs replayed from checkpoints rather than executed —
@@ -483,8 +503,7 @@ def _execute_and_assemble(
         with span("restore"):
             hits = store.fetch([task.key for task in my_tasks])
             for key in sorted(hits):
-                result, elapsed = result_from_record(hits[key])
-                consume(key, result, elapsed)
+                restore(key, hits[key])
         completed_keys = set(hits)
 
     def finish(key, result, elapsed, task_telemetry, profile_payload):

@@ -43,13 +43,21 @@ __all__ = [
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RunTask:
     """One schedulable unit of work: a single ``runner(topology, seed)``.
 
     ``spec_name``/``topology_index``/``seed_index`` locate the task inside
     its experiment grid so the parent can reassemble cells in spec order no
     matter how the pool interleaved execution.
+
+    A task is a value, treated as immutable: equal (and hashing equal)
+    when its fields are, whatever its ``key``.  It is slotted rather than
+    frozen because a sweep or query builds one per run of its grid, and
+    most tasks of a warm query never execute: a restored run folds into
+    its cell from its stored record, and a result is rebuilt from that
+    record only for a sink that receives it (see
+    :func:`repro.parallel.runner.run_experiments`).
     """
 
     spec_name: str
@@ -73,7 +81,7 @@ class RunTask:
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key = task_key(
+        self.key = task_key(
             self.spec_name,
             self.topology_index,
             self.topology.name,
@@ -83,7 +91,6 @@ class RunTask:
             self.adversary,
             self.protocol,
         )
-        object.__setattr__(self, "key", key)
 
 
 def topology_fingerprint(topology: Topology) -> str:
