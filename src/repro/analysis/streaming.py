@@ -150,7 +150,7 @@ class CellAggregate:
             metrics.delayed_messages,
             outcome.num_leaders,
             outcome.unique_leader,
-            result.parameters,
+            result.parameters.get("adversary"),
             wall_clock_seconds,
         )
 
@@ -166,16 +166,18 @@ class CellAggregate:
         delayed: int,
         num_leaders: int,
         unique_leader: bool,
-        parameters: Dict[str, object],
+        adversary: Optional[object],
         wall_clock_seconds: float,
     ) -> None:
         """Fold one run, given as the fields a cell reads, into the cell.
 
         The one fold body: :meth:`add` unpacks a fresh
         :class:`~repro.election.base.LeaderElectionResult` into it, and
-        the engine's restore path passes a stored record's fields
+        the engine's restore path passes a stored run's fields
         (:func:`repro.parallel.checkpoint.record_fold_fields`) without
-        rebuilding a result.
+        rebuilding a result.  ``adversary`` is the run's
+        ``parameters["adversary"]`` (``None`` without one), the only
+        parameter a cell reads.
         """
         if self.algorithm is None:
             self.algorithm = algorithm
@@ -198,7 +200,7 @@ class CellAggregate:
         if self.max_rounds is None or rounds > self.max_rounds:
             self.max_rounds = rounds
         self.safety.tally(
-            algorithm, topology_name, seed, num_leaders, unique_leader, parameters
+            algorithm, topology_name, seed, num_leaders, unique_leader, adversary
         )
 
     def merge(self, other: "CellAggregate") -> None:

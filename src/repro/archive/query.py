@@ -134,7 +134,7 @@ def query_experiments(
     ``derive_seeds``/``base_seed``, ...; it may not set ``checkpoint``
     or ``shard``.
 
-    The report comes from the engine's one restore ``fetch``: the keys
+    The report comes from the engine's one restore read: the keys
     it asked for are the wanted runs and the keys it returned are the
     hits, so the grid is expanded into tasks once, and a run another
     writer archives while the query starts is counted as what it was:

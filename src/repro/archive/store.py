@@ -24,25 +24,47 @@ on the database lock (``timeout_seconds`` bounds the wait), and
 two shard jobs archiving the same grid — converge to last-write-wins
 per key instead of conflicting.
 
-The archive meets the same three-method run-store contract as a
-checkpoint file (:class:`repro.parallel.store.RunStore`: ``fetch``,
-``add``, ``flush``), so the sweep engine can restore from it and write
-back to it directly — that is all a memoized query is.
+The archive meets the same run-store contract as a checkpoint file
+(:class:`repro.parallel.store.RunStore`: ``fetch``,
+``fetch_fold_fields``, ``add``, ``flush``), so the sweep engine can
+restore from it and write back to it directly — that is all a memoized
+query is.
 
-The schema is versioned: an archive written by a future incompatible
-build is *refused* (:class:`~repro.core.errors.ConfigurationError`), not
-misread.
+Each ``runs`` row holds the run's whole record (``record``) and, in
+schema 2, its fold fields (``fold``): the
+:func:`~repro.parallel.checkpoint.record_fold_fields` of the record as a
+compact JSON array, written by :meth:`ResultArchive.add_records`, the
+archive's one write path.  A warm query folds its cells from ``fold``
+alone (:meth:`ResultArchive.fetch_fold_fields`) and never decodes a
+record; a JSON array rather than typed columns keeps every field exact —
+a seed of 2⁶³ or more, a bool, a float wall clock, ``None`` and the
+adversary dict — through no SQLite affinity rule.  A payload that is not
+a run record is stored with a NULL ``fold`` and still fetches as it was
+added.
+
+The schema is versioned.  A schema-1 archive (no ``fold`` column) is
+upgraded in place the first time this build opens it: one
+``BEGIN IMMEDIATE`` transaction adds the column, backfills it from each
+record and sets the version to 2, re-reading the version inside the
+transaction so that concurrent openers migrate once; an upgrade that
+fails leaves the file at schema 1, untouched.  Builds that read only
+schema 1 refuse a schema-2 archive, and any other version — say, one
+written by a future incompatible build — is *refused*
+(:class:`~repro.core.errors.ConfigurationError`), not misread.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Union
 
 from ..core.errors import ConfigurationError
+from ..obs import span
+from ..parallel.checkpoint import record_fold_fields
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,7 +76,10 @@ __all__ = [
 #: Version of the on-disk layout.  Bump on any incompatible change to the
 #: tables below; old builds must refuse newer archives rather than
 #: misinterpret them.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: The one earlier version this build upgrades in place (no ``fold``).
+_UPGRADABLE_VERSION = 1
 
 #: Keys are fetched in bounded ``IN (...)`` chunks: SQLite caps bound
 #: parameters per statement (999 in older builds), and a query's wanted
@@ -71,6 +96,16 @@ def _sqlite_int64(value: int) -> int:
     the true seed, the ``seed`` column is informational.
     """
     return value - (1 << 64) if value >= 1 << 63 else value
+
+
+def _fold_column(record: Mapping[str, object]) -> Optional[str]:
+    """The ``fold`` column of ``record``: its fold fields as a compact JSON
+    array, or ``None`` when it is not a run record."""
+    try:
+        fields = record_fold_fields(record)
+    except (KeyError, TypeError, AttributeError, ValueError):
+        return None
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -131,7 +166,8 @@ class ResultArchive:
 
     ``add_records`` absorbs checkpoint records (append-merge: replacing a
     key is idempotent because re-runs are deterministic), ``fetch``
-    answers a wanted-key set with the archived records, and ``stats``
+    answers a wanted-key set with the archived records,
+    ``fetch_fold_fields`` with their stored fold fields, and ``stats``
     summarises what the archive holds.  ``add`` buffers single records
     and ``flush`` commits the buffer in one ``add_records`` transaction
     — the run-store contract the sweep engine writes through; nothing
@@ -154,11 +190,12 @@ class ResultArchive:
         self._pending: Dict[str, Mapping[str, object]] = {}
         #: runs that :meth:`flush` newly added (not replaced) since opening
         self.flushed_new_runs = 0
-        #: the keys the most recent :meth:`fetch` asked for — the runs a
-        #: sweep restoring from this archive wants
+        #: the keys the most recent :meth:`fetch` or
+        #: :meth:`fetch_fold_fields` asked for — the runs a sweep
+        #: restoring from this archive wants
         self.requested_keys: List[str] = []
-        #: the keys the most recent :meth:`fetch` returned — the runs a
-        #: sweep restoring from this archive actually replayed
+        #: the keys that read returned — the runs a sweep restoring from
+        #: this archive actually replayed
         self.fetched_keys: Set[str] = set()
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -166,7 +203,7 @@ class ResultArchive:
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_seconds)
         try:
             self.check_schema()
-        except ConfigurationError:
+        except BaseException:
             self._conn.close()
             raise
 
@@ -177,11 +214,12 @@ class ResultArchive:
         """Check the stored schema version, creating the tables if absent.
 
         Opening runs this check, and a caller that keeps the archive open
-        across requests runs it before each one.  Checking an existing
+        across requests runs it before each one.  Checking a current
         archive only reads, so it never queues for the write lock: the
         tables are created, in a write transaction, only while the
         version row is missing (a new file, or a writer that died
-        mid-create).  Every failure is a ``ConfigurationError``.
+        mid-create), and a schema-1 archive is upgraded in place (see
+        the module docstring).  Every failure is a ``ConfigurationError``.
         """
         try:
             self._check_schema()
@@ -218,6 +256,9 @@ class ResultArchive:
         if stored is None:
             self._create_schema()
             stored = self._stored_version()
+        if stored == str(_UPGRADABLE_VERSION):
+            self._upgrade_schema()
+            stored = self._stored_version()
         if stored != str(SCHEMA_VERSION):
             raise ConfigurationError(
                 f"archive {self.path} has schema version {stored}; this "
@@ -225,8 +266,20 @@ class ResultArchive:
                 f"build or re-populate a fresh archive"
             )
 
+    @contextmanager
+    def _write_transaction(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE`` transaction: the write lock is taken up
+        front, and everything inside commits or rolls back together."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        except BaseException:
+            self._conn.rollback()
+            raise
+        self._conn.commit()
+
     def _create_schema(self) -> None:
-        with self._conn:
+        with self._write_transaction():
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS archive_meta ("
                 "  key TEXT PRIMARY KEY,"
@@ -244,9 +297,13 @@ class ResultArchive:
                 "  seed INTEGER NOT NULL,"
                 "  adversary TEXT NOT NULL,"
                 "  protocol TEXT NOT NULL,"
-                "  record TEXT NOT NULL"
+                "  record TEXT NOT NULL,"
+                "  fold TEXT"
                 ")"
             )
+            if "fold" not in self._run_columns():
+                # A schema-1 writer died mid-create, leaving its table.
+                self._conn.execute("ALTER TABLE runs ADD COLUMN fold TEXT")
             self._conn.execute(
                 "CREATE INDEX IF NOT EXISTS runs_by_spec "
                 "ON runs (spec_name, topology_index)"
@@ -256,6 +313,30 @@ class ResultArchive:
                 "VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
+
+    def _upgrade_schema(self) -> None:
+        """Give a schema-1 archive its ``fold`` column, in one transaction.
+
+        The version is re-read under the write lock: of several openers
+        that found schema 1, the first migrates and the rest find
+        schema 2 and do nothing.
+        """
+        with self._write_transaction():
+            if self._stored_version() != str(_UPGRADABLE_VERSION):
+                return
+            self._conn.execute("ALTER TABLE runs ADD COLUMN fold TEXT")
+            rows = self._conn.execute("SELECT task_key, record FROM runs").fetchall()
+            self._conn.executemany(
+                "UPDATE runs SET fold = ? WHERE task_key = ?",
+                [(_fold_column(json.loads(record)), key) for key, record in rows],
+            )
+            self._conn.execute(
+                "UPDATE archive_meta SET value = ? WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION),),
+            )
+
+    def _run_columns(self) -> Set[str]:
+        return {row[1] for row in self._conn.execute("PRAGMA table_info(runs)")}
 
     def _stored_version(self) -> Optional[str]:
         row = self._conn.execute(
@@ -298,33 +379,36 @@ class ResultArchive:
         """
         if not records:
             return 0
-        keys = list(records.keys())
-        existing = len(self.present(keys))
-        rows = []
-        for key in keys:
-            coords = parse_task_key(key)
-            rows.append(
-                (
-                    key,
-                    coords.spec_name,
-                    coords.topology_index,
-                    coords.topology_name,
-                    coords.fingerprint,
-                    coords.seed_index,
-                    _sqlite_int64(coords.seed),
-                    coords.adversary,
-                    coords.protocol,
-                    json.dumps(records[key], sort_keys=True),
+        with span("archive.add"):
+            keys = list(records.keys())
+            existing = len(self.present(keys))
+            rows = []
+            for key in keys:
+                coords = parse_task_key(key)
+                record = records[key]
+                rows.append(
+                    (
+                        key,
+                        coords.spec_name,
+                        coords.topology_index,
+                        coords.topology_name,
+                        coords.fingerprint,
+                        coords.seed_index,
+                        _sqlite_int64(coords.seed),
+                        coords.adversary,
+                        coords.protocol,
+                        json.dumps(record, sort_keys=True),
+                        _fold_column(record),
+                    )
                 )
-            )
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO runs (task_key, spec_name, "
-                "topology_index, topology_name, fingerprint, seed_index, "
-                "seed, adversary, protocol, record) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
+            with self._conn:
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO runs (task_key, spec_name, "
+                    "topology_index, topology_name, fingerprint, seed_index, "
+                    "seed, adversary, protocol, record, fold) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    rows,
+                )
         return len(keys) - existing
 
     def add(self, key: str, record: Mapping[str, object]) -> None:
@@ -344,14 +428,45 @@ class ResultArchive:
         """The archived records of ``keys`` (missing keys simply absent)."""
         wanted = self.requested_keys = list(keys)
         hits: Dict[str, Dict[str, object]] = {}
-        for chunk in _chunks(wanted, _FETCH_CHUNK):
-            placeholders = ",".join("?" for _ in chunk)
-            for key, payload in self._conn.execute(
-                f"SELECT task_key, record FROM runs "
-                f"WHERE task_key IN ({placeholders})",
-                chunk,
-            ):
-                hits[key] = json.loads(payload)
+        with span("archive.fetch"):
+            for chunk in _chunks(wanted, _FETCH_CHUNK):
+                placeholders = ",".join("?" for _ in chunk)
+                for key, payload in self._conn.execute(
+                    f"SELECT task_key, record FROM runs "
+                    f"WHERE task_key IN ({placeholders})",
+                    chunk,
+                ):
+                    hits[key] = json.loads(payload)
+        self.fetched_keys = set(hits)
+        return hits
+
+    def fetch_fold_fields(self, keys: Iterable[str]) -> Dict[str, List[object]]:
+        """The stored fold fields of ``keys`` (missing keys simply absent).
+
+        Read from the ``fold`` column alone, each chunk's arrays decoded
+        in one ``json.loads``; no ``record`` is read.  A key stored
+        without fold fields holds a payload that is not a run record,
+        which no run can restore from: a ``ConfigurationError``.
+        """
+        wanted = self.requested_keys = list(keys)
+        hits: Dict[str, List[object]] = {}
+        with span("archive.fetch_fold_fields"):
+            for chunk in _chunks(wanted, _FETCH_CHUNK):
+                placeholders = ",".join("?" for _ in chunk)
+                rows = self._conn.execute(
+                    f"SELECT task_key, fold FROM runs "
+                    f"WHERE task_key IN ({placeholders})",
+                    chunk,
+                ).fetchall()
+                for key, fold in rows:
+                    if fold is None:
+                        raise ConfigurationError(
+                            f"archived run {key!r} in {self.path} is not a "
+                            f"run record (it has no fold fields), so no run "
+                            f"can be restored from it"
+                        )
+                folds = json.loads("[" + ",".join(fold for _, fold in rows) + "]")
+                hits.update(zip([key for key, _ in rows], folds))
         self.fetched_keys = set(hits)
         return hits
 

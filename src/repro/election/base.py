@@ -182,7 +182,7 @@ class SafetyTally:
             result.seed,
             outcome.num_leaders,
             outcome.unique_leader,
-            result.parameters,
+            result.parameters.get("adversary"),
         )
 
     def tally(
@@ -192,13 +192,13 @@ class SafetyTally:
         seed: Optional[int],
         num_leaders: int,
         unique_leader: bool,
-        parameters: Dict[str, object],
+        adversary: Optional[object],
     ) -> None:
         """Fold one run, given as the fields the tally reads.
 
         A run is safe when at most one leader raised its flag
-        (:attr:`ElectionOutcome.safe`); a violation records the run's
-        adversary from its ``parameters``.
+        (:attr:`ElectionOutcome.safe`); a violation records ``adversary``,
+        the run's ``parameters["adversary"]`` (``None`` without one).
         """
         self.runs += 1
         if num_leaders <= 1:
@@ -210,7 +210,7 @@ class SafetyTally:
                     "topology": topology_name,
                     "seed": seed,
                     "num_leaders": num_leaders,
-                    "adversary": parameters.get("adversary"),
+                    "adversary": adversary,
                 }
             )
         if unique_leader:

@@ -23,9 +23,9 @@ contract:
   back together by
   :func:`~repro.parallel.checkpoint.merge_shard_checkpoints`;
 * :mod:`~repro.parallel.store` defines the run-store contract
-  (``fetch``/``add``/``flush``) the engine restores from and writes to,
-  and the one on-disk checkpoint writer: an append-only JSONL store
-  (O(new records) per flush).
+  (``fetch``/``fetch_fold_fields``/``add``/``flush``) the engine
+  restores from and writes to, and the one on-disk checkpoint writer:
+  an append-only JSONL store (O(new records) per flush).
 
 The engine is one call, ``run_experiments(specs, config=SweepConfig(...),
 sinks=...)``, where :class:`~repro.parallel.runner.SweepConfig` holds

@@ -64,7 +64,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis import experiments
 from ..analysis.experiments import (
@@ -316,7 +316,7 @@ def run_experiments(
     ``checkpoint`` is a path — an append-only
     :class:`~repro.parallel.store.JsonlCheckpointStore` — or an
     object meeting the :class:`~repro.parallel.store.RunStore` contract
-    (``fetch``/``add``/``flush``), such as a
+    (``fetch``/``fetch_fold_fields``/``add``/``flush``), such as a
     :class:`~repro.archive.store.ResultArchive`.  Stored runs are
     replayed in sorted key order; the rest execute, are added to the
     store, and are flushed even when a run raises, so completed runs are
@@ -415,13 +415,23 @@ def run_experiments(
     # Only the sinks past the aggregator need a restored run as a result.
     result_sinks = all_sinks[1:]
 
-    def restore(key: str, record: Dict[str, object]) -> None:
-        spec_name, topology_index, seed_index = route[key]
-        aggregates.fold(spec_name, topology_index, record_fold_fields(record))
-        if result_sinks:
+    def restore(store: RunStore, keys: List[str]) -> Set[str]:
+        """Replay the stored runs of ``keys`` in sorted key order; return their keys."""
+        if not result_sinks:
+            stored = store.fetch_fold_fields(keys)
+            for key in sorted(stored):
+                spec_name, topology_index, _ = route[key]
+                aggregates.fold(spec_name, topology_index, stored[key])
+            return set(stored)
+        records = store.fetch(keys)
+        for key in sorted(records):
+            spec_name, topology_index, seed_index = route[key]
+            record = records[key]
+            aggregates.fold(spec_name, topology_index, record_fold_fields(record))
             result, elapsed = result_from_record(record)
             for sink in result_sinks:
                 sink.emit(spec_name, topology_index, seed_index, result, elapsed)
+        return set(records)
 
     def execute():
         return _execute_and_assemble(
@@ -483,10 +493,11 @@ def _execute_and_assemble(
     """Run the pending tasks and assemble per-spec results (see caller).
 
     Stored runs replay first, in sorted key order, through ``restore``:
-    a restored run folds into its cell straight from its record, and a
-    result is rebuilt from the record only for the sinks past the cell
-    aggregator (caller sinks, telemetry) that receive it.  Fresh runs
-    reach every sink through ``consume``.
+    a restored run folds into its cell from the store's fold fields
+    (:meth:`~repro.parallel.store.RunStore.fetch_fold_fields`), and whole
+    records are fetched, and a result rebuilt from each, only when sinks
+    past the cell aggregator (caller sinks, telemetry) receive them.
+    Fresh runs reach every sink through ``consume``.
 
     Returns ``(results, restored, scheduler_stats)`` where ``restored``
     counts the runs replayed from checkpoints rather than executed —
@@ -498,13 +509,8 @@ def _execute_and_assemble(
 
     completed_keys = set()
     if store is not None:
-        # Replay the stored runs in sorted key order (the same order
-        # whatever the store).
         with span("restore"):
-            hits = store.fetch([task.key for task in my_tasks])
-            for key in sorted(hits):
-                restore(key, hits[key])
-        completed_keys = set(hits)
+            completed_keys = restore(store, [task.key for task in my_tasks])
 
     def finish(key, result, elapsed, task_telemetry, profile_payload):
         # Parent-side epilogue of one task.  On the telemetry path,

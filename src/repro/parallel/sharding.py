@@ -57,7 +57,9 @@ class RunTask:
     most tasks of a warm query never execute: a restored run folds into
     its cell from its stored record, and a result is rebuilt from that
     record only for a sink that receives it (see
-    :func:`repro.parallel.runner.run_experiments`).
+    :func:`repro.parallel.runner.run_experiments`).  For the same reason
+    :func:`expand_run_tasks` sets a task's fields and key directly
+    instead of calling ``__init__``: a new field must be set there too.
     """
 
     spec_name: str
@@ -133,13 +135,22 @@ def task_key(
     segment *only when set*, so checkpoints written before protocol specs
     existed keep their task keys and still resume.
     """
-    key = (
-        f"{spec_name}|{topology_index}|{topology_name}|{fingerprint}"
-        f"|{seed_index}|{seed}|{adversary}"
+    return (
+        f"{_key_head(spec_name, topology_index, topology_name, fingerprint)}"
+        f"{seed_index}|{seed}{_key_tail(adversary, protocol)}"
     )
-    if protocol:
-        key += f"|{protocol}"
-    return key
+
+
+def _key_head(
+    spec_name: str, topology_index: int, topology_name: str, fingerprint: str
+) -> str:
+    """The segments of a :func:`task_key` before the seed's."""
+    return f"{spec_name}|{topology_index}|{topology_name}|{fingerprint}|"
+
+
+def _key_tail(adversary: str, protocol: str) -> str:
+    """The segments of a :func:`task_key` after the seed's."""
+    return f"|{adversary}|{protocol}" if protocol else f"|{adversary}"
 
 
 def derive_cell_seed(
@@ -182,33 +193,37 @@ def expand_run_tasks(
     cell of the grid an independent deterministic seed.
     """
     tasks: List[RunTask] = []
+    name = spec.name
     runner = effective_runner(spec)
     adversary = spec.adversary.token() if spec.adversary is not None else ""
     protocol = spec.protocol_token()
+    tail = _key_tail(adversary, protocol)
     for topology_index, topology in enumerate(spec.topologies):
         fingerprint = topology_fingerprint(topology)
+        head = _key_head(name, topology_index, topology.name, fingerprint)
         for seed_index, seed in enumerate(spec.seeds):
             if derive_seeds:
                 seed = derive_cell_seed(
                     base_seed,
-                    spec.name,
+                    name,
                     topology.name,
                     seed_index,
                     fingerprint=fingerprint,
                 )
-            tasks.append(
-                RunTask(
-                    spec_name=spec.name,
-                    runner=runner,
-                    topology=topology,
-                    topology_index=topology_index,
-                    seed=seed,
-                    seed_index=seed_index,
-                    fingerprint=fingerprint,
-                    adversary=adversary,
-                    protocol=protocol,
-                )
-            )
+            # What RunTask(...) builds, with the key's seed-independent
+            # segments formatted once per topology instead of per task.
+            task = object.__new__(RunTask)
+            task.spec_name = name
+            task.runner = runner
+            task.topology = topology
+            task.topology_index = topology_index
+            task.seed = seed
+            task.seed_index = seed_index
+            task.fingerprint = fingerprint
+            task.adversary = adversary
+            task.protocol = protocol
+            task.key = f"{head}{seed_index}|{seed}{tail}"
+            tasks.append(task)
     return tasks
 
 

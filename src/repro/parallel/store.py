@@ -1,11 +1,11 @@
 """The run-store contract and the append-only JSONL checkpoint store.
 
 A *run store* is anything that keeps completed run records under their
-deterministic task keys and meets the three-method :class:`RunStore`
-contract: ``fetch(keys)``, ``add(key, record)``, ``flush()``.  The sweep
-engine restores from and writes to a run store and knows nothing else
-about it.  Two stores meet the contract: :class:`JsonlCheckpointStore`
-(one sweep's resume file, defined here) and
+deterministic task keys and meets the :class:`RunStore` contract:
+``fetch(keys)``, ``fetch_fold_fields(keys)``, ``add(key, record)``,
+``flush()``.  The sweep engine restores from and writes to a run store
+and knows nothing else about it.  Two stores meet the contract:
+:class:`JsonlCheckpointStore` (one sweep's resume file, defined here) and
 :class:`~repro.archive.store.ResultArchive` (the SQLite archive that
 memoized queries run against directly).
 
@@ -40,11 +40,11 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..obs import span
-from .checkpoint import writer_token
+from .checkpoint import record_fold_fields, writer_token
 
 __all__ = ["JSONL_FORMAT", "JsonlCheckpointStore", "RunStore"]
 
@@ -89,6 +89,17 @@ class RunStore(Protocol):
 
     def fetch(self, keys: Iterable[str]) -> Dict[str, Dict[str, object]]:
         """The stored records of ``keys``; absent keys are simply missing."""
+
+    def fetch_fold_fields(self, keys: Iterable[str]) -> Dict[str, Sequence[object]]:
+        """The fold fields of the stored runs of ``keys``; absent keys are missing.
+
+        Per key, :func:`~repro.parallel.checkpoint.record_fold_fields` of
+        its record, as any sequence: what a restored run folds into its
+        cell from.  A store may answer without reading whole records.
+        The engine restores through this read unless a sink past the
+        cell aggregator needs each run rebuilt, when it calls
+        :meth:`fetch` instead.
+        """
 
     def add(self, key: str, record: Dict[str, object]) -> None:
         """Record one completed run (durable once :meth:`flush` returns)."""
@@ -155,6 +166,12 @@ class JsonlCheckpointStore:
         """The stored records of ``keys`` (the :class:`RunStore` read)."""
         runs = self.load()
         return {key: runs[key] for key in keys if key in runs}
+
+    def fetch_fold_fields(self, keys: Iterable[str]) -> Dict[str, Sequence[object]]:
+        """The fold fields of the stored runs of ``keys``, from the loaded records."""
+        return {
+            key: record_fold_fields(record) for key, record in self.fetch(keys).items()
+        }
 
     # ------------------------------------------------------------------ #
     # loading (header check + tolerant JSONL parse)

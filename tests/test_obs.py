@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
+from repro.archive import query_experiments
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
@@ -333,6 +334,37 @@ class TestTelemetryDoesNotPerturbResults:
         assert summary["restored"] == 3 * len(SEEDS)  # ...everything replayed
         baseline = run_experiment(spec)
         assert _comparable(resumed.cells) == _comparable(baseline.cells)
+
+
+    def test_archive_spans_do_not_perturb_query_results(self, tmp_path):
+        """Spans at the archive boundary time its reads and writes without
+        changing a query's cells: cold (``archive.add``), warm
+        (``archive.fetch_fold_fields``) and warm with telemetry, whose
+        sink needs whole records (``archive.fetch``)."""
+        spec = _spec()
+        baseline = query_experiments([spec], archive=tmp_path / "plain.sqlite")
+        db = tmp_path / "traced.sqlite"
+        with collect_spans() as cold_spans:
+            cold = query_experiments([spec], archive=db)
+        with collect_spans() as warm_spans:
+            warm = query_experiments([spec], archive=db)
+        sink = TelemetrySink(tmp_path / "tel.jsonl")
+        rebuilt = query_experiments(
+            [spec], archive=db, config=SweepConfig(telemetry=sink)
+        )
+        expected = _comparable(baseline.results[0].cells)
+        for answer in (cold, warm, rebuilt):
+            assert _comparable(answer.results[0].cells) == expected
+        assert warm.results == rebuilt.results
+        assert cold_spans.totals()["archive.add"]["count"] == 1
+        assert warm_spans.totals()["archive.fetch_fold_fields"]["count"] == 1
+        assert not {"archive.fetch", "archive.add"} & set(warm_spans.totals())
+        # The telemetry file's closing record carries the sweep's own spans.
+        records = read_telemetry(sink.path)
+        sweep_spans = records[-1]["spans"]
+        assert sweep_spans["archive.fetch"]["count"] == 1
+        assert "archive.fetch_fold_fields" not in sweep_spans
+        assert summarize_telemetry(records)["restored"] == 3 * len(SEEDS)
 
 
 class TestSingletonTaskRecords:

@@ -130,21 +130,24 @@ class TestQueryRunsAgainstTheArchive:
         assert kept == [0, 1]
 
     def test_report_counts_runs_the_engine_replayed(self, tmp_path, monkeypatch):
-        """A run another writer archives just before the engine's fetch is
-        replayed, so the report must count it as archived, not simulated."""
+        """A run another writer archives just before the engine's restore
+        read is replayed, so the report must count it as archived, not
+        simulated."""
         reference = tmp_path / "reference.sqlite"
         query_experiments(small_specs(), archive=reference)
         with ResultArchive(reference) as source:
             landed = source.fetch(source.keys()[:1])
         db = tmp_path / "archive.sqlite"
-        original_fetch = ResultArchive.fetch
+        original_read = ResultArchive.fetch_fold_fields
 
-        def fetch_after_concurrent_write(self, keys):
+        def read_after_concurrent_write(self, keys):
             with ResultArchive(db) as writer:
                 writer.add_records(landed)
-            return original_fetch(self, keys)
+            return original_read(self, keys)
 
-        monkeypatch.setattr(ResultArchive, "fetch", fetch_after_concurrent_write)
+        monkeypatch.setattr(
+            ResultArchive, "fetch_fold_fields", read_after_concurrent_write
+        )
         report = query_experiments(small_specs(), archive=db).report
         assert report.requested_runs == 4
         assert report.archived_runs == 1
