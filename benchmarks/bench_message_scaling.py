@@ -8,6 +8,12 @@ measured messages vs ``n`` on a 4-regular expander family for both
 protocols, the fitted power-law exponents, and the per-size improvement
 ratio.
 
+The stated factor conflicts with :mod:`repro.analysis.theory`, whose
+bounds (``√(n·t_mix)/Φ · log² n`` for Theorem 1, ``t_mix·√n·log^{7/2} n``
+for Gilbert et al.) give ``√t_mix·Φ·log^{3/2} n``; the two agree only if
+Theorem 1 reads ``√(n·t_mix/Φ)``.  The conflict stays open until the
+paper's Theorem 1 can be checked; this benchmark asserts neither factor.
+
 Shape checks: on expanders (``t_mix``, ``Φ`` roughly constant) both
 algorithms must scale clearly sublinearly in ``m·D``-style flooding costs,
 the fitted exponent of this work must not exceed the baseline's by more

@@ -8,7 +8,10 @@ well-connected and poorly-connected regimes, and checks the qualitative
 shape the table claims:
 
 * the Theorem 1 protocol uses fewer messages than the Gilbert et al.
-  baseline on every topology (its improvement factor ``Õ(√(t_mix·Φ))``);
+  baseline on every topology (its improvement factor ``Õ(√(t_mix·Φ))``,
+  which conflicts with the ``√t_mix·Φ·log^{3/2} n`` quotient of the bounds
+  in :mod:`repro.analysis.theory`; see there — the check asserts neither
+  factor);
 * flooding wins on time (``O(D)``) but pays ``Θ(m)``-style messages that the
   walk-based protocols undercut only on well-connected graphs — the regime
   split the paper highlights;

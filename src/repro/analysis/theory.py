@@ -9,6 +9,16 @@ expressions from an :class:`~repro.graphs.properties.ExpansionProfile`;
 the constants are deliberately 1 (the paper's `Õ(·)` hides them), so only
 ratios and growth rates of the predictions are meaningful, which is how the
 analysis layer uses them (:func:`repro.analysis.complexity.theory_ratio_series`).
+
+Open conflict: two improvement factors of Theorem 1 over Gilbert et al.
+The docstrings of ``bench_message_scaling.py`` and
+``bench_table1_known_n.py`` state ``Õ(√(t_mix·Φ))``.  The quotient of the
+bounds below, :func:`gilbert_messages` over :func:`thm1_messages`, is
+``√t_mix·Φ·log^{3/2} n``.  Both cannot hold; they would agree if
+Theorem 1 read ``√(n·t_mix/Φ)``.  The paper's text is not in this
+repository, so :func:`thm1_messages` is left as it stands until the
+theorem can be checked: every use of :func:`predicted_rows` and
+``theory_ratio_series`` depends on it.
 """
 
 from __future__ import annotations
@@ -41,7 +51,11 @@ def _log(n: int) -> float:
 
 
 def thm1_messages(profile: ExpansionProfile) -> float:
-    """Theorem 1: ``Õ(√(n·t_mix)/Φ)`` messages (polylog factor log² n)."""
+    """Theorem 1: ``Õ(√(n·t_mix)/Φ)`` messages (polylog factor log² n).
+
+    Its quotient with :func:`gilbert_messages` conflicts with the
+    improvement factor the benchmarks state (see the module docstring).
+    """
     return (
         math.sqrt(profile.num_nodes * profile.mixing_time)
         / profile.conductance

@@ -89,6 +89,9 @@ class FloodingConfig:
 class FloodingMaxIdNode(ProtocolNode):
     """One node of the flooding max-ID election."""
 
+    #: set once, by the final round's step
+    halted = False
+
     def __init__(
         self,
         num_ports: int,
@@ -104,11 +107,7 @@ class FloodingMaxIdNode(ProtocolNode):
         self.max_seen = self.node_id if self.candidate else 0
         self.leader = False
         self._announced: Optional[int] = None
-        self._halted = False
-
-    @property
-    def halted(self) -> bool:
-        return self._halted
+        self._final_round = config.total_rounds() - 1
 
     def step(self, round_index: int, inbox: Inbox) -> Outbox:
         for message in inbox.values():
@@ -116,9 +115,9 @@ class FloodingMaxIdNode(ProtocolNode):
                 if message.candidate_id > self.max_seen:
                     self.max_seen = message.candidate_id
 
-        if round_index >= self.config.total_rounds() - 1:
+        if round_index >= self._final_round:
             self.leader = self.candidate and self.max_seen == self.node_id
-            self._halted = True
+            self.halted = True
             return {}
 
         if self.max_seen > 0 and self._announced != self.max_seen:
@@ -135,7 +134,7 @@ class FloodingMaxIdNode(ProtocolNode):
             "candidate": self.candidate,
             "node_id": self.node_id,
             "max_seen": self.max_seen,
-            "halted": self._halted,
+            "halted": self.halted,
         }
 
 

@@ -19,7 +19,8 @@ Our re-implementation keeps that structure and cost shape:
 
 A candidate that hears no ID larger than its own raises the flag.  Each
 token hop is one CONGEST message of ``O(log n)`` bits (tokens sharing a
-link in a round are bundled but accounted per token); the reverse path kept
+link in a round are bundled into one :class:`TokenBundle` but accounted
+per token); the reverse path kept
 inside probe tokens models the source routing that [10] engineer around and
 is excluded from bit accounting (see DESIGN.md §3.5).  Knowledge of
 ``t_mix`` is granted to the baseline (the original pays extra *time*, not
@@ -40,6 +41,16 @@ Quiescence: a node holding no tokens declares itself quiescent
 boundary — the mark-phase end for a candidate that has not passed it,
 otherwise the final round — so the event-driven simulator core steps it
 only when tokens arrive or a boundary comes.
+
+Cost per bundle, not per token: a node builds each port's bundle once per
+round, pre-sized through :func:`~repro.core.messages.presized` with the
+bits it added up while bundling, so the simulator never calls the
+bundle's ``size_bits``/``congest_units`` (which stay the definition of
+its cost; a property test checks that the two agree).  A candidate's
+``K`` tokens start as one shared object, and a token that is the same
+object as the one just handled shares its successor and bit cost, so runs
+of tokens that stay or move together are built once.  The derived config
+values (``K``, ``L``, phase ends) are computed once per config.
 """
 
 from __future__ import annotations
@@ -47,10 +58,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.messages import Message
+from ..core.messages import Message, presized
 from ..core.metrics import MetricsCollector
 from ..core.node import Inbox, Outbox, ProtocolNode
 from ..core.simulator import SynchronousSimulator, build_nodes
@@ -141,25 +153,28 @@ class GilbertConfig:
         if self.c <= 0 or self.token_multiplier <= 0 or self.walk_multiplier <= 0:
             raise ConfigurationError("constants must be positive")
 
-    @property
+    # The derived values below are computed once per config (a run's
+    # nodes share one) and kept in the instance's ``__dict__``; equality,
+    # hashing and ``repr`` see the fields only.
+    @cached_property
     def log_n(self) -> float:
         return max(1.0, math.log(self.n))
 
-    @property
+    @cached_property
     def tokens_per_candidate(self) -> int:
         """``K = Θ(√n · log n)`` tokens per candidate."""
         return max(1, math.ceil(self.token_multiplier * math.sqrt(self.n) * self.log_n))
 
-    @property
+    @cached_property
     def walk_length(self) -> int:
         """``L = Θ(t_mix · log n)`` steps per token."""
         return max(1, math.ceil(self.walk_multiplier * self.t_mix * self.log_n))
 
-    @property
+    @cached_property
     def mark_phase_end(self) -> int:
         return self.walk_length + 1
 
-    @property
+    @cached_property
     def probe_phase_end(self) -> int:
         return self.mark_phase_end + self.walk_length + 1
 
@@ -200,10 +215,14 @@ class GilbertConfig:
 class GilbertStyleNode(ProtocolNode):
     """One node of the Gilbert-style random-walk election.
 
-    The phase boundaries are read from the config once, at construction;
-    see the module docstring for the RNG contract and the quiescence
-    declaration.
+    The walk length, phase boundaries and tokens per candidate are read
+    from the config once, at construction; see the module docstring for
+    the RNG contract, the quiescence declaration and the pre-sized
+    bundles.
     """
+
+    #: set once, by the final round's step
+    halted = False
 
     def __init__(
         self,
@@ -221,19 +240,15 @@ class GilbertStyleNode(ProtocolNode):
         self.heard_max = self.node_id if self.candidate else 0
         self.leader = False
         self._walk_length = config.walk_length
+        self._tokens_per_candidate = config.tokens_per_candidate
         self._mark_phase_end = config.mark_phase_end
         self._final_round = config.total_rounds() - 1
         self._held: List[WalkToken] = []
-        self._halted = False
         if self.candidate:
             token = WalkToken(self.node_id, MODE_MARK, self._walk_length, self.node_id)
-            self._held = [token] * config.tokens_per_candidate
+            self._held = [token] * self._tokens_per_candidate
 
     # ------------------------------------------------------------------ #
-    @property
-    def halted(self) -> bool:
-        return self._halted
-
     def quiescent_until(self, round_index: int) -> int:
         """A node holding no tokens sleeps until its next phase boundary.
 
@@ -253,13 +268,13 @@ class GilbertStyleNode(ProtocolNode):
         if round_index == self._mark_phase_end and self.candidate:
             # Release the probing wave.
             probe = WalkToken(self.node_id, MODE_PROBE, self._walk_length, self.mark)
-            self._held.extend([probe] * self.config.tokens_per_candidate)
+            self._held.extend([probe] * self._tokens_per_candidate)
 
         if round_index >= self._final_round:
             self.leader = (
                 self.candidate and max(self.heard_max, self.mark) <= self.node_id
             )
-            self._halted = True
+            self.halted = True
             return {}
 
         if not self._held:
@@ -268,13 +283,18 @@ class GilbertStyleNode(ProtocolNode):
 
     # ------------------------------------------------------------------ #
     def _absorb(self, inbox: Inbox) -> None:
-        """Take in arriving tokens: marks mark, probes record, returns land."""
+        """Take in arriving tokens: marks mark, probes record, returns land.
+
+        A probe that is the same object as the one just recorded shares
+        its recorded successor.
+        """
         held = self._held
         mark = self.mark
         heard_max = self.heard_max
         for port, message in inbox.items():
             if not isinstance(message, TokenBundle):
                 continue
+            last = recorded = None
             for token in message.tokens:
                 mode = token[1]
                 if mode == MODE_MARK:
@@ -282,12 +302,15 @@ class GilbertStyleNode(ProtocolNode):
                         mark = token[0]
                     held.append(token)
                 elif mode == MODE_PROBE:
-                    candidate_id, _, steps, collected, path = token
-                    if mark > collected:
-                        collected = mark
-                    held.append(
-                        _new(WalkToken, (candidate_id, mode, steps, collected, path + (port,)))
-                    )
+                    if token is not last:
+                        last = token
+                        candidate_id, _, steps, collected, path = token
+                        if mark > collected:
+                            collected = mark
+                        recorded = _new(
+                            WalkToken, (candidate_id, mode, steps, collected, path + (port,))
+                        )
+                    held.append(recorded)
                 elif mode == MODE_RETURN:
                     if token[4]:
                         held.append(token)
@@ -303,7 +326,10 @@ class GilbertStyleNode(ProtocolNode):
         Walking tokens (marks, and probes with steps left) each draw a
         lazy coin and, if they move, a port inline (the module's RNG
         contract).  Exhausted marks evaporate; exhausted probes turn into
-        return tokens, which retrace their path to the origin.
+        return tokens, which retrace their path to the origin.  Each port's
+        bundle is built once, pre-sized with the bits of its tokens as
+        :meth:`TokenBundle.size_bits` counts them.  A token that is the same
+        object as the one just handled shares its successor and bit cost.
         """
         num_ports = self.num_ports
         mark = self.mark
@@ -312,12 +338,43 @@ class GilbertStyleNode(ProtocolNode):
         coin = self.rng.random
         getrandbits = self.rng.getrandbits
         new = _new
-        per_port: Dict[int, List[WalkToken]] = {}
+        # port -> [bits of its tokens, token, token, ...]
+        per_port: Dict[int, list] = {}
         still_held: List[WalkToken] = []
+        last = moved = None
+        walks = False  # whether ``moved`` walks on or retraces its path
+        back = 0  # the port a retracing ``moved`` takes
+        cost = 0  # bits of ``moved`` in a bundle; 0 until first needed
         for token in self._held:
-            candidate_id, mode, steps, collected, path = token
-            if mode != MODE_RETURN and steps > 0:
-                moved = new(WalkToken, (candidate_id, mode, steps - 1, collected, path))
+            if token is not last:
+                last = token
+                cost = 0
+                candidate_id, mode, steps, collected, path = token
+                if steps > 0 and mode != MODE_RETURN:
+                    walks = True
+                    moved = new(WalkToken, (candidate_id, mode, steps - 1, collected, path))
+                elif mode == MODE_MARK:
+                    moved = None  # exhausted mark tokens evaporate
+                else:
+                    # An exhausted probe turns back with the largest mark
+                    # seen; a return token takes one more step back along
+                    # its path.
+                    walks = False
+                    if mode == MODE_PROBE and mark > collected:
+                        collected = mark
+                    if path:
+                        back = path[-1]
+                        moved = new(
+                            WalkToken, (candidate_id, MODE_RETURN, steps, collected, path[:-1])
+                        )
+                    else:
+                        # At its origin: record what it collected.
+                        if collected > heard_max:
+                            heard_max = collected
+                        moved = None
+            if moved is None:
+                continue
+            if walks:
                 if num_ports == 0 or coin() < 0.5:
                     still_held.append(moved)
                     continue
@@ -325,32 +382,35 @@ class GilbertStyleNode(ProtocolNode):
                 while r >= num_ports:
                     r = getrandbits(bits)
                 port = r + 1
-            elif mode == MODE_MARK:
-                continue  # exhausted mark tokens evaporate
             else:
-                # An exhausted probe turns back with the largest mark seen;
-                # a return token takes one more step back along its path.
-                if mode == MODE_PROBE and mark > collected:
-                    collected = mark
-                if not path:
-                    # At its origin: record what it collected.
-                    if collected > heard_max:
-                        heard_max = collected
-                    continue
-                port = path[-1]
-                moved = new(
-                    WalkToken, (candidate_id, MODE_RETURN, steps, collected, path[:-1])
+                port = back
+            if not cost:
+                # A 2-bit mode tag plus bits_for_int of the three integers.
+                candidate_id, _, steps, collected, _ = moved
+                cost = (
+                    2
+                    + candidate_id.bit_length()
+                    + (candidate_id <= 0)
+                    + steps.bit_length()
+                    + (steps <= 0)
+                    + collected.bit_length()
+                    + (collected <= 0)
                 )
-            bundle = per_port.get(port)
-            if bundle is None:
-                per_port[port] = [moved]
+            entry = per_port.get(port)
+            if entry is None:
+                per_port[port] = [cost, moved]
             else:
-                bundle.append(moved)
+                entry[0] += cost
+                entry.append(moved)
         self._held = still_held
         self.heard_max = heard_max
-        return {
-            port: TokenBundle(tokens=tuple(tokens)) for port, tokens in per_port.items()
-        }
+        outbox = {}
+        for port, entry in per_port.items():
+            tokens = tuple(entry[1:])
+            outbox[port] = presized(
+                TokenBundle, TokenBundle.TYPE_TAG_BITS + entry[0], len(tokens), tokens=tokens
+            )
+        return outbox
 
     # ------------------------------------------------------------------ #
     def result(self) -> Dict[str, object]:
@@ -360,7 +420,7 @@ class GilbertStyleNode(ProtocolNode):
             "node_id": self.node_id,
             "mark": self.mark,
             "heard_max": self.heard_max,
-            "halted": self._halted,
+            "halted": self.halted,
         }
 
 

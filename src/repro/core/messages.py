@@ -19,10 +19,11 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Tuple, Type, TypeVar
 
 __all__ = [
     "Message",
+    "presized",
     "bits_for_int",
     "bits_for_value",
     "id_space_bits",
@@ -85,6 +86,10 @@ def congest_budget_bits(n: int, factor: int = 8) -> int:
     return factor * max(1, math.ceil(math.log2(max(2, n))))
 
 
+#: A :class:`Message` subclass, built by :func:`presized`.
+M = TypeVar("M", bound="Message")
+
+
 @functools.lru_cache(maxsize=None)
 def _field_names(cls: type) -> Tuple[str, ...]:
     """The dataclass field names of ``cls``, computed once per class."""
@@ -104,9 +109,18 @@ class Message:
     Instances are immutable values: a protocol may send one instance
     through several ports and in several rounds.  The simulator relies on
     that immutability to size an instance once: its first send calls
-    :meth:`size_bits` and :meth:`congest_units` and stores the pair on the
-    instance, and every later send reuses it.  A subclass must therefore
-    keep both methods functions of its fields alone.
+    :meth:`size_bits` and :meth:`congest_units` and stores the pair
+    ``(bits, units)`` on the instance as ``_wire_cost``, and every later
+    send reuses it.  A subclass must therefore keep both methods functions
+    of its fields alone.
+
+    A sender that already walks a message's fields while building it may
+    instead add up the cost as it goes and build the message with
+    :func:`presized`, which stores the pair at once; such a *pre-sized*
+    message is never asked for its size.  :meth:`size_bits` and
+    :meth:`congest_units` remain the definition of the cost either way:
+    the stored pair must equal ``(size_bits(), max(1, congest_units()))``,
+    and the sender's tests check that it does.
     """
 
     #: bits charged for the message-type tag.
@@ -137,3 +151,23 @@ class Message:
         matching how the respective papers count messages.
         """
         return 1
+
+
+def presized(cls: Type[M], bits: int, units: int, **fields: Any) -> M:
+    """A ``cls`` message built from ``fields``, its wire cost already stored.
+
+    The one way to build a *pre-sized* message (see :class:`Message`): a
+    sender that adds up a message's cost while building it hands the pair
+    here, and no send ever asks the message for its size.  ``bits`` must
+    equal ``size_bits()`` and ``units`` must equal
+    ``max(1, congest_units())`` of the message built; the sender's tests
+    check that.  ``fields`` must name every dataclass field of ``cls``.
+    The instance is made without calling ``__init__``, so ``cls`` must be
+    a plain frozen dataclass that neither checks nor derives anything when
+    built.
+    """
+    message = object.__new__(cls)
+    state = message.__dict__
+    state.update(fields)
+    state["_wire_cost"] = (bits, units)
+    return message

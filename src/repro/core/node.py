@@ -99,8 +99,11 @@ class ProtocolNode(ABC):
         would return an empty outbox, draw nothing from ``self.rng`` and
         change no observable state — i.e. the step is a no-op the backend
         may elide.  An arriving message always wakes the node regardless of
-        the declared horizon, and the declaration is re-queried after every
-        executed step.
+        the declared horizon.  The declaration is re-queried after every
+        executed step that leaves the node with no messages delivered for
+        the next round (a node with messages waiting is due then anyway,
+        and is asked after that step), so it must depend on the node's
+        state alone, not on when or how often it is asked.
 
         The default returns ``round_index`` (never quiescent), which keeps
         the event backend bit-identical to the round backend for protocols

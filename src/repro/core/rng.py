@@ -53,9 +53,9 @@ def derive_seed(seed: Optional[int], *scope: object) -> int:
     # A small, explicit FNV-1a so the derivation does not depend on numpy
     # internals or on Python's salted string hashing.
     acc = 0xCBF29CE484222325
+    prime = 0x100000001B3
     for byte in material:
-        acc ^= byte
-        acc = (acc * 0x100000001B3) % (1 << 64)
+        acc = ((acc ^ byte) * prime) & 0xFFFF_FFFF_FFFF_FFFF
     return acc
 
 

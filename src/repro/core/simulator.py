@@ -81,6 +81,10 @@ NodeFactory = Callable[[int, int, random.Random], ProtocolNode]
 #: Valid values for the ``backend`` argument / ambient backend default.
 BACKENDS = ("auto", "round", "event")
 
+#: ``wake`` entry of a node due next round whose horizon ``_run`` has not
+#: asked since its last step (see ``_run``).
+_UNASKED = -2
+
 #: The backend ``"auto"`` resolves to in the current context (see
 #: ``backend_scope`` and ``set_default_backend``).
 _BACKEND: ContextVar[str] = ContextVar("backend", default="auto")
@@ -156,6 +160,20 @@ class SimulationResult:
         if not self.node_results:
             self.node_results = [node.result() for node in self.nodes]
         return self.node_results
+
+
+def _hook(adversary: Optional[FaultAdversary], name: str) -> Optional[Callable]:
+    """``adversary``'s round hook ``name``, or ``None`` if it has no effect.
+
+    A hook has no effect when there is no adversary or its class keeps the
+    :class:`~repro.core.faults.FaultAdversary` no-op, so the run loop need
+    not call it.
+    """
+    if adversary is None:
+        return None
+    if getattr(type(adversary), name) is getattr(FaultAdversary, name):
+        return None
+    return getattr(adversary, name)
 
 
 def build_nodes(
@@ -405,7 +423,7 @@ class SynchronousSimulator:
         :meth:`_deliver_plain`, delayed arrivals included.
         """
         inboxes = self._inboxes
-        adversary = self._adversary
+        on_message = self._adversary.on_message
         endpoints = self._endpoints
         congest_budget = self._congest_bits
         message_cost = self._message_cost
@@ -437,7 +455,7 @@ class SynchronousSimulator:
                         if violation is None:
                             violation = (index, port, bits)
                         continue
-                verdict = adversary.on_message(
+                verdict = on_message(
                     round_index, index, port, neighbor, neighbor_port, message
                 )
                 if verdict == DELIVER:
@@ -538,23 +556,36 @@ class SynchronousSimulator:
         Per round, the *due* nodes are stepped in ascending index order.
         Under ``"round"`` that is every live node.  Under ``"event"`` it is
         the receivers of the previous round's delivery plus the nodes whose
-        wake round has come.  A node whose horizon is the very next round
-        goes on the ``ready`` list; later horizons go into a ``(wake,
-        index)`` heap.  ``wake`` holds the round of each node's live heap
-        entry (``-1`` while it has none), so an entry is stale — and
-        dropped when it surfaces — whenever a later step moved the node's
-        horizon.  Every live node is ready, due, or has a live heap entry.
-        Once the heap holds more than ``4n`` entries it is rebuilt from the
-        live ones, so its size is bounded by the node count rather than the
-        run length.  When no node is due and
-        nothing else can make a round observable (no delayed message, and
-        no adversary or one whose
+        wake round has come.  A stepped node that is still live is asked
+        for its horizon (``quiescent_until(next round)``) after the round's
+        delivery, and only if that delivery left its inbox empty: a node
+        with messages waiting is due next round anyway and is asked after
+        that step (or, should the adversary keep it inactive then, in that
+        round).  A node whose horizon is the very next round goes on the
+        ``ready`` list; later horizons go into a ``(wake, index)`` heap.
+        ``wake`` holds the round of each node's live heap entry (``-1``
+        while it has none, ``_UNASKED`` while its horizon is deferred), so
+        an entry is stale — and dropped when it surfaces — whenever a later
+        step moved the node's horizon.  Every live node is ready, due, or
+        has a live heap entry.  Once the heap holds more than ``4n``
+        entries it is rebuilt from the live ones, so its size is bounded
+        by the node count rather than the run length.  When no node is due
+        and nothing else can make a round observable (no delayed message,
+        and no adversary or one whose
         :meth:`~repro.core.faults.FaultAdversary.quiescent_until` horizon
         lies beyond the round), the loop fast-forwards to the earliest
         wakeup or that horizon, whichever is first, in O(1).  The
         adversary is asked only in such idle rounds, so busy rounds pay
-        nothing for it.  A live-node counter ends the run once every node
-        has halted.  Since a node's ``halted`` flag changes only inside its
+        nothing for it.
+
+        The adversary's round hooks (``begin_round`` once per round,
+        ``node_active`` once per due node, ``node_crashed`` through
+        :meth:`_terminated_by_crashes` once per round) are called only if
+        the adversary's class overrides them (decided once per run): the
+        base hooks are no-ops that activate every node and crash none, so
+        skipping them changes nothing, and ``loss`` and ``delay`` pay for
+        none of them.  A live-node counter ends the run once every node has
+        halted.  Since a node's ``halted`` flag changes only inside its
         ``step``, the loop reads it once per run and after each step.
         Delivery's endpoint lookup checks outbox ports.  ``step`` and
         ``quiescent_until`` are looked up on the node at every call, so
@@ -565,8 +596,9 @@ class SynchronousSimulator:
         nodes = self.nodes
         inboxes = self._inboxes
         adversary = self._adversary
-        faulty = adversary is not None
-        node_active = adversary.node_active if faulty else None
+        begin_round = _hook(adversary, "begin_round")
+        node_active = _hook(adversary, "node_active")
+        crashes = _hook(adversary, "node_crashed") is not None
         heappush = heapq.heappush
         event = self.backend == "event"
         halted = [node.halted for node in nodes]
@@ -615,16 +647,25 @@ class SynchronousSimulator:
                     due = sorted(due_set)
                 else:
                     due = range(len(nodes))
-                if faulty:
-                    adversary.begin_round(round_index)
+                if begin_round is not None:
+                    begin_round(round_index)
                 next_round = round_index + 1
                 senders: List[Tuple[int, Outbox]] = []
+                stepped: List[int] = []  # live after their step (event core)
                 for index in due:
                     if halted[index]:
                         continue
-                    if faulty and not node_active(round_index, index):
-                        if event and wake[index] < 0:
-                            ready.append(index)  # its horizon has passed
+                    if node_active is not None and not node_active(round_index, index):
+                        if event:
+                            if wake[index] == _UNASKED:
+                                # Its state is that of its last step: ask now.
+                                at = nodes[index].quiescent_until(round_index)
+                                wake[index] = -1
+                                if at > round_index:
+                                    wake[index] = at
+                                    heappush(heap, (at, index))
+                            if wake[index] < 0:
+                                ready.append(index)  # its horizon has passed
                         continue
                     node = nodes[index]
                     outbox = node.step(round_index, inboxes[index])
@@ -632,21 +673,27 @@ class SynchronousSimulator:
                         halted[index] = True
                         live -= 1
                     elif event:
-                        at = node.quiescent_until(next_round)
-                        if at <= next_round:
-                            wake[index] = -1
-                            ready.append(index)
-                        elif at != wake[index]:
-                            wake[index] = at
-                            heappush(heap, (at, index))
+                        stepped.append(index)
                     if outbox:
                         senders.append((index, outbox))
+                self._deliver_and_finish(round_index, senders, tally)
+                for index in stepped:
+                    if inboxes[index]:
+                        # Due next round anyway; asked after that step.
+                        wake[index] = _UNASKED
+                        continue
+                    at = nodes[index].quiescent_until(next_round)
+                    if at <= next_round:
+                        wake[index] = -1
+                        ready.append(index)
+                    elif at != wake[index]:
+                        wake[index] = at
+                        heappush(heap, (at, index))
                 if len(heap) > 4 * len(nodes):
                     # Mostly stale entries: rebuild from the live ones.
                     heap = [(at, index) for index, at in enumerate(wake) if at >= 0]
                     heapq.heapify(heap)
-                self._deliver_and_finish(round_index, senders, tally)
-                if faulty and self._terminated_by_crashes():
+                if crashes and self._terminated_by_crashes():
                     break
             return self._round - start
         finally:
@@ -663,7 +710,10 @@ class SynchronousSimulator:
     def _terminated_by_crashes(self) -> bool:
         """Whether the round just executed left nobody able to act again.
 
-        Asked only with an adversary attached.  True when no delayed
+        Asked only when the adversary's class overrides
+        :meth:`FaultAdversary.node_crashed` (with the base hook it could
+        only report that every node has halted, which ends the run
+        anyway).  True when no delayed
         message is in flight and every node has either halted or crashed
         for good (:meth:`FaultAdversary.node_crashed`) as of the round just
         run — continuing would only execute empty rounds until ``max_rounds``.
@@ -692,10 +742,13 @@ class SynchronousSimulator:
         A :class:`Message` is asked for :meth:`~Message.size_bits` and
         :meth:`~Message.congest_units` once; the pair is stored on the
         instance as ``_wire_cost``, which the delivery loops read on every
-        later send.  That is sound because messages are immutable and no
-        size in the package depends on the network size.  A foreign object
-        is asked for the methods it has, on every send.  Units are at least
-        1; the delivery loops charge 0 bits under ``count_bits=False``.
+        later send; a message built by :func:`~repro.core.messages.presized`
+        carries it from the start and never gets here.  That is sound
+        because messages are immutable and no size in the package depends
+        on the network size.
+        A foreign object is asked for the methods it has, on every send.
+        Units are at least 1; the delivery loops charge 0 bits under
+        ``count_bits=False``.
         """
         if isinstance(message, Message):
             cost = (

@@ -78,10 +78,8 @@ class SeededAdversary(FaultAdversary):
         #: Override to separate this instance's RNG stream from other
         #: instances of the same model in one run (``None`` -> ``name``).
         self.rng_label: Optional[str] = None
-        # repro: disable=REP101 — placeholder only: attach() re-derives the
-        # stream from (seed, "dynamics", label, topology fingerprint) before
-        # any draw can happen
-        self._rng = random.Random()
+        #: Set by :meth:`attach`, before any hook can draw from it.
+        self._rng: random.Random
 
     def attach(
         self,

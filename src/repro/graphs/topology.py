@@ -293,10 +293,10 @@ class Topology:
         """``compute()``, evaluated once per instance and cached under ``key``.
 
         The one cache of what is measured on the (immutable) graph: the
-        fingerprint, and the default-argument ``mixing_time``,
-        ``conductance`` and ``expansion_profile``.  It is keyed by
-        instance, so two graphs that share a display name never share a
-        measurement, and it is pickled with the topology (see
+        fingerprint, the diameter, and the default-argument
+        ``mixing_time``, ``conductance`` and ``expansion_profile``.  It is
+        keyed by instance, so two graphs that share a display name never
+        share a measurement, and it is pickled with the topology (see
         :meth:`__getstate__`).  Two threads that miss at once may both
         compute; the first value stored is the one both return.
         """
@@ -364,7 +364,13 @@ class Topology:
         return dist
 
     def diameter(self) -> int:
-        """Exact diameter via BFS from every node (fine for simulated sizes)."""
+        """Exact diameter via BFS from every node (fine for simulated sizes).
+
+        Measured once per instance (see :meth:`memoized`).
+        """
+        return self.memoized("diameter", self._measure_diameter)
+
+    def _measure_diameter(self) -> int:
         best = 0
         for source in range(self._n):
             dist = self.bfs_distances(source)

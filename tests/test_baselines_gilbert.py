@@ -154,6 +154,55 @@ class TestTokenHop:
         assert horizons == {config.mark_phase_end, config.total_rounds() - 1}
 
 
+#: Any token: every mode, 64-bit IDs and marks, steps down to 0, paths.
+TOKENS = st.builds(
+    lambda candidate_id, mode, steps, collected, path: WalkToken(
+        candidate_id, mode, steps, collected, tuple(path)
+    ),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(["mark", "probe", "return"]),
+    st.integers(0, 3),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(1, 4), max_size=3),
+)
+
+
+class TestPresizedBundles:
+    """A node's outgoing bundles carry the cost their own methods give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(TOKENS, st.integers(1, 4)), max_size=8),
+        st.integers(1, 4),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stored_cost_is_size_bits_and_congest_units(self, runs, ports, mark, seed):
+        node = GilbertStyleNode(ports, random.Random(0), config=GilbertConfig(n=16, t_mix=2))
+        node.rng = random.Random(seed)
+        node.mark = mark
+        # Runs of one shared object, as a candidate's tokens start.
+        node._held = [token for token, count in runs for _ in range(count)]
+        for bundle in node._move_tokens().values():
+            assert bundle._wire_cost == (
+                bundle.size_bits(),
+                max(1, bundle.congest_units()),
+            )
+
+    def test_an_election_never_sizes_a_bundle(self, monkeypatch):
+        sized = []
+        original = SynchronousSimulator._message_cost
+
+        def spy(simulator, message):
+            sized.append(type(message))
+            return original(simulator, message)
+
+        monkeypatch.setattr(SynchronousSimulator, "_message_cost", spy)
+        result = run_gilbert_election(cycle(6), seed=0)
+        assert result.messages > 0
+        assert sized == []
+
+
 class TestGilbertElection:
     def test_unique_leader_on_expander(self):
         result = run_gilbert_election(random_regular(32, 4, seed=2), seed=4)

@@ -24,8 +24,9 @@ from repro.core import (
     run_protocol,
 )
 from repro.core.errors import ProtocolError
+from repro.core.messages import presized
 from repro.dynamics import MessageLossAdversary
-from repro.graphs import cycle, path, star
+from repro.graphs import cycle, grid_2d, hypercube, path, star
 
 
 @dataclass(frozen=True)
@@ -783,3 +784,181 @@ class TestWireCost:
         assert metrics.sent_messages == 1
         assert metrics.delivered_messages == 0
         assert metrics.dropped_messages == 1
+
+    def test_a_presized_message_is_never_sized(self, sizing_calls):
+        message = presized(CountedPing, 11, 2, payload=6)
+        assert message == CountedPing(payload=6)
+        CountedPing.calls.clear()
+        simulator, sized = self._deliver_one(message, sizing_calls)
+        assert sized == []
+        assert CountedPing.calls == []
+        assert (simulator.metrics.bits, simulator.metrics.messages) == (11, 2)
+
+
+class BeginRoundCounter(FaultAdversary):
+    """Overrides only ``begin_round``, counting its calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def begin_round(self, round_index):
+        self.calls += 1
+
+
+class NodeActiveCounter(FaultAdversary):
+    """Overrides only ``node_active``: node 0 is frozen in rounds 3-8."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def node_active(self, round_index, node):
+        self.calls += 1
+        return not (node == 0 and 3 <= round_index < 9)
+
+
+class NodeCrashedCounter(FaultAdversary):
+    """Overrides only ``node_crashed``: node 0 counts as gone from round 4."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def node_crashed(self, round_index, node):
+        self.calls += 1
+        return node == 0 and round_index >= 4
+
+
+class TestAdversaryHookDispatch:
+    """The run loop calls a round hook only if the adversary's class
+    overrides it.  The counts were recorded before that rule, when every
+    hook was called under any adversary: an adversary that overrides one
+    hook must still see every call of it."""
+
+    TOPOLOGIES = {"flooding": grid_2d(3, 3), "gilbert": cycle(6), "irrevocable": hypercube(3)}
+
+    #: (adversary class, protocol, backend) -> calls of its one hook
+    CALLS = {
+        ("BeginRoundCounter", "flooding", "event"): 6,
+        ("BeginRoundCounter", "flooding", "round"): 6,
+        ("BeginRoundCounter", "gilbert", "event"): 58,
+        ("BeginRoundCounter", "gilbert", "round"): 58,
+        ("BeginRoundCounter", "irrevocable", "event"): 400,
+        ("BeginRoundCounter", "irrevocable", "round"): 400,
+        ("NodeActiveCounter", "flooding", "event"): 54,
+        ("NodeActiveCounter", "flooding", "round"): 54,
+        ("NodeActiveCounter", "gilbert", "event"): 245,
+        ("NodeActiveCounter", "gilbert", "round"): 348,
+        ("NodeActiveCounter", "irrevocable", "event"): 427,
+        ("NodeActiveCounter", "irrevocable", "round"): 3200,
+        ("NodeCrashedCounter", "flooding", "event"): 6,
+        ("NodeCrashedCounter", "flooding", "round"): 6,
+        ("NodeCrashedCounter", "gilbert", "event"): 110,
+        ("NodeCrashedCounter", "gilbert", "round"): 110,
+        ("NodeCrashedCounter", "irrevocable", "event"): 794,
+        ("NodeCrashedCounter", "irrevocable", "round"): 794,
+    }
+
+    @pytest.mark.parametrize("cls, protocol, backend", sorted(CALLS), ids=repr)
+    def test_an_overridden_hook_gets_every_call(self, cls, protocol, backend):
+        from repro.core import backend_scope
+        from repro.core.faults import fault_scope
+        from repro.protocols import run_protocol as run_registered
+
+        counters = (BeginRoundCounter, NodeActiveCounter, NodeCrashedCounter)
+        adversary = {counter.__name__: counter for counter in counters}[cls]()
+        with backend_scope(backend), fault_scope(lambda: adversary):
+            run_registered(protocol, self.TOPOLOGIES[protocol], 0)
+        assert adversary.calls == self.CALLS[(cls, protocol, backend)]
+
+    @pytest.mark.parametrize("backend", ["event", "round"])
+    @pytest.mark.parametrize("model", ["loss", "delay"])
+    def test_base_hooks_are_not_called(self, model, backend, monkeypatch):
+        from repro import api
+
+        calls = []
+        for name in ("begin_round", "node_active", "node_crashed"):
+            base = getattr(FaultAdversary, name)
+
+            def counted(self, *args, _base=base, _name=name):
+                calls.append(_name)
+                return _base(self, *args)
+
+            monkeypatch.setattr(FaultAdversary, name, counted)
+        api.run("gilbert", cycle(6), seed=0, adversary=model, backend=backend)
+        assert calls == []
+
+
+class HorizonSpyNode(ProtocolNode):
+    """Sends through every port every third round of its own and sleeps in
+    between; logs every step (with whether its inbox was empty) and every
+    horizon query.  Halts in round ``final``."""
+
+    halted = False
+
+    def __init__(self, num_ports, rng, *, final: int = 30) -> None:
+        super().__init__(num_ports, rng)
+        self.next_send = rng.randrange(3)
+        self.final = final
+        self.received = 0
+        self.log = []
+
+    def step(self, round_index, inbox):
+        self.log.append(("step", round_index, bool(inbox)))
+        self.received += len(inbox)
+        if round_index >= self.final:
+            self.halted = True
+            return {}
+        if round_index < self.next_send:
+            return {}
+        self.next_send = round_index + 3 + self.rng.randrange(3)
+        return {port: Ping(payload=round_index) for port in self.ports()}
+
+    def quiescent_until(self, round_index):
+        self.log.append(("ask", round_index))
+        return max(round_index, self.next_send)
+
+    def result(self):
+        return {"received": self.received, "next_send": self.next_send}
+
+
+class TestHorizonAfterDelivery:
+    """The event core asks a stepped, live node for its horizon after the
+    round's delivery, and only if no message was delivered to it."""
+
+    def _run(self, backend):
+        topology = star(6)
+        nodes = build_nodes(topology, lambda i, p, r: HorizonSpyNode(p, r), seed=5)
+        simulator = SynchronousSimulator(topology, nodes, backend=backend)
+        return simulator.run(100), nodes
+
+    def test_asks_only_nodes_with_no_messages_waiting(self):
+        result, nodes = self._run("event")
+        assert result.all_halted
+        deferred = 0
+        for node in nodes:
+            log = node.log
+            assert log[0] == ("ask", 0)  # the run's opening query
+            for position, entry in enumerate(log[1:], 1):
+                if entry[0] == "ask":
+                    # Every query follows a step, for the round after it.
+                    assert log[position - 1][:2] == ("step", entry[1] - 1)
+                    continue
+                _, round_index, _ = entry
+                if round_index >= node.final:
+                    assert position == len(log) - 1  # halted: never asked
+                    continue
+                after = log[position + 1]
+                if after == ("step", round_index + 1, True):
+                    deferred += 1  # messages waiting: no query
+                else:
+                    assert after == ("ask", round_index + 1)
+        assert deferred > 0
+
+    def test_results_equal_the_round_core(self):
+        event, _ = self._run("event")
+        reference, _ = self._run("round")
+        assert event.node_results == reference.node_results
+        assert event.metrics == reference.metrics
+        assert event.rounds_executed == reference.rounds_executed

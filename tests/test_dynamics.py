@@ -292,6 +292,20 @@ class TestMessageLoss:
         with pytest.raises(ConfigurationError):
             MessageLossAdversary(p=1.5)
 
+    def test_rng_is_built_at_attach_only(self, monkeypatch):
+        built = []
+        original = random.Random.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(random.Random, "__init__", counted)
+        adversary = MessageLossAdversary(p=0.2, seed=7)
+        assert built == [] and not hasattr(adversary, "_rng")
+        adversary.attach(cycle(4), MetricsCollector(), TraceRecorder())
+        assert len(built) == 1 and built[0] != ()  # seeded, never from OS entropy
+
 
 class TestMessageDelay:
     def test_delayed_messages_arrive_late_not_never(self):

@@ -213,6 +213,20 @@ class TestMemoizedMeasurements:
         assert mixing_time(cycle(12)) == t_mix
         assert len(eigh) == 2
 
+    def test_diameter_is_measured_once_per_instance(self, monkeypatch):
+        from repro.graphs.topology import Topology
+
+        topology = grid_2d(3, 4)
+        bfs = self._count_calls(monkeypatch, Topology, "bfs_distances")
+        diameter = topology.diameter()
+        assert diameter == 5
+        assert len(bfs) == topology.num_nodes
+        assert topology.diameter() == diameter
+        assert len(bfs) == topology.num_nodes
+        # A different instance of the same graph is measured afresh.
+        assert grid_2d(3, 4).diameter() == diameter
+        assert len(bfs) == 2 * topology.num_nodes
+
     def test_irrevocable_and_gilbert_share_the_measurement(self, monkeypatch):
         from repro.baselines.gilbert import run_gilbert_election
         from repro.election.irrevocable import IrrevocableConfig, measure_mixing_time
