@@ -23,11 +23,13 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from ..core.errors import ConfigurationError
@@ -53,6 +55,8 @@ __all__ = [
     "run_experiment",
     "summarize_results",
 ]
+
+T = TypeVar("T")
 
 #: An algorithm under test: ``runner(topology, seed) -> LeaderElectionResult``.
 ElectionRunner = Callable[[Topology, int], LeaderElectionResult]
@@ -105,6 +109,29 @@ class ExperimentSpec:
                     f"spec and topology names may not contain '|' (it "
                     f"separates checkpoint task-key segments): {name!r}"
                 )
+
+    def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per spec instance and cached under ``key``.
+
+        The spec's counterpart of
+        :meth:`~repro.graphs.topology.Topology.memoized`: what is derived
+        from the (frozen) spec alone, such as its expanded run tasks
+        (:func:`repro.parallel.sharding.expand_run_tasks`), is computed
+        once per instance.  The memo is not a field, so it never reaches
+        equality, ``repr`` or a pickle.  Two threads that miss at once
+        may both compute; the first value stored is the one both return.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = self.__dict__.setdefault("_memo", {})
+        if key in memo:
+            return memo[key]
+        return memo.setdefault(key, compute())
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
     def protocol_token(self) -> str:
         """The protocol segment of this spec's task keys.

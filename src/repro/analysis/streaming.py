@@ -20,6 +20,14 @@ merge of per-shard checkpoints all produce the same cells.  (Wall-clock
 sums stay plain floats; they are the one legitimately nondeterministic
 measurement and are excluded from every equivalence guarantee.)
 
+A cell folds rows of fold fields through one body,
+:meth:`CellAggregate.fold`: a fresh run is one row, and a cell restored
+from a checkpoint or archive folds all its stored rows in one call,
+each column summed once.  An integer column is summed by ``sum``; a
+column holding any other number takes the exact rational path.  The
+wall-clock sum is added left to right in row order, never by ``sum``,
+whose float result changes from Python 3.12 on.
+
 Sinks
 -----
 
@@ -46,8 +54,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ..election.base import LeaderElectionResult, SafetyTally
 from ..obs import Stopwatch
@@ -73,6 +82,26 @@ def _exact(value) -> Exact:
     return value if isinstance(value, int) else Fraction(value)
 
 
+def _exact_sum(values: Sequence) -> Exact:
+    """``Σv`` of ``values``, exactly.
+
+    ``sum`` is exact on ints, and a sum that comes out an ``int`` had
+    only ints (or bools) to add; a column holding any other value sums
+    its :func:`_exact` values instead.
+    """
+    total = sum(values)
+    return total if type(total) is int else sum(map(_exact, values))
+
+
+def _exact_sum_of_squares(values: Sequence) -> Exact:
+    """``Σv²`` of ``values``, exactly (see :func:`_exact_sum`)."""
+    total = sum(map(mul, values, values))
+    if type(total) is int:
+        return total
+    exact = [_exact(value) for value in values]
+    return sum(map(mul, exact, exact))
+
+
 def _quotient(numerator: Exact, denominator: int) -> float:
     """``numerator / denominator`` rounded once, to the nearest float.
 
@@ -94,10 +123,11 @@ class CellAggregate:
     merges its cells'); because the accumulators are exact, a merge of
     partial aggregates equals the aggregate of the union.
 
-    Every run goes through one fold body, :meth:`fold`.  A fresh run
-    arrives as a result (:meth:`add`); a run restored from a checkpoint
-    or archive folds straight from its stored record, and the engine
-    rebuilds a result from that record only for a sink that receives it.
+    Every run goes through one fold body, :meth:`fold`, over rows of
+    fold fields.  A fresh run arrives as a result (:meth:`add`, one
+    row); the runs of a cell restored from a checkpoint or archive fold
+    at once, straight from their stored fields, and the engine rebuilds
+    a result from a stored record only for a sink that receives it.
     """
 
     __slots__ = (
@@ -140,67 +170,84 @@ class CellAggregate:
         metrics = result.metrics
         outcome = result.outcome
         self.fold(
-            result.algorithm,
-            result.topology_name,
-            result.seed,
-            result.rounds_executed,
-            metrics.messages,
-            metrics.bits,
-            metrics.dropped_messages,
-            metrics.delayed_messages,
-            outcome.num_leaders,
-            outcome.unique_leader,
-            result.parameters.get("adversary"),
-            wall_clock_seconds,
+            (
+                (
+                    result.algorithm,
+                    result.topology_name,
+                    result.seed,
+                    result.rounds_executed,
+                    metrics.messages,
+                    metrics.bits,
+                    metrics.dropped_messages,
+                    metrics.delayed_messages,
+                    outcome.num_leaders,
+                    outcome.unique_leader,
+                    result.parameters.get("adversary"),
+                    wall_clock_seconds,
+                ),
+            )
         )
 
-    def fold(
-        self,
-        algorithm: str,
-        topology_name: str,
-        seed: Optional[int],
-        rounds: int,
-        messages: int,
-        bits: int,
-        dropped: int,
-        delayed: int,
-        num_leaders: int,
-        unique_leader: bool,
-        adversary: Optional[object],
-        wall_clock_seconds: float,
-    ) -> None:
-        """Fold one run, given as the fields a cell reads, into the cell.
+    def fold(self, rows: Sequence[Sequence[object]]) -> None:
+        """Fold runs, given as the fields a cell reads, into the cell.
 
-        The one fold body: :meth:`add` unpacks a fresh
-        :class:`~repro.election.base.LeaderElectionResult` into it, and
-        the engine's restore path passes a stored run's fields
-        (:func:`repro.parallel.checkpoint.record_fold_fields`) without
-        rebuilding a result.  ``adversary`` is the run's
-        ``parameters["adversary"]`` (``None`` without one), the only
-        parameter a cell reads.
+        The one fold body.  Each row is a run's
+        :func:`~repro.parallel.checkpoint.record_fold_fields`: algorithm,
+        topology name, seed, rounds, messages, bits, dropped and delayed
+        messages, leader count, unique-leader flag, adversary (the run's
+        ``parameters["adversary"]``, ``None`` without one) and wall-clock
+        seconds.  :meth:`add` passes a fresh run as one row; the engine's
+        restore path passes a cell's stored rows at once, in sorted key
+        order, without rebuilding a result.
+
+        Every column is folded once per call: an integer column by
+        ``sum``, which is exact, and a column holding any other value by
+        exact rational sums, so the aggregate does not depend on how the
+        runs were split into calls.  The wall-clock sum alone is a float
+        sum in row order, added left to right: ``sum`` of floats rounds
+        differently from Python 3.12 on.
         """
+        if not rows:
+            return
+        (
+            algorithms,
+            topology_names,
+            seeds,
+            rounds,
+            messages,
+            bits,
+            dropped,
+            delayed,
+            num_leaders,
+            unique_leaders,
+            adversaries,
+            wall_clocks,
+        ) = zip(*rows)
         if self.algorithm is None:
-            self.algorithm = algorithm
-        self.count += 1
-        if unique_leader:
-            self.successes += 1
-        self.sum_messages += _exact(messages)
-        self.sum_sq_messages += _exact(messages) * _exact(messages)
-        self.sum_bits += _exact(bits)
-        self.sum_rounds += _exact(rounds)
-        self.sum_dropped += _exact(dropped)
-        self.sum_delayed += _exact(delayed)
-        self.sum_wall_clock += wall_clock_seconds
-        if self.min_messages is None or messages < self.min_messages:
-            self.min_messages = messages
-        if self.max_messages is None or messages > self.max_messages:
-            self.max_messages = messages
-        if self.min_rounds is None or rounds < self.min_rounds:
-            self.min_rounds = rounds
-        if self.max_rounds is None or rounds > self.max_rounds:
-            self.max_rounds = rounds
-        self.safety.tally(
-            algorithm, topology_name, seed, num_leaders, unique_leader, adversary
+            self.algorithm = algorithms[0]
+        if self.min_messages is None:
+            self.min_messages = self.max_messages = messages[0]
+            self.min_rounds = self.max_rounds = rounds[0]
+        self.count += len(rows)
+        self.successes += sum(map(bool, unique_leaders))
+        self.sum_messages += _exact_sum(messages)
+        self.sum_sq_messages += _exact_sum_of_squares(messages)
+        self.sum_bits += _exact_sum(bits)
+        self.sum_rounds += _exact_sum(rounds)
+        self.sum_dropped += _exact_sum(dropped)
+        self.sum_delayed += _exact_sum(delayed)
+        sum_wall_clock = self.sum_wall_clock
+        for seconds in wall_clocks:
+            sum_wall_clock += seconds
+        self.sum_wall_clock = sum_wall_clock
+        # ``min``/``max`` keep the first of equal extremes, as a run-by-run
+        # fold that replaces only a strictly smaller or greater value does.
+        self.min_messages = min(self.min_messages, *messages)
+        self.max_messages = max(self.max_messages, *messages)
+        self.min_rounds = min(self.min_rounds, *rounds)
+        self.max_rounds = max(self.max_rounds, *rounds)
+        self.safety.tally_runs(
+            algorithms, topology_names, seeds, num_leaders, unique_leaders, adversaries
         )
 
     def merge(self, other: "CellAggregate") -> None:
@@ -340,14 +387,17 @@ class CellAggregatingSink(ResultSink):
     def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
         self._cell(spec_name, topology_index).add(result, wall_clock_seconds)
 
-    def fold(self, spec_name: str, topology_index: int, fields: tuple) -> None:
-        """Fold one run given as :meth:`CellAggregate.fold`'s arguments.
+    def fold(
+        self, spec_name: str, topology_index: int, rows: Sequence[Sequence[object]]
+    ) -> None:
+        """Fold one cell's runs, given as :meth:`CellAggregate.fold`'s rows.
 
-        The engine replays a stored run through here straight from its
-        record (:func:`repro.parallel.checkpoint.record_fold_fields`), so
+        The engine replays a cell's stored runs through here at once,
+        straight from their stored fold fields
+        (:func:`repro.parallel.checkpoint.record_fold_fields`), so
         restored runs do not pass through :meth:`emit`.
         """
-        self._cell(spec_name, topology_index).fold(*fields)
+        self._cell(spec_name, topology_index).fold(rows)
 
     def aggregate_for(
         self, spec_name: str, topology_index: int

@@ -22,15 +22,20 @@ with JSON:
 
 ``ThreadingHTTPServer`` keeps this dependency-free.  A request pays for
 its runs, not for set-up: one archive connection per HTTP connection;
-suites planned once per server.  Each keep-alive connection opens its
-own SQLite handle on first use, re-checks the schema version before
-every request, and closes the handle when the connection ends.  A
+suites built and grids planned once per server.  Each keep-alive
+connection opens its own SQLite handle on first use, which checks the
+schema version, and closes the handle when the connection ends.  A
 handle whose file changed since the connection's last request
-(rewritten in place or replaced) is reopened: SQLite alone keeps
-serving cached pages of a rewrite whose header matches.  Each named
-suite's topologies are built once and shared by every request, so their
-fingerprints and ``t_mix``/Φ memos survive from one request to the
-next.  Concurrent requests run in isolation: each request thread
+(rewritten in place or replaced) is reopened, and so checked again:
+SQLite alone keeps serving cached pages of a rewrite whose header
+matches.  Each named suite's topologies are built once and shared by
+every request, so their fingerprints and ``t_mix``/Φ memos survive from
+one request to the next.  Each served grid — the normalized ``/query``
+parameters — is planned once into its specs, whose run tasks are
+expanded once (:func:`~repro.parallel.sharding.expand_run_tasks`); the
+server keeps the last :data:`PLAN_LIMIT` grids.  It keeps plans, never
+answers: every request reads the archive, and simulates and archives
+its misses.  Concurrent requests run in isolation: each request thread
 simulates its misses under its own adversary, backend and span scopes
 (context-local, see :func:`repro.core.faults.fault_scope`), so one
 client's fault model never reaches another's runs or the archive
@@ -42,12 +47,14 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
-from urllib.parse import parse_qs, parse_qsl, urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
+from ..analysis.experiments import ExperimentSpec
 from ..core.errors import ReproError
 from ..graphs.topology import Topology
 from ..parallel.runner import SweepConfig
@@ -63,6 +70,9 @@ _QUERY_PARAMETERS = (
     "suite", "algorithms", "scenario", "adversary", "adversary_param", "seeds", "profile"
 )
 
+#: most planned grids a server keeps; planning one more drops the oldest
+PLAN_LIMIT = 64
+
 
 class ArchiveHTTPServer(ThreadingHTTPServer):
     """An HTTP server bound to one archive path and one execution config."""
@@ -76,6 +86,10 @@ class ArchiveHTTPServer(ThreadingHTTPServer):
         self.config = config
         #: suite name -> its topologies, built on the first request naming it
         self.suites: Dict[str, Tuple[Topology, ...]] = {}
+        #: (suite, *sorted grid parameters) -> the grid's plan, oldest
+        #: first, at most :data:`PLAN_LIMIT`
+        self.plans: Dict[tuple, Tuple[Tuple[ExperimentSpec, ...], bool]] = {}
+        self._plans_lock = threading.Lock()
         super().__init__(address, _ArchiveRequestHandler)
 
     def suite(self, name: str) -> Tuple[Topology, ...]:
@@ -89,6 +103,28 @@ class ArchiveHTTPServer(ThreadingHTTPServer):
         if topologies is None:
             topologies = self.suites.setdefault(name, tuple(suite_by_name(name)))
         return topologies
+
+    def plan(self, suite: str, **grid) -> Tuple[Tuple[ExperimentSpec, ...], bool]:
+        """:func:`repro.api.plan_sweep` of ``suite`` and ``grid``, once per server.
+
+        ``grid`` holds the other keyword arguments, as hashable values.
+        A grid that fails to plan raises before anything is stored.  Two
+        requests that miss at once may both plan; the first stored is the
+        one every later request answers with, so they share its specs and
+        the run tasks each spec expands once.  Storing a grid beyond
+        :data:`PLAN_LIMIT` drops the oldest.
+        """
+        key = (suite, *sorted(grid.items()))
+        plan = self.plans.get(key)
+        if plan is None:
+            from .. import api
+
+            specs, adversarial = api.plan_sweep(topologies=self.suite(suite), **grid)
+            with self._plans_lock:
+                plan = self.plans.setdefault(key, (tuple(specs), adversarial))
+                while len(self.plans) > PLAN_LIMIT:
+                    del self.plans[next(iter(self.plans))]
+        return plan
 
 
 class _ArchiveRequestHandler(BaseHTTPRequestHandler):
@@ -141,15 +177,17 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     @contextmanager
     def _opened_archive(self) -> Iterator[ResultArchive]:
-        """This connection's archive handle, schema-checked for one use."""
+        """This connection's archive handle, reopened if its file changed.
+
+        Opening checks the schema; a handle whose file is as this
+        connection left it is not checked again.
+        """
         path = self.server.archive_path
         if self._archive is not None and _file_state(path) != self._seen:
             self._archive.close()
             self._archive = None
         if self._archive is None:
             self._archive = ResultArchive(path)
-        else:
-            self._archive.check_schema()
         try:
             yield self._archive
         finally:
@@ -185,7 +223,10 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
         blank = sorted({name for name, value in pairs if not value})
         if blank:
             raise ReproError(f"blank /query parameter(s) {', '.join(blank)}")
-        params = parse_qs(query)
+        # What ``parse_qs`` would build: no value is blank.
+        params: Dict[str, list] = {}
+        for name, value in pairs:
+            params.setdefault(name, []).append(value)
         profile = _single(params, "profile", "0")
         if profile not in ("0", "1", "true", "false"):
             raise ReproError(
@@ -193,12 +234,12 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
             )
         algorithms = None
         if "algorithms" in params:
-            algorithms = [
+            algorithms = tuple(
                 name
                 for raw in params["algorithms"]
                 for name in raw.split(",")
                 if name
-            ]
+            )
         raw_seeds = _single(params, "seeds", "3")
         try:
             seeds = int(raw_seeds)
@@ -206,12 +247,13 @@ class _ArchiveRequestHandler(BaseHTTPRequestHandler):
             raise ReproError(
                 f"parameter 'seeds' must be an integer, got {raw_seeds!r}"
             ) from None
-        specs, adversarial = api.plan_sweep(
-            topologies=self.server.suite(_single(params, "suite", DEFAULT_SUITE)),
+        adversary_params = params.get("adversary_param")
+        specs, adversarial = self.server.plan(
+            _single(params, "suite", DEFAULT_SUITE),
             algorithms=algorithms,
             scenario=_single(params, "scenario", None),
             adversary=_single(params, "adversary", None),
-            adversary_params=params.get("adversary_param"),
+            adversary_params=None if adversary_params is None else tuple(adversary_params),
             seeds=seeds,
             collect_profile=profile in ("1", "true"),
         )

@@ -176,45 +176,50 @@ class SafetyTally:
     def add(self, result: LeaderElectionResult) -> None:
         """Fold one run into the tally."""
         outcome = result.outcome
-        self.tally(
-            result.algorithm,
-            result.topology_name,
-            result.seed,
-            outcome.num_leaders,
-            outcome.unique_leader,
-            result.parameters.get("adversary"),
+        self.tally_runs(
+            (result.algorithm,),
+            (result.topology_name,),
+            (result.seed,),
+            (outcome.num_leaders,),
+            (outcome.unique_leader,),
+            (result.parameters.get("adversary"),),
         )
 
-    def tally(
+    def tally_runs(
         self,
-        algorithm: str,
-        topology_name: str,
-        seed: Optional[int],
-        num_leaders: int,
-        unique_leader: bool,
-        adversary: Optional[object],
+        algorithms: Sequence[str],
+        topology_names: Sequence[str],
+        seeds: Sequence[Optional[int]],
+        num_leaders: Sequence[int],
+        unique_leaders: Sequence[bool],
+        adversaries: Sequence[Optional[object]],
     ) -> None:
-        """Fold one run, given as the fields the tally reads.
+        """Fold runs, given column by column, into the tally at once.
 
-        A run is safe when at most one leader raised its flag
-        (:attr:`ElectionOutcome.safe`); a violation records ``adversary``,
-        the run's ``parameters["adversary"]`` (``None`` without one).
+        The one tally body.  A run is safe when at most one leader raised
+        its flag (:attr:`ElectionOutcome.safe`); the violations are
+        appended in run order, each recording the run's adversary (its
+        ``parameters["adversary"]``, ``None`` without one).  Leader counts
+        are integers, so the largest of them decides whether any run is
+        unsafe.
         """
-        self.runs += 1
-        if num_leaders <= 1:
-            self.safe_runs += 1
-        else:
+        self.runs += len(num_leaders)
+        self.elected_runs += sum(map(bool, unique_leaders))
+        if max(num_leaders, default=0) <= 1:
+            self.safe_runs += len(num_leaders)
+            return
+        unsafe = [index for index, leaders in enumerate(num_leaders) if leaders > 1]
+        self.safe_runs += len(num_leaders) - len(unsafe)
+        for index in unsafe:
             self.violations.append(
                 {
-                    "algorithm": algorithm,
-                    "topology": topology_name,
-                    "seed": seed,
-                    "num_leaders": num_leaders,
-                    "adversary": adversary,
+                    "algorithm": algorithms[index],
+                    "topology": topology_names[index],
+                    "seed": seeds[index],
+                    "num_leaders": num_leaders[index],
+                    "adversary": adversaries[index],
                 }
             )
-        if unique_leader:
-            self.elected_runs += 1
 
     def merge(self, other: "SafetyTally") -> None:
         """Fold another tally (e.g. another cell's or shard's) into this one."""

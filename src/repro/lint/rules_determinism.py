@@ -280,8 +280,17 @@ class ExactAccumulationRule(BaseRule):
     #: legitimately nondeterministic measurement, excluded from every
     #: equivalence guarantee).
     _EXEMPT_MARKERS = ("wall_clock", "seconds")
-    #: Calls whose results are exact by construction.
-    _EXACT_CALLS = {"Fraction", "_exact", "fractions.Fraction", "int", "len"}
+    #: Calls whose results are exact by construction (``_exact_sum`` and
+    #: ``_exact_sum_of_squares`` are the streaming fold's column sums).
+    _EXACT_CALLS = {
+        "Fraction",
+        "_exact",
+        "_exact_sum",
+        "_exact_sum_of_squares",
+        "fractions.Fraction",
+        "int",
+        "len",
+    }
 
     def _is_exact(self, node: ast.AST, attr: str, dotted) -> bool:
         if isinstance(node, ast.Constant):

@@ -91,8 +91,8 @@ def record_fold_fields(record: Dict[str, object]) -> tuple:
 
     Algorithm, topology name, seed, rounds, messages, bits, dropped and
     delayed messages, leader count, unique-leader flag, the ``adversary``
-    entry of ``parameters`` and wall-clock seconds:
-    :meth:`~repro.analysis.streaming.CellAggregate.fold`'s arguments, so
+    entry of ``parameters`` and wall-clock seconds: a row of
+    :meth:`~repro.analysis.streaming.CellAggregate.fold`, so
     a restored run folds into its cell without a
     :class:`~repro.election.base.LeaderElectionResult` being built.  The
     one reader of these fields and of the defaults that records written

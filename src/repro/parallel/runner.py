@@ -416,22 +416,29 @@ def run_experiments(
     result_sinks = all_sinks[1:]
 
     def restore(store: RunStore, keys: List[str]) -> Set[str]:
-        """Replay the stored runs of ``keys`` in sorted key order; return their keys."""
-        if not result_sinks:
+        """Replay the stored runs of ``keys`` in sorted key order; return their keys.
+
+        Each cell folds its stored rows in one call, in sorted key order.
+        """
+        if result_sinks:
+            records = store.fetch(keys)
+            stored = {key: record_fold_fields(record) for key, record in records.items()}
+        else:
             stored = store.fetch_fold_fields(keys)
-            for key in sorted(stored):
-                spec_name, topology_index, _ = route[key]
-                aggregates.fold(spec_name, topology_index, stored[key])
-            return set(stored)
-        records = store.fetch(keys)
-        for key in sorted(records):
-            spec_name, topology_index, seed_index = route[key]
-            record = records[key]
-            aggregates.fold(spec_name, topology_index, record_fold_fields(record))
-            result, elapsed = result_from_record(record)
-            for sink in result_sinks:
-                sink.emit(spec_name, topology_index, seed_index, result, elapsed)
-        return set(records)
+        ordered = sorted(stored)
+        cells: Dict[Tuple[str, int], List[Sequence[object]]] = {}
+        for key in ordered:
+            spec_name, topology_index, _ = route[key]
+            cells.setdefault((spec_name, topology_index), []).append(stored[key])
+        for (spec_name, topology_index), rows in cells.items():
+            aggregates.fold(spec_name, topology_index, rows)
+        if result_sinks:
+            for key in ordered:
+                spec_name, topology_index, seed_index = route[key]
+                result, elapsed = result_from_record(records[key])
+                for sink in result_sinks:
+                    sink.emit(spec_name, topology_index, seed_index, result, elapsed)
+        return set(stored)
 
     def execute():
         return _execute_and_assemble(
@@ -493,8 +500,8 @@ def _execute_and_assemble(
     """Run the pending tasks and assemble per-spec results (see caller).
 
     Stored runs replay first, in sorted key order, through ``restore``:
-    a restored run folds into its cell from the store's fold fields
-    (:meth:`~repro.parallel.store.RunStore.fetch_fold_fields`), and whole
+    each cell folds its restored runs at once from the store's fold
+    fields (:meth:`~repro.parallel.store.RunStore.fetch_fold_fields`), and whole
     records are fetched, and a result rebuilt from each, only when sinks
     past the cell aggregator (caller sinks, telemetry) receive them.
     Fresh runs reach every sink through ``consume``.
@@ -563,6 +570,7 @@ def _execute_and_assemble(
     results: List[ExperimentResult] = []
     for spec in specs:
         experiment = ExperimentResult(name=spec.name)
+        protocol = spec.protocol_token()
         for topology_index, topology in enumerate(spec.topologies):
             aggregate = aggregates.aggregate_for(spec.name, topology_index)
             if aggregate is None:
@@ -578,7 +586,7 @@ def _execute_and_assemble(
                         if spec.collect_profile
                         else None
                     ),
-                    protocol=spec.protocol_token(),
+                    protocol=protocol,
                 )
             )
         results.append(experiment)

@@ -191,7 +191,22 @@ def expand_run_tasks(
     serial backend.  With ``derive_seeds=True`` each task's seed is instead
     derived via :func:`derive_cell_seed` from ``base_seed``, giving every
     cell of the grid an independent deterministic seed.
+
+    The list is expanded once per spec instance and ``(derive_seeds,
+    base_seed)`` (see
+    :meth:`~repro.analysis.experiments.ExperimentSpec.memoized`), so a
+    grid that a server answers again and again is not expanded per
+    request.  Every call returns that one list: callers must not modify it.
     """
+    return spec.memoized(
+        ("run_tasks", derive_seeds, base_seed),
+        lambda: _expand_run_tasks(spec, derive_seeds, base_seed),
+    )
+
+
+def _expand_run_tasks(
+    spec: ExperimentSpec, derive_seeds: bool, base_seed: Optional[int]
+) -> List[RunTask]:
     tasks: List[RunTask] = []
     name = spec.name
     runner = effective_runner(spec)

@@ -949,3 +949,250 @@ class TestConnectionArchiveHandle:
             while open_on_archive() and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert open_on_archive() == []
+
+
+# --------------------------------------------------------------------------- #
+# one plan per served grid, one schema check per opened handle
+# --------------------------------------------------------------------------- #
+
+
+LOSSY = "/query?suite=tiny&algorithms={algorithms}&adversary=loss&adversary_param=p={p}&seeds={seeds}"
+
+
+def lossy_grid(algorithms="flooding", p="0.1", seeds=1, profile=None):
+    path = LOSSY.format(algorithms=algorithms, p=p, seeds=seeds)
+    return path if profile is None else f"{path}&profile={profile}"
+
+
+@pytest.fixture
+def planning(monkeypatch):
+    """Counts of grids planned and of specs expanded into run tasks."""
+    from repro.parallel import sharding
+
+    counts = {"plans": 0, "expansions": 0}
+    plan_sweep, expand = api.plan_sweep, sharding._expand_run_tasks
+
+    def counting_plan(**kwargs):
+        counts["plans"] += 1
+        return plan_sweep(**kwargs)
+
+    def counting_expand(*args):
+        counts["expansions"] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(api, "plan_sweep", counting_plan)
+    monkeypatch.setattr(sharding, "_expand_run_tasks", counting_expand)
+    return counts
+
+
+def plan_tasks(plan):
+    """The task list each spec of a stored plan expanded to."""
+    specs, _ = plan
+    return [expand_run_tasks(spec) for spec in specs]
+
+
+class TestServedGridPlans:
+    def test_repeated_queries_reuse_one_plan_and_one_task_list(
+        self, tmp_path, pristine, planning
+    ):
+        live = tmp_path / "live.sqlite"
+        shutil.copyfile(pristine, live)
+        with serving(live) as server:
+            connection = connect(server)
+            try:
+                status, first = ask(connection, GRID.format(seeds=2))
+                assert status == 200 and first["report"]["simulated_runs"] == 0
+                (plan,) = server.plans.values()
+                tasks = plan_tasks(plan)
+                # The same grid spelled with a repeated parameter.
+                for path in (
+                    GRID.format(seeds=2),
+                    "/query?suite=tiny&algorithms=flooding&algorithms=gilbert&seeds=2",
+                ):
+                    status, again = ask(connection, path)
+                    assert status == 200 and again == first
+            finally:
+                connection.close()
+        (kept,) = server.plans.values()
+        assert kept is plan
+        assert all(
+            mine is theirs for mine, theirs in zip(plan_tasks(kept), tasks, strict=True)
+        )
+        assert planning == {"plans": 1, "expansions": 2}
+
+    def test_grids_that_differ_share_nothing(self, tmp_path, planning):
+        grids = [
+            lossy_grid(),
+            lossy_grid(p="0.2"),
+            lossy_grid(seeds=2),
+            lossy_grid(algorithms="flooding,gilbert"),
+            lossy_grid(profile="1"),
+        ]
+        with serving(tmp_path / "served.sqlite") as server:
+            connection = connect(server)
+            try:
+                for path in grids:
+                    status, answer = ask(connection, path)
+                    assert status == 200, answer
+            finally:
+                connection.close()
+        assert len(server.plans) == len(grids) == planning["plans"]
+        specs = [spec for specs, _ in server.plans.values() for spec in specs]
+        assert len({id(spec) for spec in specs}) == len(specs)
+        # Grids may name the same runs (their keys), never the same objects.
+        tasks = [
+            task
+            for plan in server.plans.values()
+            for tasks in plan_tasks(plan)
+            for task in tasks
+        ]
+        assert len({id(task) for task in tasks}) == len(tasks)
+
+    def test_the_oldest_plan_is_dropped_past_the_bound(
+        self, tmp_path, planning, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "PLAN_LIMIT", 2)
+        with serving(tmp_path / "served.sqlite") as server:
+            connection = connect(server)
+            try:
+                answers = {}
+                for seeds in (1, 2, 3):
+                    status, answers[seeds] = ask(connection, lossy_grid(seeds=seeds))
+                    assert status == 200
+                assert len(server.plans) == 2
+                assert [dict(key[1:])["seeds"] for key in server.plans] == [2, 3]
+                # The dropped grid is planned again and answers the same.
+                status, again = ask(connection, lossy_grid(seeds=1))
+                assert status == 200
+                assert again["report"]["simulated_runs"] == 0
+                assert again["cells"] == answers[1]["cells"]
+                assert [dict(key[1:])["seeds"] for key in server.plans] == [3, 1]
+            finally:
+                connection.close()
+        assert planning["plans"] == 4
+
+    def test_the_task_memo_stays_out_of_pickles_equality_and_repr(self):
+        import pickle
+
+        spec, twin = grid_specs(1)[0], grid_specs(1)[0]
+        before = repr(spec)
+        tasks = expand_run_tasks(spec)
+        assert expand_run_tasks(spec) is tasks
+        assert expand_run_tasks(spec, derive_seeds=True, base_seed=3) is not tasks
+        assert repr(spec) == before
+        assert spec == twin
+        copy = pickle.loads(pickle.dumps(spec))
+        assert "_memo" in vars(spec) and "_memo" not in vars(copy)
+        assert copy == spec
+        again = expand_run_tasks(copy)
+        assert again is not tasks
+        assert [task.key for task in again] == [task.key for task in tasks]
+
+    def test_a_grid_that_fails_to_plan_stores_nothing(self, tmp_path):
+        with serving(tmp_path / "served.sqlite") as server:
+            connection = connect(server)
+            try:
+                status, answer = ask(connection, "/query?suite=tiny&algorithms=nope")
+                assert status == 400, answer
+            finally:
+                connection.close()
+        assert server.plans == {}
+
+    def test_a_cold_request_between_warm_ones_simulates_its_misses(
+        self, tmp_path, pristine
+    ):
+        live = tmp_path / "live.sqlite"
+        shutil.copyfile(pristine, live)
+        direct = without_wall_clock({"cells": summarize_results(api.sweep(grid_specs(3)))})
+        with serving(live) as server:
+            connection = connect(server)
+            try:
+                simulated = []
+                for seeds in (2, 3, 2, 3):
+                    status, answer = ask(connection, GRID.format(seeds=seeds))
+                    assert status == 200
+                    simulated.append(answer["report"]["simulated_runs"])
+                    if seeds == 3:
+                        assert without_wall_clock(answer)["cells"] == direct["cells"]
+                assert simulated == [0, 10, 0, 0]
+                # A plan outlives a rewrite of the file; the answer does not.
+                shutil.copyfile(pristine, live)
+                status, again = ask(connection, GRID.format(seeds=3))
+                assert status == 200
+                assert again["report"]["simulated_runs"] == 10
+                assert without_wall_clock(again)["cells"] == direct["cells"]
+            finally:
+                connection.close()
+
+    def test_racing_first_requests_for_one_grid_answer_alike(self, tmp_path, pristine):
+        import sys
+
+        live = tmp_path / "live.sqlite"
+        shutil.copyfile(pristine, live)
+        answers, barrier = [], threading.Barrier(6)
+        with serving(live) as server:
+
+            def request():
+                connection = connect(server)
+                try:
+                    barrier.wait(timeout=30)
+                    answers.append(ask(connection, GRID.format(seeds=2)))
+                finally:
+                    connection.close()
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=request) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 6
+        assert all(status == 200 for status, _ in answers)
+        assert all(answer == answers[0][1] for _, answer in answers)
+        assert answers[0][1]["report"]["archived_runs"] == 20
+        assert len(server.plans) == 1
+
+
+class TestSchemaCheckedOnOpen:
+    def test_a_kept_handle_is_checked_on_open_only(self, tmp_path, pristine, monkeypatch):
+        checks = []
+        check_schema = ResultArchive.check_schema
+
+        def spy(archive):
+            checks.append(threading.get_ident())
+            return check_schema(archive)
+
+        live = tmp_path / "live.sqlite"
+        shutil.copyfile(pristine, live)
+        with serving(live) as server:
+            monkeypatch.setattr(ResultArchive, "check_schema", spy)
+            connection = connect(server)
+            try:
+                # Warm, cold (its own write is no change to reopen for),
+                # warm, and the two other routes: one open, one check.
+                for path in (
+                    GRID.format(seeds=2),
+                    GRID.format(seeds=3),
+                    GRID.format(seeds=3),
+                    "/health",
+                    "/stats",
+                ):
+                    assert ask(connection, path)[0] == 200
+                assert len(checks) == 1
+                # A rewritten file is reopened, and so checked again.
+                shutil.copyfile(pristine, live)
+                assert ask(connection, GRID.format(seeds=2))[0] == 200
+                assert len(checks) == 2
+            finally:
+                connection.close()
+            other = connect(server)
+            try:
+                assert ask(other, "/health")[0] == 200
+            finally:
+                other.close()
+        assert len(checks) == 3

@@ -277,6 +277,25 @@ class TestExactAccumulation:
         )
         assert findings == []
 
+    def test_column_sums_exact_only_through_the_exact_helpers(self):
+        # A cell folds a column at once: through the exact column sums it
+        # stays exact; a bare ``sum`` of a float column would not.
+        clean = lint_source(
+            "class Cell:\n"
+            "    def fold(self, messages):\n"
+            "        self.sum_messages += _exact_sum(messages)\n"
+            "        self.sum_sq_messages += _exact_sum_of_squares(messages)\n",
+            rules=["REP106"],
+        )
+        assert clean == []
+        flagged = lint_source(
+            "class Cell:\n"
+            "    def fold(self, messages):\n"
+            "        self.sum_messages += sum(messages)\n",
+            rules=["REP106"],
+        )
+        assert rule_ids(flagged) == ["REP106"]
+
     def test_wall_clock_attribute_exempt(self):
         # Wall clock is the one legitimately nondeterministic measurement;
         # it is excluded from the equivalence guarantee and from the rule.
