@@ -327,7 +327,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .api import sweep as run_sweep
     from .election.base import SafetyTally
     from .obs import TelemetrySink
-    from .parallel import parse_shard, shard_checkpoint_path
+    from .parallel import parse_shard, select_shard, shard_checkpoint_path
     from .workloads import DYNAMIC_SCENARIOS, suite_by_name
 
     shard = parse_shard(args.shard) if args.shard is not None else None
@@ -378,10 +378,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.progress:
         # Count this job's slice, not the whole grid: a sharded job owns
-        # the round-robin slice i, i+k, i+2k, ... of the pooled task list.
+        # its round-robin slice of the pooled task list.
         total = sum(len(spec.topologies) * len(spec.seeds) for spec in specs)
         if shard is not None:
-            total = len(range(shard[0], total, shard[1]))
+            total = len(select_shard(range(total), *shard))
         sinks.append(ProgressSink(total, label=shard_label))
     results = run_sweep(specs, config=config, sinks=sinks)
     rows = summarize_results(results)

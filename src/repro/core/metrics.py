@@ -93,8 +93,9 @@ class MetricsCollector:
 
     The collector is deliberately permissive: phases may be re-entered
     (their counters keep accumulating), events are free-form counters, and
-    collectors can be merged, which the experiment runner uses to aggregate
-    repeated runs.
+    collectors can be merged.  Repeated runs are not aggregated here: the
+    experiment drivers fold each run into a
+    :class:`~repro.analysis.streaming.CellAggregate`.
     """
 
     def __init__(self) -> None:

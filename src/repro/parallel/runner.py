@@ -7,21 +7,24 @@ built; :func:`run_experiments` reads every knob from it.
 Execution model
 ---------------
 
-The engine expands every spec into per-(topology, seed) :class:`~repro.parallel.sharding.RunTask`
-units in the parent process (seeds fixed at expansion time), dispatches the
-tasks to a ``multiprocessing`` pool, and *streams* every completed run into
-per-cell :class:`~repro.analysis.streaming.CellAggregate` accumulators
-(plus any caller-supplied sinks) the moment it arrives — no backend
-retains the full run list, so memory is O(cells), not O(runs × nodes).
+One sweep is one pass through :func:`run_experiments`: the parent expands
+every spec into per-(topology, seed) :class:`~repro.parallel.sharding.RunTask`
+units (seeds fixed at expansion time), opens the run store and replays the
+runs it holds, measures the profiled cells' topologies, executes the
+pending tasks, flushes the store and assembles the cells.  Every completed
+run *streams* into per-cell :class:`~repro.analysis.streaming.CellAggregate`
+accumulators (plus any caller-supplied sinks) the moment it arrives —
+nothing retains the full run list, so memory is O(cells), not O(runs × nodes).
 
-Pool dispatch goes through one engine,
+More than one worker and more than one pending task start a
+``multiprocessing`` pool driven by one engine,
 :class:`~repro.parallel.scheduler.AdaptiveScheduler`: a bounded in-flight
 window of ``apply_async`` batches whose size tracks measured task cost —
 cheap tasks are batched to amortize the IPC round-trip, expensive tasks
 ship alone for load balance — with fault-tolerant re-dispatch when a
 worker dies or a task exceeds ``task_timeout``.  ``max_batch=1`` ships
-one task per message.  Without a pool (one worker, or a single pending
-task) tasks run in-process through the same per-task worker body.
+one task per message.  Otherwise tasks run in-process through the same
+per-task worker body.
 
 Determinism guarantees
 ----------------------
@@ -62,6 +65,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -75,7 +79,6 @@ from ..analysis.experiments import (
 from ..analysis.streaming import CellAggregatingSink, ResultSink, abort_sinks
 from ..core.errors import ConfigurationError
 from ..core.simulator import BACKENDS, backend_scope, set_default_backend
-from ..election.base import LeaderElectionResult
 from ..obs import (
     ProfileAggregate,
     Stopwatch,
@@ -213,82 +216,6 @@ def _is_path(checkpoint) -> bool:
     return isinstance(checkpoint, (str, os.PathLike))
 
 
-class _PoolEngine:
-    """One sweep's worker pool and the scheduler driving it.
-
-    The pool is created only when :meth:`execute` needs one — more than
-    one worker and more than one pending task — and is sized to
-    ``min(workers, pending count)``.
-    """
-
-    def __init__(self, config: SweepConfig) -> None:
-        self._config = config
-        self._pool = None
-        self._scheduler: Optional[AdaptiveScheduler] = None
-
-    def __enter__(self) -> "_PoolEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
-
-    def execute(self, pending: Sequence[RunTask], finish: _FinishFn) -> None:
-        """Run ``pending`` to completion, calling ``finish`` per task."""
-        if not pending:
-            return
-        config = self._config
-        if config.workers > 1 and len(pending) > 1:
-            context = multiprocessing.get_context(config.start_method)
-            # set_default_backend as initializer: the backend choice
-            # must reach the workers under "spawn" too, where the
-            # parent's in-process scope stack does not survive the
-            # fork-less hop.
-            self._pool = context.Pool(
-                processes=min(config.workers, len(pending)),
-                initializer=set_default_backend,
-                initargs=(config.backend,),
-            )
-            self._scheduler = AdaptiveScheduler(
-                self._pool,
-                config.workers,
-                telemetry=config.telemetry is not None,
-                profile=config.profile,
-                task_timeout=config.task_timeout,
-                max_batch=(
-                    DEFAULT_MAX_BATCH
-                    if config.max_batch is None
-                    else config.max_batch
-                ),
-            )
-            self._scheduler.run(pending, finish)
-        else:
-            self._execute_inline(pending, finish)
-
-    def _execute_inline(self, pending, finish: _FinishFn) -> None:
-        config = self._config
-        with backend_scope(config.backend):
-            for task in pending:
-                # A one-task batch through the pool workers' own entry
-                # point: failures carry the same grid-coordinate context
-                # and telemetry records the same fields either way.
-                batch = _Batch(
-                    (_BatchItem(task, 1),),
-                    time.monotonic(),
-                    config.telemetry is not None,
-                    config.profile,
-                )
-                finish(*_execute_batch(batch)[0])
-
-    def scheduler_stats(self) -> Optional[Dict[str, int]]:
-        """The adaptive scheduler's dispatch counters (``None`` when the
-        sweep never went through the scheduler)."""
-        if self._scheduler is None:
-            return None
-        return self._scheduler.stats.as_dict()
-
-
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
@@ -318,9 +245,9 @@ def run_experiments(
     object meeting the :class:`~repro.parallel.store.RunStore` contract
     (``fetch``/``fetch_fold_fields``/``add``/``flush``), such as a
     :class:`~repro.archive.store.ResultArchive`.  Stored runs are
-    replayed in sorted key order; the rest execute, are added to the
-    store, and are flushed even when a run raises, so completed runs are
-    never lost.
+    replayed in sorted key order (see :func:`_restore`); the rest
+    execute, are added to the store, and are flushed even when a run
+    raises, so completed runs are never lost.
 
     ``shard=(i, k)`` runs only shard ``i`` of a deterministic ``k``-way
     round-robin split of the pooled task list.  Its completed runs
@@ -337,7 +264,9 @@ def run_experiments(
     fresh or restored from a checkpoint — as it completes.  Nothing
     retains the runs themselves; to keep them, pass a
     :class:`~repro.analysis.streaming.CollectingSink` and read
-    ``results_for(spec_name, topology_index)`` afterwards.
+    ``results_for(spec_name, topology_index)`` afterwards.  Every sink is
+    closed when the sweep completes and aborted when anything from the
+    replay through the assembly raises.
 
     ``telemetry`` attaches a :class:`repro.obs.TelemetrySink`: every
     freshly-executed task ships a timing record back from its worker
@@ -345,11 +274,12 @@ def run_experiments(
     dispatch attempt), the parent adds fold/checkpoint durations, and the
     sink streams the records to JSONL while building the end-of-sweep
     utilization/straggler summary; the closing driver record carries the
-    scheduler's dispatch counters.  The sink's lifecycle (close on
-    success, abort on failure) is owned here — do not also pass it in
-    ``sinks``.  With telemetry off this function's hot path is
-    unchanged.  ``profile`` runs each task under an in-worker profiler
-    and reports pool-wide hotspots through the telemetry summary.
+    parent's spans, the count of replayed runs and the scheduler's
+    dispatch counters.  The sink's lifecycle (close on success, abort on
+    failure) is owned here — do not also pass it in ``sinks``.  With
+    telemetry off no span is collected and no task is timed in the
+    parent.  ``profile`` runs each task under an in-worker profiler and
+    reports pool-wide hotspots through the telemetry summary.
     """
     config = config if config is not None else SweepConfig()
     telemetry = config.telemetry
@@ -361,13 +291,13 @@ def run_experiments(
         )
     checkpoint = config.checkpoint
 
-    per_spec_tasks: List[List[RunTask]] = [
-        expand_run_tasks(
+    all_tasks: List[RunTask] = [
+        task
+        for spec in specs
+        for task in expand_run_tasks(
             spec, derive_seeds=config.derive_seeds, base_seed=config.base_seed
         )
-        for spec in specs
     ]
-    all_tasks: List[RunTask] = [task for tasks in per_spec_tasks for task in tasks]
     #: task key -> (spec name, topology index, seed index): the routing
     #: table that folds completed runs into their cells in any order.
     route: Dict[str, Tuple[str, int, int]] = {
@@ -375,7 +305,7 @@ def run_experiments(
         for task in all_tasks
     }
 
-    store = None
+    store: Optional[RunStore] = None
     if shard is not None:
         shard_index, shard_count = shard
         manifest = ShardManifest.plan(
@@ -407,78 +337,78 @@ def run_experiments(
         )
     profile_aggregate = ProfileAggregate() if config.profile is not None else None
 
-    def consume(key: str, result: LeaderElectionResult, elapsed: float) -> None:
+    def finish(key, result, elapsed, task_telemetry, profile_payload):
+        # Parent-side epilogue of one task: checkpoint append, then sink
+        # fan-out.  A telemetry record from the worker gets both phases
+        # stamped on it (through the injectable-clock Stopwatch) and is emitted.
+        if task_telemetry is not None:
+            phase = Stopwatch()
+        if store is not None:
+            store.add(key, result_to_record(result, elapsed))
+        if task_telemetry is not None:
+            task_telemetry.checkpoint_seconds = phase.elapsed()
+            phase.restart()
         spec_name, topology_index, seed_index = route[key]
         for sink in all_sinks:
             sink.emit(spec_name, topology_index, seed_index, result, elapsed)
-
-    # Only the sinks past the aggregator need a restored run as a result.
-    result_sinks = all_sinks[1:]
-
-    def restore(store: RunStore, keys: List[str]) -> Set[str]:
-        """Replay the stored runs of ``keys`` in sorted key order; return their keys.
-
-        Each cell folds its stored rows in one call, in sorted key order.
-        """
-        if result_sinks:
-            records = store.fetch(keys)
-            stored = {key: record_fold_fields(record) for key, record in records.items()}
-        else:
-            stored = store.fetch_fold_fields(keys)
-        ordered = sorted(stored)
-        cells: Dict[Tuple[str, int], List[Sequence[object]]] = {}
-        for key in ordered:
-            spec_name, topology_index, _ = route[key]
-            cells.setdefault((spec_name, topology_index), []).append(stored[key])
-        for (spec_name, topology_index), rows in cells.items():
-            aggregates.fold(spec_name, topology_index, rows)
-        if result_sinks:
-            for key in ordered:
-                spec_name, topology_index, seed_index = route[key]
-                result, elapsed = result_from_record(records[key])
-                for sink in result_sinks:
-                    sink.emit(spec_name, topology_index, seed_index, result, elapsed)
-        return set(stored)
-
-    def execute():
-        return _execute_and_assemble(
-            specs,
-            my_tasks,
-            consume,
-            restore,
-            config=config,
-            store=store,
-            aggregates=aggregates,
-            profile_aggregate=profile_aggregate,
-        )
+        if task_telemetry is not None:
+            task_telemetry.fold_seconds = phase.elapsed()
+            if profile_payload is not None:
+                profile_aggregate.merge(profile_payload)
+            telemetry.emit_telemetry(task_telemetry)
 
     try:
+        # With telemetry, the driver-side collector catches the parent's
+        # own spans (restore, checkpoint I/O) for the closing record; the
+        # stopwatch is the sweep's elapsed wall-clock, the denominator of
+        # every utilization figure.
+        with collect_spans() if telemetry is not None else nullcontext() as driver_spans:
+            stopwatch = Stopwatch()
+            completed_keys: Set[str] = set()
+            if store is not None:
+                with span("restore"):
+                    completed_keys = _restore(
+                        store, my_tasks, route, aggregates, all_sinks[1:]
+                    )
+
+            # Measure the profiled cells' topologies before the pool
+            # exists: the memo ships with each pickled task, so workers do
+            # no BLAS work for them, and the assembly reads the same memo.
+            profiled = {spec.name for spec in specs if spec.collect_profile}
+            for topology in {
+                id(task.topology): task.topology
+                for task in my_tasks
+                if task.spec_name in profiled
+            }.values():
+                experiments.expansion_profile(topology)
+
+            pending = [task for task in my_tasks if task.key not in completed_keys]
+            try:
+                scheduler_stats = _execute(config, pending, finish)
+            finally:
+                # Sharded jobs flush even with nothing pending: a shard
+                # whose round-robin slice is empty (grid smaller than k)
+                # must still leave its (empty) checkpoint file behind, or
+                # the merge would report the fully-executed split as
+                # missing a shard.
+                if store is not None and (pending or shard is not None):
+                    store.flush()
+            results = _assemble(specs, aggregates)
+            elapsed_seconds = stopwatch.elapsed()
         if telemetry is not None:
-            # The driver-side collector catches the parent's own spans
-            # (restore, checkpoint flush I/O) for the closing record; the
-            # stopwatch is the sweep's elapsed wall-clock, the denominator
-            # of every utilization figure.
-            with collect_spans() as driver_spans:
-                stopwatch = Stopwatch()
-                results, restored, scheduler_stats = execute()
-                elapsed_seconds = stopwatch.elapsed()
             telemetry.record_driver(
                 elapsed_seconds=elapsed_seconds,
-                restored=restored,
+                restored=len(completed_keys),
                 spans=driver_spans.totals(),
                 profile_hotspots=(
-                    profile_aggregate.hotspots()
-                    if profile_aggregate is not None and profile_aggregate
-                    else None
+                    profile_aggregate.hotspots() if profile_aggregate else None
                 ),
                 scheduler=scheduler_stats,
             )
-        else:
-            results, _, _ = execute()
     except BaseException:
-        # A run raised: abort the sinks — an export sink (JsonlSink)
-        # flushes the records of the runs that did complete without
-        # publishing an incomplete sweep.
+        # Something raised: abort the sinks — an export sink (JsonlSink)
+        # keeps the records of the runs that did complete in its staging
+        # file without publishing an incomplete sweep.
         abort_sinks(all_sinks)
         raise
     for sink in all_sinks:
@@ -486,87 +416,95 @@ def run_experiments(
     return results
 
 
-def _execute_and_assemble(
-    specs,
-    my_tasks,
-    consume,
-    restore,
-    *,
-    config: SweepConfig,
-    store,
-    aggregates,
-    profile_aggregate,
-) -> Tuple[List[ExperimentResult], int, Optional[Dict[str, int]]]:
-    """Run the pending tasks and assemble per-spec results (see caller).
+def _restore(
+    store: RunStore,
+    tasks: Sequence[RunTask],
+    route: Dict[str, Tuple[str, int, int]],
+    aggregates: CellAggregatingSink,
+    result_sinks: Sequence[ResultSink],
+) -> Set[str]:
+    """Replay the stored runs of ``tasks`` in sorted key order; return their keys.
 
-    Stored runs replay first, in sorted key order, through ``restore``:
-    each cell folds its restored runs at once from the store's fold
-    fields (:meth:`~repro.parallel.store.RunStore.fetch_fold_fields`), and whole
-    records are fetched, and a result rebuilt from each, only when sinks
-    past the cell aggregator (caller sinks, telemetry) receive them.
-    Fresh runs reach every sink through ``consume``.
-
-    Returns ``(results, restored, scheduler_stats)`` where ``restored``
-    counts the runs replayed from checkpoints rather than executed —
-    those carry no per-task telemetry (nothing was measured), so the
-    telemetry summary reports them separately — and ``scheduler_stats``
-    is the adaptive scheduler's counter dict (``None`` when every task
-    ran inline).
+    Each cell folds its stored rows in one call, in sorted key order,
+    from the store's fold fields
+    (:meth:`~repro.parallel.store.RunStore.fetch_fold_fields`).  Whole
+    records are fetched, and a result rebuilt from each, only when
+    ``result_sinks`` — the sinks past the cell aggregator (caller sinks,
+    telemetry) — receive them.  Replayed runs carry no per-task
+    telemetry: nothing was measured.
     """
+    keys = [task.key for task in tasks]
+    if result_sinks:
+        records = store.fetch(keys)
+        stored = {key: record_fold_fields(record) for key, record in records.items()}
+    else:
+        stored = store.fetch_fold_fields(keys)
+    ordered = sorted(stored)
+    cells: Dict[Tuple[str, int], List[Sequence[object]]] = {}
+    for key in ordered:
+        spec_name, topology_index, _ = route[key]
+        cells.setdefault((spec_name, topology_index), []).append(stored[key])
+    for (spec_name, topology_index), rows in cells.items():
+        aggregates.fold(spec_name, topology_index, rows)
+    if result_sinks:
+        for key in ordered:
+            spec_name, topology_index, seed_index = route[key]
+            result, elapsed = result_from_record(records[key])
+            for sink in result_sinks:
+                sink.emit(spec_name, topology_index, seed_index, result, elapsed)
+    return set(stored)
 
-    completed_keys = set()
-    if store is not None:
-        with span("restore"):
-            completed_keys = restore(store, [task.key for task in my_tasks])
 
-    def finish(key, result, elapsed, task_telemetry, profile_payload):
-        # Parent-side epilogue of one task.  On the telemetry path,
-        # stamp the two phases that happen here (checkpoint append,
-        # sink fan-out) onto the worker's record, then emit it.  The
-        # stamps go through the injectable-clock Stopwatch — the same
-        # layer every other telemetry timing uses.
-        if task_telemetry is not None:
-            stopwatch = Stopwatch()
-            if store is not None:
-                store.add(key, result_to_record(result, elapsed))
-            task_telemetry.checkpoint_seconds = stopwatch.elapsed()
-            stopwatch.restart()
-            consume(key, result, elapsed)
-            task_telemetry.fold_seconds = stopwatch.elapsed()
-            if profile_payload is not None:
-                profile_aggregate.merge(profile_payload)
-            config.telemetry.emit_telemetry(task_telemetry)
-        else:
-            if store is not None:
-                store.add(key, result_to_record(result, elapsed))
-            consume(key, result, elapsed)
+def _execute(
+    config: SweepConfig, pending: Sequence[RunTask], finish: _FinishFn
+) -> Optional[Dict[str, int]]:
+    """Run ``pending`` to completion, calling ``finish`` once per task.
 
-    # Measure the profiled cells' topologies before the pool exists: the
-    # memo ships with each pickled task, so workers do no BLAS work for
-    # them, and assembly below reads the same memo.
-    profiled = {spec.name for spec in specs if spec.collect_profile}
-    for topology in {
-        id(task.topology): task.topology
-        for task in my_tasks
-        if task.spec_name in profiled
-    }.values():
-        experiments.expansion_profile(topology)
+    Returns the adaptive scheduler's dispatch counters, or ``None`` when
+    no pool ran (one worker, or at most one pending task).
+    """
+    if config.workers > 1 and len(pending) > 1:
+        context = multiprocessing.get_context(config.start_method)
+        # set_default_backend as initializer: the backend choice must
+        # reach the workers under "spawn" too, where the parent's
+        # in-process scope stack does not survive the fork-less hop.
+        # Leaving the block terminates the pool, also when a task raised.
+        with context.Pool(
+            processes=min(config.workers, len(pending)),
+            initializer=set_default_backend,
+            initargs=(config.backend,),
+        ) as pool:
+            scheduler = AdaptiveScheduler(
+                pool,
+                config.workers,
+                telemetry=config.telemetry is not None,
+                profile=config.profile,
+                task_timeout=config.task_timeout,
+                max_batch=(
+                    DEFAULT_MAX_BATCH if config.max_batch is None else config.max_batch
+                ),
+            )
+            scheduler.run(pending, finish)
+        return scheduler.stats.as_dict()
+    with backend_scope(config.backend):
+        for task in pending:
+            # A one-task batch through the pool workers' own entry point:
+            # failures carry the same grid-coordinate context and
+            # telemetry records the same fields either way.
+            batch = _Batch(
+                (_BatchItem(task, 1),),
+                time.monotonic(),
+                config.telemetry is not None,
+                config.profile,
+            )
+            finish(*_execute_batch(batch)[0])
+    return None
 
-    pending = [task for task in my_tasks if task.key not in completed_keys]
-    with _PoolEngine(config) as engine:
-        try:
-            engine.execute(pending, finish)
-        finally:
-            # Sharded jobs flush even with nothing pending: a shard
-            # whose round-robin slice is empty (grid smaller than k)
-            # must still leave its (empty) checkpoint file behind, or
-            # the merge would report the fully-executed split as
-            # missing a shard.
-            if store is not None and (pending or config.shard is not None):
-                store.flush()
-        scheduler_stats = engine.scheduler_stats()
-    restored = len(completed_keys)
 
+def _assemble(
+    specs: Sequence[ExperimentSpec], aggregates: CellAggregatingSink
+) -> List[ExperimentResult]:
+    """One :class:`ExperimentResult` per spec, its cells built from ``aggregates``."""
     results: List[ExperimentResult] = []
     for spec in specs:
         experiment = ExperimentResult(name=spec.name)
@@ -590,4 +528,4 @@ def _execute_and_assemble(
                 )
             )
         results.append(experiment)
-    return results, restored, scheduler_stats
+    return results

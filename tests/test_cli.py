@@ -405,7 +405,11 @@ class TestSweepDynamics:
         # tiny suite x 2 seeds = 10 runs; the final line always lands.
         assert "progress: 10/10 runs (100.0%)" in captured.err
 
-    def test_sweep_progress_counts_the_shard_slice(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "shard, runs", [("0/2", 5), ("1/3", 3)], ids=["even", "uneven"]
+    )
+    def test_sweep_progress_counts_the_shard_slice(self, capsys, tmp_path, shard, runs):
+        # 10 runs: an even split, and an uneven one whose slice is 1, 4, 7.
         code = main(
             self.BASE
             + [
@@ -413,12 +417,12 @@ class TestSweepDynamics:
                 "--checkpoint",
                 str(tmp_path / "sweep.json"),
                 "--shard",
-                "0/2",
+                shard,
             ]
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "progress[shard 0/2]: 5/5 runs (100.0%)" in captured.err
+        assert f"progress[shard {shard}]: {runs}/{runs} runs (100.0%)" in captured.err
 
     def test_sweep_rejects_bad_workers(self, capsys):
         code = main(self.BASE + ["--workers", "0"])

@@ -23,10 +23,17 @@ import pickle
 
 import pytest
 
-from repro.analysis import CollectingSink, ExperimentSpec, run_experiment
+from repro.analysis import (
+    CollectingSink,
+    ExperimentSpec,
+    JsonlSink,
+    ResultSink,
+    run_experiment,
+)
 from repro.core.errors import ConfigurationError
 from repro.dynamics.spec import AdversarySpec
 from repro.graphs import cycle, grid_2d, random_regular, star
+from repro.obs import TelemetrySink
 from repro.parallel import (
     JsonlCheckpointStore,
     SweepConfig,
@@ -333,6 +340,19 @@ class TestSharding:
         assert _comparable(parallel.cells) == _comparable(serial.cells)
 
 
+class _LifecycleSink(ResultSink):
+    """Records which end of the sink lifecycle a sweep reached."""
+
+    def __init__(self):
+        self.calls = []
+
+    def close(self):
+        self.calls.append("close")
+
+    def abort(self):
+        self.calls.append("abort")
+
+
 class TestCheckpointing:
     def test_record_round_trip(self):
         result = run_protocol("flooding", cycle(8), 3)
@@ -456,6 +476,31 @@ class TestCheckpointing:
         with pytest.raises(ConfigurationError, match="nor valid JSON"):
             JsonlCheckpointStore(path).load()
 
+    def test_failed_restore_aborts_the_sinks(self, tmp_path):
+        checkpoint = tmp_path / "ck.jsonl"
+        run_experiments([_spec()], config=SweepConfig(checkpoint=checkpoint))
+        lines = checkpoint.read_text(encoding="utf-8").split("\n")
+        lines[2] = lines[2][: len(lines[2]) // 2]  # an interior line, not the tail
+        checkpoint.write_text("\n".join(lines), encoding="utf-8")
+        telemetry = tmp_path / "tel.jsonl"
+        export = tmp_path / "runs.jsonl"
+        lifecycle = _LifecycleSink()
+        with pytest.raises(ConfigurationError, match="line 3 is not valid JSON"):
+            run_experiments(
+                [_spec()],
+                config=SweepConfig(
+                    checkpoint=checkpoint, telemetry=TelemetrySink(telemetry)
+                ),
+                sinks=[JsonlSink(export), lifecycle],
+            )
+        # The restore ran inside the abort path: every sink was aborted,
+        # nothing was published, and the telemetry sweep header stays in
+        # the staging file.
+        assert lifecycle.calls == ["abort"]
+        assert not export.exists()
+        assert not telemetry.exists()
+        assert (tmp_path / "tel.jsonl.partial").exists()
+
     def test_atomic_flush_leaves_no_temp_file(self, tmp_path):
         store = JsonlCheckpointStore(tmp_path / "deep" / "ck.json")
         result = run_protocol("flooding", cycle(8), 0)
@@ -563,6 +608,28 @@ class TestWorkerErrorContext:
         # The serial backend completed everything scheduled before the
         # failing run; the checkpoint holds those, so a fixed rerun resumes.
         assert len(_stored_runs(checkpoint)) >= 1
+
+
+class TestPoolCleanup:
+    """A pooled sweep leaves no worker process behind, whether it
+    completes or one of its runs raises."""
+
+    def test_completed_sweep_leaves_no_worker(self):
+        run_experiments([_spec()], config=SweepConfig(workers=2))
+        assert multiprocessing.active_children() == []
+
+    def test_failed_sweep_leaves_no_worker(self, register_fake_protocol):
+        register_fake_protocol("fragile", failing_runner)
+        spec = ExperimentSpec(
+            name="fragile",
+            protocol="fragile",
+            topologies=[cycle(8), star(8)],
+            seeds=SEEDS,
+            collect_profile=False,
+        )
+        with pytest.raises(TaskExecutionError):
+            run_experiments([spec], config=SweepConfig(workers=2))
+        assert multiprocessing.active_children() == []
 
 
 class TestProtocolGridParallel:
