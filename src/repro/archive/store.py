@@ -424,18 +424,26 @@ class ResultArchive:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
+    def _select(self, columns: str, keys: List[str]) -> Iterator[List[tuple]]:
+        """The ``columns`` of the stored rows of ``keys``, one list per chunk.
+
+        Keys go in bounded ``IN (...)`` chunks of :data:`_FETCH_CHUNK`.
+        """
+        for start in range(0, len(keys), _FETCH_CHUNK):
+            chunk = keys[start : start + _FETCH_CHUNK]
+            yield self._conn.execute(
+                f"SELECT {columns} FROM runs "
+                f"WHERE task_key IN ({','.join('?' * len(chunk))})",
+                chunk,
+            ).fetchall()
+
     def fetch(self, keys: Iterable[str]) -> Dict[str, Dict[str, object]]:
         """The archived records of ``keys`` (missing keys simply absent)."""
         wanted = self.requested_keys = list(keys)
         hits: Dict[str, Dict[str, object]] = {}
         with span("archive.fetch"):
-            for chunk in _chunks(wanted, _FETCH_CHUNK):
-                placeholders = ",".join("?" for _ in chunk)
-                for key, payload in self._conn.execute(
-                    f"SELECT task_key, record FROM runs "
-                    f"WHERE task_key IN ({placeholders})",
-                    chunk,
-                ):
+            for rows in self._select("task_key, record", wanted):
+                for key, payload in rows:
                     hits[key] = json.loads(payload)
         self.fetched_keys = set(hits)
         return hits
@@ -451,13 +459,7 @@ class ResultArchive:
         wanted = self.requested_keys = list(keys)
         hits: Dict[str, List[object]] = {}
         with span("archive.fetch_fold_fields"):
-            for chunk in _chunks(wanted, _FETCH_CHUNK):
-                placeholders = ",".join("?" for _ in chunk)
-                rows = self._conn.execute(
-                    f"SELECT task_key, fold FROM runs "
-                    f"WHERE task_key IN ({placeholders})",
-                    chunk,
-                ).fetchall()
+            for rows in self._select("task_key, fold", wanted):
                 for key, fold in rows:
                     if fold is None:
                         raise ConfigurationError(
@@ -473,16 +475,8 @@ class ResultArchive:
     def present(self, keys: Iterable[str]) -> Set[str]:
         """The subset of ``keys`` the archive holds (records not read)."""
         found: Set[str] = set()
-        for chunk in _chunks(list(keys), _FETCH_CHUNK):
-            placeholders = ",".join("?" for _ in chunk)
-            found.update(
-                row[0]
-                for row in self._conn.execute(
-                    f"SELECT task_key FROM runs "
-                    f"WHERE task_key IN ({placeholders})",
-                    chunk,
-                )
-            )
+        for rows in self._select("task_key", list(keys)):
+            found.update(row[0] for row in rows)
         return found
 
     def keys(self) -> List[str]:
@@ -523,7 +517,3 @@ class ResultArchive:
             "per_spec": specs,
         }
 
-
-def _chunks(items: List[str], size: int) -> Iterable[List[str]]:
-    for start in range(0, len(items), size):
-        yield items[start : start + size]

@@ -1038,7 +1038,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="TELEMETRY_JSONL",
         help="telemetry file(s) written by `repro-le sweep --telemetry`; "
-        "several files (e.g. per-shard exports) fold into one summary",
+        "several files (e.g. per-shard exports) fold into one summary: "
+        "runs, restored runs, driver spans and scheduler counters add up "
+        "(max batch size takes the maximum), while the header fields, "
+        "elapsed seconds and profile hotspots are the last file's",
     )
     stats.add_argument(
         "--top",

@@ -21,10 +21,10 @@ the sink aggregates exactly what it serializes, and Python's JSON floats
 round-trip exactly — so the post-hoc summary reproduces the live one bit
 for bit.  That equality is a test, not an aspiration.
 
-Layering: this package is deliberately stdlib-only.  ``TelemetrySink``
-satisfies the :class:`repro.analysis.streaming.ResultSink` protocol
-structurally (``emit``/``close``/``abort``) without importing it, so
-``repro.obs`` sits below every execution layer it instruments.
+Layering: this package is deliberately stdlib-only, so ``repro.obs``
+sits below every execution layer it instruments.  ``TelemetrySink`` is
+not a result sink: the sweep engine owns it, writes its records and
+publishes or aborts it after the result sinks, and never hands it a run.
 
 Telemetry never feeds back into execution: records carry task keys but
 task keys never carry telemetry, and nothing here touches seeds, RNG, or
@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.errors import ConfigurationError
+from .spans import SpanCollector
 from .staged import StagedJsonl
 
 __all__ = [
@@ -170,6 +171,9 @@ class TelemetryAggregator:
     Memory is O(runs) floats (per-cell duration lists and the straggler
     index need every task's simulate time) — a few MB even for
     million-run sweeps, and nothing here retains results or payloads.
+    Several exports (say, one per shard) fold into one summary: driver
+    records add up their ``restored``, spans and scheduler counters
+    (``max_batch_size`` takes the maximum); other fields are the last's.
     """
 
     def __init__(self) -> None:
@@ -181,7 +185,7 @@ class TelemetryAggregator:
         self.runs = 0
         self.restored = 0
         self.elapsed_seconds: Optional[float] = None
-        self.driver_spans: Dict[str, Dict[str, object]] = {}
+        self._driver_spans = SpanCollector()
         self.profile_hotspots: Optional[List[Dict[str, object]]] = None
         self._totals = {
             "queue_wait_seconds": 0.0,
@@ -204,8 +208,8 @@ class TelemetryAggregator:
         self._batched_tasks = 0
         self._max_batch_size = 0
         self._redispatched_tasks = 0
-        #: the driver's scheduler counters (batches, re-dispatches,
-        #: worker restarts), verbatim when present
+        #: the driver records' scheduler counters (batches,
+        #: re-dispatches, worker restarts), summed when present
         self.scheduler: Optional[Dict[str, object]] = None
 
     def add(self, record: Dict[str, object]) -> None:
@@ -240,14 +244,17 @@ class TelemetryAggregator:
                 self._redispatched_tasks += 1
         elif kind == "driver":
             self.elapsed_seconds = float(record.get("elapsed_seconds", 0.0))
-            self.restored = int(record.get("restored", 0))
-            self.driver_spans = dict(record.get("spans") or {})
+            self.restored += int(record.get("restored", 0))
+            self._driver_spans.merge_totals(record.get("spans") or {})
             hotspots = record.get("profile_hotspots")
             if hotspots is not None:
                 self.profile_hotspots = list(hotspots)
             scheduler = record.get("scheduler")
             if scheduler is not None:
-                self.scheduler = dict(scheduler)
+                totals = self.scheduler = self.scheduler or {}
+                for name, value in scheduler.items():
+                    merge = max if name == "max_batch_size" else sum
+                    totals[name] = merge((totals.get(name, 0), value))
 
     def summary(self, top: int = 10) -> Dict[str, object]:
         """The end-of-sweep report: utilization, percentiles, stragglers.
@@ -338,7 +345,7 @@ class TelemetryAggregator:
             "scheduler": self.scheduler,
             "cells": cells,
             "stragglers": stragglers,
-            "driver_spans": self.driver_spans,
+            "driver_spans": self._driver_spans.totals(),
             "profile_hotspots": self.profile_hotspots,
         }
 
@@ -346,11 +353,12 @@ class TelemetryAggregator:
 class TelemetrySink:
     """Streams telemetry records to JSONL and keeps the live aggregate.
 
-    Satisfies the ``ResultSink`` protocol so the experiment drivers manage
-    its lifecycle (close on success, abort on failure) exactly like an
-    export sink; the per-run ``emit`` itself is a no-op — telemetry
-    arrives through :meth:`emit_telemetry`, which only the drivers call,
-    so the summary stays derivable from the JSONL alone.
+    The sweep engine (:func:`repro.parallel.run_experiments`) owns it: it
+    writes the header (:meth:`begin_sweep`), one record per executed task
+    (:meth:`emit_telemetry`) and the driver record (:meth:`record_driver`),
+    then calls :meth:`close` after the result sinks on success and
+    :meth:`abort` after them on failure.  It never receives a run, so the
+    summary stays derivable from the JSONL alone.
 
     File handling is :class:`repro.obs.staged.StagedJsonl`'s, as for
     :class:`repro.analysis.streaming.JsonlSink`: records go to a
@@ -423,12 +431,6 @@ class TelemetrySink:
 
     def summary(self, top: int = 10) -> Dict[str, object]:
         return self.aggregator.summary(top)
-
-    # ------------------------------------------------------------------ #
-    # ResultSink protocol
-    # ------------------------------------------------------------------ #
-    def emit(self, spec_name, topology_index, seed_index, result, wall_clock_seconds):
-        """Per-run results are observed but not recorded (see class doc)."""
 
     def close(self) -> None:
         # Telemetry on a sweep with zero records (nothing pending and

@@ -162,7 +162,8 @@ class SweepConfig:
     task_timeout: Optional[float] = None
     #: most tasks per dispatched batch (``1`` ships one task per message)
     max_batch: Optional[int] = None
-    #: per-task timing records and the end-of-sweep summary
+    #: per-task timing records and the end-of-sweep summary: an export
+    #: the engine owns, never also passed in ``sinks``
     telemetry: Optional[TelemetrySink] = None
     #: in-worker profiler name from :data:`repro.obs.PROFILERS`
     #: (requires ``telemetry``)
@@ -268,18 +269,18 @@ def run_experiments(
     closed when the sweep completes and aborted when anything from the
     replay through the assembly raises.
 
-    ``telemetry`` attaches a :class:`repro.obs.TelemetrySink`: every
-    freshly-executed task ships a timing record back from its worker
-    (queue wait, simulate time, span totals, worker id, batch size,
-    dispatch attempt), the parent adds fold/checkpoint durations, and the
-    sink streams the records to JSONL while building the end-of-sweep
-    utilization/straggler summary; the closing driver record carries the
-    parent's spans, the count of replayed runs and the scheduler's
-    dispatch counters.  The sink's lifecycle (close on success, abort on
-    failure) is owned here — do not also pass it in ``sinks``.  With
-    telemetry off no span is collected and no task is timed in the
-    parent.  ``profile`` runs each task under an in-worker profiler and
-    reports pool-wide hotspots through the telemetry summary.
+    ``telemetry`` attaches a :class:`repro.obs.TelemetrySink`, an export
+    this engine owns: it receives no runs and is never passed in
+    ``sinks``.  Every freshly-executed task ships a timing record back
+    from its worker (queue wait, simulate time, span totals, worker id,
+    batch size, dispatch attempt), the parent adds fold/checkpoint
+    durations, and the export streams them to JSONL while building the
+    end-of-sweep summary; the closing driver record carries the parent's
+    spans, the count of replayed runs and the scheduler's counters.  It
+    is closed, or aborted, after the sinks.  With telemetry off no span
+    is collected and no task is timed in the parent.  ``profile`` runs
+    each task under an in-worker profiler and reports pool-wide hotspots
+    through the telemetry summary.
     """
     config = config if config is not None else SweepConfig()
     telemetry = config.telemetry
@@ -326,9 +327,6 @@ def run_experiments(
     aggregates = CellAggregatingSink()
     all_sinks: List[ResultSink] = [aggregates, *sinks]
     if telemetry is not None:
-        # Last in the fan-out so its (no-op) emit never delays real sinks;
-        # close/abort lifecycle is shared with every other sink.
-        all_sinks.append(telemetry)
         telemetry.begin_sweep(
             workers=config.workers,
             backend=config.backend,
@@ -336,6 +334,8 @@ def run_experiments(
             shard=f"{shard[0]}/{shard[1]}" if shard is not None else None,
         )
     profile_aggregate = ProfileAggregate() if config.profile is not None else None
+    #: close/abort order: the sinks, then the telemetry export last
+    lifecycle = all_sinks if telemetry is None else [*all_sinks, telemetry]
 
     def finish(key, result, elapsed, task_telemetry, profile_payload):
         # Parent-side epilogue of one task: checkpoint append, then sink
@@ -368,7 +368,7 @@ def run_experiments(
             if store is not None:
                 with span("restore"):
                     completed_keys = _restore(
-                        store, my_tasks, route, aggregates, all_sinks[1:]
+                        store, my_tasks, route, aggregates, sinks
                     )
 
             # Measure the profiled cells' topologies before the pool
@@ -406,12 +406,12 @@ def run_experiments(
                 scheduler=scheduler_stats,
             )
     except BaseException:
-        # Something raised: abort the sinks — an export sink (JsonlSink)
-        # keeps the records of the runs that did complete in its staging
-        # file without publishing an incomplete sweep.
-        abort_sinks(all_sinks)
+        # Something raised: abort the sinks, then telemetry — an export
+        # (JsonlSink, TelemetrySink) keeps the records of the runs that did
+        # complete in its staging file without publishing an incomplete sweep.
+        abort_sinks(lifecycle)
         raise
-    for sink in all_sinks:
+    for sink in lifecycle:
         sink.close()
     return results
 
@@ -421,20 +421,20 @@ def _restore(
     tasks: Sequence[RunTask],
     route: Dict[str, Tuple[str, int, int]],
     aggregates: CellAggregatingSink,
-    result_sinks: Sequence[ResultSink],
+    sinks: Sequence[ResultSink],
 ) -> Set[str]:
     """Replay the stored runs of ``tasks`` in sorted key order; return their keys.
 
     Each cell folds its stored rows in one call, in sorted key order,
     from the store's fold fields
     (:meth:`~repro.parallel.store.RunStore.fetch_fold_fields`).  Whole
-    records are fetched, and a result rebuilt from each, only when
-    ``result_sinks`` — the sinks past the cell aggregator (caller sinks,
-    telemetry) — receive them.  Replayed runs carry no per-task
-    telemetry: nothing was measured.
+    records are fetched, and a result rebuilt from each, only when the
+    caller passed ``sinks`` to receive them; the telemetry export is not
+    one of them.  Replayed runs carry no per-task telemetry: nothing was
+    measured.
     """
     keys = [task.key for task in tasks]
-    if result_sinks:
+    if sinks:
         records = store.fetch(keys)
         stored = {key: record_fold_fields(record) for key, record in records.items()}
     else:
@@ -446,11 +446,11 @@ def _restore(
         cells.setdefault((spec_name, topology_index), []).append(stored[key])
     for (spec_name, topology_index), rows in cells.items():
         aggregates.fold(spec_name, topology_index, rows)
-    if result_sinks:
+    if sinks:
         for key in ordered:
             spec_name, topology_index, seed_index = route[key]
             result, elapsed = result_from_record(records[key])
-            for sink in result_sinks:
+            for sink in sinks:
                 sink.emit(spec_name, topology_index, seed_index, result, elapsed)
     return set(stored)
 

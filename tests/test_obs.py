@@ -241,6 +241,43 @@ class TestTelemetrySink:
         sink.close()
         assert summarize_telemetry(read_telemetry(path)) == sink.summary()
 
+    def test_several_files_fold_their_driver_records(self):
+        # Driver records as three per-shard exports end; the task and
+        # header records fold as before.
+        def driver(restored, elapsed, load_seconds, batches, max_batch):
+            load = {"count": 1, "total_seconds": load_seconds}
+            load["min_seconds"] = load["max_seconds"] = load_seconds
+            return {
+                "kind": "driver",
+                "elapsed_seconds": elapsed,
+                "restored": restored,
+                "spans": {"checkpoint.load": load},
+                "scheduler": {
+                    "batches": batches,
+                    "max_batch_size": max_batch,
+                    "worker_restarts": 1,
+                },
+            }
+
+        summary = summarize_telemetry(
+            [
+                driver(5, 2.0, 0.25, 3, 4),
+                driver(7, 1.0, 0.5, 2, 8),
+                driver(0, 3.0, 1.0, 1, 2),
+            ]
+        )
+        assert summary["restored"] == 12
+        assert summary["scheduler"] == {
+            "batches": 6, "max_batch_size": 8, "worker_restarts": 3
+        }
+        assert summary["driver_spans"]["checkpoint.load"] == {
+            "count": 3,
+            "total_seconds": 1.75,
+            "min_seconds": 0.25,
+            "max_seconds": 1.0,
+        }
+        assert summary["elapsed_seconds"] == 3.0  # the last file's, as before
+
 
 class TestTelemetryDoesNotPerturbResults:
     """Results with telemetry on must be bit-identical to telemetry off."""
@@ -339,8 +376,8 @@ class TestTelemetryDoesNotPerturbResults:
     def test_archive_spans_do_not_perturb_query_results(self, tmp_path):
         """Spans at the archive boundary time its reads and writes without
         changing a query's cells: cold (``archive.add``), warm
-        (``archive.fetch_fold_fields``) and warm with telemetry, whose
-        sink needs whole records (``archive.fetch``)."""
+        (``archive.fetch_fold_fields``) and warm with telemetry, which
+        reads fold fields too: the export is no result sink."""
         spec = _spec()
         baseline = query_experiments([spec], archive=tmp_path / "plain.sqlite")
         db = tmp_path / "traced.sqlite"
@@ -362,8 +399,8 @@ class TestTelemetryDoesNotPerturbResults:
         # The telemetry file's closing record carries the sweep's own spans.
         records = read_telemetry(sink.path)
         sweep_spans = records[-1]["spans"]
-        assert sweep_spans["archive.fetch"]["count"] == 1
-        assert "archive.fetch_fold_fields" not in sweep_spans
+        assert sweep_spans["archive.fetch_fold_fields"]["count"] == 1
+        assert "archive.fetch" not in sweep_spans
         assert summarize_telemetry(records)["restored"] == 3 * len(SEEDS)
 
 

@@ -501,6 +501,51 @@ class TestCheckpointing:
         assert not telemetry.exists()
         assert (tmp_path / "tel.jsonl.partial").exists()
 
+    def test_resume_rebuilds_results_only_for_caller_sinks(
+        self, tmp_path, monkeypatch
+    ):
+        # The telemetry export receives no runs: a resume with telemetry
+        # and no caller sink folds from the stored fold fields and
+        # rebuilds no result; a caller sink still gets every run.
+        from repro.parallel import runner
+
+        spec = _spec()
+        checkpoint = tmp_path / "ck.jsonl"
+        swept = run_experiments([spec], config=SweepConfig(checkpoint=checkpoint))[0]
+        rebuilt = []
+
+        def counting_result_from_record(record):
+            rebuilt.append(record["seed"])
+            return result_from_record(record)
+
+        monkeypatch.setattr(
+            runner, "result_from_record", counting_result_from_record
+        )
+
+        def resume(name, sinks=()):
+            telemetry = TelemetrySink(tmp_path / f"{name}.jsonl")
+            config = SweepConfig(checkpoint=checkpoint, telemetry=telemetry)
+            result = run_experiments([spec], config=config, sinks=sinks)[0]
+            return result, telemetry.summary()
+
+        runs = len(spec.topologies) * len(SEEDS)
+        resumed, summary = resume("alone")
+        assert rebuilt == []
+        assert (summary["runs"], summary["restored"]) == (0, runs)
+
+        collecting = CollectingSink()
+        collected, _ = resume("collected", sinks=[collecting])
+        assert len(rebuilt) == runs
+        cells = [
+            collecting.results_for(spec.name, index)
+            for index in range(len(spec.topologies))
+        ]
+        assert [len(cell) for cell in cells] == [len(SEEDS)] * len(cells)
+
+        expected = [cell.as_dict() for cell in swept.cells]
+        assert [cell.as_dict() for cell in resumed.cells] == expected
+        assert [cell.as_dict() for cell in collected.cells] == expected
+
     def test_atomic_flush_leaves_no_temp_file(self, tmp_path):
         store = JsonlCheckpointStore(tmp_path / "deep" / "ck.json")
         result = run_protocol("flooding", cycle(8), 0)
